@@ -12,6 +12,25 @@ values come from observed history while they exist and from earlier
 recursive outputs afterwards.  ``u_seq[j]`` holds u(k + j) for
 j = 0..H-1; exogenous terms that would need inputs before the forecast
 origin are treated as zero (only reachable when q > 1).
+
+``arix_forecast`` runs that recursion for one rule on plain arrays and is
+kept as the independent check.  On the graph side the whole H-step
+recursion of every (sample, rule) row is one fused node.  In the
+differenced values w (w = y when d = 0) it is the linear recurrence
+
+    w_j = -sum_m a_m w_{j-m} + sum_n b_n u_{j-n},   j = 1..H,
+
+seeded by the last p observed differences, with y_j = y_0 + w_1 + ... + w_j
+when d = 1.  The node's adjoint is the transposed recurrence run
+backwards in time (standard reverse mode for linear recurrences):
+carrying the output gradient back through the integrator gives g_w (a
+reverse cumulative sum), then
+
+    lam_j = g_w_j - sum_m a_m lam_{j+m},   lam_j = 0 for j > H,
+
+and dL/da_m = -sum_j lam_j w_{j-m}, dL/db_n = sum_j lam_j u_{j-n},
+dL/du_t = sum_n b_n lam_{t+n}.  A non-finite forecast raises
+``NonFiniteError`` naming the lowest failing rule.
 """
 
 from dataclasses import dataclass
@@ -104,27 +123,73 @@ def aggregate(psi, rule_forecasts) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# graph-side recursion (unrolled so gradients reach a, b, and u)
+# graph-side recursion: one fused node per call (see the module docstring)
 
 
-def _recurse(seed_vals, level0, a_wide, exog_term, horizon, d):
-    vals = list(seed_vals)
-    level = level0
-    p = a_wide.data.shape[-1]
-    preds = []
-    for j in range(1, horizon + 1):
-        window = ad.stack([vals[-m] for m in range(1, p + 1)], axis=-1)
-        step = ad.neg(ad.tsum(ad.mul(window, a_wide), axis=-1))
-        ex = exog_term(j)
-        if ex is not None:
-            step = ad.add(step, ex)
-        vals.append(step)
+def _fused_forecast(seed, level, u, a, b, d, horizon, u_view, rules):
+    """H-step recursion of every forecast row as a single graph node.
+
+    seed: (..., p) plain array of the last p differenced (d=1) or raw (d=0)
+    values, oldest first; level: (...) last observed level, or None when
+    d=0; u: (B, H) tensor, read through the broadcastable shape ``u_view``;
+    a: (..., p) and b: (..., q) tensors.  The leading shapes of seed,
+    level, a, b and u_view broadcast to the output rows.  ``rules``
+    (broadcastable to the rows, or None) gives the rule each row runs, so
+    a non-finite forecast names its rule instead of its row.
+    """
+    p, q = a.data.shape[-1], b.data.shape[-1]
+    uv = u.data.reshape(u_view)
+    rows = np.broadcast_shapes(
+        seed.shape[:-1], a.data.shape[:-1], b.data.shape[:-1], uv.shape[:-1]
+    )
+    # u_lag[n-1][..., j-1] = u(k + j - n), zero before the forecast origin
+    u_lag = [np.zeros(uv.shape) for _ in range(q)]
+    for n in range(1, min(q, horizon) + 1):
+        u_lag[n - 1][..., n - 1 :] = uv[..., : horizon - n + 1]
+    w = np.empty(rows + (p + horizon,))
+    w[..., :p] = seed
+    with np.errstate(over="ignore", invalid="ignore"):
+        exog = None
+        for n in range(q):
+            term = b.data[..., n : n + 1] * u_lag[n]
+            exog = term if exog is None else exog + term
+        for j in range(horizon):
+            # the p newest values, newest first, to line up with a_1..a_p
+            ar = np.sum(w[..., j : j + p][..., ::-1] * a.data, axis=-1)
+            w[..., p + j] = -ar if exog is None else exog[..., j] - ar
+        out = w[..., p:].copy()
         if d == 1:
-            level = ad.add(level, step)
-            preds.append(level)
+            out[..., 0] += level  # y_1 = y_0 + w_1, then a running sum
+            np.cumsum(out, axis=-1, out=out)
+    finite = np.isfinite(out).all(axis=-1)
+    if not finite.all():
+        if rules is None:
+            where = f"sample {int(np.argmin(finite))}"
         else:
-            preds.append(step)
-    return ad.stack(preds, axis=-1)
+            where = f"rule {int(np.min(np.broadcast_to(rules, rows)[~finite]))}"
+        raise NonFiniteError(f"{where}: non-finite ARIX forecast (unstable polynomial)")
+
+    def vjp(g):
+        g_w = np.cumsum(g[..., ::-1], axis=-1)[..., ::-1] if d == 1 else g
+        lam = np.zeros(rows + (horizon + p,))
+        for j in range(horizon - 1, -1, -1):
+            lam[..., j] = g_w[..., j] - np.sum(lam[..., j + 1 : j + 1 + p] * a.data, axis=-1)
+        lam = lam[..., :horizon]
+        da = np.stack(
+            [-np.sum(lam * w[..., p - m : p - m + horizon], axis=-1) for m in range(1, p + 1)], axis=-1
+        )
+        db = np.zeros(rows + (q,))
+        du = np.zeros(rows + (horizon,))
+        for n in range(1, min(q, horizon) + 1):
+            db[..., n - 1] = np.sum(lam * u_lag[n - 1], axis=-1)
+            du[..., : horizon - n + 1] += b.data[..., n - 1 : n] * lam[..., n - 1 :]
+        return (
+            ad._unbroadcast(du, uv.shape).reshape(u.data.shape),
+            ad._unbroadcast(da, a.data.shape),
+            ad._unbroadcast(db, b.data.shape),
+        )
+
+    return ad.custom_op("arix_recursion", out, (u, a, b), vjp)
 
 
 def _split_history(y_hist, p, d):
@@ -137,28 +202,16 @@ def _split_history(y_hist, p, d):
     return hist, None
 
 
-def winner_forecast_graph(y_hist, u, a_sel, b_sel, d, horizon):
+def winner_forecast_graph(y_hist, u, a_sel, b_sel, d, horizon, rules=None):
     """Per-sample forecast using each sample's selected rule.
 
-    y_hist: (B, >=p+d) array; u: (B, H) tensor; a_sel: (B, p); b_sel: (B, q).
-    Returns a (B, H) tensor.
+    y_hist: (B, >=p+d) array; u: (B, H) tensor; a_sel: (B, p); b_sel: (B, q);
+    rules: optional (B,) selected rule indices, named if a forecast is
+    non-finite.  Returns a (B, H) tensor.
     """
-    p = a_sel.data.shape[-1]
-    q = b_sel.data.shape[-1]
-    seed_arr, last = _split_history(y_hist, p, d)
-    seeds = [ad.Tensor(seed_arr[:, m].copy()) for m in range(p)]
-    level0 = ad.Tensor(last) if d == 1 else None
-
-    def exog(j):
-        total = None
-        for n in range(1, q + 1):
-            idx = j - n
-            if 0 <= idx < horizon:
-                term = ad.mul(b_sel[:, n - 1], u[:, idx])
-                total = term if total is None else ad.add(total, term)
-        return total
-
-    return _recurse(seeds, level0, a_sel, exog, horizon, d)
+    u = ad.astensor(u)
+    seed, last = _split_history(y_hist, a_sel.data.shape[-1], d)
+    return _fused_forecast(seed, last, u, a_sel, b_sel, d, horizon, u.data.shape, rules)
 
 
 def all_rules_forecast_graph(y_hist, u, a, b, d, horizon):
@@ -167,23 +220,11 @@ def all_rules_forecast_graph(y_hist, u, a, b, d, horizon):
     y_hist: (B, >=p+d) array; u: (B, H) tensor; a: (C, p); b: (C, q).
     Returns a (B, C, H) tensor.
     """
+    u = ad.astensor(u)
     c, p = a.data.shape
-    q = b.data.shape[-1]
-    seed_arr, last = _split_history(y_hist, p, d)
-    bsz = seed_arr.shape[0]
-    seeds = [
-        ad.Tensor(np.repeat(seed_arr[:, m : m + 1], c, axis=1)) for m in range(p)
-    ]
-    level0 = ad.Tensor(np.repeat(last[:, None], c, axis=1)) if d == 1 else None
-    a_wide = ad.reshape(a, (1, c, p))
-
-    def exog(j):
-        total = None
-        for n in range(1, q + 1):
-            idx = j - n
-            if 0 <= idx < horizon:
-                term = ad.mul(ad.reshape(b[:, n - 1], (1, c)), ad.reshape(u[:, idx], (bsz, 1)))
-                total = term if total is None else ad.add(total, term)
-        return total
-
-    return _recurse(seeds, level0, a_wide, exog, horizon, d)
+    seed, last = _split_history(y_hist, p, d)
+    bsz = seed.shape[0]
+    return _fused_forecast(
+        seed[:, None, :], None if last is None else last[:, None], u, a, b, d, horizon,
+        (bsz, 1, u.data.shape[-1]), np.arange(c),
+    )

@@ -4,6 +4,15 @@ Every operation evaluates eagerly and, when gradients are enabled and at
 least one input requires them, records a closure that propagates the
 adjoint back to its inputs.  ``backward`` on a scalar root then runs the
 closures in reverse topological order.  Fan-out accumulates additively.
+``backward`` frees the graph as it goes: once a node's closure has run,
+the node drops the closure and its parent links, so the activations die
+by reference counting as soon as the caller lets go of the root instead
+of waiting for the cyclic garbage collector.  A graph is therefore
+backpropagated once; build it again for a second pass.  Because each
+step's activations now go back to the allocator at once, importing this
+module raises glibc's mmap and trim thresholds (where ``mallopt``
+exists): with the defaults, glibc hands large freed blocks back to the
+OS and the next batch faults the same pages in again.
 
 Shape mismatches raise :class:`ShapeError` naming the offending
 operation; NaN/Inf in any intermediate raises :class:`NonFiniteError`
@@ -13,6 +22,8 @@ operation; NaN/Inf in any intermediate raises :class:`NonFiniteError`
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import sys
 
 import numpy as np
 
@@ -20,6 +31,27 @@ from .exceptions import NonFiniteError, PositiveDefinitenessError, ShapeError
 
 _GRAD_ENABLED = True
 _FINITE_CHECKS = True
+
+# glibc <malloc.h> parameter numbers
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed activation buffers in the heap for the next batch."""
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:  # no glibc-compatible libc: leave the allocator alone
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # 32 MiB: the ceiling glibc itself uses for its dynamic mmap threshold
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 512 << 20)
+
+
+_keep_freed_memory()
 
 
 def grad_enabled() -> bool:
@@ -194,6 +226,8 @@ def backward(root: Tensor) -> None:
     """Populate ``grad`` of every tensor the scalar root depends on."""
     if root.data.size != 1:
         raise ShapeError(f"backward: root must be scalar, got shape {root.data.shape}")
+    if root.requires_grad and root._op != "leaf" and root._backward is None:
+        raise RuntimeError("backward: graph already freed by an earlier backward")
     # Iterative post-order: graphs unrolled over long horizons get deep.
     topo = []
     visited = set()
@@ -217,6 +251,9 @@ def backward(root: Tensor) -> None:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()
+                # each closure refers to its own node: break the cycle
+                node._backward = None
+                node._parents = ()
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:

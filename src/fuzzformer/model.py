@@ -15,7 +15,7 @@ from . import autodiff as ad
 from . import fuzzy
 from .config import RunConfig
 from .encoder import Encoder, EncoderOutput
-from .exceptions import NonFiniteError, ShapeError
+from .exceptions import ShapeError
 
 
 @dataclass
@@ -134,7 +134,7 @@ class FuzzformerModel:
         b_sel = self.arix_b[winners]
         forecast = arix_mod.winner_forecast_graph(
             y_history, enc.u_latent, a_sel, b_sel,
-            self.config.integration_order, self.config.horizon,
+            self.config.integration_order, self.config.horizon, rules=winners,
         )
         return TrainingForward(
             winner_forecast=forecast,
@@ -149,13 +149,10 @@ class FuzzformerModel:
         y_history = self._check_history(y_history)
         enc = self.encode(x, training=False)
         _cov, psi, _d2, _diffs = self.fuzzy_head(enc.z_latent)
-        try:
-            rule_preds = arix_mod.all_rules_forecast_graph(
-                y_history, enc.u_latent, self.arix_a, self.arix_b,
-                self.config.integration_order, self.config.horizon,
-            )
-        except NonFiniteError:
-            raise self._locate_unstable_rule(y_history, enc.u_latent.data)
+        rule_preds = arix_mod.all_rules_forecast_graph(
+            y_history, enc.u_latent, self.arix_a, self.arix_b,
+            self.config.integration_order, self.config.horizon,
+        )
         b, c = psi.data.shape
         agg = ad.tsum(ad.mul(ad.reshape(psi, (b, c, 1)), rule_preds), axis=1)
         return EvaluationForward(
@@ -164,20 +161,6 @@ class FuzzformerModel:
             memberships=psi,
             encoder_output=enc,
         )
-
-    def _locate_unstable_rule(self, y_history, u) -> NonFiniteError:
-        """Re-run rules one by one on plain arrays to name the offender."""
-        cfg = self.config
-        for i in range(cfg.rules):
-            coeffs = arix_mod.ArixCoefficients(
-                self.arix_a.data[i], self.arix_b.data[i], cfg.integration_order
-            )
-            for s in range(y_history.shape[0]):
-                try:
-                    arix_mod.arix_forecast(y_history[s], u[s], coeffs, cfg.horizon)
-                except NonFiniteError:
-                    return NonFiniteError(f"rule {i}: non-finite ARIX forecast (unstable polynomial)")
-        return NonFiniteError("non-finite ARIX forecast")
 
     def predict(self, x, y_history) -> np.ndarray:
         """Aggregate forecasts as plain arrays (no graph kept)."""

@@ -12,7 +12,7 @@ from fuzzformer.arix import (
     winner_forecast_graph,
 )
 from fuzzformer.autodiff import Tensor, parameter
-from fuzzformer.exceptions import ConfigError, ShapeError
+from fuzzformer.exceptions import ConfigError, NonFiniteError, ShapeError
 
 from arix_oracle import random_stable_system, zero_state_forecast
 from gradcheck import check_gradients
@@ -212,3 +212,114 @@ class TestGraphRecursion:
             return ad.tsum(ad.mul(out, mixer))
 
         check_gradients(build, [a, b, u])
+
+
+# (p, q, d, horizon): q = 0, p > H, and H < q are the edge cases of the
+# fused op's lag bookkeeping
+FUSED_CASES = [
+    (2, 0, 0, 4),
+    (2, 0, 1, 4),
+    (2, 1, 0, 4),
+    (2, 1, 1, 4),
+    (2, 2, 0, 4),
+    (2, 2, 1, 4),
+    (5, 1, 1, 3),
+    (5, 2, 0, 2),
+    (1, 2, 1, 1),
+    (3, 2, 0, 1),
+]
+
+
+class TestFusedRecursion:
+    """The recursion is one graph node whose adjoint is the transposed recursion."""
+
+    @pytest.mark.parametrize("p,q,d,horizon", FUSED_CASES)
+    def test_winner_gradients(self, p, q, d, horizon):
+        rng = np.random.default_rng(100 + 10 * p + q + d + horizon)
+        bsz = 3
+        a = parameter(rng.normal(size=(bsz, p)) * 0.3)
+        b = parameter(rng.normal(size=(bsz, q)))
+        u = parameter(rng.normal(size=(bsz, horizon)))
+        hist = rng.normal(size=(bsz, p + d + 1))
+        mixer = rng.normal(size=(bsz, horizon))
+
+        def build():
+            out = winner_forecast_graph(hist, u, a, b, d, horizon)
+            return ad.tsum(ad.mul(out, mixer))
+
+        params = [a, b, u] if q else [a, u]  # an empty b has nothing to check
+        assert check_gradients(build, params, tol=1e-6) < 1e-6
+
+    @pytest.mark.parametrize("p,q,d,horizon", FUSED_CASES)
+    def test_all_rules_gradients(self, p, q, d, horizon):
+        rng = np.random.default_rng(200 + 10 * p + q + d + horizon)
+        bsz, c = 2, 3
+        a = parameter(rng.normal(size=(c, p)) * 0.3)
+        b = parameter(rng.normal(size=(c, q)))
+        u = parameter(rng.normal(size=(bsz, horizon)))
+        hist = rng.normal(size=(bsz, p + d))
+        mixer = rng.normal(size=(bsz, c, horizon))
+
+        def build():
+            out = all_rules_forecast_graph(hist, u, a, b, d, horizon)
+            return ad.tsum(ad.mul(out, mixer))
+
+        params = [a, b, u] if q else [a, u]  # an empty b has nothing to check
+        assert check_gradients(build, params, tol=1e-6) < 1e-6
+
+    @pytest.mark.parametrize("p,q,d,horizon", FUSED_CASES)
+    def test_matches_plain_recursion(self, p, q, d, horizon):
+        rng = np.random.default_rng(300 + 10 * p + q + d + horizon)
+        bsz, c = 3, 2
+        a = rng.normal(size=(c, p)) * 0.3
+        b = rng.normal(size=(c, q))
+        hist = rng.normal(size=(bsz, p + d))
+        u = rng.normal(size=(bsz, horizon))
+        rules = all_rules_forecast_graph(hist, Tensor(u), Tensor(a), Tensor(b), d, horizon).data
+        winners = np.array([1, 0, 1])
+        sel = winner_forecast_graph(
+            hist, Tensor(u), Tensor(a[winners]), Tensor(b[winners]), d, horizon
+        ).data
+        for s in range(bsz):
+            for i in range(c):
+                plain = arix_forecast(hist[s], u[s], ArixCoefficients(a=a[i], b=b[i], d=d), horizon)
+                np.testing.assert_allclose(rules[s, i], plain, atol=1e-12)
+            np.testing.assert_array_equal(sel[s], rules[s, winners[s]])
+
+    def test_matches_transfer_function_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            a, b, d, u, horizon = random_stable_system(rng, q=int(rng.integers(0, 3)))
+            hist = np.zeros((1, a.size + d))
+            out = winner_forecast_graph(
+                hist, Tensor(u[None]), Tensor(a[None]), Tensor(b[None]), d, horizon
+            )
+            # lags beyond the horizon never reach the forecast
+            oracle = zero_state_forecast(a, b[:horizon], d, u, horizon)
+            assert np.max(np.abs(out.data[0] - oracle)) < 1e-9
+
+    def test_one_graph_node_per_call(self):
+        rng = np.random.default_rng(12)
+        a = parameter(rng.normal(size=(4, 3)) * 0.3)
+        b = parameter(rng.normal(size=(4, 1)))
+        u = parameter(rng.normal(size=(2, 5)))
+        out = all_rules_forecast_graph(rng.normal(size=(2, 4)), u, a, b, 1, 5)
+        assert out._op == "arix_recursion"
+        assert set(out._parents) == {u, a, b}
+
+    def test_unstable_rule_is_named(self):
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(4, 2)) * 0.1
+        a[3, 0] = -1e150
+        b = rng.normal(size=(4, 1))
+        hist = rng.normal(size=(3, 3))
+        u = Tensor(rng.normal(size=(3, 4)))
+        with pytest.raises(NonFiniteError, match="rule 3"):
+            all_rules_forecast_graph(hist, u, Tensor(a), Tensor(b), 1, 4)
+        winners = np.array([0, 3, 1])
+        with pytest.raises(NonFiniteError, match="rule 3"):
+            winner_forecast_graph(
+                hist, u, Tensor(a[winners]), Tensor(b[winners]), 1, 4, rules=winners
+            )
+        with pytest.raises(NonFiniteError, match="sample 1"):
+            winner_forecast_graph(hist, u, Tensor(a[winners]), Tensor(b[winners]), 1, 4)

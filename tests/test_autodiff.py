@@ -91,6 +91,15 @@ class TestBackward:
         with pytest.raises(ShapeError, match="scalar"):
             backward(ad.mul(x, x))
 
+    def test_backward_frees_the_graph(self):
+        x = parameter([1.0, 2.0])
+        y = ad.mul(x, x)
+        out = ad.tsum(y)
+        backward(out)
+        assert y._backward is None and y._parents == ()
+        with pytest.raises(RuntimeError, match="freed"):
+            backward(out)
+
     def test_no_grad_blocks_recording(self):
         x = parameter([1.0, 2.0])
         with ad.no_grad():

@@ -1,5 +1,7 @@
 """Tests for the assembled model: routing, loss composition, gradients."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,16 @@ class TestForwardPaths:
         with pytest.raises(NonFiniteError, match="rule 2"):
             model.evaluation_forward(batch.x, batch.y_history)
 
+    def test_unstable_winner_rule_is_named(self):
+        model = tiny_model(seed=9)
+        model.arix_a.data[...] = -1e150  # every rule overflows
+        batch = tiny_batch(model.config, np.random.default_rng(10))
+        with pytest.raises(NonFiniteError, match="rule ") as info:
+            model.training_forward(batch.x, batch.y_history)
+        with ad.no_grad():
+            psi = model.fuzzy_head(model.encode(batch.x).z_latent)[1].data
+        assert f"rule {np.argmax(psi, axis=1).min()}:" in str(info.value)
+
     def test_parameter_names_unique_and_complete(self):
         model = tiny_model()
         names = [n for n, _ in model.parameters()]
@@ -175,3 +187,18 @@ class TestCompositeLoss:
             return total
 
         check_gradients(build, params, max_coords=4, rng=np.random.default_rng(0))
+
+
+class TestGraphLifetime:
+    def test_backward_leaves_no_reference_cycles(self):
+        model = tiny_model(seed=19, dropout_rate=0.2)
+        batch = tiny_batch(model.config, np.random.default_rng(20))
+        gc.collect()
+        gc.disable()
+        try:
+            total, _ = composite_loss(batch, model, LossWeights(), rng=np.random.default_rng(21))
+            ad.backward(total)
+            del total
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
