@@ -64,8 +64,14 @@ def fit_arima(window, order: ArimaOrder) -> ArimaFit:
     Rejects rank-deficient regressions and estimates that are
     non-stationary (AR part) or non-invertible (MA part): the zero-init
     residual and forecast recursions explode on such coefficients.
+    A window that is not 1-D or holds a non-finite value raises
+    ``DataError``.
     """
     window = np.asarray(window, dtype=np.float64)
+    if window.ndim != 1:
+        raise DataError(f"ARIMA window must be 1-D, got shape {window.shape}")
+    if not np.isfinite(window).all():
+        raise DataError("ARIMA window holds a non-finite value")
     if window.size <= order.p + order.q + order.d + 1:
         raise ArimaFitError(
             f"window of {window.size} values is too short for {order.label()}"
@@ -86,6 +92,8 @@ def fit_arima(window, order: ArimaOrder) -> ArimaFit:
 
 def arima_forecast(fit: ArimaFit, window, horizon: int) -> np.ndarray:
     """Recursive H-step forecast with future residuals at zero, integrated d times."""
+    if horizon < 1:
+        raise ConfigError(f"ARIMA horizon must be >= 1, got {horizon}")
     window = np.asarray(window, dtype=np.float64)
     x = _difference(window, fit.order.d) - fit.mean
     eps = arima_kernels.arma_residuals(x, fit.phi, fit.theta)
@@ -100,33 +108,26 @@ def arima_forecast(fit: ArimaFit, window, horizon: int) -> np.ndarray:
 
 
 def evaluate_arima_windows(windows, order: ArimaOrder, horizon: int):
-    """Fit-and-forecast every window; returns (preds (W, H), ok mask).
+    """``fit_arima`` then ``arima_forecast`` on every row of a (W, T) stack;
+    returns (preds (W, H), ok mask).
 
-    Skipped windows (rank-deficient or non-finite) stay NaN with
-    ok=False; callers report the count.
+    Windows the fit rejects, or whose forecast is non-finite, stay NaN
+    with ok=False and callers report the count.  Malformed input (not
+    2-D, or a non-finite value) raises ``DataError``.
     """
     windows = np.asarray(windows, dtype=np.float64)
-    n = windows.shape[0]
-    preds = np.full((n, horizon), np.nan)
-    ok = np.zeros(n, dtype=bool)
-    for w in range(n):
-        x = _difference(windows[w], order.d)
-        mean = x.mean()
-        phi, theta, fine = arima_kernels.hr_fit(x - mean, order.p, order.q)
-        if not fine:
+    if windows.ndim != 2:
+        raise DataError(f"ARIMA windows must be a 2-D (W, T) stack, got shape {windows.shape}")
+    if horizon < 1:
+        raise ConfigError(f"ARIMA horizon must be >= 1, got {horizon}")
+    preds = np.full((windows.shape[0], horizon), np.nan)
+    ok = np.zeros(windows.shape[0], dtype=bool)
+    for w, window in enumerate(windows):
+        try:
+            preds[w] = arima_forecast(fit_arima(window, order), window, horizon)
+        except (ArimaFitError, NonFiniteError):
             continue
-        if not (
-            arima_kernels.companion_stable(phi)
-            and arima_kernels.companion_stable(-theta)
-        ):
-            continue
-        xc = x - mean
-        eps = arima_kernels.arma_residuals(xc, phi, theta)
-        xhat = arima_kernels.arma_predict(xc, eps, phi, theta, horizon) + mean
-        out = xhat if order.d == 0 else windows[w, -1] + np.cumsum(xhat)
-        if np.all(np.isfinite(out)):
-            preds[w] = out
-            ok[w] = True
+        ok[w] = True
     return preds, ok
 
 

@@ -21,7 +21,6 @@ from . import training
 from .checkpoint import load_checkpoint
 from .config import RunConfig
 from .exceptions import ConfigError, DataError, FuzzformerError, NumericError
-from .kernels import active_backend
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -123,8 +122,7 @@ def cmd_train(args) -> int:
     result = training.train(config, dataset, args.out)
     _write_args(args.out, args)
     print(
-        f"training done in {result.wall_seconds:.1f}s "
-        f"(backend={active_backend()}); best epoch {result.best_epoch} "
+        f"training done in {result.wall_seconds:.1f}s; best epoch {result.best_epoch} "
         f"valid_rmse={result.best_valid_rmse:.5f}; checkpoint: {result.checkpoint_path}"
     )
     return EXIT_OK

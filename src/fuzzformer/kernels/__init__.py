@@ -1,55 +1,12 @@
-"""Hot numeric kernels, each built twice: numba ``njit`` and pure numpy.
+"""Hot numeric kernels in plain numpy: the fused LSTM scan (``lstm``) and
+the per-window ARMA leaves of the ARIMA baseline (``arima``).
 
-The builds share semantics (the LSTM scan is one source compiled both
-ways; the ARIMA leaves likewise) and ``benchmarks/bench_backends.py``
-times them side by side.  Backend selection via ``FUZZFORMER_NUMBA``:
-
-* ``0`` / ``off`` / ``false`` -- pure numpy everywhere
-* ``1`` / ``on``  / ``true``  -- numba everywhere (error if unavailable)
-* unset / ``auto``            -- per-kernel measured winner: numba for
-  the per-window ARIMA pipeline (~3x), numpy for the LSTM scan (numpy's
-  SIMD transcendentals outrun numba's scalar libm calls at these sizes);
-  falls back to numpy entirely when numba is not importable.
+Callers reach each kernel through its module attribute
+(``lstm_kernels.lstm_forward``), so a profiler can patch it in place.
 """
-
-import os
-
-try:
-    import numba  # noqa: F401
-
-    _NUMBA_AVAILABLE = True
-except ImportError:
-    _NUMBA_AVAILABLE = False
-
-# measured on the benchmark shapes; see the module docstring
-_AUTO_CHOICE = {"lstm": "numpy", "arima": "numba"}
-
-
-def _resolve_mode() -> str:
-    flag = os.environ.get("FUZZFORMER_NUMBA", "auto").strip().lower()
-    if flag in ("0", "off", "false", "no"):
-        return "numpy"
-    if flag in ("1", "on", "true", "yes"):
-        if not _NUMBA_AVAILABLE:
-            raise ImportError("FUZZFORMER_NUMBA=1 but numba is not importable")
-        return "numba"
-    return "auto"
-
-
-MODE = _resolve_mode()
-# compatibility knob for the single-source builds: compile numba twins
-# whenever numba is importable so tests and benchmarks can compare them
-USE_NUMBA = MODE == "numba"
-
-
-def kernel_backend(kernel: str) -> str:
-    """Backend a kernel family runs on under the current mode."""
-    if MODE != "auto":
-        return MODE
-    if not _NUMBA_AVAILABLE:
-        return "numpy"
-    return _AUTO_CHOICE.get(kernel, "numba")
 
 
 def active_backend() -> str:
-    return ",".join(f"{k}={kernel_backend(k)}" for k in sorted(_AUTO_CHOICE))
+    # every kernel has one numpy build; kept because the benchmark's
+    # environment line (perfbench/workloads.py) reports it
+    return "numpy"

@@ -1,20 +1,17 @@
 """Per-window ARMA estimation and forecast recursion kernels.
 
 The baseline refits coefficients on every sliding window, so these leaf
-routines run thousands of times per evaluation.  Single source, two
-builds (see package docstring).  All series are 1-D float64 and already
-differenced/demeaned by the caller.
+routines run thousands of times per evaluation.  All series are 1-D
+float64 and already differenced/demeaned by the caller.
 
 ``hr_fit`` is the two-stage Hannan-Rissanen least-squares procedure:
 a long autoregression supplies residual proxies, then the series is
 regressed on its own lags and lagged residuals.  Rank deficiency is
-reported via the ``ok`` flag rather than an exception so the jitted
-build stays simple.
+reported via the ``ok`` flag rather than an exception; the baseline
+layer turns it into a typed error.
 """
 
 import numpy as np
-
-from . import kernel_backend
 
 
 def companion_stable(coeffs) -> bool:
@@ -37,7 +34,7 @@ def companion_stable(coeffs) -> bool:
     return bool(np.max(np.abs(eig)) < 1.0)
 
 
-def _hr_fit_impl(x, p, q):
+def hr_fit(x, p, q):
     """Estimate ARMA(p, q) coefficients on a stationary series.
 
     Returns (phi, theta, ok); phi/theta follow the regression convention
@@ -46,12 +43,7 @@ def _hr_fit_impl(x, p, q):
     T = x.shape[0]
     phi = np.zeros(p)
     theta = np.zeros(q)
-    all_zero = True
-    for t in range(T):
-        if x[t] != 0.0:
-            all_zero = False
-            break
-    if all_zero:
+    if not x.any():
         # degenerate (constant) input: zero dynamics fit it exactly
         return phi, theta, T > p + q
     if q == 0:
@@ -102,7 +94,7 @@ def _hr_fit_impl(x, p, q):
     return phi, theta, True
 
 
-def _arma_residuals_impl(x, phi, theta):
+def arma_residuals(x, phi, theta):
     """One-step-ahead residuals with zero initial conditions."""
     T = x.shape[0]
     p = phi.shape[0]
@@ -122,7 +114,7 @@ def _arma_residuals_impl(x, phi, theta):
     return eps
 
 
-def _arma_predict_impl(x, eps, phi, theta, H):
+def arma_predict(x, eps, phi, theta, H):
     """Recursive H-step forecast with future residuals set to zero."""
     T = x.shape[0]
     p = phi.shape[0]
@@ -142,28 +134,3 @@ def _arma_predict_impl(x, eps, phi, theta, H):
                 pred += theta[n] * eps[k]
         ext[t] = pred
     return ext[T:].copy()
-
-
-hr_fit_numpy = _hr_fit_impl
-arma_residuals_numpy = _arma_residuals_impl
-arma_predict_numpy = _arma_predict_impl
-
-try:
-    from numba import njit
-
-    hr_fit_numba = njit(cache=True)(_hr_fit_impl)
-    arma_residuals_numba = njit(cache=True)(_arma_residuals_impl)
-    arma_predict_numba = njit(cache=True)(_arma_predict_impl)
-except ImportError:
-    hr_fit_numba = None
-    arma_residuals_numba = None
-    arma_predict_numba = None
-
-if kernel_backend("arima") == "numba":
-    hr_fit = hr_fit_numba
-    arma_residuals = arma_residuals_numba
-    arma_predict = arma_predict_numba
-else:
-    hr_fit = hr_fit_numpy
-    arma_residuals = arma_residuals_numpy
-    arma_predict = arma_predict_numpy

@@ -1,21 +1,17 @@
 """Fused LSTM sequence scan: forward over all time steps plus the
 hand-derived backward pass.
 
-This is the hottest loop in training, so the implementation is written
-once in numba-compilable numpy and exported in two builds (``*_numba``,
-``*_numpy``).  The input-side gate contribution is hoisted into a single
-large matmul before the time loop; only the recurrent matmul and the
-gate nonlinearities stay inside it.  Arrays are time-major
-``(N, B, ...)`` C-contiguous float64; gate order inside the fused weight
-matrices is input, forget, candidate, output.
+This is the hottest loop in training.  The input-side gate contribution
+is hoisted into a single large matmul before the time loop; only the
+recurrent matmul and the gate nonlinearities stay inside it.  Arrays are
+time-major ``(N, B, ...)`` C-contiguous float64; gate order inside the
+fused weight matrices is input, forget, candidate, output.
 """
 
 import numpy as np
 
-from . import kernel_backend
 
-
-def _lstm_forward_impl(x, wx, wh, b):
+def lstm_forward(x, wx, wh, b):
     """Scan one LSTM layer over a window.
 
     x: (N, B, D_in); wx: (D_in, 4*D_h); wh: (D_h, 4*D_h); b: (4*D_h,).
@@ -52,7 +48,7 @@ def _lstm_forward_impl(x, wx, wh, b):
     return h_all, i_all, f_all, g_all, o_all, c_all
 
 
-def _lstm_backward_impl(x, wx, wh, dh_out, h_all, i_all, f_all, g_all, o_all, c_all):
+def lstm_backward(x, wx, wh, dh_out, h_all, i_all, f_all, g_all, o_all, c_all):
     """Adjoints of the scan given dL/dh at every step.
 
     Returns (dx, dwx, dwh, db) matching the forward argument shapes.
@@ -96,23 +92,3 @@ def _lstm_backward_impl(x, wx, wh, dh_out, h_all, i_all, f_all, g_all, o_all, c_
     dwx = np.dot(x.reshape(N * B, d_in).T, dA2)
     db = np.sum(dA2, axis=0)
     return dx, dwx, dwh, db
-
-
-lstm_forward_numpy = _lstm_forward_impl
-lstm_backward_numpy = _lstm_backward_impl
-
-try:
-    from numba import njit
-
-    lstm_forward_numba = njit(cache=True)(_lstm_forward_impl)
-    lstm_backward_numba = njit(cache=True)(_lstm_backward_impl)
-except ImportError:
-    lstm_forward_numba = None
-    lstm_backward_numba = None
-
-if kernel_backend("lstm") == "numba":
-    lstm_forward = lstm_forward_numba
-    lstm_backward = lstm_backward_numba
-else:
-    lstm_forward = lstm_forward_numpy
-    lstm_backward = lstm_backward_numpy

@@ -20,7 +20,9 @@ def impulse_response(a, b, d, n_terms):
         den = np.convolve(den, [1.0, -1.0])
     num = np.zeros(n_terms + 1)
     b = np.asarray(b, dtype=np.float64)
-    num[1 : 1 + b.size] = b
+    # taps at lags beyond n_terms fall outside the truncated series
+    k = min(b.size, n_terms)
+    num[1 : 1 + k] = b[:k]
     g = np.zeros(n_terms + 1)
     for i in range(n_terms + 1):
         acc = num[i]

@@ -294,8 +294,7 @@ class TestFusedRecursion:
             out = winner_forecast_graph(
                 hist, Tensor(u[None]), Tensor(a[None]), Tensor(b[None]), d, horizon
             )
-            # lags beyond the horizon never reach the forecast
-            oracle = zero_state_forecast(a, b[:horizon], d, u, horizon)
+            oracle = zero_state_forecast(a, b, d, u, horizon)
             assert np.max(np.abs(out.data[0] - oracle)) < 1e-9
 
     def test_one_graph_node_per_call(self):

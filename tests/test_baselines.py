@@ -15,7 +15,7 @@ from fuzzformer.baselines import (
     train_lstm_baseline,
 )
 from fuzzformer.data import RawSeries, prepare_dataset
-from fuzzformer.exceptions import ArimaFitError, ConfigError, DataError
+from fuzzformer.exceptions import ArimaFitError, ConfigError, DataError, NonFiniteError
 
 
 def simulate_arma(rng, n, phi=(), theta=(), scale=1.0):
@@ -97,6 +97,21 @@ class TestFitArima:
         with pytest.raises(ArimaFitError, match="non-invertible"):
             fit_arima(w, ArimaOrder(p=1, d=1, q=1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_window_raises_data_error(self, bad):
+        window = np.random.default_rng(9).normal(size=80).cumsum()
+        window[40] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            fit_arima(window, ArimaOrder(p=2, d=1, q=1))
+        # one bad window fails the whole stack with the same typed error
+        with pytest.raises(DataError, match="non-finite"):
+            evaluate_arima_windows(np.stack([window + 1, window]), ArimaOrder(p=2, d=1, q=1), 5)
+
+    def test_two_dimensional_window_raises_data_error(self):
+        windows = np.random.default_rng(10).normal(size=(2, 80)).cumsum(axis=1)
+        with pytest.raises(DataError, match="1-D"):
+            fit_arima(windows, ArimaOrder(p=2, d=1, q=1))
+
     def test_companion_stability_helper(self):
         from fuzzformer.kernels.arima import companion_stable
 
@@ -130,6 +145,13 @@ class TestArimaForecast:
         h2 = arima_forecast(fit, x, 2)
         assert h1[0] == h2[0]
 
+    def test_non_positive_horizon_raises_config_error(self):
+        fit = ArimaFit(ArimaOrder(1, 1, 1), np.zeros(1), np.zeros(1), 0.0)
+        with pytest.raises(ConfigError, match="horizon"):
+            arima_forecast(fit, np.arange(10.0), horizon=-3)
+        with pytest.raises(ConfigError, match="horizon"):
+            evaluate_arima_windows(np.ones((2, 10)), ArimaOrder(1, 1, 1), horizon=-3)
+
     def test_d1_starts_from_last_level(self):
         rng = np.random.default_rng(5)
         y = rng.normal(size=200).cumsum() + 50
@@ -143,15 +165,45 @@ class TestEvaluateWindows:
     def test_matches_per_window_api(self):
         rng = np.random.default_rng(6)
         series = simulate_arma(rng, 400, phi=(0.4,), theta=(0.2,)).cumsum()
-        windows = np.stack([series[i : i + 80] for i in range(0, 200, 10)])
-        order = ArimaOrder(p=2, d=1, q=1)
-        preds, ok = evaluate_arima_windows(windows, order, horizon=7)
-        assert ok.all()
-        for w in range(windows.shape[0]):
-            fit = fit_arima(windows[w], order)
-            np.testing.assert_allclose(
-                preds[w], arima_forecast(fit, windows[w], 7), atol=1e-10
-            )
+        good = np.stack([series[i : i + 80] for i in range(0, 200, 10)])
+        # one stack mixing accepted windows with each way fit_arima rejects
+        explosive = np.zeros(120)
+        noise = np.random.default_rng(0).normal(size=120)
+        for t in range(1, 120):
+            explosive[t] = 1.1 * explosive[t - 1] + noise[t]
+        mixed = np.stack(
+            [series[i : i + 120] for i in range(0, 200, 40)]
+            + [
+                explosive,
+                # the seed-1 case of test_non_invertible_ma_estimate_rejected
+                np.random.default_rng(1).normal(size=120),
+                np.cumsum(np.tile([1.0, -1.0], 60)),
+            ]
+        )
+        # linear ramps difference to zeros, which hr_fit alone would accept
+        short = np.arange(4.0) + np.arange(3.0)[:, None]
+        cases = [
+            (good, ArimaOrder(p=2, d=1, q=1), 7, set()),
+            (mixed, ArimaOrder(p=1, d=1, q=1), 7, {"non-stationary", "non-invertible", "rank"}),
+            (short, ArimaOrder(p=1, d=1, q=1), 3, {"short"}),
+        ]
+        for windows, order, horizon, reasons in cases:
+            preds, ok = evaluate_arima_windows(windows, order, horizon)
+            rejected = []
+            for w in range(windows.shape[0]):
+                try:
+                    want = arima_forecast(fit_arima(windows[w], order), windows[w], horizon)
+                except (ArimaFitError, NonFiniteError) as err:
+                    rejected.append(str(err))
+                    assert not ok[w]
+                    assert np.isnan(preds[w]).all()
+                    continue
+                assert ok[w]
+                np.testing.assert_array_equal(preds[w], want)
+            for reason in reasons:
+                assert any(reason in msg for msg in rejected), reason
+            if not reasons:
+                assert ok.all()
 
     def test_infeasible_windows_are_skipped_and_counted(self):
         rng = np.random.default_rng(7)
@@ -159,6 +211,10 @@ class TestEvaluateWindows:
         preds, ok = evaluate_arima_windows(windows, ArimaOrder(p=30, d=1, q=1), horizon=5)
         assert not ok.any()
         assert np.isnan(preds).all()
+
+    def test_one_dimensional_input_raises_data_error(self):
+        with pytest.raises(DataError, match="2-D"):
+            evaluate_arima_windows(np.arange(80.0), ArimaOrder(p=2, d=1, q=1), horizon=5)
 
 
 class TestPersistence:

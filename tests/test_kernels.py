@@ -1,15 +1,10 @@
-"""Backend parity: the numba builds must agree with their numpy twins."""
+"""The fused LSTM scan against finite differences, and the ARMA leaves."""
 
 import numpy as np
-import pytest
 
-from fuzzformer.kernels import active_backend, arima as ak, lstm as lk
+from fuzzformer.kernels import arima as ak, lstm as lk
 
 from gradcheck import fd_gradient, max_rel_err
-
-HAVE_NUMBA = lk.lstm_forward_numba is not None
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
 
 
 def _lstm_inputs(rng, N=6, B=3, d_in=4, d_h=5):
@@ -21,49 +16,17 @@ def _lstm_inputs(rng, N=6, B=3, d_in=4, d_h=5):
 
 
 class TestLstmKernels:
-    @needs_numba
-    def test_forward_builds_agree(self):
-        rng = np.random.default_rng(0)
-        x, wx, wh, b = _lstm_inputs(rng)
-        out_np = lk.lstm_forward_numpy(x, wx, wh, b)
-        out_nb = lk.lstm_forward_numba(x, wx, wh, b)
-        for a, c in zip(out_np, out_nb):
-            np.testing.assert_allclose(a, c, rtol=1e-13, atol=1e-13)
-
-    @needs_numba
-    def test_backward_builds_agree(self):
-        rng = np.random.default_rng(1)
-        x, wx, wh, b = _lstm_inputs(rng)
-        caches = lk.lstm_forward_numpy(x, wx, wh, b)
-        dh = rng.normal(size=caches[0].shape)
-        g_np = lk.lstm_backward_numpy(x, wx, wh, dh, *caches)
-        g_nb = lk.lstm_backward_numba(x, wx, wh, dh, *caches)
-        for a, c in zip(g_np, g_nb):
-            np.testing.assert_allclose(a, c, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize(
-        "forward,backward",
-        [
-            pytest.param(lk.lstm_forward_numpy, lk.lstm_backward_numpy, id="numpy"),
-            pytest.param(
-                lk.lstm_forward_numba,
-                lk.lstm_backward_numba,
-                id="numba",
-                marks=needs_numba,
-            ),
-        ],
-    )
-    def test_backward_matches_finite_differences(self, forward, backward):
+    def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         x, wx, wh, b = _lstm_inputs(rng, N=4, B=2, d_in=2, d_h=3)
         mixer = rng.normal(size=(4, 2, 3))
 
         def loss():
-            h = forward(x, wx, wh, b)[0]
+            h = lk.lstm_forward(x, wx, wh, b)[0]
             return float(np.sum(h * mixer))
 
-        caches = forward(x, wx, wh, b)
-        grads = backward(x, wx, wh, mixer, *caches)
+        caches = lk.lstm_forward(x, wx, wh, b)
+        grads = lk.lstm_backward(x, wx, wh, mixer, *caches)
         for arr, ana in zip((x, wx, wh, b), grads):
             num, _ = fd_gradient(loss, arr)
             assert max_rel_err(ana, num) < 1e-4
@@ -77,50 +40,20 @@ class TestLstmKernels:
 
 
 class TestArimaKernels:
-    def _series(self, rng, n=400, phi=0.5, theta=0.3):
-        eps = rng.normal(size=n + 1)
-        x = np.zeros(n)
-        for t in range(n):
-            x[t] = (phi * x[t - 1] if t else 0.0) + eps[t] + theta * eps[t - 1]
-        return x
-
-    @needs_numba
-    def test_fit_builds_agree(self):
-        rng = np.random.default_rng(4)
-        x = self._series(rng)
-        phi_np, th_np, ok_np = ak.hr_fit_numpy(x, 2, 1)
-        phi_nb, th_nb, ok_nb = ak.hr_fit_numba(x, 2, 1)
-        assert ok_np and ok_nb
-        np.testing.assert_allclose(phi_np, phi_nb, rtol=1e-10)
-        np.testing.assert_allclose(th_np, th_nb, rtol=1e-10)
-
-    @needs_numba
-    def test_residual_and_predict_builds_agree(self):
-        rng = np.random.default_rng(5)
-        x = self._series(rng, n=200)
-        phi, theta, ok = ak.hr_fit_numpy(x, 1, 1)
-        assert ok
-        e_np = ak.arma_residuals_numpy(x, phi, theta)
-        e_nb = ak.arma_residuals_numba(x, phi, theta)
-        np.testing.assert_allclose(e_np, e_nb, rtol=1e-12, atol=1e-12)
-        p_np = ak.arma_predict_numpy(x, e_np, phi, theta, 10)
-        p_nb = ak.arma_predict_numba(x, e_np, phi, theta, 10)
-        np.testing.assert_allclose(p_np, p_nb, rtol=1e-12, atol=1e-12)
-
     def test_fit_flags_rank_deficiency(self):
         # constant nonzero series: lagged design matrix has rank 1
         x = np.ones(80)
-        phi, theta, ok = ak.hr_fit_numpy(x, 2, 0)
+        phi, theta, ok = ak.hr_fit(x, 2, 0)
         assert not ok
 
     def test_all_zero_series_fits_zero_dynamics(self):
-        phi, theta, ok = ak.hr_fit_numpy(np.zeros(80), 2, 1)
+        phi, theta, ok = ak.hr_fit(np.zeros(80), 2, 1)
         assert ok
         np.testing.assert_array_equal(phi, 0.0)
         np.testing.assert_array_equal(theta, 0.0)
 
     def test_fit_rejects_too_short_window(self):
-        phi, theta, ok = ak.hr_fit_numpy(np.random.default_rng(0).normal(size=8), 4, 1)
+        phi, theta, ok = ak.hr_fit(np.random.default_rng(0).normal(size=8), 4, 1)
         assert not ok
 
     def test_pure_ar_fit_recovers_coefficients(self):
@@ -134,9 +67,3 @@ class TestArimaKernels:
         assert ok
         np.testing.assert_allclose(phi, [0.5, -0.3], atol=0.05)
 
-
-def test_active_backend_reports():
-    summary = active_backend()
-    assert "lstm=" in summary and "arima=" in summary
-    for part in summary.split(","):
-        assert part.split("=")[1] in ("numpy", "numba")
