@@ -7,6 +7,11 @@ demeaning the differences acts as a drift term.  Coefficients follow the
 standard regression convention x_t = sum_j phi_j x_{t-j} + sum_n
 theta_n eps_{t-n} + eps_t.  Windows where the regression is rank
 deficient are skipped and counted rather than guessed at.
+
+One pipeline serves both entry points: ``evaluate_arima_windows`` sends
+its stack through the batched kernels in ``kernels.arima`` in chunks of
+``ARIMA_CHUNK`` windows, and ``fit_arima``/``arima_forecast`` are the
+one-window case of the same code.
 """
 
 from dataclasses import dataclass
@@ -51,57 +56,94 @@ class ArimaFit:
     mean: float
 
 
+# windows per kernel call: bounds the stacked design matrices' memory
+ARIMA_CHUNK = 128
+
+# the codes _fit_stack gives a window (0: accepted) and fit_arima's message for each
+_SHORT, _RANK, _NONSTATIONARY, _NONINVERTIBLE = 1, 2, 3, 4
+_REJECTIONS = {
+    _SHORT: "window of {size} values is too short for {label}",
+    _RANK: "{label}: rank-deficient regression on a {size}-point window",
+    _NONSTATIONARY: "{label}: non-stationary AR estimate",
+    _NONINVERTIBLE: "{label}: non-invertible MA estimate",
+}
+
+
 def _difference(y, d):
     x = np.asarray(y, dtype=np.float64)
     for _ in range(d):
-        x = x[1:] - x[:-1]
+        x = x[..., 1:] - x[..., :-1]
     return x
+
+
+def _check_finite(windows):
+    if not np.isfinite(windows).all():
+        raise DataError("ARIMA window holds a non-finite value")
+
+
+def _check_horizon(horizon):
+    if horizon < 1:
+        raise ConfigError(f"ARIMA horizon must be >= 1, got {horizon}")
+
+
+def _fit_stack(windows, order: ArimaOrder):
+    """Fit every row of a finite (W, T) stack.
+
+    Returns (phi (W, p), theta (W, q), mean (W,), code (W,)), where
+    code is 0 for an accepted fit, else the first reason in the order
+    short, rank, non-stationary, non-invertible that rejects the window.
+    """
+    W, T = windows.shape
+    code = np.zeros(W, dtype=np.int64)
+    if T <= order.p + order.q + order.d + 1:
+        code[:] = _SHORT
+        return np.zeros((W, order.p)), np.zeros((W, order.q)), np.zeros(W), code
+    x = _difference(windows, order.d)
+    mean = x.mean(axis=1)
+    phi, theta, ok = arima_kernels.hr_fit(x - mean[:, None], order.p, order.q)
+    # the zero-init residual and forecast recursions explode on
+    # non-stationary (AR) or non-invertible (MA) estimates
+    stationary = arima_kernels.companion_stable(phi)
+    invertible = arima_kernels.companion_stable(-theta)
+    code[~invertible] = _NONINVERTIBLE
+    code[~stationary] = _NONSTATIONARY
+    code[~ok] = _RANK
+    return phi, theta, mean, code
+
+
+def _forecast_stack(windows, phi, theta, mean, d, horizon):
+    """(W, H) recursive forecasts with future residuals at zero, integrated d times."""
+    x = _difference(windows, d) - mean[:, None]
+    eps = arima_kernels.arma_residuals(x, phi, theta)
+    xhat = arima_kernels.arma_predict(x, eps, phi, theta, horizon) + mean[:, None]
+    return xhat if d == 0 else windows[:, -1:] + np.cumsum(xhat, axis=1)
 
 
 def fit_arima(window, order: ArimaOrder) -> ArimaFit:
     """Hannan-Rissanen estimation on one look-back window.
 
     Rejects rank-deficient regressions and estimates that are
-    non-stationary (AR part) or non-invertible (MA part): the zero-init
-    residual and forecast recursions explode on such coefficients.
-    A window that is not 1-D or holds a non-finite value raises
-    ``DataError``.
+    non-stationary (AR part) or non-invertible (MA part) with
+    ``ArimaFitError``.  A window that is not 1-D or holds a non-finite
+    value raises ``DataError``.
     """
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 1:
         raise DataError(f"ARIMA window must be 1-D, got shape {window.shape}")
-    if not np.isfinite(window).all():
-        raise DataError("ARIMA window holds a non-finite value")
-    if window.size <= order.p + order.q + order.d + 1:
-        raise ArimaFitError(
-            f"window of {window.size} values is too short for {order.label()}"
-        )
-    x = _difference(window, order.d)
-    mean = float(x.mean())
-    phi, theta, ok = arima_kernels.hr_fit(x - mean, order.p, order.q)
-    if not ok:
-        raise ArimaFitError(
-            f"{order.label()}: rank-deficient regression on a {window.size}-point window"
-        )
-    if not arima_kernels.companion_stable(phi):
-        raise ArimaFitError(f"{order.label()}: non-stationary AR estimate")
-    if not arima_kernels.companion_stable(-theta):
-        raise ArimaFitError(f"{order.label()}: non-invertible MA estimate")
-    return ArimaFit(order=order, phi=phi, theta=theta, mean=mean)
+    _check_finite(window)
+    phi, theta, mean, code = _fit_stack(window[None], order)
+    if code[0]:
+        raise ArimaFitError(_REJECTIONS[code[0]].format(size=window.size, label=order.label()))
+    return ArimaFit(order=order, phi=phi[0], theta=theta[0], mean=float(mean[0]))
 
 
 def arima_forecast(fit: ArimaFit, window, horizon: int) -> np.ndarray:
     """Recursive H-step forecast with future residuals at zero, integrated d times."""
-    if horizon < 1:
-        raise ConfigError(f"ARIMA horizon must be >= 1, got {horizon}")
+    _check_horizon(horizon)
     window = np.asarray(window, dtype=np.float64)
-    x = _difference(window, fit.order.d) - fit.mean
-    eps = arima_kernels.arma_residuals(x, fit.phi, fit.theta)
-    xhat = arima_kernels.arma_predict(x, eps, fit.phi, fit.theta, horizon) + fit.mean
-    if fit.order.d == 0:
-        out = xhat
-    else:
-        out = window[-1] + np.cumsum(xhat)
+    out = _forecast_stack(
+        window[None], fit.phi[None], fit.theta[None], np.array([fit.mean]), fit.order.d, horizon
+    )[0]
     if not np.all(np.isfinite(out)):
         raise NonFiniteError(f"{fit.order.label()}: non-finite forecast")
     return out
@@ -111,6 +153,8 @@ def evaluate_arima_windows(windows, order: ArimaOrder, horizon: int):
     """``fit_arima`` then ``arima_forecast`` on every row of a (W, T) stack;
     returns (preds (W, H), ok mask).
 
+    The stack runs through the same kernels in chunks of ``ARIMA_CHUNK``
+    windows, so each row equals the per-window result bit for bit.
     Windows the fit rejects, or whose forecast is non-finite, stay NaN
     with ok=False and callers report the count.  Malformed input (not
     2-D, or a non-finite value) raises ``DataError``.
@@ -118,16 +162,18 @@ def evaluate_arima_windows(windows, order: ArimaOrder, horizon: int):
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2:
         raise DataError(f"ARIMA windows must be a 2-D (W, T) stack, got shape {windows.shape}")
-    if horizon < 1:
-        raise ConfigError(f"ARIMA horizon must be >= 1, got {horizon}")
+    _check_finite(windows)
+    _check_horizon(horizon)
     preds = np.full((windows.shape[0], horizon), np.nan)
     ok = np.zeros(windows.shape[0], dtype=bool)
-    for w, window in enumerate(windows):
-        try:
-            preds[w] = arima_forecast(fit_arima(window, order), window, horizon)
-        except (ArimaFitError, NonFiniteError):
-            continue
-        ok[w] = True
+    for start in range(0, windows.shape[0], ARIMA_CHUNK):
+        chunk = windows[start : start + ARIMA_CHUNK]
+        phi, theta, mean, code = _fit_stack(chunk, order)
+        rows = np.flatnonzero(code == 0)
+        out = _forecast_stack(chunk[rows], phi[rows], theta[rows], mean[rows], order.d, horizon)
+        finite = np.isfinite(out).all(axis=1)
+        preds[start + rows[finite]] = out[finite]
+        ok[start + rows[finite]] = True
     return preds, ok
 
 

@@ -15,6 +15,7 @@ identical inputs.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -40,8 +41,21 @@ def write_archive(path, meta: dict, arrays) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _header_int(path, text, what):
+    try:
+        value = int(text)
+    except ValueError:
+        raise DataError(f"{path}: {what} {text!r} is not an integer") from None
+    if value < 0:
+        raise DataError(f"{path}: negative {what} {value}")
+    return value
+
+
 def read_archive(path):
-    """Returns (meta, dict of name -> ndarray in manifest order)."""
+    """Returns (meta, dict of name -> ndarray in manifest order).
+
+    A file that is not a well-formed archive raises ``DataError``.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -51,19 +65,25 @@ def read_archive(path):
     head_end = blob.find(sep)
     if head_end < 0:
         raise DataError(f"{path}: missing archive separator (not an archive file?)")
-    header_lines = blob[:head_end].decode("utf-8").split("\n")
+    try:
+        header_lines = blob[:head_end].decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: archive header is not UTF-8 ({exc})") from None
     if len(header_lines) < 3:
         raise DataError(f"{path}: truncated archive header")
     magic = header_lines[0].split()
     if len(magic) != 2 or magic[0] != MAGIC:
         raise DataError(f"{path}: bad magic line {header_lines[0]!r}")
-    if int(magic[1]) != VERSION:
+    if _header_int(path, magic[1], "version") != VERSION:
         raise DataError(f"{path}: unsupported archive version {magic[1]}")
     try:
         meta = json.loads(header_lines[1])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deep to decode
         raise DataError(f"{path}: bad metadata line: {exc}") from exc
-    count = int(header_lines[2])
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: metadata must be a JSON object, got {type(meta).__name__}")
+    count = _header_int(path, header_lines[2], "array count")
     manifest = header_lines[3 : 3 + count]
     if len(manifest) != count:
         raise DataError(f"{path}: manifest lists {len(manifest)} of {count} arrays")
@@ -71,13 +91,21 @@ def read_archive(path):
     offset = head_end + len(sep)
     for line in manifest:
         parts = line.split()
-        name, dims = parts[0], tuple(int(d) for d in parts[1:])
-        size = int(np.prod(dims)) if dims else 1
-        nbytes = 8 * size
+        if not parts:
+            raise DataError(f"{path}: empty manifest line")
+        name = parts[0]
+        if name in arrays:
+            raise DataError(f"{path}: duplicate array name {name!r}")
+        dims = tuple(_header_int(path, d, f"dimension of {name}") for d in parts[1:])
+        nbytes = 8 * math.prod(dims)
         chunk = blob[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise DataError(f"{path}: truncated payload for {name}")
-        arr = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(dims)
+        try:
+            arr = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(dims)
+        except (ValueError, OverflowError) as exc:
+            # a zero dimension next to one too large to allocate
+            raise DataError(f"{path}: bad shape {dims} for {name}: {exc}") from None
         arrays[name] = arr
         offset += nbytes
     if offset != len(blob):

@@ -48,32 +48,45 @@ def _parse_date(text, context):
         raise DataError(f"{context}: bad date {text!r} ({exc})") from exc
 
 
+def read_text(path, what):
+    """The UTF-8 text of ``path``; a missing or unreadable file, or bytes
+    that are not UTF-8, raise ``DataError``.  ``what`` names the file in
+    the message."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{what} not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_csv(path, name=None) -> RawSeries:
     """Parse a ``date,value`` CSV; sorts rows, rejects duplicates/NaN."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"series file not found: {path}")
+    lines = read_text(path, "series file").split("\n")
     name = name or path.stem
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().lower()
-        if header.replace(" ", "") != "date,value":
-            raise DataError(f"{path}:1: expected header 'date,value', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'date,value', got {line!r}")
-            day = _parse_date(parts[0], f"{path}:{lineno}")
-            try:
-                value = float(parts[1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad value {parts[1]!r}") from exc
-            if not np.isfinite(value):
-                raise DataError(f"{path}:{lineno}: non-finite value {parts[1]!r}")
-            rows.append((day, value))
+    header = lines[0].strip().lower()
+    if header.replace(" ", "") != "date,value":
+        raise DataError(f"{path}:1: expected header 'date,value', got {header!r}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'date,value', got {line!r}")
+        day = _parse_date(parts[0], f"{path}:{lineno}")
+        try:
+            value = float(parts[1])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad value {parts[1]!r}") from exc
+        if not np.isfinite(value):
+            raise DataError(f"{path}:{lineno}: non-finite value {parts[1]!r}")
+        rows.append((day, value))
     if not rows:
         raise DataError(f"{path}: no observations")
     rows.sort(key=lambda r: r[0])

@@ -1,5 +1,6 @@
 """Hot numeric kernels in plain numpy: the fused LSTM scan (``lstm``) and
-the per-window ARMA leaves of the ARIMA baseline (``arima``).
+the ARIMA baseline's Hannan-Rissanen fit and ARMA recursions, batched
+across a stack of windows (``arima``).
 
 Callers reach each kernel through its module attribute
 (``lstm_kernels.lstm_forward``), so a profiler can patch it in place.

@@ -1,136 +1,134 @@
-"""Per-window ARMA estimation and forecast recursion kernels.
+"""ARMA estimation and forecast recursion kernels, batched across windows.
 
-The baseline refits coefficients on every sliding window, so these leaf
-routines run thousands of times per evaluation.  All series are 1-D
-float64 and already differenced/demeaned by the caller.
+The baseline refits coefficients on every sliding window, so each kernel
+takes a stack of W windows: series are (W, T) float64 arrays, already
+differenced and demeaned by the caller, and coefficients are (W, p) and
+(W, q).  Every operation acts on each row alone, so a window's results
+are bit-identical whether it is fitted by itself or inside any stack.
 
-``hr_fit`` is the two-stage Hannan-Rissanen least-squares procedure:
-a long autoregression supplies residual proxies, then the series is
-regressed on its own lags and lagged residuals.  Rank deficiency is
-reported via the ``ok`` flag rather than an exception; the baseline
-layer turns it into a typed error.
+``hr_fit`` is the two-stage Hannan-Rissanen least-squares procedure
+(Hannan & Rissanen, Biometrika 1982): a long autoregression supplies
+residual proxies, then the series is regressed on its own lags and
+lagged residuals.  Rank deficiency is reported per window via the ``ok``
+flags rather than an exception; the baseline layer turns it into a typed
+error.  The time recursions loop once over time with vector operations
+across windows, adding terms in the order of the per-window scalar loop.
 """
 
 import numpy as np
 
+_EPS = np.finfo(np.float64).eps
 
-def companion_stable(coeffs) -> bool:
-    """True when the recursion y[t] = sum_j coeffs[j] y[t-1-j] is stable,
-    i.e. all companion-matrix eigenvalues lie strictly inside the unit
-    circle.  Used by the baseline layer to reject non-stationary /
+
+def companion_stable(coeffs):
+    """True where the recursion y[t] = sum_j coeffs[..., j] y[t-1-j] is
+    stable, i.e. all companion-matrix eigenvalues lie strictly inside the
+    unit circle.  ``coeffs`` is (..., m); returns a bool array of shape
+    (...).  Used by the baseline layer to reject non-stationary /
     non-invertible estimates, whose forecast and residual recursions
     explode."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    m = coeffs.size
+    m = coeffs.shape[-1]
     if m == 0:
-        return True
+        return np.ones(coeffs.shape[:-1], dtype=bool)
     if m == 1:
-        return bool(abs(coeffs[0]) < 1.0)
-    comp = np.zeros((m, m))
-    comp[0, :] = coeffs
-    for i in range(1, m):
-        comp[i, i - 1] = 1.0
-    eig = np.linalg.eigvals(comp)
-    return bool(np.max(np.abs(eig)) < 1.0)
+        return np.abs(coeffs[..., 0]) < 1.0
+    comp = np.zeros(coeffs.shape[:-1] + (m, m))
+    comp[..., 0, :] = coeffs
+    comp[..., np.arange(1, m), np.arange(m - 1)] = 1.0
+    return np.max(np.abs(np.linalg.eigvals(comp)), axis=-1) < 1.0
+
+
+def _lstsq(columns):
+    """Least squares per window: regress the last of the (W, M) ``columns``
+    on the N others, for M > N.
+
+    QR of the stacked (W, M, N + 1) matrix [A | b] yields R and Q'b
+    together.  A window counts as full rank under numpy lstsq's rule: the
+    smallest singular value of its R exceeds eps * max(M, N) * the largest.
+    Returns the (W, N) solutions, zero where rank deficient, and the
+    full-rank mask.
+    """
+    W, M = columns[0].shape
+    N = len(columns) - 1
+    r = np.linalg.qr(np.stack(columns, axis=2), mode="r")
+    r, qb = r[:, :N, :N], r[:, :N, N]
+    s = np.linalg.svd(r, compute_uv=False)
+    full = s[:, -1] > _EPS * max(M, N) * s[:, 0]
+    sol = np.zeros((W, N))
+    sol[full] = np.linalg.solve(r[full], qb[full, :, None])[:, :, 0]
+    return sol, full
 
 
 def hr_fit(x, p, q):
-    """Estimate ARMA(p, q) coefficients on a stationary series.
+    """Estimate ARMA(p, q) coefficients on each row of a stationary (W, T) stack.
 
-    Returns (phi, theta, ok); phi/theta follow the regression convention
-    x[t] = sum_j phi[j] x[t-1-j] + sum_n theta[n] eps[t-1-n] + eps[t].
+    Returns (phi (W, p), theta (W, q), ok (W,)); phi/theta follow the
+    regression convention x[t] = sum_j phi[j] x[t-1-j] + sum_n theta[n]
+    eps[t-1-n] + eps[t], and are zero where ok is False.
     """
-    T = x.shape[0]
-    phi = np.zeros(p)
-    theta = np.zeros(q)
-    if not x.any():
-        # degenerate (constant) input: zero dynamics fit it exactly
-        return phi, theta, T > p + q
+    W, T = x.shape
+    phi = np.zeros((W, p))
+    theta = np.zeros((W, q))
+
+    def lags(series, start, n):
+        # column j of a design matrix whose rows are t = start .. T-1
+        return [series[:, start - 1 - j : T - 1 - j] for j in range(n)]
+
+    # degenerate (all-zero) rows: zero dynamics fit them exactly
+    ok = ~x.any(axis=1) & (T > p + q)
     if q == 0:
-        rows = T - p
-        if rows < p + 1:
-            return phi, theta, False
-        X = np.zeros((rows, p))
-        for j in range(p):
-            X[:, j] = x[p - 1 - j : T - 1 - j]
-        sol, _res, rank, _sv = np.linalg.lstsq(X, x[p:])
-        if rank < p:
-            return phi, theta, False
-        phi[:] = sol
-        return phi, theta, True
+        if T - p < p + 1:
+            return phi, theta, ok
+        phi, full = _lstsq(lags(x, p, p) + [x[:, p:]])
+        return phi, theta, ok | full
     # stage 1: long AR for residual proxies; order capped by window length
-    n1 = 2 * (p + q)
-    if n1 < 20:
-        n1 = 20
-    if n1 > T // 2:
-        n1 = T // 2
-    rows1 = T - n1
-    if n1 < 1 or rows1 < n1 + 1:
-        return phi, theta, False
-    X1 = np.zeros((rows1, n1))
-    for j in range(n1):
-        X1[:, j] = x[n1 - 1 - j : T - 1 - j]
-    y1 = x[n1:]
-    sol1, _res1, rank1, _sv1 = np.linalg.lstsq(X1, y1)
-    if rank1 < n1:
-        return phi, theta, False
-    eps = np.zeros(T)
-    eps[n1:] = y1 - np.dot(X1, sol1)
-    # stage 2: regress on own lags and lagged residual proxies
+    n1 = min(max(2 * (p + q), 20), T // 2)
     m0 = max(p, n1 + q)
-    rows2 = T - m0
-    if rows2 < p + q + 1:
-        return phi, theta, False
-    X2 = np.zeros((rows2, p + q))
-    for j in range(p):
-        X2[:, j] = x[m0 - 1 - j : T - 1 - j]
-    for n in range(q):
-        X2[:, p + n] = eps[m0 - 1 - n : T - 1 - n]
-    sol2, _res2, rank2, _sv2 = np.linalg.lstsq(X2, x[m0:])
-    if rank2 < p + q:
-        return phi, theta, False
-    phi[:] = sol2[:p]
-    theta[:] = sol2[p:]
-    return phi, theta, True
+    if n1 < 1 or T - n1 < n1 + 1 or T - m0 < p + q + 1:
+        return phi, theta, ok
+    x_lags = lags(x, n1, n1)
+    sol1, full1 = _lstsq(x_lags + [x[:, n1:]])
+    eps = np.zeros((W, T))
+    eps[:, n1:] = x[:, n1:]
+    for j, col in enumerate(x_lags):
+        eps[:, n1:] -= sol1[:, j, None] * col
+    # stage 2: regress on own lags and lagged residual proxies
+    sol2, full2 = _lstsq(lags(x, m0, p) + lags(eps, m0, q) + [x[:, m0:]])
+    full = full1 & full2
+    sol2[~full] = 0.0
+    return sol2[:, :p], sol2[:, p:], ok | full
 
 
 def arma_residuals(x, phi, theta):
-    """One-step-ahead residuals with zero initial conditions."""
-    T = x.shape[0]
-    p = phi.shape[0]
-    q = theta.shape[0]
-    eps = np.zeros(T)
+    """One-step-ahead residuals (W, T) with zero initial conditions."""
+    T = x.shape[1]
+    # the AR part needs no residuals: accumulate it for every t at once
+    ar = np.zeros_like(x)
+    for j in range(min(phi.shape[1], T - 1)):
+        ar[:, j + 1 :] += phi[:, j, None] * x[:, : T - 1 - j]
+    q = theta.shape[1]
+    if q == 0:
+        return x - ar
+    eps = np.empty_like(x)
     for t in range(T):
-        pred = 0.0
-        for j in range(p):
-            k = t - 1 - j
-            if k >= 0:
-                pred += phi[j] * x[k]
-        for n in range(q):
-            k = t - 1 - n
-            if k >= 0:
-                pred += theta[n] * eps[k]
-        eps[t] = x[t] - pred
+        pred = ar[:, t]
+        for n in range(min(q, t)):
+            pred = pred + theta[:, n] * eps[:, t - 1 - n]
+        eps[:, t] = x[:, t] - pred
     return eps
 
 
 def arma_predict(x, eps, phi, theta, H):
-    """Recursive H-step forecast with future residuals set to zero."""
-    T = x.shape[0]
-    p = phi.shape[0]
-    q = theta.shape[0]
-    ext = np.zeros(T + H)
-    ext[:T] = x
-    for h in range(H):
-        t = T + h
-        pred = 0.0
-        for j in range(p):
-            k = t - 1 - j
-            if k >= 0:
-                pred += phi[j] * ext[k]
-        for n in range(q):
-            k = t - 1 - n
-            if 0 <= k < T:
-                pred += theta[n] * eps[k]
-        ext[t] = pred
-    return ext[T:].copy()
+    """Recursive H-step forecasts (W, H) with future residuals set to zero."""
+    W, T = x.shape
+    ext = np.zeros((W, T + H))
+    ext[:, :T] = x
+    for t in range(T, T + H):
+        pred = np.zeros(W)
+        for j in range(min(phi.shape[1], t)):
+            pred += phi[:, j] * ext[:, t - 1 - j]
+        for n in range(t - T, min(theta.shape[1], t)):
+            pred += theta[:, n] * eps[:, t - 1 - n]
+        ext[:, t] = pred
+    return ext[:, T:]

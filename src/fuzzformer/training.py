@@ -10,6 +10,7 @@ seed/config/data reproduce identical checkpoints bit for bit.
 """
 
 import csv
+import io
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,7 @@ from .autodiff import Adam
 from .baselines import rmse
 from .checkpoint import save_checkpoint
 from .config import RunConfig
-from .data import SPLIT_NAMES, WindowedDataset
+from .data import SPLIT_NAMES, WindowedDataset, read_text
 from .exceptions import ConfigError, DataError, NumericError
 from .fuzzy import bhattacharyya, clusters_from_params
 from .losses import composite_loss
@@ -196,32 +197,34 @@ def train(config: RunConfig, dataset: WindowedDataset, out_dir, log=print) -> Tr
 
 def load_window_csv(path, channel_names):
     """Multi-channel window CSV: header ``date,<name>,...``; any column
-    order, but every configured channel must be present."""
+    order, but every configured channel must be present and every value
+    finite."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"window file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    try:
+        records = list(csv.reader(io.StringIO(read_text(path, "window file"))))
+    except csv.Error as exc:
+        raise DataError(f"{path}: bad CSV ({exc})") from None
+    if not records:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip() for h in records[0]]
+    if not header or header[0].lower() != "date":
+        raise DataError(f"{path}: first column must be 'date'")
+    missing = [name for name in channel_names if name not in header[1:]]
+    if missing:
+        raise DataError(f"{path}: missing channels {missing}")
+    order = [header.index(name) for name in channel_names]
+    dates, rows = [], []
+    for lineno, row in enumerate(records[1:], start=2):
+        if not row or not "".join(row).strip():
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if not header or header[0].lower() != "date":
-            raise DataError(f"{path}: first column must be 'date'")
-        missing = [name for name in channel_names if name not in header[1:]]
-        if missing:
-            raise DataError(f"{path}: missing channels {missing}")
-        order = [header.index(name) for name in channel_names]
-        dates, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not "".join(row).strip():
-                continue
-            try:
-                rows.append([float(row[i]) for i in order])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}:{lineno}: bad row ({exc})") from exc
-            dates.append(row[0].strip())
+            values = [float(row[i]) for i in order]
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path}:{lineno}: bad row ({exc})") from exc
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"{path}:{lineno}: non-finite value")
+        rows.append(values)
+        dates.append(row[0].strip())
     if not rows:
         raise DataError(f"{path}: no observations")
     return dates, np.asarray(rows, dtype=np.float64)

@@ -1,9 +1,13 @@
 """Tests for ARIMA, persistence, and LSTM-only baselines."""
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import arima_oracle
 from fuzzformer.baselines import (
+    ARIMA_CHUNK,
     ArimaFit,
     ArimaOrder,
     arima_forecast,
@@ -14,7 +18,7 @@ from fuzzformer.baselines import (
     rmse,
     train_lstm_baseline,
 )
-from fuzzformer.data import RawSeries, prepare_dataset
+from fuzzformer.data import RawSeries, make_synthetic, prepare_dataset
 from fuzzformer.exceptions import ArimaFitError, ConfigError, DataError, NonFiniteError
 
 
@@ -161,33 +165,49 @@ class TestArimaForecast:
         assert abs(out[0] - y[-1]) < np.abs(np.diff(y)).max()
 
 
+def evaluation_cases():
+    """(windows, order, horizon, rejection reasons the stack must show)."""
+    rng = np.random.default_rng(6)
+    series = simulate_arma(rng, 400, phi=(0.4,), theta=(0.2,)).cumsum()
+    good = np.stack([series[i : i + 80] for i in range(0, 200, 10)])
+    # one stack mixing accepted windows with each way fit_arima rejects
+    explosive = np.zeros(120)
+    noise = np.random.default_rng(0).normal(size=120)
+    for t in range(1, 120):
+        explosive[t] = 1.1 * explosive[t - 1] + noise[t]
+    mixed = np.stack(
+        [series[i : i + 120] for i in range(0, 200, 40)]
+        + [
+            explosive,
+            # the seed-1 case of test_non_invertible_ma_estimate_rejected
+            np.random.default_rng(1).normal(size=120),
+            np.cumsum(np.tile([1.0, -1.0], 60)),
+        ]
+    )
+    # linear ramps difference to zeros, which hr_fit alone would accept
+    short = np.arange(4.0) + np.arange(3.0)[:, None]
+    return [
+        (good, ArimaOrder(p=2, d=1, q=1), 7, set()),
+        (mixed, ArimaOrder(p=1, d=1, q=1), 7, {"non-stationary", "non-invertible", "rank"}),
+        (short, ArimaOrder(p=1, d=1, q=1), 3, {"short"}),
+    ]
+
+
+def assert_matches_oracle(windows, order, horizon):
+    preds, ok = evaluate_arima_windows(windows, order, horizon)
+    for w in range(windows.shape[0]):
+        want = arima_oracle.forecast_window(windows[w], order.p, order.d, order.q, horizon)
+        assert ok[w] == (want is not None), w
+        if want is None:
+            assert np.isnan(preds[w]).all()
+        else:
+            np.testing.assert_allclose(preds[w], want, rtol=0, atol=1e-10)
+    return ok
+
+
 class TestEvaluateWindows:
     def test_matches_per_window_api(self):
-        rng = np.random.default_rng(6)
-        series = simulate_arma(rng, 400, phi=(0.4,), theta=(0.2,)).cumsum()
-        good = np.stack([series[i : i + 80] for i in range(0, 200, 10)])
-        # one stack mixing accepted windows with each way fit_arima rejects
-        explosive = np.zeros(120)
-        noise = np.random.default_rng(0).normal(size=120)
-        for t in range(1, 120):
-            explosive[t] = 1.1 * explosive[t - 1] + noise[t]
-        mixed = np.stack(
-            [series[i : i + 120] for i in range(0, 200, 40)]
-            + [
-                explosive,
-                # the seed-1 case of test_non_invertible_ma_estimate_rejected
-                np.random.default_rng(1).normal(size=120),
-                np.cumsum(np.tile([1.0, -1.0], 60)),
-            ]
-        )
-        # linear ramps difference to zeros, which hr_fit alone would accept
-        short = np.arange(4.0) + np.arange(3.0)[:, None]
-        cases = [
-            (good, ArimaOrder(p=2, d=1, q=1), 7, set()),
-            (mixed, ArimaOrder(p=1, d=1, q=1), 7, {"non-stationary", "non-invertible", "rank"}),
-            (short, ArimaOrder(p=1, d=1, q=1), 3, {"short"}),
-        ]
-        for windows, order, horizon, reasons in cases:
+        for windows, order, horizon, reasons in evaluation_cases():
             preds, ok = evaluate_arima_windows(windows, order, horizon)
             rejected = []
             for w in range(windows.shape[0]):
@@ -204,6 +224,45 @@ class TestEvaluateWindows:
                 assert any(reason in msg for msg in rejected), reason
             if not reasons:
                 assert ok.all()
+
+    def test_mixed_and_short_stacks_match_scalar_oracle(self):
+        for windows, order, horizon, _reasons in evaluation_cases():
+            assert_matches_oracle(windows, order, horizon)
+
+    @pytest.mark.parametrize("seed", [42, 301, 302])
+    def test_synthetic_windows_match_scalar_oracle(self, seed):
+        dataset = prepare_dataset(make_synthetic(n_points=1200, seed=seed), lookback=60, horizon=30)
+        windows = dataset.window_main(dataset.origins)
+        for p, d, q in [(4, 1, 1), (2, 1, 1), (1, 0, 1), (3, 0, 0), (2, 1, 2), (0, 1, 1)]:
+            ok = assert_matches_oracle(windows, ArimaOrder(p, d, q), dataset.horizon)
+            assert ok.mean() > 0.8
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_row_is_bit_identical_alone_in_a_stack_and_across_chunks(self, data):
+        T = data.draw(st.integers(4, 70), label="T")
+        p = data.draw(st.integers(0, 4), label="p")
+        q = data.draw(st.integers(0 if p else 1, 2), label="q")
+        order = ArimaOrder(p, data.draw(st.integers(0, 1), label="d"), q)
+        horizon = data.draw(st.integers(1, 8), label="horizon")
+        steps = hnp.arrays(np.float64, T, elements=st.floats(-100.0, 100.0))
+        window = np.cumsum(data.draw(steps, label="steps")) if data.draw(st.booleans()) else data.draw(steps)
+        # the window sits first, last in chunk 0, or first in chunk 1
+        at = data.draw(st.sampled_from([0, ARIMA_CHUNK - 1, ARIMA_CHUNK]), label="at")
+        stack = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed")).normal(
+            size=(ARIMA_CHUNK + 3, T)
+        ).cumsum(axis=1)
+        stack[at] = window
+        alone, ok_alone = evaluate_arima_windows(window[None], order, horizon)
+        preds, ok = evaluate_arima_windows(stack, order, horizon)
+        assert ok[at] == ok_alone[0]
+        assert np.array_equal(preds[at], alone[0], equal_nan=True)
+        try:
+            want = arima_forecast(fit_arima(window, order), window, horizon)
+        except (ArimaFitError, NonFiniteError):
+            assert not ok[at]
+        else:
+            assert ok[at] and np.array_equal(preds[at], want)
 
     def test_infeasible_windows_are_skipped_and_counted(self):
         rng = np.random.default_rng(7)

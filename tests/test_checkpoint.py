@@ -1,7 +1,11 @@
 """Checkpoint and archive container round-trip tests."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzformer import container
 from fuzzformer.checkpoint import load_checkpoint, save_checkpoint
@@ -48,6 +52,81 @@ class TestContainer:
     def test_rejects_bad_names(self, tmp_path):
         with pytest.raises(DataError, match="name"):
             container.write_archive(tmp_path / "x.bin", {}, [("has space", np.zeros(1))])
+
+
+def read_bytes_as_archive(blob):
+    """read_archive on ``blob`` written to a fresh file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.bin"
+        path.write_bytes(blob)
+        return container.read_archive(path)
+
+
+def archive_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.bin"
+        container.write_archive(
+            path, {"kind": "test", "n": [1, 2]}, [("w", np.arange(6.0).reshape(2, 3)), ("s", 0.5)]
+        )
+        return path.read_bytes()
+
+
+class TestMalformedArchive:
+    @pytest.mark.parametrize(
+        "header,match",
+        [
+            (b"FUZZFORMER-ARCHIVE 1\n{\"k\":\"\xff\"}\n0", "UTF-8"),
+            (b"FUZZFORMER-ARCHIVE one\n{}\n0", "version"),
+            (b"FUZZFORMER-ARCHIVE 1\n{}\nx", "count"),
+            (b"FUZZFORMER-ARCHIVE 1\n{}\n1\nw 2.5", "dimension"),
+            (b"FUZZFORMER-ARCHIVE 1\n{}\n1\nw -1 -2", "negative"),
+            (b"FUZZFORMER-ARCHIVE 1\n{}\n-1", "negative"),
+            (b"FUZZFORMER-ARCHIVE 1\n[1]\n0", "JSON object"),
+            (b"FUZZFORMER-ARCHIVE 1\n" + b"[" * 100_000 + b"]" * 100_000 + b"\n0", "metadata"),
+            (b"FUZZFORMER-ARCHIVE 1\n{}\n1\n", "empty manifest"),
+            (b"FUZZFORMER-ARCHIVE 1\n{}\n2\nw 0\nw 0", "duplicate"),
+            (b"FUZZFORMER-ARCHIVE 1\n{}\n1\nw 0 99999999999999999999", "shape"),
+        ],
+        ids=[
+            "not-utf8", "version", "count", "dimension", "negative-dims", "negative-count",
+            "meta-list", "meta-too-deep", "empty-manifest-line", "duplicate-name", "huge-shape",
+        ],
+    )
+    def test_bad_header_raises_data_error(self, header, match):
+        with pytest.raises(DataError, match=match):
+            read_bytes_as_archive(header + b"\n---\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_truncated_archive_raises_data_error(self, data):
+        blob = archive_bytes()
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        with pytest.raises(DataError):
+            read_bytes_as_archive(blob[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bit_flipped_archive_reads_or_raises_data_error(self, data):
+        # no checksum: a flip inside a payload or a JSON value still reads
+        blob = bytearray(archive_bytes())
+        for _ in range(data.draw(st.integers(1, 3))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+        try:
+            meta, arrays = read_bytes_as_archive(bytes(blob))
+        except DataError:
+            return
+        assert isinstance(meta, dict)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prefix=st.sampled_from([b"", b"FUZZFORMER-ARCHIVE 1\n{}\n1\nw 2\n---\n"]),
+        body=st.binary(max_size=200),
+    )
+    def test_random_bytes_read_or_raise_data_error(self, prefix, body):
+        try:
+            read_bytes_as_archive(prefix + body)
+        except DataError:
+            pass
 
 
 class TestCheckpoint:

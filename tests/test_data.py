@@ -1,7 +1,11 @@
 """Tests for ingestion, alignment, scaling, windowing, and splits."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzformer import data as dmod
 from fuzzformer.data import (
@@ -60,6 +64,33 @@ class TestLoadCsv:
         p = write(tmp_path / "s.csv", "date,value\n2020-01-01,1\nnot-a-date,2\n")
         with pytest.raises(DataError, match=":3"):
             load_csv(p)
+
+
+    def test_non_utf8_bytes_raise_data_error(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"date,value\n2020-01-01,1\n2020-01-02,\xff\n")
+        with pytest.raises(DataError, match="UTF-8"):
+            load_csv(p)
+
+    def test_directory_raises_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            load_csv(tmp_path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prefix=st.sampled_from([b"", b"date,value\n", b"date,value\n2020-01-01,1\n"]),
+        body=st.binary(max_size=120) | st.text(alphabet="0123456789-,.eEnaif \n\r", max_size=120).map(str.encode),
+    )
+    def test_random_bytes_load_or_raise_data_error(self, prefix, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "s.csv"
+            p.write_bytes(prefix + body)
+            try:
+                series = load_csv(p)
+            except DataError:
+                return
+        assert np.isfinite(series.values).all()
+        assert len(set(series.dates)) == len(series.dates)
 
 
 class TestFetchHttp:

@@ -1,9 +1,12 @@
 """Tests for the training loop, evaluation, forecast bundle, and report."""
 
 import csv
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzformer.baselines import rmse
 from fuzzformer.checkpoint import load_checkpoint
@@ -164,6 +167,35 @@ class TestForecastBundle:
         with pytest.raises(DataError, match="missing channels"):
             load_window_csv(path, ["a", "b"])
 
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_window_csv_rejects_non_finite_with_line(self, tmp_path, cell):
+        path = tmp_path / "w.csv"
+        path.write_text(f"date,a\n2020-01-01,1.0\n2020-01-02,{cell}\n")
+        with pytest.raises(DataError, match=r"w\.csv:3: non-finite"):
+            load_window_csv(path, ["a"])
+
+    def test_window_csv_non_utf8_raises_data_error(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_bytes(b"date,a\n2020-01-01,\xe9\n")
+        with pytest.raises(DataError, match="UTF-8"):
+            load_window_csv(path, ["a"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prefix=st.sampled_from([b"", b"date,a,b\n", b"date,b,a\n2020-01-01,1,2\n"]),
+        body=st.binary(max_size=120) | st.text(alphabet='0123456789-,.eEnaif"\\ \n\r\x00', max_size=120).map(str.encode),
+    )
+    def test_random_bytes_load_or_raise_data_error(self, prefix, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "w.csv"
+            path.write_bytes(prefix + body)
+            try:
+                dates, matrix = load_window_csv(path, ["a", "b"])
+            except DataError:
+                return
+        assert matrix.shape == (len(dates), 2)
+        assert np.isfinite(matrix).all()
 
 class TestReport:
     def test_single_method_single_setting(self):
