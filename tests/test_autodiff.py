@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzformer import autodiff as ad
 from fuzzformer.autodiff import Adam, Tensor, backward, forward_eval, parameter
@@ -217,6 +218,200 @@ class TestPrimitiveGradients:
     def test_logdet_rejects_indefinite(self):
         with pytest.raises(PositiveDefinitenessError):
             ad.logdet(Tensor([[-1.0, 0.0], [0.0, 1.0]]))
+
+
+def _away_from_zero(rng, shape, lo=0.5, hi=1.5):
+    """Values of magnitude in [lo, hi] with random signs (safe divisors, no kinks)."""
+    return rng.choice([-1.0, 1.0], size=shape) * rng.uniform(lo, hi, size=shape)
+
+
+def _spd(rng, shape):
+    """Well-conditioned symmetric positive-definite matrices of ``shape`` (..., D, D)."""
+    m = rng.normal(size=shape)
+    return m @ np.swapaxes(m, -1, -2) + shape[-1] * np.eye(shape[-1])
+
+
+def _operands(draw, rng, shapes, make=_away_from_zero):
+    """Operand tensors for ``shapes``: each a parameter, or one a constant, or one reused.
+
+    Returns the operands in order and the parameters among them.
+    """
+    mode = draw(st.sampled_from(["all", "constant", "same"] if len(shapes) > 1 else ["all"]))
+    ops = [parameter(make(rng, s)) for s in shapes]
+    if mode == "constant":
+        i = draw(st.integers(0, len(ops) - 1))
+        ops[i] = Tensor(ops[i].data)
+    elif mode == "same":
+        i, j = draw(st.lists(st.integers(0, len(ops) - 1), min_size=2, max_size=2, unique=True))
+        if ops[i].shape == ops[j].shape:
+            ops[j] = ops[i]
+    params = []
+    for t in ops:
+        if t.requires_grad and not any(t is p for p in params):
+            params.append(t)
+    return ops, params
+
+
+def _shape(draw, min_dims=1, max_dims=3, max_side=4):
+    return tuple(draw(st.lists(st.integers(1, max_side), min_size=min_dims, max_size=max_dims)))
+
+
+def _binary_case(op):
+    def case(draw, rng):
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        forms = [(m, n), (1, n), (m, 1), ()]
+        shapes = [draw(st.sampled_from(forms)), draw(st.sampled_from(forms))]
+        ops, params = _operands(draw, rng, shapes)
+        return (lambda: op(*ops)), ops, params
+
+    return case
+
+
+def _unary_case(op, make=_away_from_zero):
+    def case(draw, rng):
+        ops, params = _operands(draw, rng, [_shape(draw)], make)
+        return (lambda: op(ops[0])), ops, params
+
+    return case
+
+
+def _matmul_case(draw, rng):
+    m, k, n, b = (draw(st.integers(1, 4)) for _ in range(4))
+    batch = [(), (b,), (1,)]
+    if draw(st.booleans()):  # x @ x
+        shapes = [draw(st.sampled_from(batch)) + (k, k)] * 2
+    else:
+        shapes = [draw(st.sampled_from(batch)) + (m, k), draw(st.sampled_from(batch)) + (k, n)]
+    ops, params = _operands(draw, rng, shapes)
+    return (lambda: ad.matmul(*ops)), ops, params
+
+
+def _swapaxes_case(draw, rng):
+    shape = _shape(draw, min_dims=2)
+    axes = st.integers(-len(shape), len(shape) - 1)
+    a1, a2 = draw(axes), draw(axes)
+    ops, params = _operands(draw, rng, [shape])
+    return (lambda: ad.swapaxes(ops[0], a1, a2)), ops, params
+
+
+def _reshape_case(draw, rng):
+    shape = _shape(draw)
+    target = draw(st.sampled_from([(-1,), tuple(reversed(shape)), (1,) + shape]))
+    ops, params = _operands(draw, rng, [shape])
+    return (lambda: ad.reshape(ops[0], target)), ops, params
+
+
+def _getitem_case(draw, rng):
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    idx = np.array(idx + idx[:1])  # at least one repeated index
+    key = draw(st.sampled_from([idx, (idx, slice(None)), (idx, slice(0, 1)), (slice(None), 0)]))
+    ops, params = _operands(draw, rng, [(n, k)])
+    return (lambda: ad.getitem(ops[0], key)), ops, params
+
+
+def _concat_case(draw, rng):
+    base = list(_shape(draw, max_dims=2))
+    axis = draw(st.integers(-len(base), len(base) - 1))
+    shapes = []
+    for _ in range(3):
+        base[axis] = draw(st.integers(1, 3))
+        shapes.append(tuple(base))
+    ops, params = _operands(draw, rng, shapes)
+    return (lambda: ad.concat(ops, axis=axis)), ops, params
+
+
+def _stack_case(draw, rng):
+    shape = _shape(draw, max_dims=2)
+    axis = draw(st.integers(-len(shape) - 1, len(shape)))
+    ops, params = _operands(draw, rng, [shape] * 3)
+    return (lambda: ad.stack(ops, axis=axis)), ops, params
+
+
+def _axis(draw, ndim):
+    axes = st.integers(-ndim, ndim - 1)
+    return draw(st.one_of(st.none(), axes, st.lists(axes, min_size=1, max_size=ndim).map(
+        lambda xs: tuple(sorted({x % ndim for x in xs}))
+    )))
+
+
+def _reduce_case(op):
+    def case(draw, rng):
+        shape = _shape(draw)
+        axis, keepdims = _axis(draw, len(shape)), draw(st.booleans())
+        ops, params = _operands(draw, rng, [shape])
+        return (lambda: op(ops[0], axis=axis, keepdims=keepdims)), ops, params
+
+    return case
+
+
+def _softmax_case(draw, rng):
+    shape = _shape(draw)
+    axis = draw(st.integers(-len(shape), len(shape) - 1))
+    ops, params = _operands(draw, rng, [shape])
+    return (lambda: ad.softmax(ops[0], axis=axis)), ops, params
+
+
+def _solve_vec_case(draw, rng):
+    d, b, c = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a_batch, b_batch = draw(st.sampled_from([((), ()), ((b,), ()), ((), (b,)), ((b,), (c, b)), ((1,), (b,))]))
+    ops = [parameter(_spd(rng, a_batch + (d, d))), parameter(_away_from_zero(rng, b_batch + (d,)))]
+    const = draw(st.sampled_from([None, 0, 1]))
+    if const is not None:
+        ops[const] = Tensor(ops[const].data)
+    return (lambda: ad.solve_vec(*ops)), ops, [t for t in ops if t.requires_grad]
+
+
+def _logdet_case(draw, rng):
+    shape = draw(st.sampled_from([(), (draw(st.integers(1, 3)),)])) + (draw(st.integers(1, 3)),) * 2
+    ops = [parameter(_spd(rng, shape))]
+    return (lambda: ad.logdet(ops[0])), ops, ops
+
+
+# every primitive the engine builds graph nodes with, by function name
+SWEEP = {
+    "add": _binary_case(ad.add),
+    "sub": _binary_case(ad.sub),
+    "mul": _binary_case(ad.mul),
+    "div": _binary_case(ad.div),
+    "neg": _unary_case(ad.neg),
+    "matmul": _matmul_case,
+    "swapaxes": _swapaxes_case,
+    "reshape": _reshape_case,
+    "getitem": _getitem_case,
+    "concat": _concat_case,
+    "stack": _stack_case,
+    "tsum": _reduce_case(ad.tsum),
+    "tmean": _reduce_case(ad.tmean),
+    "exp": _unary_case(ad.exp),
+    "log": _unary_case(ad.log, make=lambda rng, s: rng.uniform(0.5, 2.0, size=s)),
+    "tanh": _unary_case(ad.tanh),
+    "sigmoid": _unary_case(ad.sigmoid),
+    "softmax": _softmax_case,
+    "clip_min": _unary_case(lambda t: ad.clip_min(t, 0.0)),
+    "solve_vec": _solve_vec_case,
+    "logdet": _logdet_case,
+}
+
+
+class TestVjpSweep:
+    """Every primitive's vjp against central differences on random shapes."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_vjp_matches_finite_differences(self, name, data, seed):
+        rng = np.random.default_rng(seed)
+        op, operands, params = SWEEP[name](data.draw, rng)
+        # a random upstream adjoint, so the vjp is not only checked against ones
+        weight = Tensor(rng.normal(size=op().shape))
+        if params:
+            check_gradients(lambda: ad.tsum(ad.mul(op(), weight)), params)
+        else:  # every operand constant: no node, no gradient
+            assert op()._backward is None
+        for t in operands:
+            if not t.requires_grad:
+                assert t.grad is None
 
 
 class TestDropout:
