@@ -1,9 +1,11 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Every operation evaluates eagerly and, when gradients are enabled and at
-least one input requires them, records a closure that propagates the
-adjoint back to its inputs.  ``backward`` on a scalar root then runs the
-closures in reverse topological order.  Fan-out accumulates additively.
+Every operation evaluates eagerly and passes its values and a
+vector-Jacobian product to ``_node``, the one constructor of graph nodes
+(``custom_op`` is its public name for fused kernels).  When gradients are
+enabled and an input requires them, ``_node`` records a closure that
+hands each such input its gradient.  ``backward`` on a scalar root then
+runs the closures in reverse topological order.  Fan-out accumulates additively.
 ``backward`` frees the graph as it goes: once a node's closure has run,
 the node drops the closure and its parent links, so the activations die
 by reference counting as soon as the caller lets go of the root instead
@@ -15,8 +17,8 @@ exists): with the defaults, glibc hands large freed blocks back to the
 OS and the next batch faults the same pages in again.
 
 Shape mismatches raise :class:`ShapeError` naming the offending
-operation; NaN/Inf in any intermediate raises :class:`NonFiniteError`
-(disable with ``set_finite_checks`` for micro-benchmarks).
+operation; NaN/Inf in any forward value or gradient raises
+:class:`NonFiniteError` naming the op.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 from .exceptions import NonFiniteError, PositiveDefinitenessError, ShapeError
 
 _GRAD_ENABLED = True
-_FINITE_CHECKS = True
 
 # glibc <malloc.h> parameter numbers
 _M_TRIM_THRESHOLD = -1
@@ -70,11 +71,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def set_finite_checks(enabled: bool) -> None:
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-
-
 def _all_finite(x) -> bool:
     # summing is a no-false-negative probe: any NaN/Inf entry makes the
     # sum non-finite, and no allocation of a bool array is needed
@@ -110,7 +106,7 @@ class Tensor:
         return float(self.data)
 
     def _accum(self, g) -> None:
-        if _FINITE_CHECKS and not _all_finite(g):
+        if not _all_finite(g):
             raise NonFiniteError(f"{self._op}: non-finite gradient")
         if self.grad is None:
             # copy: g may be a (read-only) view of another node's buffer
@@ -181,45 +177,41 @@ def parameter(data) -> Tensor:
     return t
 
 
-def forward_eval(root: Tensor) -> np.ndarray:
-    """Values at the graph root (evaluation is eager, so this is a read)."""
-    if _FINITE_CHECKS and not _all_finite(root.data):
-        raise NonFiniteError(f"{root._op}: non-finite values at graph root")
-    return root.data
+def _node(op: str, data, inputs, vjp) -> Tensor:
+    """Build a graph node: the one place an op output is created.
 
-
-def _node(data, parents, op, backward_fn) -> Tensor:
-    """Create an op output, recording the closure only on an active tape."""
-    if _FINITE_CHECKS and not _all_finite(data):
+    Checks that the forward values are finite, then, when the tape is
+    active and some input requires a gradient, records the inputs and one
+    closure that gives each such input its entry of ``vjp(out.grad)``.
+    ``vjp`` returns one gradient array (or None) per input, in order.
+    """
+    if not _all_finite(data):
         raise NonFiniteError(f"{op}: non-finite values in forward pass")
     out = Tensor(data)
     out._op = op
     if _GRAD_ENABLED:
-        tracked = tuple(p for p in parents if p.requires_grad)
+        inputs = tuple(inputs)
+        tracked = tuple(p for p in inputs if p.requires_grad)
         if tracked:
             out.requires_grad = True
             out._parents = tracked
-            out._backward = backward_fn
+
+            def _backward():
+                for inp, g in zip(inputs, vjp(out.grad)):
+                    if g is not None and inp.requires_grad:
+                        inp._accum(g)
+
+            out._backward = _backward
     return out
 
 
 def custom_op(op: str, data, inputs, vjp) -> Tensor:
-    """Wrap externally computed values as a graph node.
+    """Wrap externally computed values as a graph node (public ``_node``).
 
     ``vjp(g)`` must return one gradient array (or None) per input, in
     order.  Used for fused kernels whose backward pass is hand-written.
     """
-    inputs = tuple(inputs)
-    out = _node(data, inputs, op, None)
-
-    def _bw():
-        grads = vjp(out.grad)
-        for inp, g in zip(inputs, grads):
-            if inp.requires_grad and g is not None:
-                inp._accum(g)
-
-    out._backward = _bw if out._parents else None
-    return out
+    return _node(op, data, inputs, vjp)
 
 
 def backward(root: Tensor) -> None:
@@ -277,16 +269,13 @@ def _binary(op, a, b, fwd, da, db) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"{op}: incompatible shapes {a.data.shape} and {b.data.shape}") from exc
 
-    def _bw():
-        g = out.grad
-        if a.requires_grad:
-            a._accum(_unbroadcast(da(g, a.data, b.data), a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(db(g, a.data, b.data), b.data.shape))
+    def vjp(g):
+        return (
+            _unbroadcast(da(g, a.data, b.data), a.data.shape) if a.requires_grad else None,
+            _unbroadcast(db(g, a.data, b.data), b.data.shape) if b.requires_grad else None,
+        )
 
-    out = _node(data, (a, b), op, None)
-    out._backward = _bw if out._parents else None
-    return out
+    return _node(op, data, (a, b), vjp)
 
 
 def add(a, b):
@@ -303,24 +292,13 @@ def mul(a, b):
 
 def div(a, b):
     return _binary(
-        "div",
-        a,
-        b,
-        lambda x, y: x / y,
-        lambda g, x, y: g / y,
-        lambda g, x, y: -g * x / (y * y),
+        "div", a, b, lambda x, y: x / y, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y)
     )
 
 
 def neg(a):
     a = astensor(a)
-
-    def _bw():
-        a._accum(-out.grad)
-
-    out = _node(-a.data, (a,), "neg", None)
-    out._backward = _bw if out._parents else None
-    return out
+    return _node("neg", -a.data, (a,), lambda g: (-g,))
 
 
 def matmul(a, b):
@@ -334,27 +312,23 @@ def matmul(a, b):
     except ValueError as exc:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}") from exc
 
-    def _bw():
-        g = out.grad
-        if a.requires_grad:
-            a._accum(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+    def vjp(g):
+        return (
+            _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+            if a.requires_grad else None,
+            _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+            if b.requires_grad else None,
+        )
 
-    out = _node(data, (a, b), "matmul", None)
-    out._backward = _bw if out._parents else None
-    return out
+    return _node("matmul", data, (a, b), vjp)
 
 
 def swapaxes(a, axis1, axis2):
     a = astensor(a)
-
-    def _bw():
-        a._accum(np.swapaxes(out.grad, axis1, axis2))
-
-    out = _node(np.swapaxes(a.data, axis1, axis2), (a,), "swapaxes", None)
-    out._backward = _bw if out._parents else None
-    return out
+    return _node(
+        "swapaxes", np.swapaxes(a.data, axis1, axis2), (a,),
+        lambda g: (np.swapaxes(g, axis1, axis2),),
+    )
 
 
 def reshape(a, shape):
@@ -363,13 +337,7 @@ def reshape(a, shape):
         data = a.data.reshape(shape)
     except ValueError as exc:
         raise ShapeError(f"reshape: cannot view {a.data.shape} as {shape}") from exc
-
-    def _bw():
-        a._accum(out.grad.reshape(a.data.shape))
-
-    out = _node(data, (a,), "reshape", None)
-    out._backward = _bw if out._parents else None
-    return out
+    return _node("reshape", data, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def getitem(a, key):
@@ -380,14 +348,12 @@ def getitem(a, key):
     except IndexError as exc:
         raise ShapeError(f"getitem: invalid index for shape {a.data.shape}") from exc
 
-    def _bw():
+    def vjp(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, key, out.grad)
-        a._accum(full)
+        np.add.at(full, key, g)
+        return (full,)
 
-    out = _node(np.array(data, dtype=np.float64), (a,), "getitem", None)
-    out._backward = _bw if out._parents else None
-    return out
+    return _node("getitem", np.array(data, dtype=np.float64), (a,), vjp)
 
 
 def concat(tensors, axis=0):
@@ -396,20 +362,8 @@ def concat(tensors, axis=0):
         data = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError as exc:
         raise ShapeError("concat: inconsistent shapes") from exc
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def _bw():
-        g = out.grad
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accum(g[tuple(idx)])
-
-    out = _node(data, tensors, "concat", None)
-    out._backward = _bw if out._parents else None
-    return out
+    ends = np.cumsum([t.data.shape[axis] for t in tensors])
+    return _node("concat", data, tensors, lambda g: np.split(g, ends[:-1], axis=axis))
 
 
 def stack(tensors, axis=0):
@@ -419,15 +373,10 @@ def stack(tensors, axis=0):
     except ValueError as exc:
         raise ShapeError("stack: inconsistent shapes") from exc
 
-    def _bw():
-        g = out.grad
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accum(np.take(g, i, axis=axis))
+    def vjp(g):
+        return [np.take(g, i, axis) if t.requires_grad else None for i, t in enumerate(tensors)]
 
-    out = _node(data, tensors, "stack", None)
-    out._backward = _bw if out._parents else None
-    return out
+    return _node("stack", data, tensors, vjp)
 
 
 def _restore_reduced(g, shape, axis, keepdims):
@@ -443,79 +392,46 @@ def _restore_reduced(g, shape, axis, keepdims):
 
 def tsum(a, axis=None, keepdims=False):
     a = astensor(a)
-
-    def _bw():
-        a._accum(_restore_reduced(out.grad, a.data.shape, axis, keepdims))
-
-    out = _node(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), "sum", None)
-    out._backward = _bw if out._parents else None
-    return out
+    return _node(
+        "sum", np.sum(a.data, axis=axis, keepdims=keepdims), (a,),
+        lambda g: (_restore_reduced(g, a.data.shape, axis, keepdims),),
+    )
 
 
 def tmean(a, axis=None, keepdims=False):
     a = astensor(a)
     data = np.mean(a.data, axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax % a.data.ndim] for ax in (axis if isinstance(axis, tuple) else (axis,))]
+    count = a.data.size / max(np.size(data), 1)  # entries averaged into each output
+    return _node(
+        "mean", data, (a,), lambda g: (_restore_reduced(g, a.data.shape, axis, keepdims) / count,)
     )
-
-    def _bw():
-        a._accum(_restore_reduced(out.grad, a.data.shape, axis, keepdims) / count)
-
-    out = _node(data, (a,), "mean", None)
-    out._backward = _bw if out._parents else None
-    return out
 
 
 def exp(a):
     a = astensor(a)
     with np.errstate(over="ignore"):
         data = np.exp(a.data)
-
-    def _bw():
-        a._accum(out.grad * out.data)
-
-    out = _node(data, (a,), "exp", None)
-    out._backward = _bw if out._parents else None
-    return out
+    return _node("exp", data, (a,), lambda g: (g * data,))
 
 
 def log(a):
     a = astensor(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(a.data)
-
-    def _bw():
-        a._accum(out.grad / a.data)
-
-    out = _node(data, (a,), "log", None)
-    out._backward = _bw if out._parents else None
-    return out
+    return _node("log", data, (a,), lambda g: (g / a.data,))
 
 
 def tanh(a):
     a = astensor(a)
     data = np.tanh(a.data)
-
-    def _bw():
-        a._accum(out.grad * (1.0 - out.data * out.data))
-
-    out = _node(data, (a,), "tanh", None)
-    out._backward = _bw if out._parents else None
-    return out
+    return _node("tanh", data, (a,), lambda g: (g * (1.0 - data * data),))
 
 
 def sigmoid(a):
     a = astensor(a)
     with np.errstate(over="ignore"):
         data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def _bw():
-        a._accum(out.grad * out.data * (1.0 - out.data))
-
-    out = _node(data, (a,), "sigmoid", None)
-    out._backward = _bw if out._parents else None
-    return out
+    return _node("sigmoid", data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
 def softmax(a, axis=-1):
@@ -523,29 +439,14 @@ def softmax(a, axis=-1):
     a = astensor(a)
     shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    data = e / np.sum(e, axis=axis, keepdims=True)
-
-    def _bw():
-        g = out.grad
-        s = out.data
-        a._accum(s * (g - np.sum(g * s, axis=axis, keepdims=True)))
-
-    out = _node(data, (a,), "softmax", None)
-    out._backward = _bw if out._parents else None
-    return out
+    s = e / np.sum(e, axis=axis, keepdims=True)
+    return _node("softmax", s, (a,), lambda g: (s * (g - np.sum(g * s, axis=axis, keepdims=True)),))
 
 
 def clip_min(a, floor: float):
     """max(a, floor) elementwise; gradient passes only where a > floor."""
     a = astensor(a)
-    data = np.maximum(a.data, floor)
-
-    def _bw():
-        a._accum(out.grad * (a.data > floor))
-
-    out = _node(data, (a,), "clip_min", None)
-    out._backward = _bw if out._parents else None
-    return out
+    return _node("clip_min", np.maximum(a.data, floor), (a,), lambda g: (g * (a.data > floor),))
 
 
 def solve_vec(a, b):
@@ -565,18 +466,14 @@ def solve_vec(a, b):
     except np.linalg.LinAlgError as exc:
         raise PositiveDefinitenessError(f"solve_vec: singular matrix ({exc})") from exc
 
-    def _bw():
-        Gm = out.grad[..., None]
-        Gb = np.linalg.solve(np.swapaxes(A, -1, -2), Gm)
-        if b.requires_grad:
-            b._accum(_unbroadcast(Gb[..., 0], B.shape))
-        if a.requires_grad:
-            Ga = -np.matmul(Gb, np.swapaxes(Ym, -1, -2))
-            a._accum(_unbroadcast(Ga, A.shape))
+    def vjp(g):
+        Gb = np.linalg.solve(np.swapaxes(A, -1, -2), g[..., None])
+        return (
+            _unbroadcast(-(Gb @ np.swapaxes(Ym, -1, -2)), A.shape) if a.requires_grad else None,
+            _unbroadcast(Gb[..., 0], B.shape) if b.requires_grad else None,
+        )
 
-    out = _node(Ym[..., 0], (a, b), "solve_vec", None)
-    out._backward = _bw if out._parents else None
-    return out
+    return _node("solve_vec", Ym[..., 0], (a, b), vjp)
 
 
 def logdet(a):
@@ -585,15 +482,10 @@ def logdet(a):
     sign, ld = np.linalg.slogdet(a.data)
     if np.any(sign <= 0):
         raise PositiveDefinitenessError("logdet: matrix is not positive definite")
-
-    def _bw():
-        g = out.grad
-        inv = np.linalg.inv(a.data)
-        a._accum(np.asarray(g)[..., None, None] * np.swapaxes(inv, -1, -2))
-
-    out = _node(ld, (a,), "logdet", None)
-    out._backward = _bw if out._parents else None
-    return out
+    return _node(
+        "logdet", ld, (a,),
+        lambda g: (np.asarray(g)[..., None, None] * np.swapaxes(np.linalg.inv(a.data), -1, -2),),
+    )
 
 
 def dropout(a, rate: float, rng: np.random.Generator | None, training: bool):
