@@ -39,18 +39,19 @@ def load_checkpoint(path):
         raise DataError(f"{path}: not a checkpoint archive (kind={meta.get('kind')!r})")
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path}: unsupported checkpoint format {meta.get('format')!r}")
-    config = RunConfig.from_dict(meta["config"])
+    config = RunConfig.from_dict(container.require(meta, "config", path, "meta key"))
     model = FuzzformerModel(config, np.random.default_rng(0))
     for name, tensor in model.parameters():
-        if name not in arrays:
-            raise DataError(f"{path}: checkpoint is missing tensor {name!r}")
-        if arrays[name].shape != tensor.data.shape:
+        stored = container.require(arrays, name, path, "tensor")
+        if stored.shape != tensor.data.shape:
             raise DataError(
-                f"{path}: tensor {name!r} has shape {arrays[name].shape}, "
-                f"expected {tensor.data.shape}"
+                f"{path}: tensor {name!r} has shape {stored.shape}, expected {tensor.data.shape}"
             )
-        tensor.data[...] = arrays[name]
+        tensor.data[...] = stored
     scaler = None
-    if "scaler.mins" in arrays:
-        scaler = MinMaxScaler(arrays["scaler.mins"], arrays["scaler.maxs"])
+    if "scaler.mins" in arrays or "scaler.maxs" in arrays:
+        scaler = MinMaxScaler(
+            container.require(arrays, "scaler.mins", path, "array"),
+            container.require(arrays, "scaler.maxs", path, "array"),
+        )
     return model, scaler, meta

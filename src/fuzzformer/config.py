@@ -13,6 +13,13 @@ from .exceptions import ConfigError
 from .losses import LossWeights
 
 
+def _is_a(value, kind) -> bool:
+    """JSON typing of a field value: a bool is not a number; an int is a float."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 @dataclass
 class RunConfig:
     lookback: int = 60
@@ -79,10 +86,15 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
+        kinds = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in data.items():
+            if not _is_a(value, kinds[name]):
+                raise ConfigError(f"{name} must be {kinds[name].__name__}, got {value!r}")
         return cls(**data).validate()
 
     @classmethod

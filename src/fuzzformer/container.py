@@ -111,3 +111,18 @@ def read_archive(path):
     if offset != len(blob):
         raise DataError(f"{path}: {len(blob) - offset} trailing bytes after payloads")
     return meta, arrays
+
+
+def require(table, name, path, what):
+    """``table[name]`` from a read archive; a missing entry raises ``DataError``."""
+    if name not in table:
+        raise DataError(f"{path}: missing {what} {name!r}")
+    return table[name]
+
+
+def require_int(meta, key, path) -> int:
+    """Integer metadata value ``meta[key]``; missing or non-integer raises ``DataError``."""
+    value = require(meta, key, path, "meta key")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{path}: meta key {key!r} must be an integer, got {value!r}")
+    return value

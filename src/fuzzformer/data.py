@@ -11,7 +11,7 @@ training target overlaps evaluation inputs.
 
 import datetime as dt
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -290,18 +290,25 @@ class WindowedDataset:
             raise DataError(f"{path}: not a dataset archive (kind={meta.get('kind')!r})")
         if meta.get("format") != DATASET_FORMAT_VERSION:
             raise DataError(f"{path}: unsupported dataset format {meta.get('format')!r}")
+
+        def array(name):
+            return container.require(arrays, name, path, "array")
+
+        def integer(key):
+            return container.require_int(meta, key, path)
+
         return cls(
-            matrix=arrays["matrix"],
-            calendar=list(meta["calendar"]),
-            channel_names=list(meta["channel_names"]),
-            lookback=int(meta["lookback"]),
-            horizon=int(meta["horizon"]),
-            stride=int(meta["stride"]),
-            origins=arrays["origins"].astype(np.int64),
-            labels=arrays["labels"].astype(np.int64),
-            scaler=MinMaxScaler(arrays["scaler.mins"], arrays["scaler.maxs"]),
-            fit_rows=int(meta["fit_rows"]),
-            main_channel=int(meta["main_channel"]),
+            matrix=array("matrix"),
+            calendar=list(container.require(meta, "calendar", path, "meta key")),
+            channel_names=list(container.require(meta, "channel_names", path, "meta key")),
+            lookback=integer("lookback"),
+            horizon=integer("horizon"),
+            stride=integer("stride"),
+            origins=array("origins").astype(np.int64),
+            labels=array("labels").astype(np.int64),
+            scaler=MinMaxScaler(array("scaler.mins"), array("scaler.maxs")),
+            fit_rows=integer("fit_rows"),
+            main_channel=integer("main_channel"),
         )
 
 

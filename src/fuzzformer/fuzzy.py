@@ -14,7 +14,7 @@ the same math on the differentiation graph from stacked parameter
 tensors (C, D) and (C, D, D).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,8 +10,6 @@ per sample.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
 from .exceptions import ConfigError, ShapeError
 from .fuzzy import OVERLAP_FLOOR

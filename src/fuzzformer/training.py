@@ -25,7 +25,7 @@ from .checkpoint import save_checkpoint
 from .config import RunConfig
 from .data import SPLIT_NAMES, WindowedDataset, read_text
 from .exceptions import ConfigError, DataError, NumericError
-from .fuzzy import bhattacharyya, clusters_from_params
+from .fuzzy import bhattacharyya
 from .losses import composite_loss
 from .model import FuzzformerModel
 
@@ -195,18 +195,25 @@ def train(config: RunConfig, dataset: WindowedDataset, out_dir, log=print) -> Tr
 # forecast bundle (interpretability export)
 
 
+def _csv_records(reader, path):
+    """The records of a ``csv.reader``, with its parse errors as ``DataError``."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: bad CSV ({exc})") from None
+
+
 def load_window_csv(path, channel_names):
     """Multi-channel window CSV: header ``date,<name>,...``; any column
     order, but every configured channel must be present and every value
     finite."""
     path = Path(path)
-    try:
-        records = list(csv.reader(io.StringIO(read_text(path, "window file"))))
-    except csv.Error as exc:
-        raise DataError(f"{path}: bad CSV ({exc})") from None
-    if not records:
+    reader = csv.reader(io.StringIO(read_text(path, "window file")))
+    records = _csv_records(reader, path)
+    first = next(records, None)
+    if first is None:
         raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in records[0]]
+    header = [h.strip() for h in first]
     if not header or header[0].lower() != "date":
         raise DataError(f"{path}: first column must be 'date'")
     missing = [name for name in channel_names if name not in header[1:]]
@@ -214,9 +221,10 @@ def load_window_csv(path, channel_names):
         raise DataError(f"{path}: missing channels {missing}")
     order = [header.index(name) for name in channel_names]
     dates, rows = [], []
-    for lineno, row in enumerate(records[1:], start=2):
+    for row in records:
         if not row or not "".join(row).strip():
             continue
+        lineno = reader.line_num  # physical line: a quoted cell may span several
         try:
             values = [float(row[i]) for i in order]
         except (ValueError, IndexError) as exc:

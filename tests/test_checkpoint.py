@@ -11,7 +11,7 @@ from fuzzformer import container
 from fuzzformer.checkpoint import load_checkpoint, save_checkpoint
 from fuzzformer.config import RunConfig
 from fuzzformer.data import MinMaxScaler
-from fuzzformer.exceptions import DataError
+from fuzzformer.exceptions import ConfigError, DataError
 from fuzzformer.model import FuzzformerModel
 
 from test_model import TINY, tiny_model
@@ -175,6 +175,25 @@ class TestCheckpoint:
         path = tmp_path / "broken.bin"
         container.write_archive(path, meta, arrays)
         with pytest.raises(DataError, match="missing tensor"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (lambda meta, arrays: meta.pop("config"), DataError, "missing meta key 'config'"),
+            (lambda meta, arrays: arrays.pop("scaler.maxs"), DataError, "missing array 'scaler.maxs'"),
+            (lambda meta, arrays: arrays.pop("scaler.mins"), DataError, "missing array 'scaler.mins'"),
+            (lambda meta, arrays: meta["config"].update(rules="2"), ConfigError, "rules must be int"),
+            (lambda meta, arrays: meta.update(config=[2]), ConfigError, "JSON object"),
+        ],
+    )
+    def test_incomplete_archive_raises_typed_error(self, tmp_path, edit, error, message):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, tiny_model(seed=5), scaler=MinMaxScaler(np.zeros(3), np.ones(3)))
+        meta, arrays = container.read_archive(path)
+        edit(meta, arrays)
+        container.write_archive(path, meta, list(arrays.items()))
+        with pytest.raises(error, match=message):
             load_checkpoint(path)
 
     def test_wrong_kind_detected(self, tmp_path):

@@ -85,6 +85,28 @@ class TestTrain:
         assert code == EXIT_USAGE  # 5 not divisible by 2 heads
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"rules": "4"}', "rules must be int"),
+            ('{"rules": 4.5}', "rules must be int"),
+            ('{"rules": true}', "rules must be int"),
+            ('{"attention_residual": 1}', "attention_residual must be bool"),
+            ('{"learning_rate": "fast"}', "learning_rate must be float"),
+            ("[1, 2]", "config must be a JSON object"),
+        ],
+    )
+    def test_mistyped_config_file_is_usage_error(self, workspace, tmp_path, capsys, text, message):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        code = main([
+            "train", "--dataset", str(workspace / "data" / "dataset.bin"),
+            "--out", str(tmp_path / "run"), "--config", str(cfg_file),
+        ])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+
 class TestEvaluateAndBaseline:
     def test_evaluate_writes_results(self, workspace):
         out = workspace / "results.csv"

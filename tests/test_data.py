@@ -277,6 +277,36 @@ class TestMakeWindows:
         assert back.counts() == ds.counts()
 
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            *[
+                (lambda meta, arrays, n=name: arrays.pop(n), f"missing array '{name}'")
+                for name in ("matrix", "origins", "labels", "scaler.mins", "scaler.maxs")
+            ],
+            *[
+                (lambda meta, arrays, k=key: meta.pop(k), f"missing meta key '{key}'")
+                for key in (
+                    "calendar", "channel_names", "lookback", "horizon", "stride",
+                    "fit_rows", "main_channel",
+                )
+            ],
+            (lambda meta, arrays: meta.update(lookback=60.5), "'lookback' must be an integer"),
+            (lambda meta, arrays: meta.update(horizon="30"), "'horizon' must be an integer"),
+            (lambda meta, arrays: meta.update(stride=True), "'stride' must be an integer"),
+            (lambda meta, arrays: meta.update(fit_rows=None), "'fit_rows' must be an integer"),
+        ],
+    )
+    def test_incomplete_archive_raises_data_error(self, tmp_path, edit, message):
+        path = tmp_path / "ds.bin"
+        self._dataset(n_rows=300).save(path)
+        meta, arrays = dmod.container.read_archive(path)
+        edit(meta, arrays)
+        dmod.container.write_archive(path, meta, list(arrays.items()))
+        with pytest.raises(DataError, match=message):
+            WindowedDataset.load(path)
+
+
 class TestSynthetic:
     def test_deterministic(self):
         a = make_synthetic(n_points=200, seed=3)

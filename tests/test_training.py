@@ -94,6 +94,30 @@ class TestTrain:
             train(cfg, tiny_dataset, tmp_path / "bad", log=quiet)
 
 
+class TestRunConfigFromDict:
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"rules": "4"}, "rules must be int"),
+            ({"rules": 4.5}, "rules must be int"),
+            ({"epochs": False}, "epochs must be int"),
+            ({"attention_residual": 1}, "attention_residual must be bool"),
+            ({"attention_residual": "yes"}, "attention_residual must be bool"),
+            ({"dropout_rate": True}, "dropout_rate must be float"),
+            ({"weight_mse": None}, "weight_mse must be float"),
+            ([1, 2], "config must be a JSON object"),
+            ("rules", "config must be a JSON object"),
+        ],
+    )
+    def test_wrongly_typed_values_raise_config_error(self, data, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_dict(data)
+
+    def test_int_accepted_for_float_field(self):
+        cfg = RunConfig.from_dict({"dropout_rate": 0, "learning_rate": 1, "attention_residual": False})
+        assert cfg.dropout_rate == 0 and cfg.learning_rate == 1 and cfg.attention_residual is False
+
+
 class TestEvaluate:
     def test_rmse_matches_recomputation_from_forecasts(self, tiny_dataset, tmp_path):
         cfg = RunConfig(**TINY_TRAIN)
@@ -173,6 +197,12 @@ class TestForecastBundle:
         path = tmp_path / "w.csv"
         path.write_text(f"date,a\n2020-01-01,1.0\n2020-01-02,{cell}\n")
         with pytest.raises(DataError, match=r"w\.csv:3: non-finite"):
+            load_window_csv(path, ["a"])
+
+    def test_window_csv_reports_physical_line_after_multiline_cell(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text('date,a\n2020-01-01,"1\n"\n2020-01-02,x\n')
+        with pytest.raises(DataError, match=r"w\.csv:4: bad row"):
             load_window_csv(path, ["a"])
 
     def test_window_csv_non_utf8_raises_data_error(self, tmp_path):
