@@ -63,21 +63,20 @@ def scaled_dot_attention(q, k, v):
 class MultiHeadAttention:
     """One attention block: per-head W_Q/W_K, shared W_V, output W_O."""
 
-    def __init__(self, d_in, n_heads, rng, d_out=None):
+    def __init__(self, d_in, n_heads, rng):
         if d_in % n_heads != 0:
             raise ConfigError(f"attention width {d_in} is not divisible by {n_heads} heads")
         self.d_in = d_in
         self.n_heads = n_heads
         self.head_dim = d_in // n_heads
-        self.d_out = d_in if d_out is None else d_out
         hd = self.head_dim
         self.w_q = [ad.parameter(ad.uniform_init(rng, (d_in, hd), d_in)) for _ in range(n_heads)]
         self.w_k = [ad.parameter(ad.uniform_init(rng, (d_in, hd), d_in)) for _ in range(n_heads)]
         self.w_v = ad.parameter(ad.uniform_init(rng, (d_in, hd), d_in))
-        self.w_o = ad.parameter(ad.uniform_init(rng, (n_heads * hd, self.d_out), n_heads * hd))
+        self.w_o = ad.parameter(ad.uniform_init(rng, (n_heads * hd, d_in), n_heads * hd))
 
     def __call__(self, s):
-        """s: (..., N, D_in) -> ((..., N, D_out), per-head weight tensors)."""
+        """s: (..., N, D_in) -> ((..., N, D_in), per-head weight tensors)."""
         s = ad.astensor(s)
         if s.data.shape[-1] != self.d_in:
             raise ShapeError(

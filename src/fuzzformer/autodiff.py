@@ -117,54 +117,11 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(op={self._op!r}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return getitem(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
 def astensor(x) -> Tensor:
@@ -502,12 +459,9 @@ def dropout(a, rate: float, rng: np.random.Generator | None, training: bool):
 class Adam:
     """Adam with bias correction; ``step`` consumes and clears gradients."""
 
-    def __init__(self, params, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, params, learning_rate=1e-3):
         self.params = list(params)
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
         self.step_count = 0
         self.first_moment = [np.zeros_like(p.data) for p in self.params]
         self.second_moment = [np.zeros_like(p.data) for p in self.params]
@@ -515,7 +469,7 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8  # the defaults of Kingma & Ba
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             m = self.first_moment[i]
@@ -526,7 +480,7 @@ class Adam:
             v += (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1**t)
             v_hat = v / (1.0 - b2**t)
-            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         self.zero_grad()
 
     def zero_grad(self) -> None:

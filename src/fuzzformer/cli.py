@@ -44,7 +44,7 @@ def _add_config_flags(parser):
     group.add_argument("--config", help="JSON config file; explicit flags override it")
     for f in fields(RunConfig):
         flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool" or isinstance(f.default, bool):
+        if isinstance(f.default, bool):
             group.add_argument(flag, type=_parse_bool, default=None, metavar="BOOL")
         elif isinstance(f.default, int):
             group.add_argument(flag, type=int, default=None)

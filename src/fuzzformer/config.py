@@ -7,6 +7,7 @@ resolved config next to every run's outputs.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 from .exceptions import ConfigError
@@ -54,8 +55,9 @@ class RunConfig:
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.epochs < 0 or self.exog_order < 0:
-            raise ConfigError("epochs and exog_order must be non-negative")
+        for name in ("epochs", "exog_order", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.integration_order not in (0, 1):
             raise ConfigError(f"integration_order must be 0 or 1, got {self.integration_order}")
         if self.hidden_width % self.attention_heads != 0:
@@ -70,7 +72,11 @@ class RunConfig:
             )
         if not 0.0 <= self.dropout_rate <= 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1], got {self.dropout_rate}")
-        self.loss_weights()  # validates non-negativity
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
+        self.loss_weights()  # validates the weight_* fields
         return self
 
     def loss_weights(self) -> LossWeights:

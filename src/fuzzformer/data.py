@@ -197,16 +197,6 @@ def fit_minmax(matrix, fit_rows: int) -> MinMaxScaler:
     return MinMaxScaler(mins, maxs)
 
 
-def fit_apply_minmax(matrix, fit_rows: int):
-    """Fit on the leading training rows, scale the whole matrix.
-
-    Returns (scaled matrix, scaler); values outside the fit range may
-    leave [0, 1] (no clipping), and ``scaler.inverse`` undoes the map.
-    """
-    scaler = fit_minmax(matrix, fit_rows)
-    return scaler.transform(matrix), scaler
-
-
 @dataclass
 class Batch:
     x: np.ndarray          # (B, N, D) scaled windows
@@ -312,16 +302,13 @@ class WindowedDataset:
         )
 
 
-def split_boundaries(n_rows: int, ratios=SPLIT_RATIOS):
-    t1 = int(np.floor(n_rows * ratios[0]))
-    t2 = int(np.floor(n_rows * (ratios[0] + ratios[1])))
+def split_boundaries(n_rows: int):
+    t1 = int(np.floor(n_rows * SPLIT_RATIOS[0]))
+    t2 = int(np.floor(n_rows * (SPLIT_RATIOS[0] + SPLIT_RATIOS[1])))
     return t1, t2
 
 
-def make_windows(
-    matrix, calendar, channel_names, lookback, horizon, stride=1,
-    ratios=SPLIT_RATIOS, main_channel=0,
-) -> WindowedDataset:
+def make_windows(matrix, calendar, channel_names, lookback, horizon, stride=1) -> WindowedDataset:
     """Scale, window, and split an aligned channel matrix.
 
     Scaler statistics come from rows before the train/valid boundary;
@@ -334,7 +321,7 @@ def make_windows(
         raise DataError(
             f"need at least lookback + horizon = {lookback + horizon} rows, got {n_rows}"
         )
-    t1, t2 = split_boundaries(n_rows, ratios)
+    t1, t2 = split_boundaries(n_rows)
     scaler = fit_minmax(matrix, max(t1, 1))
     scaled = scaler.transform(matrix)
 
@@ -366,13 +353,12 @@ def make_windows(
         labels=labels,
         scaler=scaler,
         fit_rows=max(t1, 1),
-        main_channel=main_channel,
     )
 
 
-def prepare_dataset(series_list, lookback, horizon, stride=1, ratios=SPLIT_RATIOS):
+def prepare_dataset(series_list, lookback, horizon, stride=1):
     matrix, calendar, names = align(series_list)
-    return make_windows(matrix, calendar, names, lookback, horizon, stride, ratios)
+    return make_windows(matrix, calendar, names, lookback, horizon, stride)
 
 
 def write_manifest(path, dataset: WindowedDataset, sources: dict) -> None:
@@ -407,7 +393,7 @@ def write_manifest(path, dataset: WindowedDataset, sources: dict) -> None:
 # synthetic benchmark data
 
 
-def make_synthetic(n_points=1200, seed=7, start_date="2015-01-02"):
+def make_synthetic(n_points=1200, seed=7):
     """Seeded synthetic market stand-in: trend + sinusoid + AR(2) noise.
 
     Three channels: the main series, a phase-shifted oscillation sharing
@@ -432,7 +418,7 @@ def make_synthetic(n_points=1200, seed=7, start_date="2015-01-02"):
     momentum = np.convolve(np.gradient(main), np.ones(5) / 5, mode="same") + rng.normal(
         scale=0.2, size=n_points
     )
-    base = dt.date.fromisoformat(start_date)
+    base = dt.date(2015, 1, 2)
     dates = [(base + dt.timedelta(days=int(i))).isoformat() for i in range(n_points)]
     return [
         RawSeries("synthetic_main", dates, main),

@@ -52,17 +52,17 @@ class GaussianCluster:
         return L @ L.T + self.eps * np.eye(self.dim)
 
     @classmethod
-    def from_covariance(cls, center, covariance, eps=COV_EPS):
-        """Factorize a target covariance (must exceed the eps floor)."""
+    def from_covariance(cls, center, covariance):
+        """Factorize a target covariance (must exceed the COV_EPS floor)."""
         covariance = np.asarray(covariance, dtype=np.float64)
         d = covariance.shape[0]
         try:
-            L = np.linalg.cholesky(covariance - eps * np.eye(d))
+            L = np.linalg.cholesky(covariance - COV_EPS * np.eye(d))
         except np.linalg.LinAlgError as exc:
             raise PositiveDefinitenessError(
-                f"covariance is not positive definite above the {eps} floor"
+                f"covariance is not positive definite above the {COV_EPS} floor"
             ) from exc
-        return cls(np.asarray(center, dtype=np.float64), L, eps)
+        return cls(np.asarray(center, dtype=np.float64), L)
 
 
 def mahalanobis_sq(z, cluster: GaussianCluster) -> float:
@@ -137,9 +137,14 @@ def bhattacharyya(a: GaussianCluster, b: GaussianCluster) -> float:
     return term1 + term2
 
 
-def init_clusters(latents, n_rules, rng, init_std=0.5, eps=COV_EPS):
+def isotropic_factors(n_rules, dim):
+    """(C, D, D) factors of ``n_rules`` isotropic clusters of covariance 0.5**2 I."""
+    return np.tile(np.sqrt(0.5**2 - COV_EPS) * np.eye(dim), (n_rules, 1, 1))
+
+
+def init_clusters(latents, n_rules, rng):
     """Warm-up initialization: centers drawn from observed latent vectors,
-    isotropic covariance of scale ``init_std`` squared.
+    covariances from :func:`isotropic_factors`.
 
     Returns (centers (C, D), factors (C, D, D)) parameter arrays.
     """
@@ -150,26 +155,23 @@ def init_clusters(latents, n_rules, rng, init_std=0.5, eps=COV_EPS):
     centers = latents[pick].copy()
     if replace:  # break exact duplicates so clusters stay distinguishable
         centers += rng.normal(scale=1e-3, size=centers.shape)
-    d = latents.shape[1]
-    scale = np.sqrt(init_std**2 - eps)
-    factors = np.tile(scale * np.eye(d), (n_rules, 1, 1))
-    return centers, factors
+    return centers, isotropic_factors(n_rules, latents.shape[1])
 
 
-def clusters_from_params(centers, factors, eps=COV_EPS):
+def clusters_from_params(centers, factors):
     """View stacked parameter arrays as a list of GaussianCluster."""
-    return [GaussianCluster(c, f, eps) for c, f in zip(np.asarray(centers), np.asarray(factors))]
+    return [GaussianCluster(c, f) for c, f in zip(np.asarray(centers), np.asarray(factors))]
 
 
 # ---------------------------------------------------------------------------
 # graph-side versions (operate on parameter tensors, gradients flow)
 
 
-def covariances_graph(factors, eps=COV_EPS):
-    """factors: (C, D, D) tensor -> (C, D, D) covariance tensor L L^T + eps I."""
+def covariances_graph(factors):
+    """factors: (C, D, D) tensor -> (C, D, D) covariance tensor L L^T + COV_EPS I."""
     d = factors.data.shape[-1]
     L = ad.mul(factors, np.tril(np.ones((d, d))))
-    return ad.add(ad.matmul(L, ad.swapaxes(L, -1, -2)), eps * np.eye(d))
+    return ad.add(ad.matmul(L, ad.swapaxes(L, -1, -2)), COV_EPS * np.eye(d))
 
 
 def memberships_graph(z, centers, covariances):

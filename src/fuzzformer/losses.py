@@ -8,7 +8,8 @@ cluster collapse.  MSE follows the batch-sum convention; logs report it
 per sample.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 from . import autodiff as ad
 from .exceptions import ConfigError, ShapeError
@@ -23,8 +24,9 @@ class LossWeights:
     balance: float = 0.1
 
     def __post_init__(self):
-        if min(self.mse, self.fcm, self.overlap, self.balance) < 0:
-            raise ConfigError("loss weights must be non-negative")
+        for name, value in asdict(self).items():
+            if not 0.0 <= value < math.inf:  # also false for NaN
+                raise ConfigError(f"weight_{name} must be finite and non-negative, got {value}")
         if self.mse <= 0:
             raise ConfigError("the MSE weight must be positive")
 
@@ -49,7 +51,7 @@ def fcm_loss(psi, diffs):
     return ad.tsum(ad.mul(psi, sq))
 
 
-def overlap_loss(bhattacharyya_pairs, floor=OVERLAP_FLOOR):
+def overlap_loss(bhattacharyya_pairs):
     """Sum of inverse Bhattacharyya distances over ordered cluster pairs.
 
     ``bhattacharyya_pairs`` holds each unordered pair once; the sum
@@ -58,7 +60,7 @@ def overlap_loss(bhattacharyya_pairs, floor=OVERLAP_FLOOR):
     """
     if bhattacharyya_pairs is None or bhattacharyya_pairs.data.size == 0:
         return ad.Tensor(0.0)
-    inv = ad.div(1.0, ad.clip_min(bhattacharyya_pairs, floor))
+    inv = ad.div(1.0, ad.clip_min(bhattacharyya_pairs, OVERLAP_FLOOR))
     return ad.mul(ad.tsum(inv), 2.0)
 
 

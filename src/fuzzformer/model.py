@@ -55,9 +55,8 @@ class FuzzformerModel:
         c, dz = config.rules, config.latent_width
         # Clusters start as unit-ish spheres scattered in the tanh-bounded
         # latent box; a warm-up pass usually re-seeds the centers.
-        scale = np.sqrt(0.5**2 - fuzzy.COV_EPS)
         self.centers = ad.parameter(rng.uniform(-0.5, 0.5, size=(c, dz)))
-        self.factors = ad.parameter(np.tile(scale * np.eye(dz), (c, 1, 1)))
+        self.factors = ad.parameter(fuzzy.isotropic_factors(c, dz))
         # Zero ARIX coefficients start every rule at the random-walk
         # persistence forecast, a stable initial bias.
         self.arix_a = ad.parameter(np.zeros((c, config.ar_order)))

@@ -31,16 +31,16 @@ from .model import FuzzformerModel
 
 RESULT_FIELDS = ("method", "config", "setting", "split", "rmse")
 LOSS_FIELDS = ("epoch", "mse", "fcm", "overlap", "balance", "composite")
+WARMUP_WINDOWS = 256  # training windows sampled to seed the cluster centers
+EVAL_BATCH = 256  # windows per forward pass in evaluate_split
 
 
 @dataclass
 class MetricsReport:
-    method: str
     split: str
     rmse: float
     per_step_rmse: np.ndarray
     n_samples: int
-    wall_seconds: float
 
 
 @dataclass
@@ -65,41 +65,38 @@ def check_dataset_compatibility(config: RunConfig, dataset: WindowedDataset) -> 
         )
 
 
-def warmup_latents(model: FuzzformerModel, dataset: WindowedDataset, rng, max_windows=256):
-    """Latent vectors of a sample of training windows (for cluster seeding)."""
+def warmup_latents(model: FuzzformerModel, dataset: WindowedDataset, rng):
+    """Latent vectors of up to WARMUP_WINDOWS training windows (for cluster seeding)."""
     origins = dataset.origins_for("train")
     if origins.size == 0:
         raise DataError("dataset has no training samples")
-    if origins.size > max_windows:
-        origins = np.sort(rng.choice(origins, size=max_windows, replace=False))
+    if origins.size > WARMUP_WINDOWS:
+        origins = np.sort(rng.choice(origins, size=WARMUP_WINDOWS, replace=False))
     batch = dataset.batch(origins, history=1)
     with ad.no_grad():
         return model.encode(batch.x).z_latent.data.copy()
 
 
-def evaluate_split(model: FuzzformerModel, dataset, split, batch_size=256, method="fuzzformer"):
+def evaluate_split(model: FuzzformerModel, dataset, split):
     """Aggregate-forecast RMSE (scaled units) over one split."""
-    t0 = time.perf_counter()
     origins = dataset.origins_for(split)
     horizon = dataset.horizon
     if origins.size == 0:
-        return MetricsReport(method, split, float("nan"), np.full(horizon, np.nan), 0, 0.0)
+        return MetricsReport(split, float("nan"), np.full(horizon, np.nan), 0)
     hist = model.config.ar_order + model.config.integration_order
     preds = np.zeros((origins.size, horizon))
     targets = np.zeros((origins.size, horizon))
-    for start in range(0, origins.size, batch_size):
-        chunk = origins[start : start + batch_size]
+    for start in range(0, origins.size, EVAL_BATCH):
+        chunk = origins[start : start + EVAL_BATCH]
         batch = dataset.batch(chunk, history=hist)
         preds[start : start + chunk.size] = model.predict(batch.x, batch.y_history)
         targets[start : start + chunk.size] = batch.y_target
     err = preds - targets
     return MetricsReport(
-        method=method,
         split=split if isinstance(split, str) else SPLIT_NAMES[split],
         rmse=float(np.sqrt(np.mean(err**2))),
         per_step_rmse=np.sqrt(np.mean(err**2, axis=0)),
         n_samples=int(origins.size),
-        wall_seconds=time.perf_counter() - t0,
     )
 
 

@@ -36,7 +36,7 @@ from fuzzformer.model import FuzzformerModel
 from fuzzformer.training import evaluate_split, train
 
 from arix_oracle import random_stable_system, zero_state_forecast
-from gradcheck import check_gradients, fd_gradient, max_rel_err
+from gradcheck import check_gradients
 from test_baselines import simulate_arma
 
 

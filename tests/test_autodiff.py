@@ -439,7 +439,7 @@ class TestAdam:
 
     def test_first_step_bias_corrected_value(self):
         p = parameter([0.0])
-        opt = Adam([p], learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8)
+        opt = Adam([p], learning_rate=1e-3)
         p.grad = np.array([1.0])
         opt.step()
         # m_hat = 1, v_hat = 1 -> delta = -lr / (1 + eps)

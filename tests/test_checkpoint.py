@@ -9,12 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzformer import container
 from fuzzformer.checkpoint import load_checkpoint, save_checkpoint
-from fuzzformer.config import RunConfig
 from fuzzformer.data import MinMaxScaler
 from fuzzformer.exceptions import ConfigError, DataError
-from fuzzformer.model import FuzzformerModel
 
-from test_model import TINY, tiny_model
+from test_model import tiny_model
 
 
 class TestContainer:

@@ -84,6 +84,13 @@ class TestTrain:
         ])
         assert code == EXIT_USAGE  # 5 not divisible by 2 heads
 
+    def test_negative_seed_is_usage_error(self, workspace, tmp_path, capsys):
+        code = main([
+            "train", "--dataset", str(workspace / "data" / "dataset.bin"),
+            "--out", str(tmp_path), *TRAIN_FLAGS, "--seed", "-5",
+        ])
+        assert code == EXIT_USAGE
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, message",

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzformer import data as dmod
 from fuzzformer.data import (
-    MinMaxScaler,
     RawSeries,
     WindowedDataset,
     align,
@@ -200,7 +199,8 @@ class TestMinMax:
     def test_fit_apply_combined(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(40, 2)) * 5 + 10
-        scaled, scaler = dmod.fit_apply_minmax(m, 30)
+        scaler = fit_minmax(m, 30)
+        scaled = scaler.transform(m)
         assert scaled[:30].min() >= 0.0 and scaled[:30].max() <= 1.0
         np.testing.assert_allclose(scaler.inverse(scaled), m, atol=1e-12)
 

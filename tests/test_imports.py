@@ -1,4 +1,5 @@
-"""Every import under src/fuzzformer/ is used in the module that makes it.
+"""Every import in src/fuzzformer/, tests/ and perfbench/ is used in the
+module that makes it.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library: a name bound by ``import``/``from ... import``
@@ -11,8 +12,14 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fuzzformer"
-MODULES = sorted(SRC.rglob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+# directory -> a module that must be found in it
+DIRS = {
+    ROOT / "src" / "fuzzformer": "autodiff.py",
+    ROOT / "tests": "test_imports.py",
+    ROOT / "perfbench": "run.py",
+}
+MODULES = sorted(path for directory in DIRS for path in directory.rglob("*.py"))
 
 
 def unused_imports(source: str):
@@ -28,11 +35,12 @@ def unused_imports(source: str):
     return [(line, name) for line, name in imported if name not in read]
 
 
-def test_modules_found():
-    assert SRC / "autodiff.py" in MODULES
+@pytest.mark.parametrize("directory", DIRS, ids=lambda d: str(d.relative_to(ROOT)))
+def test_modules_found(directory):
+    assert directory / DIRS[directory] in MODULES
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fuzzformer import autodiff as ad
-from fuzzformer import losses as lmod
 from fuzzformer.config import RunConfig
 from fuzzformer.data import Batch
 from fuzzformer.exceptions import NonFiniteError, ShapeError

@@ -2,17 +2,20 @@
 
 import csv
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzformer import autodiff as ad
 from fuzzformer.baselines import rmse
 from fuzzformer.checkpoint import load_checkpoint
 from fuzzformer.config import RunConfig
 from fuzzformer.data import make_synthetic, prepare_dataset
 from fuzzformer.exceptions import ConfigError, DataError
+from fuzzformer.model import FuzzformerModel
 from fuzzformer import training
 from fuzzformer.training import (
     build_report,
@@ -116,6 +119,73 @@ class TestRunConfigFromDict:
     def test_int_accepted_for_float_field(self):
         cfg = RunConfig.from_dict({"dropout_rate": 0, "learning_rate": 1, "attention_residual": False})
         assert cfg.dropout_rate == 0 and cfg.learning_rate == 1 and cfg.attention_residual is False
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"seed": -5}, "seed must be >= 0"),
+            ({"learning_rate": float("nan")}, "learning_rate must be positive"),
+            ({"learning_rate": -1e-3}, "learning_rate must be positive"),
+            ({"learning_rate": float("inf")}, "learning_rate must be positive"),
+            ({"weight_fcm": float("nan")}, "weight_fcm must be finite"),
+            ({"weight_overlap": float("inf")}, "weight_overlap must be finite"),
+            ({"weight_balance": -float("inf")}, "weight_balance must be finite"),
+            ({"weight_mse": float("inf")}, "weight_mse must be finite"),
+        ],
+    )
+    def test_out_of_range_values_raise_config_error(self, data, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_dict(data)
+
+    JSON_VALUES = (
+        st.integers(-2, 5)
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+        | st.booleans()
+        | st.text(max_size=3)
+        | st.none()
+    )
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        overrides=st.dictionaries(
+            st.sampled_from([f.name for f in fields(RunConfig)] + ["unknown"]),
+            JSON_VALUES,
+            max_size=2,
+        )
+    )
+    def test_json_values_give_a_config_or_config_error(self, overrides):
+        # TINY_TRAIN keeps every width the sweep does not draw small
+        try:
+            cfg = RunConfig.from_dict({**TINY_TRAIN, **overrides})
+        except ConfigError:
+            return
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg  # a NaN would not compare equal
+        model = FuzzformerModel(cfg, np.random.default_rng(cfg.seed))
+        assert model.centers.data.shape == (cfg.rules, cfg.latent_width)
+
+
+class TestWarmupLatents:
+    def _latents(self, dataset):
+        model = FuzzformerModel(RunConfig(**TINY_TRAIN), np.random.default_rng(0))
+        with ad.no_grad():
+            every = model.encode(dataset.batch(dataset.origins_for("train"), history=1).x)
+        return every.z_latent.data, training.warmup_latents(model, dataset, np.random.default_rng(1))
+
+    def test_more_than_256_origins_sample_256_sorted_distinct(self, tiny_dataset):
+        assert tiny_dataset.origins_for("train").size > 256
+        every, latents = self._latents(tiny_dataset)
+        assert latents.shape == (256, 2)
+        gaps = np.abs(latents[:, None, :] - every[None, :, :]).max(axis=-1)
+        rows = gaps.argmin(axis=1)
+        assert gaps.min(axis=1).max() < 1e-12  # each row is some origin's latent
+        assert list(rows) == sorted(set(rows))  # distinct origins, in ascending order
+
+    def test_fewer_origins_are_all_used(self):
+        dataset = prepare_dataset(make_synthetic(n_points=200, seed=3), lookback=12, horizon=4)
+        assert 0 < dataset.origins_for("train").size < 256
+        every, latents = self._latents(dataset)
+        np.testing.assert_array_equal(latents, every)
 
 
 class TestEvaluate:
