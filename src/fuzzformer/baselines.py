@@ -234,6 +234,8 @@ def train_lstm_baseline(
     log=None,
 ) -> LstmBaseline:
     """Fit the LSTM-only baseline on the training split with Adam on MSE."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     ss = np.random.SeedSequence(seed)
     rng_init, rng_shuffle = [np.random.default_rng(s) for s in ss.spawn(2)]
     model = LstmBaseline(

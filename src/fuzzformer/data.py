@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .exceptions import DataError, FetchError
+from .exceptions import ConfigError, DataError, FetchError
 
 DATASET_FORMAT_VERSION = 1
 SPLIT_NAMES = ("train", "valid", "test")
@@ -315,6 +315,9 @@ def make_windows(matrix, calendar, channel_names, lookback, horizon, stride=1) -
     samples whose targets would overlap a later split's input region are
     embargoed.
     """
+    for name, value in (("lookback", lookback), ("horizon", horizon), ("stride", stride)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     matrix = np.asarray(matrix, dtype=np.float64)
     n_rows = matrix.shape[0]
     if n_rows < lookback + horizon:
@@ -400,6 +403,8 @@ def make_synthetic(n_points=1200, seed=7):
     the main period, and a smoothed momentum proxy.  Every test and demo
     can run on this without external market data.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     t = np.arange(n_points, dtype=np.float64)
     period = 45.0

@@ -2,7 +2,7 @@
 
 Each rule owns a multivariate Gaussian over the encoder latent: a center
 and a covariance stored through an unconstrained lower-triangular factor
-L with cov = L L^T + eps I, which stays positive definite under
+L with cov = L L^T + COV_EPS I, which stays positive definite under
 unconstrained gradient updates.  Rule activations are softmax-normalized
 negated squared Mahalanobis distances, so memberships always form a unit
 partition.  The Bhattacharyya distance between clusters feeds the
@@ -31,7 +31,6 @@ class GaussianCluster:
 
     center: np.ndarray
     factor: np.ndarray
-    eps: float = COV_EPS
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64)
@@ -49,7 +48,7 @@ class GaussianCluster:
     @property
     def covariance(self) -> np.ndarray:
         L = np.tril(self.factor)
-        return L @ L.T + self.eps * np.eye(self.dim)
+        return L @ L.T + COV_EPS * np.eye(self.dim)
 
     @classmethod
     def from_covariance(cls, center, covariance):

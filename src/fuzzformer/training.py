@@ -274,11 +274,19 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
     with open(paths["rules"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rule", "step", "value_scaled", "membership"])
-        for i in range(cfg.rules):
-            for j in range(cfg.horizon):
-                writer.writerow([i, j + 1, f"{rules_scaled[i, j]:.10g}", f"{psi[i]:.10g}"])
+        psi_text = [f"{v:.10g}" for v in psi.tolist()]
+        writer.writerows(
+            [i, j + 1, f"{v:.10g}", psi_text[i]]
+            for i, row in enumerate(rules_scaled.tolist())
+            for j, v in enumerate(row)
+        )
 
     clusters = model.clusters()
+    # the distance is exactly symmetric: compute each pair once, mirror it
+    distance = np.zeros((cfg.rules, cfg.rules))
+    for i in range(cfg.rules):
+        for j in range(i + 1, cfg.rules):
+            distance[i, j] = distance[j, i] = bhattacharyya(clusters[i], clusters[j])
     paths["clusters"] = out_dir / "clusters.csv"
     with open(paths["clusters"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -291,25 +299,20 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
         )
         writer.writerow(head)
         for i, cl in enumerate(clusters):
-            row = [i]
-            row += [f"{v:.10g}" for v in cl.center]
-            row += [f"{v:.10g}" for v in cl.covariance.reshape(-1)]
-            row += [
-                f"{(0.0 if i == j else bhattacharyya(cl, clusters[j])):.10g}"
-                for j in range(cfg.rules)
-            ]
-            writer.writerow(row)
+            values = cl.center.tolist() + cl.covariance.ravel().tolist() + distance[i].tolist()
+            writer.writerow([i] + [f"{v:.10g}" for v in values])
 
+    # one row template for every head: "{head}" takes "layer,head," and
+    # "%.10g" the weight; rows end in "\r\n" like csv.writer's
     paths["attention"] = out_dir / "attention_weights.csv"
+    steps = range(cfg.lookback)
+    rows = "".join(f"{{head}}{qi},{ki},%.10g\r\n" for qi in steps for ki in steps)
     with open(paths["attention"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "head", "query_step", "key_step", "weight"])
+        fh.write("layer,head,query_step,key_step,weight\r\n")
         for layer_idx, layer in enumerate(ev.encoder_output.attention_weights):
             for head_idx, w in enumerate(layer):
-                weights = w.data[0]
-                for qi in range(weights.shape[0]):
-                    for ki in range(weights.shape[1]):
-                        writer.writerow([layer_idx, head_idx, qi, ki, f"{weights[qi, ki]:.10g}"])
+                block = rows.replace("{head}", f"{layer_idx},{head_idx},")
+                fh.write(block % tuple(w.data[0].ravel().tolist()))
 
     # SVG renderings: combined output, per-rule local forecasts, clusters
     steps_hist = np.arange(-cfg.lookback + 1, 1)

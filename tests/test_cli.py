@@ -48,6 +48,21 @@ class TestPrepare:
         code = main(["prepare", "--csv", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-5"], "seed must be >= 0, got -5"),
+            (["--stride", "0"], "stride must be >= 1, got 0"),
+            (["--lookback", "0"], "lookback must be >= 1, got 0"),
+            (["--horizon", "-1"], "horizon must be >= 1, got -1"),
+        ],
+    )
+    def test_bad_seed_or_window_flag_is_usage_error(self, tmp_path, capsys, flags, message):
+        code = main(["prepare", "--synthetic", "200", *flags, "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "dataset.bin").exists()
+
 
 class TestTrain:
     def test_artifacts(self, workspace):
@@ -141,6 +156,15 @@ class TestEvaluateAndBaseline:
             assert code == EXIT_OK
         rows = list(csv.DictReader(open(out)))
         assert {r["method"] for r in rows} >= {"persistence", "arima", "lstm"}
+
+    def test_lstm_negative_seed_is_usage_error(self, workspace, tmp_path, capsys):
+        code = main([
+            "baseline", "--dataset", str(workspace / "data" / "dataset.bin"),
+            "--method", "lstm", "--seed", "-5", "--out", str(tmp_path / "results.csv"),
+            "--hidden", "4", "--layers", "1", "--epochs", "1",
+        ])
+        assert code == EXIT_USAGE
+        assert "seed must be >= 0, got -5" in capsys.readouterr().err
 
     def test_report_renders_grid(self, workspace, capsys):
         out = workspace / "results.csv"

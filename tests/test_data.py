@@ -19,7 +19,7 @@ from fuzzformer.data import (
     make_windows,
     prepare_dataset,
 )
-from fuzzformer.exceptions import DataError, FetchError
+from fuzzformer.exceptions import ConfigError, DataError, FetchError
 
 
 def write(path, text):
@@ -251,6 +251,12 @@ class TestMakeWindows:
         with pytest.raises(DataError, match="rows"):
             self._dataset(n_rows=80, lookback=60, horizon=30)
 
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("name", ["lookback", "horizon", "stride"])
+    def test_window_sizes_below_one_raise_config_error(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {value}"):
+            self._dataset(**{name: value})
+
     def test_batch_shapes_and_contents(self):
         ds = self._dataset(n_rows=300)
         origins = ds.origins_for("train")[:4]
@@ -313,6 +319,10 @@ class TestSynthetic:
         b = make_synthetic(n_points=200, seed=3)
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.values, sb.values)
+
+    def test_negative_seed_raises_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -5"):
+            make_synthetic(n_points=200, seed=-5)
 
     def test_prepare_pipeline(self):
         ds = prepare_dataset(make_synthetic(n_points=400, seed=4), lookback=60, horizon=30)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzformer import autodiff as ad
 from fuzzformer import fuzzy
@@ -42,7 +43,8 @@ class TestMahalanobis:
         assert mahalanobis_sq([2.0, 0.0], c) == pytest.approx(1.0, rel=1e-9)
 
     def test_singular_covariance_raises(self):
-        bad = GaussianCluster(np.zeros(2), np.zeros((2, 2)), eps=0.0)
+        # L L^T is [[1e16, 1e16], [1e16, 1e16]]: the COV_EPS jitter rounds away
+        bad = GaussianCluster(np.zeros(2), [[1e8, 0.0], [1e8, 0.0]])
         with pytest.raises(PositiveDefinitenessError):
             mahalanobis_sq([1.0, 0.0], bad)
 
@@ -130,6 +132,22 @@ class TestBhattacharyya:
         for _ in range(100):
             a, b = random_cluster(rng), random_cluster(rng)
             assert bhattacharyya(a, b) == pytest.approx(bhattacharyya(b, a), abs=1e-12)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        dim=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([1e-3, 1.0, 1e3]),
+        scale=st.sampled_from([1e-2, 1.0, 1e2]),
+    )
+    def test_exactly_symmetric(self, dim, seed, spread, scale):
+        # the bundle's clusters.csv mirrors each pair, so == and not approx
+        rng = np.random.default_rng(seed)
+        a, b = (
+            GaussianCluster(rng.normal(scale=spread, size=dim), rng.normal(scale=scale, size=(dim, dim)))
+            for _ in range(2)
+        )
+        assert bhattacharyya(a, b) == bhattacharyya(b, a)
 
     def test_non_negative_and_zero_only_when_equal(self):
         rng = np.random.default_rng(6)

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bundle_oracle
 from fuzzformer import autodiff as ad
 from fuzzformer.baselines import rmse
 from fuzzformer.checkpoint import load_checkpoint
 from fuzzformer.config import RunConfig
-from fuzzformer.data import make_synthetic, prepare_dataset
+from fuzzformer.data import fit_minmax, make_synthetic, prepare_dataset
 from fuzzformer.exceptions import ConfigError, DataError
 from fuzzformer.model import FuzzformerModel
 from fuzzformer import training
@@ -245,6 +246,36 @@ class TestForecastBundle:
         for r in rows:
             blend[int(r["step"]) - 1] += float(r["membership"]) * float(r["value_scaled"])
         np.testing.assert_allclose(agg, blend, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            dict(rules=1, attention_heads=1, mha_layers=1, latent_width=2),
+            dict(rules=4, attention_heads=2, mha_layers=2, latent_width=3),
+            dict(rules=4, attention_heads=1, mha_layers=2, latent_width=2),
+            dict(rules=1, attention_heads=2, mha_layers=1, latent_width=3),
+        ],
+        ids=lambda shape: "-".join(f"{k}{v}" for k, v in shape.items()),
+    )
+    def test_csv_bytes_match_per_cell_oracle(self, shape, tmp_path):
+        cfg = RunConfig(**{**TINY_TRAIN, **shape})
+        rng = np.random.default_rng(17)
+        model = FuzzformerModel(cfg, rng)
+        model.initialize_clusters(rng.normal(size=(32, cfg.latent_width)), rng)
+        model.factors.data += rng.normal(scale=0.3, size=model.factors.data.shape)
+        series = make_synthetic(n_points=40, seed=9)
+        matrix = np.stack([s.values for s in series], axis=1)
+        scaler = fit_minmax(matrix, 30)
+        names = [s.name for s in series]
+        for end in (12, 26, 40):  # three windows
+            window = matrix[:end]
+            forecast_bundle(
+                model, scaler, names, series[0].dates[:end], window, tmp_path / "bundle", log=quiet
+            )
+            bundle_oracle.write_bundle_csvs(model, scaler, window, tmp_path / "oracle")
+            for name in bundle_oracle.CSV_NAMES:
+                got = (tmp_path / "bundle" / name).read_bytes()
+                assert got == (tmp_path / "oracle" / name).read_bytes(), name
 
     def test_window_too_short(self, tmp_path):
         ds = prepare_dataset(make_synthetic(n_points=400, seed=3), lookback=12, horizon=4)
