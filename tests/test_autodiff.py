@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzformer import autodiff as ad
+from fuzzformer.arix import all_rules_forecast_graph, winner_forecast_graph
+from fuzzformer.attention import scaled_dot_attention
 from fuzzformer.autodiff import Adam, Tensor, backward, parameter
+from fuzzformer.encoder import lstm_scan
 from fuzzformer.exceptions import NonFiniteError, PositiveDefinitenessError, ShapeError
 
 from gradcheck import check_gradients, max_rel_err
@@ -368,7 +371,52 @@ def _logdet_case(draw, rng):
     return (lambda: ad.logdet(ops[0])), ops, ops
 
 
-# every primitive the engine builds graph nodes with, by function name
+def _small(rng, shape):
+    """Normal values scaled to keep LSTM gates and ARIX recursions unsaturated."""
+    return 0.4 * rng.normal(size=shape)
+
+
+def _lstm_scan_case(draw, rng):
+    b, n, d_in, d_h = (draw(st.integers(1, 3)) for _ in range(4))
+    shapes = [(b, n, d_in), (d_in, 4 * d_h), (d_h, 4 * d_h), (4 * d_h,)]
+    ops, params = _operands(draw, rng, shapes, make=_small)
+    return (lambda: lstm_scan(*ops)), ops, params
+
+
+def _attention_case(draw, rng):
+    # leading (batch, heads) shapes that broadcast against each other
+    b, heads = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    batch = st.sampled_from([(b, heads), (1, heads), (heads,), (b, 1), ()])
+    n_q, n_k, d_h, d_out = (draw(st.integers(1, 4)) for _ in range(4))
+    q_batch, kv_batch = draw(batch), draw(batch)
+    shapes = [q_batch + (n_q, d_h), kv_batch + (n_k, d_h), draw(batch) + (n_k, d_out)]
+    if draw(st.booleans()):  # self-attention: one tensor as queries and keys
+        shapes[0] = shapes[1]
+    ops, params = _operands(draw, rng, shapes)
+    return (lambda: scaled_dot_attention(*ops)[0]), ops, params
+
+
+def _arix_recursion_case(draw, rng):
+    bsz, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    p, q = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    d, horizon = draw(st.integers(0, 1)), draw(st.integers(1, 4))
+    hist = rng.normal(size=(bsz, p + d + draw(st.integers(0, 2))))
+    all_rules = draw(st.booleans())
+    if all_rules:  # every rule for every sample: (C, .) against (B, 1, .)
+        a_rows = b_rows = c
+    else:  # one rule per sample, or one row broadcast over the batch
+        a_rows, b_rows = draw(st.sampled_from([bsz, 1])), draw(st.sampled_from([bsz, 1]))
+    ops = [parameter(rng.normal(size=(bsz, horizon))), parameter(_small(rng, (a_rows, p))),
+           parameter(_small(rng, (b_rows, q)))]
+    const = draw(st.sampled_from([None, 0, 1, 2] if q else [2]))  # an empty b has nothing to check
+    if const is not None:
+        ops[const] = Tensor(ops[const].data)
+    forecast = all_rules_forecast_graph if all_rules else winner_forecast_graph
+    return (lambda: forecast(hist, *ops, d, horizon)), ops, [t for t in ops if t.requires_grad]
+
+
+# every primitive the engine builds graph nodes with, by function name,
+# then the fused ops with hand-written vjps
 SWEEP = {
     "add": _binary_case(ad.add),
     "sub": _binary_case(ad.sub),
@@ -391,11 +439,14 @@ SWEEP = {
     "clip_min": _unary_case(lambda t: ad.clip_min(t, 0.0)),
     "solve_vec": _solve_vec_case,
     "logdet": _logdet_case,
+    "lstm_scan": _lstm_scan_case,
+    "scaled_dot_attention": _attention_case,
+    "arix_recursion": _arix_recursion_case,
 }
 
 
 class TestVjpSweep:
-    """Every primitive's vjp against central differences on random shapes."""
+    """Every primitive's and fused op's vjp against central differences on random shapes."""
 
     @pytest.mark.parametrize("name", sorted(SWEEP))
     @settings(max_examples=40, deadline=None)

@@ -1,8 +1,11 @@
 """The fused LSTM scan against finite differences, and the batched ARMA
 kernels against the per-window scalar oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzformer.kernels import arima as ak, lstm as lk
 
@@ -100,3 +103,71 @@ class TestArimaKernels:
             got = ak.companion_stable(coeffs)
             assert got.shape == (20,)
             assert [bool(g) for g in got] == [arima_oracle.companion_stable(c) for c in coeffs]
+
+
+def _lstsq_by_svd(columns):
+    """numpy lstsq's rank rule on every row: the SVD of R, then a solve."""
+    W, M = columns[0].shape
+    N = len(columns) - 1
+    r = np.linalg.qr(np.stack(columns, axis=2), mode="r")
+    r, qb = r[:, :N, :N], r[:, :N, N]
+    s = np.linalg.svd(r, compute_uv=False)
+    full = s[:, -1] > np.finfo(np.float64).eps * max(M, N) * s[:, 0]
+    sol = np.zeros((W, N))
+    sol[full] = np.linalg.solve(r[full], qb[full, :, None])[:, :, 0]
+    return sol, full
+
+
+def _design_row(kind, rng, M, N):
+    """One window's (M, N + 1) regressors and target of the given kind."""
+    a = rng.normal(size=(M, N + 1))
+    if kind == "collinear" and N > 1:
+        # the last regressor is a mix of the others plus a relative
+        # perturbation of 1e-17 .. 1e-5, on both sides of the rank threshold
+        rel = 10.0 ** rng.uniform(-17.0, -5.0)
+        a[:, N - 1] = a[:, : N - 1] @ rng.normal(size=N - 1) + rel * a[:, N - 1]
+    elif kind == "constant":
+        a[:] = rng.normal()
+    elif kind == "zero":
+        a[:] = 0.0
+    elif kind == "scaled":
+        a *= 10.0 ** rng.choice([-150.0, 150.0])
+    return a
+
+
+ROW_KINDS = ["well", "collinear", "constant", "zero", "scaled"]
+
+
+class TestLeastSquaresRank:
+    """``_lstsq`` makes numpy lstsq's rank decision on every row of a stack."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=12),
+        n=st.integers(1, 8),
+        extra=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_svd_rule(self, kinds, n, extra, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([_design_row(k, rng, n + extra, n) for k in kinds])
+        columns = [stack[:, :, j] for j in range(n + 1)]
+        want_sol, want_full = _lstsq_by_svd(columns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol, full = ak._lstsq(columns)
+        np.testing.assert_array_equal(full, want_full)
+        assert np.array_equal(sol, want_sol)
+
+    def test_planted_collinearity_crosses_the_threshold(self):
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(40, 4))
+        rows = []
+        for rel in (1e-17, 1e-5):
+            a = base.copy()
+            a[:, 2] = a[:, :2] @ [0.7, -1.3] + rel * a[:, 2]
+            rows.append(a)
+        stack = np.stack(rows)
+        sol, full = ak._lstsq([stack[:, :, j] for j in range(4)])
+        assert full.tolist() == [False, True]
+        np.testing.assert_array_equal(sol[0], 0.0)
