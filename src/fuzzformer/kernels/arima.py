@@ -13,11 +13,21 @@ lagged residuals.  Rank deficiency is reported per window via the ``ok``
 flags rather than an exception; the baseline layer turns it into a typed
 error.  The time recursions loop once over time with vector operations
 across windows, adding terms in the order of the per-window scalar loop.
+
+Each least-squares stage decides full rank with numpy lstsq's rule, but
+takes singular values only where it must.  A cheap bound on the condition
+of R, from one batched inverse and two Frobenius norms, proves full rank
+for almost every window; the few windows it cannot decide (near-singular,
+zero diagonal, overflow) get the SVD rule itself.  The bound only accepts
+windows whose ratio of extreme singular values sits orders of magnitude
+above the rule's threshold, so both routes make the same decision.
 """
 
 import numpy as np
 
 _EPS = np.finfo(np.float64).eps
+# least bound on sigma_min / sigma_max that certifies full rank without an SVD
+_CERTIFIED = 1e-8
 
 
 def companion_stable(coeffs):
@@ -46,15 +56,42 @@ def _lstsq(columns):
     QR of the stacked (W, M, N + 1) matrix [A | b] yields R and Q'b
     together.  A window counts as full rank under numpy lstsq's rule: the
     smallest singular value of its R exceeds eps * max(M, N) * the largest.
-    Returns the (W, N) solutions, zero where rank deficient, and the
-    full-rank mask.
+    Most windows are certified full rank without an SVD; the rest get the
+    SVD rule itself (see below).  Returns the (W, N) solutions, zero where
+    rank deficient, and the full-rank mask.
     """
     W, M = columns[0].shape
     N = len(columns) - 1
     r = np.linalg.qr(np.stack(columns, axis=2), mode="r")
     r, qb = r[:, :N, :N], r[:, :N, N]
-    s = np.linalg.svd(r, compute_uv=False)
-    full = s[:, -1] > _EPS * max(M, N) * s[:, 0]
+    tol = _EPS * max(M, N)
+    # Certificate: for triangular R, sigma_min / sigma_max >= 1 / (|R^-1|_F
+    # |R|_F), and it is at most min |r_ii| / max |r_ii|, so rows failing that
+    # diagonal test could never pass and skip the inverse.  A row passes
+    # when its bound exceeds ``cut``, which is at least 1e-8 and 1e4 times
+    # the rule's threshold.  Its condition number is then below 1e8, so the
+    # inverse and LAPACK's singular values are accurate to ~1e-8 relative,
+    # and the SVD rule, with a threshold 1e4 times lower, accepts it too.
+    # Every other row keeps ``full`` False here and gets the SVD rule
+    # unchanged: a tiny or zero diagonal, a bound whose norms overflow (0)
+    # or meet inf * 0 (NaN), or every row when the inverse raises.  So each
+    # window's decision is the rule's decision.
+    cut = max(_CERTIFIED, 1e4 * tol)
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    full = diag.min(axis=1) > cut * diag.max(axis=1)
+    if full.any():
+        rc = r[full]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                inv = np.linalg.inv(rc)
+                norms2 = np.einsum("wij,wij->w", inv, inv) * np.einsum("wij,wij->w", rc, rc)
+                full[full] = 1.0 / np.sqrt(norms2) > cut
+        except np.linalg.LinAlgError:
+            full[:] = False
+    undecided = ~full
+    if undecided.any():
+        s = np.linalg.svd(r[undecided], compute_uv=False)
+        full[undecided] = s[:, -1] > tol * s[:, 0]
     sol = np.zeros((W, N))
     sol[full] = np.linalg.solve(r[full], qb[full, :, None])[:, :, 0]
     return sol, full

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzformer.baselines import ArimaOrder, evaluate_arima_windows
+from fuzzformer.data import make_synthetic, prepare_dataset
 from fuzzformer.kernels import arima as ak, lstm as lk
 
 import arima_oracle
@@ -171,3 +173,34 @@ class TestLeastSquaresRank:
         sol, full = ak._lstsq([stack[:, :, j] for j in range(4)])
         assert full.tolist() == [False, True]
         np.testing.assert_array_equal(sol[0], 0.0)
+
+    def test_failed_inverse_leaves_every_row_to_the_svd_rule(self, monkeypatch):
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        rng = np.random.default_rng(8)
+        stack = np.stack([_design_row(k, rng, 30, 4) for k in ROW_KINDS * 2])
+        columns = [stack[:, :, j] for j in range(5)]
+        want_sol, want_full = _lstsq_by_svd(columns)
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        sol, full = ak._lstsq(columns)
+        np.testing.assert_array_equal(full, want_full)
+        assert np.array_equal(sol, want_sol)
+
+    def test_svd_only_sees_rows_the_certificate_leaves_open(self, monkeypatch):
+        # the rank test must not fall back to one SVD per window: on the
+        # synthetic windows the certificate decides nearly every row, and a
+        # flat window (an all-zero R) sends only its own row to the SVD
+        dataset = prepare_dataset(make_synthetic(n_points=1200, seed=42), lookback=60, horizon=30)
+        windows = dataset.window_main(dataset.origins)
+        windows[7] = windows[7, 0]
+        svd, rows = np.linalg.svd, []
+
+        def counting_svd(a, *args, **kwargs):
+            rows.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        _, ok = evaluate_arima_windows(windows, ArimaOrder(4, 1, 1), dataset.horizon)
+        assert windows.shape[0] == 933 and ok.mean() > 0.9
+        assert sum(rows) <= 0.03 * windows.shape[0]
