@@ -234,8 +234,14 @@ def train_lstm_baseline(
     log=None,
 ) -> LstmBaseline:
     """Fit the LSTM-only baseline on the training split with Adam on MSE."""
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    for name, value, least in (
+        ("hidden", hidden, 1), ("layers", layers, 1), ("batch_size", batch_size, 1),
+        ("epochs", epochs, 0), ("seed", seed, 0),
+    ):
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
+    if not 0.0 < learning_rate < np.inf:
+        raise ConfigError(f"learning_rate must be positive and finite, got {learning_rate}")
     ss = np.random.SeedSequence(seed)
     rng_init, rng_shuffle = [np.random.default_rng(s) for s in ss.spawn(2)]
     model = LstmBaseline(

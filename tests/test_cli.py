@@ -166,6 +166,27 @@ class TestEvaluateAndBaseline:
         assert code == EXIT_USAGE
         assert "seed must be >= 0, got -5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+            (["--hidden", "0"], "hidden must be >= 1, got 0"),
+            (["--layers", "0"], "layers must be >= 1, got 0"),
+            (["--epochs", "-1"], "epochs must be >= 0, got -1"),
+            (["--learning-rate", "nan"], "learning_rate must be positive and finite, got nan"),
+            (["--learning-rate", "0"], "learning_rate must be positive and finite, got 0.0"),
+        ],
+    )
+    def test_bad_lstm_flag_is_usage_error(self, workspace, tmp_path, capsys, flags, message):
+        code = main([
+            "baseline", "--dataset", str(workspace / "data" / "dataset.bin"),
+            "--method", "lstm", "--out", str(tmp_path / "results.csv"),
+            "--hidden", "4", "--layers", "1", "--epochs", "1", *flags,
+        ])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
     def test_report_renders_grid(self, workspace, capsys):
         out = workspace / "results.csv"
         table = workspace / "table.csv"
