@@ -44,7 +44,12 @@ def scaled_dot_attention(q, k, v):
     scores -= np.max(scores, axis=-1, keepdims=True)
     W = np.exp(scores)
     W /= np.sum(W, axis=-1, keepdims=True)
-    out_data = np.matmul(W, V)
+    try:
+        out_data = np.matmul(W, V)
+    except ValueError as exc:
+        raise ShapeError(
+            f"scaled_dot_attention: values {V.shape} do not broadcast against weights {W.shape}"
+        ) from exc
 
     def vjp(g):
         dV = ad._unbroadcast(np.matmul(np.swapaxes(W, -1, -2), g), V.shape)

@@ -58,15 +58,17 @@ def lstm_scan(x, wx, wh, b):
         raise ShapeError(
             f"lstm_scan: inconsistent gate widths {wx.data.shape}/{wh.data.shape}"
         )
+    if b.data.shape != (wx.data.shape[1],):
+        raise ShapeError(
+            f"lstm_scan: bias {b.data.shape} does not match gate width {wx.data.shape[1]}"
+        )
     xt = np.ascontiguousarray(np.swapaxes(x.data, 0, 1))
-    h_all, i_all, f_all, g_all, o_all, c_all = lstm_kernels.lstm_forward(
-        xt, wx.data, wh.data, b.data
-    )
+    h_all, gates, c_all = lstm_kernels.lstm_forward(xt, wx.data, wh.data, b.data)
 
     def vjp(g):
         gt = np.ascontiguousarray(np.swapaxes(g, 0, 1))
         dx, dwx, dwh, db = lstm_kernels.lstm_backward(
-            xt, wx.data, wh.data, gt, h_all, i_all, f_all, g_all, o_all, c_all
+            xt, wx.data, wh.data, gt, h_all, gates, c_all
         )
         return np.swapaxes(dx, 0, 1), dwx, dwh, db
 

@@ -71,6 +71,13 @@ class TestScaledDotAttention:
                 Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 5))), Tensor(np.zeros((3, 2)))
             )
 
+    def test_value_batch_mismatch_raises(self):
+        # the weights are (2, 3, 3); a (3, 3, 5) value stack cannot broadcast
+        with pytest.raises(ShapeError, match="values"):
+            scaled_dot_attention(
+                Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 3, 5)))
+            )
+
     def test_gradients(self):
         rng = np.random.default_rng(4)
         q = parameter(rng.normal(size=(4, 3)))

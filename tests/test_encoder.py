@@ -54,9 +54,13 @@ class TestLstmStep:
 
 
 class TestLstmScan:
-    def test_matches_stepwise_reference(self):
+    # B = 1 and N = 1 (lookback 1: no recurrent step) and D_h = 1 are the
+    # edges of the kernel's loops and views; D_in > D_h widens the input GEMM
+    @pytest.mark.parametrize(
+        "B,N,d_in,d_h", [(3, 7, 4, 5), (1, 7, 4, 5), (3, 1, 4, 5), (3, 7, 4, 1), (2, 5, 9, 3)]
+    )
+    def test_matches_stepwise_reference(self, B, N, d_in, d_h):
         rng = np.random.default_rng(1)
-        B, N, d_in, d_h = 3, 7, 4, 5
         x = rng.normal(size=(B, N, d_in))
         wx = rng.normal(size=(d_in, 4 * d_h)) * 0.3
         wh = rng.normal(size=(d_h, 4 * d_h)) * 0.3
@@ -82,6 +86,13 @@ class TestLstmScan:
             return ad.tsum(ad.mul(ad.tanh(out), mixer))
 
         check_gradients(build, [x, wx, wh, b])
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 8)])
+    def test_bias_shape_mismatch_raises(self, shape):
+        # d_h = 2: the bias must be (8,); (1,) and (2, 8) would broadcast
+        wx, wh, _ = _zero_weights(3, 2)
+        with pytest.raises(ShapeError, match="bias"):
+            lstm_scan(Tensor(np.zeros((2, 4, 3))), Tensor(wx), Tensor(wh), Tensor(np.zeros(shape)))
 
     def test_hidden_state_bounded_by_one(self):
         rng = np.random.default_rng(3)

@@ -39,6 +39,20 @@ class TestLstmKernels:
             num, _ = fd_gradient(loss, arr)
             assert max_rel_err(ana, num) < 1e-4
 
+    @pytest.mark.parametrize("N,B,d_in,d_h", [(6, 3, 4, 5), (1, 2, 3, 2), (5, 1, 1, 1)])
+    def test_leaves_arguments_and_caches_untouched(self, N, B, d_in, d_h):
+        # both passes work in place on their own buffers only
+        rng = np.random.default_rng(4)
+        args = _lstm_inputs(rng, N=N, B=B, d_in=d_in, d_h=d_h)
+        dh_out = rng.normal(size=(N, B, d_h))
+        kept = [a.copy() for a in args] + [dh_out.copy()]
+        caches = lk.lstm_forward(*args)
+        cached = [c.copy() for c in caches]
+        lk.lstm_backward(*args[:3], dh_out, *caches)
+        lk.lstm_backward(*args[:3], dh_out, *caches)
+        for before, after in zip(kept + cached, list(args) + [dh_out] + list(caches)):
+            assert np.array_equal(before, after)
+
     def test_forward_deterministic(self):
         rng = np.random.default_rng(3)
         x, wx, wh, b = _lstm_inputs(rng)
