@@ -242,6 +242,9 @@ def train_lstm_baseline(
             raise ConfigError(f"{name} must be >= {least}, got {value}")
     if not 0.0 < learning_rate < np.inf:
         raise ConfigError(f"learning_rate must be positive and finite, got {learning_rate}")
+    train_origins = dataset.origins_for("train")
+    if train_origins.size == 0:
+        raise DataError("dataset has no training samples")
     ss = np.random.SeedSequence(seed)
     rng_init, rng_shuffle = [np.random.default_rng(s) for s in ss.spawn(2)]
     model = LstmBaseline(
@@ -253,7 +256,6 @@ def train_lstm_baseline(
         rng=rng_init,
     )
     opt = Adam([t for _, t in model.parameters()], learning_rate=learning_rate)
-    train_origins = dataset.origins_for("train")
     for epoch in range(epochs):
         order = rng_shuffle.permutation(train_origins)
         total = 0.0
@@ -267,7 +269,7 @@ def train_lstm_baseline(
             opt.step()
             total += loss.item()
         if log is not None:
-            log(f"lstm-baseline epoch {epoch + 1}/{epochs} train_mse={total / max(train_origins.size, 1):.6f}")
+            log(f"lstm-baseline epoch {epoch + 1}/{epochs} train_mse={total / train_origins.size:.6f}")
     return model
 
 

@@ -40,6 +40,11 @@ def load_checkpoint(path):
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path}: unsupported checkpoint format {meta.get('format')!r}")
     config = RunConfig.from_dict(container.require(meta, "config", path, "meta key"))
+    names = meta.get("channel_names", [])
+    if not isinstance(names, list) or len(names) not in (0, config.channels):
+        raise DataError(
+            f"{path}: meta key 'channel_names' must list the {config.channels} configured channels"
+        )
     model = FuzzformerModel(config, np.random.default_rng(0))
     for name, tensor in model.parameters():
         stored = container.require(arrays, name, path, "tensor")
@@ -54,4 +59,10 @@ def load_checkpoint(path):
             container.require(arrays, "scaler.mins", path, "array"),
             container.require(arrays, "scaler.maxs", path, "array"),
         )
+        for name, values in (("scaler.mins", scaler.mins), ("scaler.maxs", scaler.maxs)):
+            if values.shape != (config.channels,):
+                raise DataError(
+                    f"{path}: array {name!r} has shape {values.shape}, "
+                    f"expected ({config.channels},) for the configured channels"
+                )
     return model, scaler, meta

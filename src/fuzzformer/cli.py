@@ -170,65 +170,60 @@ def cmd_forecast(args) -> int:
     return EXIT_OK
 
 
+def _baseline_forecaster(args, dataset):
+    """(label, step) of the ``--method`` baseline.  ``step(split, origins)``
+    returns the split's forecasts and a mask of the windows it forecast;
+    only ARIMA leaves windows out."""
+    horizon = dataset.horizon
+    if args.method == "persistence":
+        def step(split, origins):
+            windows = dataset.window_main(origins)
+            preds = np.stack([bl.persistence_forecast(w, horizon) for w in windows])
+            return preds, np.ones(origins.size, dtype=bool)
+
+        return "", step
+    if args.method == "arima":
+        order = bl.ArimaOrder(p=args.p, d=args.d, q=args.q)
+
+        def step(split, origins):
+            return bl.evaluate_arima_windows(dataset.window_main(origins), order, horizon)
+
+        return f"p={args.p},d={args.d},q={args.q}", step
+    model = bl.train_lstm_baseline(
+        dataset,
+        hidden=args.hidden,
+        layers=args.layers,
+        epochs=args.epochs,
+        learning_rate=args.learning_rate,
+        batch_size=args.batch_size,
+        seed=args.seed,
+        log=print if args.verbose else None,
+    )
+
+    def step(split, origins):
+        return bl.lstm_baseline_forecasts(model, dataset, split), np.ones(origins.size, dtype=bool)
+
+    return f"hidden={args.hidden},layers={args.layers}", step
+
+
 def cmd_baseline(args) -> int:
     dataset = dmod.WindowedDataset.load(args.dataset)
     setting = f"{dataset.lookback}/{dataset.horizon}"
+    label, step = _baseline_forecaster(args, dataset)
+    title = f"{args.method}({label})" if label else args.method
     rows = []
-    if args.method == "persistence":
-        label = ""
-        for split in dmod.SPLIT_NAMES:
-            origins = dataset.origins_for(split)
-            if origins.size == 0:
-                continue
-            windows = dataset.window_main(origins)
-            batch = dataset.batch(origins, history=1)
-            preds = np.stack(
-                [bl.persistence_forecast(w, dataset.horizon) for w in windows]
-            )
-            value = bl.rmse(preds, batch.y_target)
-            rows.append(_result_row("persistence", label, setting, split, value))
-            print(f"persistence {setting} {split}: rmse={value:.6f}")
-    elif args.method == "arima":
-        order = bl.ArimaOrder(p=args.p, d=args.d, q=args.q)
-        label = f"p={args.p},d={args.d},q={args.q}"
-        for split in dmod.SPLIT_NAMES:
-            origins = dataset.origins_for(split)
-            if origins.size == 0:
-                continue
-            windows = dataset.window_main(origins)
-            batch = dataset.batch(origins, history=1)
-            preds, ok = bl.evaluate_arima_windows(windows, order, dataset.horizon)
-            skipped = int(np.sum(~ok))
-            if not np.any(ok):
-                print(f"arima({label}) {setting} {split}: all {ok.size} windows skipped")
-                continue
-            value = bl.rmse(preds[ok], batch.y_target[ok])
-            rows.append(_result_row("arima", label, setting, split, value))
-            print(
-                f"arima({label}) {setting} {split}: rmse={value:.6f} "
-                f"(skipped {skipped}/{ok.size} windows)"
-            )
-    elif args.method == "lstm":
-        label = f"hidden={args.hidden},layers={args.layers}"
-        model = bl.train_lstm_baseline(
-            dataset,
-            hidden=args.hidden,
-            layers=args.layers,
-            epochs=args.epochs,
-            learning_rate=args.learning_rate,
-            batch_size=args.batch_size,
-            seed=args.seed,
-            log=print if args.verbose else None,
-        )
-        for split in dmod.SPLIT_NAMES:
-            origins = dataset.origins_for(split)
-            if origins.size == 0:
-                continue
-            preds = bl.lstm_baseline_forecasts(model, dataset, split)
-            batch = dataset.batch(origins, history=1)
-            value = bl.rmse(preds, batch.y_target)
-            rows.append(_result_row("lstm", label, setting, split, value))
-            print(f"lstm({label}) {setting} {split}: rmse={value:.6f}")
+    for split in dmod.SPLIT_NAMES:
+        origins = dataset.origins_for(split)
+        if origins.size == 0:
+            continue
+        preds, ok = step(split, origins)
+        if not np.any(ok):
+            print(f"{title} {setting} {split}: all {ok.size} windows skipped")
+            continue
+        value = bl.rmse(preds[ok], dataset.batch(origins, history=1).y_target[ok])
+        rows.append(_result_row(args.method, label, setting, split, value))
+        skipped = f" (skipped {int(np.sum(~ok))}/{ok.size} windows)" if args.method == "arima" else ""
+        print(f"{title} {setting} {split}: rmse={value:.6f}{skipped}")
     if rows:
         training.append_results(args.out, rows)
     return EXIT_OK

@@ -49,14 +49,15 @@ def _parse_date(text, context):
 
 
 def read_text(path, what):
-    """The UTF-8 text of ``path``; a missing or unreadable file, or bytes
-    that are not UTF-8, raise ``DataError``.  ``what`` names the file in
-    the message."""
+    """The UTF-8 text of ``path``, without a leading byte-order mark (as
+    spreadsheet "CSV UTF-8" exports write); a missing or unreadable file,
+    or bytes that are not UTF-8, raise ``DataError``.  ``what`` names the
+    file in the message."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{what} not found: {path}")
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except OSError as exc:
@@ -287,18 +288,55 @@ class WindowedDataset:
         def integer(key):
             return container.require_int(meta, key, path)
 
+        matrix, origins, labels = array("matrix"), array("origins"), array("labels")
+        mins, maxs = array("scaler.mins"), array("scaler.maxs")
+        channel_names = list(container.require(meta, "channel_names", path, "meta key"))
+        lookback, horizon = integer("lookback"), integer("horizon")
+        main_channel = integer("main_channel")
+        # every window must lie inside the matrix: a bad archive fails here,
+        # not as an IndexError in ``batch``
+        if matrix.ndim != 2:
+            raise DataError(f"{path}: array 'matrix' must be 2-D, got shape {matrix.shape}")
+        rows, channels = matrix.shape
+        if origins.ndim != 1 or labels.shape != origins.shape:
+            raise DataError(
+                f"{path}: arrays 'origins' {origins.shape} and 'labels' {labels.shape} "
+                "must be 1-D and of equal length"
+            )
+        if not np.isin(labels, (0, 1, 2)).all():
+            raise DataError(f"{path}: array 'labels' holds a value outside {{0, 1, 2}}")
+        if lookback < 1 or horizon < 1:
+            raise DataError(f"{path}: lookback {lookback} and horizon {horizon} must be >= 1")
+        first, last = lookback - 1, rows - 1 - horizon
+        if not np.all((origins == np.floor(origins)) & (origins >= first) & (origins <= last)):
+            raise DataError(
+                f"{path}: array 'origins' holds a value that is not an integer in "
+                f"[{first}, {last}] (lookback {lookback}, horizon {horizon}, {rows} rows)"
+            )
+        for name, values in (("scaler.mins", mins), ("scaler.maxs", maxs)):
+            if values.shape != (channels,):
+                raise DataError(
+                    f"{path}: array {name!r} has shape {values.shape}, expected ({channels},)"
+                )
+        if len(channel_names) != channels:
+            raise DataError(
+                f"{path}: meta key 'channel_names' lists {len(channel_names)} names "
+                f"for {channels} columns"
+            )
+        if not 0 <= main_channel < channels:
+            raise DataError(f"{path}: meta key 'main_channel' {main_channel} is not a column")
         return cls(
-            matrix=array("matrix"),
+            matrix=matrix,
             calendar=list(container.require(meta, "calendar", path, "meta key")),
-            channel_names=list(container.require(meta, "channel_names", path, "meta key")),
-            lookback=integer("lookback"),
-            horizon=integer("horizon"),
+            channel_names=channel_names,
+            lookback=lookback,
+            horizon=horizon,
             stride=integer("stride"),
-            origins=array("origins").astype(np.int64),
-            labels=array("labels").astype(np.int64),
-            scaler=MinMaxScaler(array("scaler.mins"), array("scaler.maxs")),
+            origins=origins.astype(np.int64),
+            labels=labels.astype(np.int64),
+            scaler=MinMaxScaler(mins, maxs),
             fit_rows=integer("fit_rows"),
-            main_channel=integer("main_channel"),
+            main_channel=main_channel,
         )
 
 

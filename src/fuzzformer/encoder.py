@@ -1,7 +1,9 @@
 """Sequence encoder: stacked LSTM, attention, and the two latent heads.
 
 The LSTM stack turns the scaled input window into a feature sequence;
-dropout follows every LSTM layer in training mode.  The attention stack
+each layer is one graph node, :func:`lstm_scan`, whose forward and
+backward passes run in the fused kernel ``kernels.lstm``, and dropout
+follows every layer in training mode.  The attention stack
 (residual connections between blocks) contextualizes the sequence, which
 is then mean-pooled over time so the summary width is independent of the
 window length.  Two dense heads map the summary to the rule-activation
@@ -18,29 +20,6 @@ from . import autodiff as ad
 from .attention import MultiHeadAttention
 from .exceptions import ShapeError
 from .kernels import lstm as lstm_kernels
-
-
-def lstm_step(x, h, c, wx, wh, b):
-    """Single LSTM cell update on plain arrays (reference path for tests).
-
-    Gate order in the fused matrices is input, forget, candidate, output.
-    """
-    x, h, c = np.asarray(x, float), np.asarray(h, float), np.asarray(c, float)
-    dh = wh.shape[0]
-    if x.shape[-1] != wx.shape[0] or h.shape[-1] != dh or c.shape[-1] != dh:
-        raise ShapeError(
-            f"lstm_step: dimensions {x.shape}/{h.shape}/{c.shape} do not match "
-            f"weights {wx.shape}/{wh.shape}"
-        )
-    acts = x @ wx + h @ wh + b
-    with np.errstate(over="ignore"):
-        i = 1.0 / (1.0 + np.exp(-acts[..., :dh]))
-        f = 1.0 / (1.0 + np.exp(-acts[..., dh : 2 * dh]))
-        g = np.tanh(acts[..., 2 * dh : 3 * dh])
-        o = 1.0 / (1.0 + np.exp(-acts[..., 3 * dh :]))
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new
 
 
 def lstm_scan(x, wx, wh, b):

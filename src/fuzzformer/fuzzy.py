@@ -6,12 +6,13 @@ L with cov = L L^T + COV_EPS I, which stays positive definite under
 unconstrained gradient updates.  Rule activations are softmax-normalized
 negated squared Mahalanobis distances, so memberships always form a unit
 partition.  The Bhattacharyya distance between clusters feeds the
-overlap regularizer.
+overlap regularizer and the forecast bundle's ``clusters.csv``.
 
-Plain-array functions operate on :class:`GaussianCluster` objects (used
-by tests, export, and initialization); the ``*_graph`` functions build
-the same math on the differentiation graph from stacked parameter
-tensors (C, D) and (C, D, D).
+The ``*_graph`` functions build the maths on the differentiation graph
+from stacked parameter tensors (C, D) and (C, D, D); ``bhattacharyya``
+reads the bundle's distance matrix off the same graph function.
+:class:`GaussianCluster` and :func:`memberships` are a plain-array view
+of the rule bank that the benchmark checks the graph path against.
 """
 
 from dataclasses import dataclass
@@ -42,98 +43,28 @@ class GaussianCluster:
             )
 
     @property
-    def dim(self) -> int:
-        return self.center.shape[0]
-
-    @property
     def covariance(self) -> np.ndarray:
         L = np.tril(self.factor)
-        return L @ L.T + COV_EPS * np.eye(self.dim)
-
-    @classmethod
-    def from_covariance(cls, center, covariance):
-        """Factorize a target covariance (must exceed the COV_EPS floor)."""
-        covariance = np.asarray(covariance, dtype=np.float64)
-        d = covariance.shape[0]
-        try:
-            L = np.linalg.cholesky(covariance - COV_EPS * np.eye(d))
-        except np.linalg.LinAlgError as exc:
-            raise PositiveDefinitenessError(
-                f"covariance is not positive definite above the {COV_EPS} floor"
-            ) from exc
-        return cls(np.asarray(center, dtype=np.float64), L)
+        return L @ L.T + COV_EPS * np.eye(self.center.shape[0])
 
 
-def mahalanobis_sq(z, cluster: GaussianCluster) -> float:
-    """(z - mu)^T cov^-1 (z - mu), via solve against the Cholesky factor."""
-    z = np.asarray(z, dtype=np.float64)
-    diff = z - cluster.center
-    try:
-        chol = np.linalg.cholesky(cluster.covariance)
-    except np.linalg.LinAlgError as exc:
-        raise PositiveDefinitenessError("cluster covariance lost positive definiteness") from exc
-    w = np.linalg.solve(chol, diff)
-    return float(w @ w)
-
-
-def squared_distances(z, clusters) -> np.ndarray:
-    """Mahalanobis distances of latent rows to every cluster.
+def memberships(z, clusters) -> np.ndarray:
+    """Softmax of negated squared Mahalanobis distances; rows sum to one.
 
     z: (D,) or (S, D).  Returns (C,) or (S, C).
     """
     z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    zs = z[None, :] if single else z
     covs = np.stack([c.covariance for c in clusters])
     mus = np.stack([c.center for c in clusters])
-    diffs = zs[:, None, :] - mus[None, :, :]
+    diffs = z[..., None, :] - mus
     try:
         sol = np.linalg.solve(covs, diffs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise PositiveDefinitenessError("cluster covariance lost positive definiteness") from exc
-    d2 = np.sum(diffs * sol, axis=-1)
-    return d2[0] if single else d2
-
-
-def memberships(z, clusters) -> np.ndarray:
-    """Softmax of negated squared distances; rows sum to one."""
-    d2 = squared_distances(z, clusters)
-    neg = -d2
+    neg = -np.sum(diffs * sol, axis=-1)
     shifted = neg - np.max(neg, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def hardmax_rule(z, clusters) -> int:
-    """Index of the most activated rule; lowest index wins ties."""
-    d2 = squared_distances(z, clusters)
-    if d2.ndim != 1:
-        raise ShapeError("hardmax_rule expects a single latent vector")
-    return int(np.argmin(d2))
-
-
-def bhattacharyya(a: GaussianCluster, b: GaussianCluster) -> float:
-    """Bhattacharyya distance between two Gaussian clusters.
-
-    1/8 (mu_a - mu_b)^T pooled^-1 (mu_a - mu_b)
-      + 1/2 ln(det pooled / sqrt(det cov_a det cov_b)),
-    pooled = (cov_a + cov_b) / 2.  Symmetric, zero iff parameters coincide.
-    """
-    ca, cb = a.covariance, b.covariance
-    pooled = 0.5 * (ca + cb)
-    dmu = a.center - b.center
-    try:
-        sol = np.linalg.solve(pooled, dmu)
-    except np.linalg.LinAlgError as exc:
-        raise PositiveDefinitenessError("pooled covariance is singular") from exc
-    term1 = 0.125 * float(dmu @ sol)
-    sign_p, ld_p = np.linalg.slogdet(pooled)
-    sign_a, ld_a = np.linalg.slogdet(ca)
-    sign_b, ld_b = np.linalg.slogdet(cb)
-    if min(sign_p, sign_a, sign_b) <= 0:
-        raise PositiveDefinitenessError("covariance determinant not positive")
-    term2 = 0.5 * (ld_p - 0.5 * (ld_a + ld_b))
-    return term1 + term2
 
 
 def isotropic_factors(n_rules, dim):
@@ -177,7 +108,7 @@ def memberships_graph(z, centers, covariances):
     """Memberships of a latent batch against every rule.
 
     z: (B, D); centers: (C, D); covariances: (C, D, D).
-    Returns (psi (B, C), d2 (B, C), diffs (B, C, D)).
+    Returns (psi (B, C), diffs (B, C, D)).
     """
     b = z.data.shape[0]
     c, d = centers.data.shape
@@ -185,7 +116,7 @@ def memberships_graph(z, centers, covariances):
     sol = ad.solve_vec(covariances, diffs)
     d2 = ad.tsum(ad.mul(diffs, sol), axis=-1)
     psi = ad.softmax(ad.neg(d2), axis=-1)
-    return psi, d2, diffs
+    return psi, diffs
 
 
 def bhattacharyya_pairs_graph(centers, covariances, idx_m, idx_n):
@@ -199,3 +130,20 @@ def bhattacharyya_pairs_graph(centers, covariances, idx_m, idx_n):
     ld = ad.logdet(covariances)
     term2 = ad.mul(ad.sub(ad.logdet(pooled), ad.mul(ad.add(ld[idx_m], ld[idx_n]), 0.5)), 0.5)
     return ad.add(term1, term2)
+
+
+def bhattacharyya(centers, covariances) -> np.ndarray:
+    """Symmetric (C, C) array of pairwise Bhattacharyya distances.
+
+    Evaluates each unordered pair once through
+    :func:`bhattacharyya_pairs_graph` without recording a graph, mirrors
+    it and leaves the diagonal at zero.
+    """
+    c = ad.astensor(centers).data.shape[0]
+    distance = np.zeros((c, c))
+    if c > 1:
+        idx_m, idx_n = np.triu_indices(c, k=1)
+        with ad.no_grad():
+            pairs = bhattacharyya_pairs_graph(centers, covariances, idx_m, idx_n).data
+        distance[idx_m, idx_n] = distance[idx_n, idx_m] = pairs
+    return distance

@@ -3,8 +3,8 @@ hand-derived backward pass.
 
 This is the hottest loop in training and serving.  Arrays are time-major
 ``(N, B, ...)`` C-contiguous float64; gate order inside the fused weight
-matrices is input, forget, candidate, output (i, f, g, o), as in
-``encoder.lstm_step`` and the checkpoints.
+matrices is input, forget, candidate, output (i, f, g, o), as in the
+checkpoints and the single-step oracle ``tests/lstm_oracle.py``.
 
 Forward.  The input-side contribution and the bias are hoisted into one
 GEMM before the time loop (``ax = x @ wx + b``), so each step runs only

@@ -115,8 +115,8 @@ class FuzzformerModel:
     def fuzzy_head(self, z_latent):
         """Graph memberships of a latent batch against the rule bank."""
         cov = fuzzy.covariances_graph(self.factors)
-        psi, d2, diffs = fuzzy.memberships_graph(z_latent, self.centers, cov)
-        return cov, psi, d2, diffs
+        psi, diffs = fuzzy.memberships_graph(z_latent, self.centers, cov)
+        return cov, psi, diffs
 
     def bhattacharyya_pairs(self, cov):
         if self._pair_m.size == 0:
@@ -127,7 +127,7 @@ class FuzzformerModel:
     def training_forward(self, x, y_history, rng=None) -> TrainingForward:
         y_history = self._check_history(y_history)
         enc = self.encode(x, training=True, rng=rng)
-        cov, psi, _d2, diffs = self.fuzzy_head(enc.z_latent)
+        cov, psi, diffs = self.fuzzy_head(enc.z_latent)
         winners = np.argmax(psi.data, axis=1)
         a_sel = self.arix_a[winners]
         b_sel = self.arix_b[winners]
@@ -147,7 +147,7 @@ class FuzzformerModel:
     def evaluation_forward(self, x, y_history) -> EvaluationForward:
         y_history = self._check_history(y_history)
         enc = self.encode(x, training=False)
-        _cov, psi, _d2, _diffs = self.fuzzy_head(enc.z_latent)
+        _cov, psi, _diffs = self.fuzzy_head(enc.z_latent)
         rule_preds = arix_mod.all_rules_forecast_graph(
             y_history, enc.u_latent, self.arix_a, self.arix_b,
             self.config.integration_order, self.config.horizon,

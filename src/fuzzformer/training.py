@@ -18,14 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from . import svgplot
+from . import fuzzy, svgplot
 from .autodiff import Adam
 from .baselines import rmse
 from .checkpoint import save_checkpoint
 from .config import RunConfig
 from .data import SPLIT_NAMES, WindowedDataset, read_text
 from .exceptions import ConfigError, DataError, NumericError
-from .fuzzy import bhattacharyya
+from .fuzzy import bhattacharyya  # by this name, so a profiler can patch the bundle's call
 from .losses import composite_loss
 from .model import FuzzformerModel
 
@@ -257,6 +257,8 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
     y_hist = scaled[None, -hist:, 0]
     with ad.no_grad():
         ev = model.evaluation_forward(x, y_hist)
+        cov = fuzzy.covariances_graph(model.factors)
+        distance = bhattacharyya(model.centers, cov)
     agg_scaled = ev.aggregate_forecast.data[0]
     agg = scaler.inverse(agg_scaled, channel=0)
     psi = ev.memberships.data[0]
@@ -281,12 +283,6 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
             for j, v in enumerate(row)
         )
 
-    clusters = model.clusters()
-    # the distance is exactly symmetric: compute each pair once, mirror it
-    distance = np.zeros((cfg.rules, cfg.rules))
-    for i in range(cfg.rules):
-        for j in range(i + 1, cfg.rules):
-            distance[i, j] = distance[j, i] = bhattacharyya(clusters[i], clusters[j])
     paths["clusters"] = out_dir / "clusters.csv"
     with open(paths["clusters"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -298,8 +294,10 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
             + [f"bhattacharyya_{i}" for i in range(cfg.rules)]
         )
         writer.writerow(head)
-        for i, cl in enumerate(clusters):
-            values = cl.center.tolist() + cl.covariance.ravel().tolist() + distance[i].tolist()
+        table = np.concatenate(
+            [model.centers.data, cov.data.reshape(cfg.rules, -1), distance], axis=1
+        )
+        for i, values in enumerate(table.tolist()):
             writer.writerow([i] + [f"{v:.10g}" for v in values])
 
     # one row template for every head: "{head}" takes "layer,head," and

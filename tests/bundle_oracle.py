@@ -2,7 +2,8 @@
 
 The bundle's CSV writers as plain per-cell loops (one ``csv.writer``
 row per cell, numpy scalars formatted one at a time, the Bhattacharyya
-matrix computed for both orders of every pair), kept as an independent
+matrix computed for both orders of every pair by the per-cluster oracle
+in ``fuzzy_oracle``), kept as an independent
 check on ``fuzzformer.training.forecast_bundle``, which writes the same
 bytes in bulk.  ``write_bundle_csvs`` runs the same forward pass as the
 bundle and writes its four CSV files into ``out_dir``.
@@ -12,7 +13,8 @@ import csv
 from pathlib import Path
 
 from fuzzformer import autodiff as ad
-from fuzzformer.fuzzy import bhattacharyya
+
+from fuzzy_oracle import bhattacharyya
 
 CSV_NAMES = ("forecast.csv", "rule_forecasts.csv", "clusters.csv", "attention_weights.csv")
 

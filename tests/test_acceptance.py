@@ -36,6 +36,7 @@ from fuzzformer.model import FuzzformerModel
 from fuzzformer.training import evaluate_split, train
 
 from arix_oracle import random_stable_system, zero_state_forecast
+from fuzzy_oracle import from_covariance
 from gradcheck import check_gradients
 from test_baselines import simulate_arma
 
@@ -129,9 +130,7 @@ class TestCriterion2UnitPartition:
         for _ in range(n_rules):
             m = rng.normal(size=(3, 3))
             clusters.append(
-                fuzzy.GaussianCluster.from_covariance(
-                    rng.normal(scale=2.0, size=3), m @ m.T + 0.2 * np.eye(3)
-                )
+                from_covariance(rng.normal(scale=2.0, size=3), m @ m.T + 0.2 * np.eye(3))
             )
         z = rng.normal(scale=3.0, size=(10_000, 3))
         psi = fuzzy.memberships(z, clusters)
@@ -146,26 +145,27 @@ class TestCriterion2UnitPartition:
 
 
 class TestCriterion3Bhattacharyya:
+    @staticmethod
+    def _stacked(*clusters):
+        centers = Tensor(np.stack([c.center for c in clusters]))
+        return centers, fuzzy.covariances_graph(Tensor(np.stack([c.factor for c in clusters])))
+
     def test_unit_values_and_symmetry(self):
-        same = fuzzy.GaussianCluster.from_covariance([0.4, -1.0], np.eye(2) * 1.3)
-        zero = fuzzy.bhattacharyya(same, same)
-        a = fuzzy.GaussianCluster.from_covariance([0.0], [[1.0]])
-        b = fuzzy.GaussianCluster.from_covariance([1.0], [[1.0]])
-        unit = fuzzy.bhattacharyya(a, b)
+        same = from_covariance([0.4, -1.0], np.eye(2) * 1.3)
+        zero = fuzzy.bhattacharyya(*self._stacked(same, same))[0, 1]
+        a = from_covariance([0.0], [[1.0]])
+        b = from_covariance([1.0], [[1.0]])
+        unit = fuzzy.bhattacharyya(*self._stacked(a, b))[0, 1]
         rng = np.random.default_rng(4)
         max_asym = 0.0
+        both_orders = (np.array([0, 1]), np.array([1, 0]))
         for _ in range(1000):
             m1 = rng.normal(size=(2, 2))
             m2 = rng.normal(size=(2, 2))
-            c1 = fuzzy.GaussianCluster.from_covariance(
-                rng.normal(size=2), m1 @ m1.T + 0.3 * np.eye(2)
-            )
-            c2 = fuzzy.GaussianCluster.from_covariance(
-                rng.normal(size=2), m2 @ m2.T + 0.3 * np.eye(2)
-            )
-            max_asym = max(
-                max_asym, abs(fuzzy.bhattacharyya(c1, c2) - fuzzy.bhattacharyya(c2, c1))
-            )
+            c1 = from_covariance(rng.normal(size=2), m1 @ m1.T + 0.3 * np.eye(2))
+            c2 = from_covariance(rng.normal(size=2), m2 @ m2.T + 0.3 * np.eye(2))
+            d12, d21 = fuzzy.bhattacharyya_pairs_graph(*self._stacked(c1, c2), *both_orders).data
+            max_asym = max(max_asym, abs(d12 - d21))
         ok = zero == 0.0 and abs(unit - 0.125) <= 1e-9 and max_asym <= 1e-9
         report(
             3,
@@ -233,7 +233,7 @@ class TestCriterion6LossUnitValues:
         z = Tensor(np.tile(mu, (4, 1)))
         c_t = Tensor(mu)
         f_t = Tensor(np.tile(0.5 * np.eye(2), (1, 1, 1)))
-        psi_g, _, diffs = fuzzy.memberships_graph(z, c_t, fuzzy.covariances_graph(f_t))
+        psi_g, diffs = fuzzy.memberships_graph(z, c_t, fuzzy.covariances_graph(f_t))
         fcm0 = fcm_loss(psi_g, diffs).item()
         ok = (
             abs(bal - np.log(2.0)) <= 1e-12

@@ -323,6 +323,14 @@ class TestLstmBaseline:
         pers_rmse = rmse(pers, batch.y_target)
         assert lstm_rmse < pers_rmse
 
+    def test_empty_train_split_raises_data_error(self):
+        # 100 rows with lookback 90 and horizon 5: every origin is past
+        # the 80-row training range
+        ds = prepare_dataset(make_synthetic(100), lookback=90, horizon=5)
+        assert ds.origins_for("train").size == 0
+        with pytest.raises(DataError, match="dataset has no training samples"):
+            train_lstm_baseline(ds, hidden=4, layers=1, epochs=1)
+
     def test_zero_epochs_still_forecasts(self):
         ds = sinusoid_dataset(n=200, lookback=40, horizon=10)
         model = train_lstm_baseline(ds, hidden=4, layers=1, epochs=0, seed=1)

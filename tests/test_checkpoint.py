@@ -181,13 +181,25 @@ class TestCheckpoint:
             (lambda meta, arrays: meta.pop("config"), DataError, "missing meta key 'config'"),
             (lambda meta, arrays: arrays.pop("scaler.maxs"), DataError, "missing array 'scaler.maxs'"),
             (lambda meta, arrays: arrays.pop("scaler.mins"), DataError, "missing array 'scaler.mins'"),
+            (
+                lambda meta, arrays: arrays.update({"scaler.mins": np.zeros(1)}),
+                DataError, r"'scaler.mins' has shape \(1,\), expected \(2,\)",
+            ),
+            (
+                lambda meta, arrays: arrays.update({"scaler.maxs": np.ones(3)}),
+                DataError, r"'scaler.maxs' has shape \(3,\), expected \(2,\)",
+            ),
             (lambda meta, arrays: meta["config"].update(rules="2"), ConfigError, "rules must be int"),
             (lambda meta, arrays: meta.update(config=[2]), ConfigError, "JSON object"),
+            (
+                lambda meta, arrays: meta.update(channel_names=["a", "b", "c"]),
+                DataError, "'channel_names' must list the 2 configured channels",
+            ),
         ],
     )
     def test_incomplete_archive_raises_typed_error(self, tmp_path, edit, error, message):
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, tiny_model(seed=5), scaler=MinMaxScaler(np.zeros(3), np.ones(3)))
+        save_checkpoint(path, tiny_model(seed=5), scaler=MinMaxScaler(np.zeros(2), np.ones(2)))
         meta, arrays = container.read_archive(path)
         edit(meta, arrays)
         container.write_archive(path, meta, list(arrays.items()))

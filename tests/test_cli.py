@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from fuzzformer import baselines as bl
 from fuzzformer.checkpoint import load_checkpoint, save_checkpoint
 from fuzzformer.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from fuzzformer.data import make_synthetic
+from fuzzformer.data import WindowedDataset, make_synthetic
 
 
 TRAIN_FLAGS = [
@@ -33,6 +34,47 @@ def workspace(tmp_path_factory):
     ])
     assert code == EXIT_OK
     return root
+
+
+def expected_baseline_output(ds, method, extra):
+    """The stdout lines and results-CSV rows of ``baseline --method``, split by split."""
+    flags = dict(zip(extra[::2], extra[1::2]))
+    setting = "12/4"
+    if method == "arima":
+        order = bl.ArimaOrder(*(int(flags[f"--{k}"]) for k in "pdq"))
+        label = f"p={order.p},d={order.d},q={order.q}"
+    elif method == "lstm":
+        label = f"hidden={flags['--hidden']},layers={flags['--layers']}"
+        model = bl.train_lstm_baseline(
+            ds, hidden=int(flags["--hidden"]), layers=int(flags["--layers"]),
+            epochs=int(flags["--epochs"]), seed=int(flags["--seed"]),
+        )
+    lines, rows = [], []
+    for split in ("train", "valid", "test"):
+        origins = ds.origins_for(split)
+        target = ds.batch(origins, history=1).y_target
+        windows = ds.window_main(origins)
+        if method == "persistence":
+            preds = np.stack([bl.persistence_forecast(w, ds.horizon) for w in windows])
+            value = bl.rmse(preds, target)
+            lines.append(f"persistence {setting} {split}: rmse={value:.6f}")
+            rows.append(f"persistence,,{setting},{split},{value:.6f}")
+        elif method == "arima":
+            preds, ok = bl.evaluate_arima_windows(windows, order, ds.horizon)
+            if not ok.any():
+                lines.append(f"arima({label}) {setting} {split}: all {ok.size} windows skipped")
+                continue
+            value = bl.rmse(preds[ok], target[ok])
+            lines.append(
+                f"arima({label}) {setting} {split}: rmse={value:.6f} "
+                f"(skipped {int(np.sum(~ok))}/{ok.size} windows)"
+            )
+            rows.append(f'arima,"{label}",{setting},{split},{value:.6f}')
+        else:
+            value = bl.rmse(bl.lstm_baseline_forecasts(model, ds, split), target)
+            lines.append(f"lstm({label}) {setting} {split}: rmse={value:.6f}")
+            rows.append(f'lstm,"{label}",{setting},{split},{value:.6f}')
+    return lines, rows
 
 
 class TestPrepare:
@@ -156,6 +198,43 @@ class TestEvaluateAndBaseline:
             assert code == EXIT_OK
         rows = list(csv.DictReader(open(out)))
         assert {r["method"] for r in rows} >= {"persistence", "arima", "lstm"}
+
+    @pytest.mark.parametrize(
+        "method, extra",
+        [
+            ("persistence", []),
+            ("arima", ["--p", "2", "--d", "1", "--q", "1"]),
+            ("arima", ["--p", "11", "--d", "1", "--q", "1"]),  # 12-value windows: all too short
+            ("lstm", ["--hidden", "4", "--layers", "1", "--epochs", "1", "--seed", "3"]),
+        ],
+        ids=["persistence", "arima", "arima-all-skipped", "lstm"],
+    )
+    def test_baseline_stdout_and_appended_bytes(self, workspace, tmp_path, capsys, method, extra):
+        path = workspace / "data" / "dataset.bin"
+        out = tmp_path / "results.csv"
+        head = b"method,config,setting,split,rmse\r\nseed,,12/4,train,1.000000\r\n"
+        out.write_bytes(head)
+        capsys.readouterr()
+        code = main(["baseline", "--dataset", str(path), "--method", method, "--out", str(out), *extra])
+        assert code == EXIT_OK
+        lines, rows = expected_baseline_output(WindowedDataset.load(path), method, extra)
+        assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines)
+        assert out.read_bytes() == head + "".join(f"{row}\r\n" for row in rows).encode()
+
+    def test_lstm_without_training_samples_is_data_error(self, tmp_path, capsys):
+        code = main([
+            "prepare", "--synthetic", "100", "--lookback", "90", "--horizon", "5",
+            "--out", str(tmp_path / "data"),
+        ])
+        assert code == EXIT_OK
+        code = main([
+            "baseline", "--dataset", str(tmp_path / "data" / "dataset.bin"),
+            "--method", "lstm", "--out", str(tmp_path / "results.csv"),
+            "--hidden", "4", "--layers", "1", "--epochs", "1",
+        ])
+        assert code == EXIT_DATA
+        assert "dataset has no training samples" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
 
     def test_lstm_negative_seed_is_usage_error(self, workspace, tmp_path, capsys):
         code = main([

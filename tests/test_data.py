@@ -75,6 +75,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="cannot read"):
             load_csv(tmp_path)
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"\xef\xbb\xbfdate,value\n2020-01-01,1.5\n2020-01-02,2.5\n")
+        s = load_csv(p)
+        assert s.dates == ["2020-01-01", "2020-01-02"]
+        np.testing.assert_allclose(s.values, [1.5, 2.5])
+
     @settings(max_examples=300, deadline=None)
     @given(
         prefix=st.sampled_from([b"", b"date,value\n", b"date,value\n2020-01-01,1\n"]),
@@ -301,6 +309,21 @@ class TestMakeWindows:
             (lambda meta, arrays: meta.update(horizon="30"), "'horizon' must be an integer"),
             (lambda meta, arrays: meta.update(stride=True), "'stride' must be an integer"),
             (lambda meta, arrays: meta.update(fit_rows=None), "'fit_rows' must be an integer"),
+            # the 300-row, 2-channel archive (lookback 60, horizon 30) has
+            # its origins in [59, 269]
+            (lambda meta, arrays: arrays["origins"].__setitem__(-1, 300.0), r"'origins' .*\[59, 269\]"),
+            (lambda meta, arrays: arrays["origins"].__setitem__(0, 58.0), r"'origins' .*\[59, 269\]"),
+            (lambda meta, arrays: arrays["origins"].__setitem__(0, 100.5), "'origins' .* not an integer"),
+            (lambda meta, arrays: meta.update(lookback=400), r"'origins' .*\[399, 269\]"),
+            (lambda meta, arrays: meta.update(horizon=0), "horizon 0 must be >= 1"),
+            (lambda meta, arrays: arrays.update(labels=arrays["labels"][:-1]), "equal length"),
+            (lambda meta, arrays: arrays.update(origins=arrays["origins"][None]), "must be 1-D"),
+            (lambda meta, arrays: arrays["labels"].__setitem__(0, 7.0), r"'labels' .*\{0, 1, 2\}"),
+            (lambda meta, arrays: arrays.update(matrix=arrays["matrix"][:, 0]), "'matrix' must be 2-D"),
+            (lambda meta, arrays: arrays.update({"scaler.mins": np.zeros(1)}), r"'scaler.mins' .*\(2,\)"),
+            (lambda meta, arrays: arrays.update({"scaler.maxs": np.ones((2, 1))}), r"'scaler.maxs' .*\(2,\)"),
+            (lambda meta, arrays: meta.update(channel_names=["m"]), "'channel_names' lists 1 names for 2"),
+            (lambda meta, arrays: meta.update(main_channel=2), "'main_channel' 2 is not a column"),
         ],
     )
     def test_incomplete_archive_raises_data_error(self, tmp_path, edit, message):

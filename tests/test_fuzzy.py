@@ -8,19 +8,26 @@ from fuzzformer import autodiff as ad
 from fuzzformer import fuzzy
 from fuzzformer.autodiff import Tensor, parameter
 from fuzzformer.exceptions import PositiveDefinitenessError
-from fuzzformer.fuzzy import (
-    GaussianCluster,
-    bhattacharyya,
-    hardmax_rule,
-    mahalanobis_sq,
-    memberships,
-)
+from fuzzformer.fuzzy import GaussianCluster, memberships
 
+from fuzzy_oracle import bhattacharyya, from_covariance, hardmax_rule, mahalanobis_sq
 from gradcheck import check_gradients
 
 
 def cluster(center, cov):
-    return GaussianCluster.from_covariance(np.asarray(center, float), np.asarray(cov, float))
+    return from_covariance(np.asarray(center, float), np.asarray(cov, float))
+
+
+def stacked(*clusters):
+    """(centers, covariances) tensors of a rule bank, as the model builds them."""
+    centers = Tensor(np.stack([c.center for c in clusters]))
+    return centers, fuzzy.covariances_graph(Tensor(np.stack([c.factor for c in clusters])))
+
+
+def both_orders(a, b):
+    """The graph distance of the pair (a, b) and of the pair (b, a)."""
+    pairs = fuzzy.bhattacharyya_pairs_graph(*stacked(a, b), np.array([0, 1]), np.array([1, 0]))
+    return tuple(pairs.data)
 
 
 def random_cluster(rng, dim=2, spread=2.0):
@@ -120,18 +127,18 @@ class TestBhattacharyya:
     def test_identical_clusters_zero(self):
         rng = np.random.default_rng(4)
         c = random_cluster(rng)
-        assert bhattacharyya(c, c) == 0.0
+        assert fuzzy.bhattacharyya(*stacked(c, c))[0, 1] == 0.0
 
     def test_unit_variance_centers_one_apart(self):
         a = cluster([0.0], [[1.0]])
         b = cluster([1.0], [[1.0]])
-        assert bhattacharyya(a, b) == pytest.approx(0.125, abs=1e-9)
+        assert fuzzy.bhattacharyya(*stacked(a, b))[0, 1] == pytest.approx(0.125, abs=1e-9)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            a, b = random_cluster(rng), random_cluster(rng)
-            assert bhattacharyya(a, b) == pytest.approx(bhattacharyya(b, a), abs=1e-12)
+            ab, ba = both_orders(random_cluster(rng), random_cluster(rng))
+            assert ab == pytest.approx(ba, abs=1e-12)
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -147,13 +154,13 @@ class TestBhattacharyya:
             GaussianCluster(rng.normal(scale=spread, size=dim), rng.normal(scale=scale, size=(dim, dim)))
             for _ in range(2)
         )
-        assert bhattacharyya(a, b) == bhattacharyya(b, a)
+        ab, ba = both_orders(a, b)
+        assert ab == ba
 
     def test_non_negative_and_zero_only_when_equal(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            a, b = random_cluster(rng), random_cluster(rng)
-            d = bhattacharyya(a, b)
+            d = fuzzy.bhattacharyya(*stacked(random_cluster(rng), random_cluster(rng)))[0, 1]
             assert d >= 0.0
             assert d > 1e-8  # distinct random clusters practically never coincide
 
@@ -163,7 +170,7 @@ class TestFactorParameterization:
         rng = np.random.default_rng(7)
         m = rng.normal(size=(3, 3))
         cov = m @ m.T + 0.5 * np.eye(3)
-        c = GaussianCluster.from_covariance(np.zeros(3), cov)
+        c = from_covariance(np.zeros(3), cov)
         np.testing.assert_allclose(c.covariance, cov, atol=1e-10)
 
     def test_eps_floor_keeps_positive_definite(self):
@@ -173,7 +180,7 @@ class TestFactorParameterization:
 
     def test_from_covariance_rejects_non_pd(self):
         with pytest.raises(PositiveDefinitenessError):
-            GaussianCluster.from_covariance(np.zeros(2), np.diag([1.0, -0.5]))
+            from_covariance(np.zeros(2), np.diag([1.0, -0.5]))
 
 
 class TestGraphPathAgreement:
@@ -187,10 +194,13 @@ class TestGraphPathAgreement:
         centers, factors = self._params(rng)
         cov = fuzzy.covariances_graph(factors)
         z = rng.normal(size=(10, 2))
-        psi, d2, _ = fuzzy.memberships_graph(Tensor(z), centers, cov)
+        psi, diffs = fuzzy.memberships_graph(Tensor(z), centers, cov)
         clusters = fuzzy.clusters_from_params(centers.data, factors.data)
         np.testing.assert_allclose(psi.data, memberships(z, clusters), atol=1e-10)
-        np.testing.assert_allclose(d2.data, fuzzy.squared_distances(z, clusters), atol=1e-10)
+        d2 = np.array([[mahalanobis_sq(row, c) for c in clusters] for row in z])
+        e = np.exp(d2.min(axis=1, keepdims=True) - d2)
+        np.testing.assert_allclose(psi.data, e / e.sum(axis=1, keepdims=True), atol=1e-10)
+        np.testing.assert_array_equal(diffs.data, z[:, None, :] - centers.data)
 
     def test_bhattacharyya_graph_matches_plain(self):
         rng = np.random.default_rng(9)
@@ -202,6 +212,20 @@ class TestGraphPathAgreement:
         expected = [bhattacharyya(clusters[m], clusters[n]) for m, n in zip(idx_m, idx_n)]
         np.testing.assert_allclose(pairs.data, expected, atol=1e-10)
 
+    @pytest.mark.parametrize("n_rules", [1, 2, 5])
+    def test_bhattacharyya_matrix_matches_plain(self, n_rules):
+        rng = np.random.default_rng(13)
+        centers, factors = self._params(rng, n_rules=n_rules)
+        distance = fuzzy.bhattacharyya(centers, fuzzy.covariances_graph(factors))
+        clusters = fuzzy.clusters_from_params(centers.data, factors.data)
+        expected = [
+            [0.0 if m == n else bhattacharyya(clusters[m], clusters[n]) for n in range(n_rules)]
+            for m in range(n_rules)
+        ]
+        np.testing.assert_allclose(distance, expected, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(distance, distance.T)
+        np.testing.assert_array_equal(np.diag(distance), 0.0)
+
     def test_membership_gradients(self):
         rng = np.random.default_rng(10)
         centers, factors = self._params(rng, n_rules=3)
@@ -210,7 +234,7 @@ class TestGraphPathAgreement:
 
         def build():
             cov = fuzzy.covariances_graph(factors)
-            psi, _, _ = fuzzy.memberships_graph(Tensor(z), centers, cov)
+            psi, _ = fuzzy.memberships_graph(Tensor(z), centers, cov)
             return ad.tsum(ad.mul(psi, mixer))
 
         check_gradients(build, [centers, factors])

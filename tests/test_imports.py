@@ -1,10 +1,19 @@
 """Every import in src/fuzzformer/, tests/ and perfbench/ is used in the
-module that makes it.
+module that makes it, and src/fuzzformer/ holds no code that only the
+tests use.
 
 No linter ships with the project, so this walks each module's syntax tree
-with the standard library: a name bound by ``import``/``from ... import``
-must be read somewhere in the same module (``__future__`` imports are
-compiler directives and are skipped).
+with the standard library:
+
+* a name bound by ``import``/``from ... import`` must be read somewhere in
+  the same module (``__future__`` imports are compiler directives and are
+  skipped);
+* every top-level function and class, and every non-dunder method,
+  defined under src/fuzzformer/ must be named somewhere in src/ or
+  perfbench/: as a bare name, an attribute, an imported name or, in
+  perfbench/ (whose tracer patches by attribute name), a string.  Test-only
+  references go into tests/ oracles instead.  The check matches names, not
+  bindings, so it can miss a dead method that shares a name with a used one.
 """
 
 import ast
@@ -20,6 +29,12 @@ DIRS = {
     ROOT / "perfbench": "run.py",
 }
 MODULES = sorted(path for directory in DIRS for path in directory.rglob("*.py"))
+SRC = ROOT / "src" / "fuzzformer"
+# definitions that nothing in src/ or perfbench/ names, each with its reason
+UNREFERENCED_OK = {
+    ("cli.py", "_Parser.error"): "argparse calls it on a usage error",
+    ("autodiff.py", "sigmoid"): "a graph primitive whose gradient acceptance criterion 1 checks",
+}
 
 
 def unused_imports(source: str):
@@ -33,6 +48,51 @@ def unused_imports(source: str):
             imported += [(node.lineno, a.asname or a.name) for a in node.names]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [(line, name) for line, name in imported if name not in read]
+
+
+def definitions(source: str):
+    """Top-level function and class names and ``Class.method`` names
+    (dunder methods excluded) that a module defines."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, defs):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [
+                f"{node.name}.{sub.name}"
+                for sub in node.body
+                if isinstance(sub, defs[:2]) and not sub.name.startswith("__")
+            ]
+    return names
+
+
+def references(source: str, strings: bool):
+    """Every name a module reads, as a bare name, an attribute or an
+    imported name, plus identifier-like string constants when ``strings``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def unreferenced(modules, readers):
+    """(module, name) of each definition in ``modules`` ({module: source})
+    that no reader in ``readers`` ([(source, strings)]) names."""
+    read = set().union(*(references(source, strings) for source, strings in readers))
+    return [
+        (module, name)
+        for module, source in modules.items()
+        for name in definitions(source)
+        if name.split(".")[-1] not in read
+    ]
 
 
 @pytest.mark.parametrize("directory", DIRS, ids=lambda d: str(d.relative_to(ROOT)))
@@ -52,3 +112,36 @@ def test_checker_flags_an_unused_import():
         "x = np.zeros(1)\n@dataclass\nclass A:\n    pass\n"
     )
     assert unused_imports(source) == [(2, "os"), (4, "field")]
+
+
+def test_src_holds_no_test_only_code():
+    sources = {path: path.read_text(encoding="utf-8") for path in MODULES}
+    modules = {p.relative_to(SRC).as_posix(): text for p, text in sources.items() if SRC in p.parents}
+    readers = [
+        (text, False) if SRC in p.parents else (text, True)
+        for p, text in sources.items()
+        if SRC in p.parents or ROOT / "perfbench" in p.parents
+    ]
+    assert set(unreferenced(modules, readers)) - set(UNREFERENCED_OK) == set()
+    defined = {(module, name) for module, source in modules.items() for name in definitions(source)}
+    assert set(UNREFERENCED_OK) <= defined  # no stale entries
+
+
+def test_checker_flags_a_function_only_tests_use():
+    module = (
+        "import numpy as np\n"
+        "def used():\n    return helper()\n"
+        "def helper():\n    return 1\n"
+        "def only_tested():\n    return used()\n"
+        "class Box:\n    def __init__(self):\n        self.n = 0\n"
+        "    def grow(self):\n        self.n += 1\n    def peek(self):\n        return self.n\n"
+    )
+    caller = "from pkg.mod import used, Box\nBox().grow()\nused()\n"
+    bench = "patch(mod, 'peek')\n"
+    flagged = unreferenced({"mod.py": module}, [(module, False), (caller, False)])
+    assert flagged == [("mod.py", "only_tested"), ("mod.py", "Box.peek")]
+    # the benchmark's string names count, the modules' own strings do not
+    assert unreferenced({"mod.py": module}, [(module, False), (caller, False), (bench, True)]) == [
+        ("mod.py", "only_tested")
+    ]
+    assert unreferenced({"mod.py": module}, [(module, False), (caller, False), (bench, False)]) == flagged

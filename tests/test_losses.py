@@ -9,6 +9,7 @@ from fuzzformer.autodiff import Tensor, parameter
 from fuzzformer.exceptions import ConfigError, ShapeError
 from fuzzformer.losses import LossWeights, balance_loss, fcm_loss, mse_loss, overlap_loss
 
+from fuzzy_oracle import from_covariance
 from gradcheck import check_gradients
 
 
@@ -51,19 +52,19 @@ class TestFcmLoss:
     def test_collapsed_data_is_zero(self):
         mu = np.array([[0.5, -0.5]])
         z = np.tile(mu, (6, 1))
-        psi, _, diffs = _membership_pieces(z, mu, _iso_factors(1, 2))
+        psi, diffs = _membership_pieces(z, mu, _iso_factors(1, 2))
         assert fcm_loss(psi, diffs).item() == pytest.approx(0.0, abs=1e-15)
 
     def test_single_cluster_distance_two(self):
         mu = np.array([[0.0, 0.0]])
         z = np.array([[2.0, 0.0]])
-        psi, _, diffs = _membership_pieces(z, mu, _iso_factors(1, 2))
+        psi, diffs = _membership_pieces(z, mu, _iso_factors(1, 2))
         assert fcm_loss(psi, diffs).item() == pytest.approx(4.0, rel=1e-12)
 
     def test_symmetric_midpoint(self):
         mu = np.array([[-1.0, 0.0], [1.0, 0.0]])
         z = np.array([[0.0, 0.0]])
-        psi, _, diffs = _membership_pieces(z, mu, _iso_factors(2, 2))
+        psi, diffs = _membership_pieces(z, mu, _iso_factors(2, 2))
         # both weights 0.5, both distances r^2=1 -> loss = r^2
         assert fcm_loss(psi, diffs).item() == pytest.approx(1.0, rel=1e-12)
 
@@ -78,15 +79,15 @@ class TestOverlapLoss:
         return fuzzy.bhattacharyya_pairs_graph(centers, cov, idx_m, idx_n)
 
     def test_two_unit_clusters(self):
-        a = fuzzy.GaussianCluster.from_covariance([0.0], [[1.0]])
-        b = fuzzy.GaussianCluster.from_covariance([1.0], [[1.0]])
+        a = from_covariance([0.0], [[1.0]])
+        b = from_covariance([1.0], [[1.0]])
         loss = overlap_loss(self._pairs([a, b]))
         assert loss.item() == pytest.approx(16.0, abs=1e-9)
 
     def test_separation_decreases_loss(self):
-        a = fuzzy.GaussianCluster.from_covariance([0.0], [[1.0]])
-        near = fuzzy.GaussianCluster.from_covariance([1.0], [[1.0]])
-        far = fuzzy.GaussianCluster.from_covariance([3.0], [[1.0]])
+        a = from_covariance([0.0], [[1.0]])
+        near = from_covariance([1.0], [[1.0]])
+        far = from_covariance([3.0], [[1.0]])
         assert overlap_loss(self._pairs([a, far])).item() < overlap_loss(self._pairs([a, near])).item()
 
     def test_single_cluster_zero(self):
@@ -94,7 +95,7 @@ class TestOverlapLoss:
         assert overlap_loss(None).item() == 0.0
 
     def test_floor_survives_coincident_clusters(self):
-        a = fuzzy.GaussianCluster.from_covariance([0.0], [[1.0]])
+        a = from_covariance([0.0], [[1.0]])
         loss = overlap_loss(self._pairs([a, a]))
         assert np.isfinite(loss.item())
         assert loss.item() == pytest.approx(2.0 / fuzzy.OVERLAP_FLOOR)

@@ -286,6 +286,14 @@ class TestForecastBundle:
         with pytest.raises(DataError, match="rows"):
             forecast_bundle(result.model, ds.scaler, names, dates, matrix, tmp_path / "b")
 
+    def test_window_csv_drops_byte_order_mark(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        path = tmp_path / "w.csv"
+        path.write_bytes(b"\xef\xbb\xbfdate,b,a\n2020-01-01,2.0,1.0\n2020-01-02,4.0,3.0\n")
+        dates, matrix = load_window_csv(path, ["a", "b"])
+        assert dates == ["2020-01-01", "2020-01-02"]
+        np.testing.assert_array_equal(matrix, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_window_csv_validates_channels(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("date,a\n2020-01-01,1.0\n")
