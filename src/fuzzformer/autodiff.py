@@ -73,9 +73,11 @@ def no_grad():
 
 def _all_finite(x) -> bool:
     # summing is a no-false-negative probe: any NaN/Inf entry makes the
-    # sum non-finite, and no allocation of a bool array is needed
+    # sum non-finite, and no allocation of a bool array is needed; only a
+    # non-finite sum, which finite entries can reach by overflow, pays for
+    # the entrywise test
     with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.isfinite(np.sum(x)))
+        return bool(np.isfinite(np.sum(x))) or bool(np.isfinite(x).all())
 
 
 class Tensor:

@@ -27,9 +27,10 @@ from .kernels import arima as arima_kernels
 
 
 def rmse(pred, target) -> float:
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    return float(np.sqrt(np.mean((pred - target) ** 2)))
+    """Root mean squared error over every entry; NaN when there are none."""
+    sq = (np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)) ** 2
+    with np.errstate(invalid="ignore"):  # no entries: 0 / 0
+        return float(np.sqrt(np.sum(sq) / sq.size))
 
 
 @dataclass
@@ -272,12 +273,3 @@ def train_lstm_baseline(
             log(f"lstm-baseline epoch {epoch + 1}/{epochs} train_mse={total / train_origins.size:.6f}")
     return model
 
-
-def lstm_baseline_forecasts(model: LstmBaseline, dataset: WindowedDataset, split) -> np.ndarray:
-    origins = dataset.origins_for(split)
-    preds = np.zeros((origins.size, dataset.horizon))
-    for start in range(0, origins.size, 256):
-        chunk = origins[start : start + 256]
-        batch = dataset.batch(chunk, history=1)
-        preds[start : start + chunk.size] = model.predict(batch.x)
-    return preds

@@ -138,15 +138,7 @@ def cmd_evaluate(args) -> int:
     rows = []
     for split in splits:
         report = training.evaluate_split(model, dataset, split)
-        rows.append(
-            {
-                "method": "fuzzformer",
-                "config": label,
-                "setting": setting,
-                "split": split,
-                "rmse": f"{report.rmse:.6f}",
-            }
-        )
+        rows.append(_result_row("fuzzformer", label, setting, report))
         print(f"fuzzformer ({label}) {setting} {split}: rmse={report.rmse:.6f} "
               f"n={report.n_samples}")
         if args.per_step:
@@ -171,24 +163,24 @@ def cmd_forecast(args) -> int:
 
 
 def _baseline_forecaster(args, dataset):
-    """(label, step) of the ``--method`` baseline.  ``step(split, origins)``
-    returns the split's forecasts and a mask of the windows it forecast;
-    only ARIMA leaves windows out."""
+    """(label, forecast) of the ``--method`` baseline, where
+    ``forecast(batch)`` gives ``training.score_split`` the batch's
+    forecasts and a mask of the windows it forecast; only ARIMA leaves
+    windows out."""
     horizon = dataset.horizon
     if args.method == "persistence":
-        def step(split, origins):
-            windows = dataset.window_main(origins)
-            preds = np.stack([bl.persistence_forecast(w, horizon) for w in windows])
-            return preds, np.ones(origins.size, dtype=bool)
+        def forecast(batch):
+            windows = dataset.window_main(batch.origins)
+            return np.stack([bl.persistence_forecast(w, horizon) for w in windows]), True
 
-        return "", step
+        return "", forecast
     if args.method == "arima":
         order = bl.ArimaOrder(p=args.p, d=args.d, q=args.q)
 
-        def step(split, origins):
-            return bl.evaluate_arima_windows(dataset.window_main(origins), order, horizon)
+        def forecast(batch):
+            return bl.evaluate_arima_windows(dataset.window_main(batch.origins), order, horizon)
 
-        return f"p={args.p},d={args.d},q={args.q}", step
+        return f"p={args.p},d={args.d},q={args.q}", forecast
     model = bl.train_lstm_baseline(
         dataset,
         hidden=args.hidden,
@@ -199,43 +191,36 @@ def _baseline_forecaster(args, dataset):
         seed=args.seed,
         log=print if args.verbose else None,
     )
-
-    def step(split, origins):
-        return bl.lstm_baseline_forecasts(model, dataset, split), np.ones(origins.size, dtype=bool)
-
-    return f"hidden={args.hidden},layers={args.layers}", step
+    return f"hidden={args.hidden},layers={args.layers}", lambda b: (model.predict(b.x), True)
 
 
 def cmd_baseline(args) -> int:
     dataset = dmod.WindowedDataset.load(args.dataset)
     setting = f"{dataset.lookback}/{dataset.horizon}"
-    label, step = _baseline_forecaster(args, dataset)
+    label, forecast = _baseline_forecaster(args, dataset)
     title = f"{args.method}({label})" if label else args.method
     rows = []
     for split in dmod.SPLIT_NAMES:
-        origins = dataset.origins_for(split)
-        if origins.size == 0:
-            continue
-        preds, ok = step(split, origins)
-        if not np.any(ok):
-            print(f"{title} {setting} {split}: all {ok.size} windows skipped")
-            continue
-        value = bl.rmse(preds[ok], dataset.batch(origins, history=1).y_target[ok])
-        rows.append(_result_row(args.method, label, setting, split, value))
-        skipped = f" (skipped {int(np.sum(~ok))}/{ok.size} windows)" if args.method == "arima" else ""
-        print(f"{title} {setting} {split}: rmse={value:.6f}{skipped}")
+        report = training.score_split(dataset, split, 1, forecast)
+        skipped, total = report.n_skipped, report.n_samples + report.n_skipped
+        if report.n_samples:
+            rows.append(_result_row(args.method, label, setting, report))
+            note = f" (skipped {skipped}/{total} windows)" if args.method == "arima" else ""
+            print(f"{title} {setting} {split}: rmse={report.rmse:.6f}{note}")
+        elif skipped:
+            print(f"{title} {setting} {split}: all {skipped} windows skipped")
     if rows:
         training.append_results(args.out, rows)
     return EXIT_OK
 
 
-def _result_row(method, config, setting, split, value):
+def _result_row(method, config, setting, report):
     return {
         "method": method,
         "config": config,
         "setting": setting,
-        "split": split,
-        "rmse": f"{value:.6f}",
+        "split": report.split,
+        "rmse": f"{report.rmse:.6f}",
     }
 
 

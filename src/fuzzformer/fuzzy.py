@@ -141,9 +141,8 @@ def bhattacharyya(centers, covariances) -> np.ndarray:
     """
     c = ad.astensor(centers).data.shape[0]
     distance = np.zeros((c, c))
-    if c > 1:
-        idx_m, idx_n = np.triu_indices(c, k=1)
-        with ad.no_grad():
-            pairs = bhattacharyya_pairs_graph(centers, covariances, idx_m, idx_n).data
-        distance[idx_m, idx_n] = distance[idx_n, idx_m] = pairs
+    idx_m, idx_n = np.triu_indices(c, k=1)
+    with ad.no_grad():
+        pairs = bhattacharyya_pairs_graph(centers, covariances, idx_m, idx_n).data
+    distance[idx_m, idx_n] = distance[idx_n, idx_m] = pairs
     return distance

@@ -56,10 +56,9 @@ def overlap_loss(bhattacharyya_pairs):
 
     ``bhattacharyya_pairs`` holds each unordered pair once; the sum
     counts both orders, hence the factor two.  Distances are floored so
-    transiently coincident clusters cannot blow the loss up.
+    transiently coincident clusters cannot blow the loss up.  One rule
+    has no pairs, and the empty sum makes the loss 0.
     """
-    if bhattacharyya_pairs is None or bhattacharyya_pairs.data.size == 0:
-        return ad.Tensor(0.0)
     inv = ad.div(1.0, ad.clip_min(bhattacharyya_pairs, OVERLAP_FLOOR))
     return ad.mul(ad.tsum(inv), 2.0)
 

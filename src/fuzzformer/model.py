@@ -100,13 +100,15 @@ class FuzzformerModel:
             )
         return x
 
-    def _check_history(self, y_history: np.ndarray) -> np.ndarray:
+    def _check_history(self, y_history: np.ndarray, batch: int) -> np.ndarray:
         need = self.config.ar_order + self.config.integration_order
         y_history = np.asarray(y_history, dtype=np.float64)
         if y_history.ndim != 2 or y_history.shape[1] < need:
             raise ShapeError(
                 f"y_history {y_history.shape} too short for ARIX seeding (need {need})"
             )
+        if y_history.shape[0] != batch:
+            raise ShapeError(f"y_history holds {y_history.shape[0]} windows, x holds {batch}")
         return y_history
 
     def encode(self, x, training=False, rng=None) -> EncoderOutput:
@@ -119,13 +121,12 @@ class FuzzformerModel:
         return cov, psi, diffs
 
     def bhattacharyya_pairs(self, cov):
-        if self._pair_m.size == 0:
-            return ad.Tensor(np.zeros(0))
         return fuzzy.bhattacharyya_pairs_graph(self.centers, cov, self._pair_m, self._pair_n)
 
     # ------------------------------------------------------------------
     def training_forward(self, x, y_history, rng=None) -> TrainingForward:
-        y_history = self._check_history(y_history)
+        x = self._check_window(x)
+        y_history = self._check_history(y_history, x.shape[0])
         enc = self.encode(x, training=True, rng=rng)
         cov, psi, diffs = self.fuzzy_head(enc.z_latent)
         winners = np.argmax(psi.data, axis=1)
@@ -145,7 +146,8 @@ class FuzzformerModel:
         )
 
     def evaluation_forward(self, x, y_history) -> EvaluationForward:
-        y_history = self._check_history(y_history)
+        x = self._check_window(x)
+        y_history = self._check_history(y_history, x.shape[0])
         enc = self.encode(x, training=False)
         _cov, psi, _diffs = self.fuzzy_head(enc.z_latent)
         rule_preds = arix_mod.all_rules_forecast_graph(

@@ -32,7 +32,7 @@ from .model import FuzzformerModel
 RESULT_FIELDS = ("method", "config", "setting", "split", "rmse")
 LOSS_FIELDS = ("epoch", "mse", "fcm", "overlap", "balance", "composite")
 WARMUP_WINDOWS = 256  # training windows sampled to seed the cluster centers
-EVAL_BATCH = 256  # windows per forward pass in evaluate_split
+EVAL_BATCH = 256  # windows per forecast call in score_split
 
 
 @dataclass
@@ -40,7 +40,8 @@ class MetricsReport:
     split: str
     rmse: float
     per_step_rmse: np.ndarray
-    n_samples: int
+    n_samples: int  # windows scored
+    n_skipped: int  # windows the forecaster left out
 
 
 @dataclass
@@ -77,26 +78,41 @@ def warmup_latents(model: FuzzformerModel, dataset: WindowedDataset, rng):
         return model.encode(batch.x).z_latent.data.copy()
 
 
-def evaluate_split(model: FuzzformerModel, dataset, split):
-    """Aggregate-forecast RMSE (scaled units) over one split."""
+def score_split(dataset, split, history, forecast) -> MetricsReport:
+    """RMSE (scaled units) of a forecaster over one split.
+
+    ``forecast(batch)`` gets EVAL_BATCH windows at a time, each batch
+    with ``history`` trailing main values, and returns (preds (B, H),
+    ok): a mask of the windows it forecast, or True for all of them.
+    Windows left out are counted, not scored; with none scored the
+    RMSEs are NaN.
+    """
     origins = dataset.origins_for(split)
-    horizon = dataset.horizon
-    if origins.size == 0:
-        return MetricsReport(split, float("nan"), np.full(horizon, np.nan), 0)
-    hist = model.config.ar_order + model.config.integration_order
-    preds = np.zeros((origins.size, horizon))
-    targets = np.zeros((origins.size, horizon))
+    preds = np.zeros((origins.size, dataset.horizon))
+    targets = np.zeros_like(preds)
+    ok = np.zeros(origins.size, dtype=bool)
     for start in range(0, origins.size, EVAL_BATCH):
-        chunk = origins[start : start + EVAL_BATCH]
-        batch = dataset.batch(chunk, history=hist)
-        preds[start : start + chunk.size] = model.predict(batch.x, batch.y_history)
-        targets[start : start + chunk.size] = batch.y_target
-    err = preds - targets
+        rows = slice(start, start + EVAL_BATCH)
+        batch = dataset.batch(origins[rows], history=history)
+        preds[rows], ok[rows] = forecast(batch)
+        targets[rows] = batch.y_target
+    preds, targets = preds[ok], targets[ok]
+    with np.errstate(invalid="ignore"):  # no window scored: 0 / 0
+        per_step = np.sqrt(np.sum((preds - targets) ** 2, axis=0) / preds.shape[0])
     return MetricsReport(
         split=split if isinstance(split, str) else SPLIT_NAMES[split],
-        rmse=float(np.sqrt(np.mean(err**2))),
-        per_step_rmse=np.sqrt(np.mean(err**2, axis=0)),
-        n_samples=int(origins.size),
+        rmse=rmse(preds, targets),
+        per_step_rmse=per_step,
+        n_samples=preds.shape[0],
+        n_skipped=origins.size - preds.shape[0],
+    )
+
+
+def evaluate_split(model: FuzzformerModel, dataset, split):
+    """Aggregate-forecast RMSE (scaled units) over one split."""
+    hist = model.config.ar_order + model.config.integration_order
+    return score_split(
+        dataset, split, hist, lambda batch: (model.predict(batch.x, batch.y_history), True)
     )
 
 
@@ -118,12 +134,11 @@ def train(config: RunConfig, dataset: WindowedDataset, out_dir, log=print) -> Tr
     train_origins = dataset.origins_for("train")
     if train_origins.size == 0:
         raise DataError("dataset has no training samples")
-    has_valid = dataset.origins_for("valid").size > 0
 
     def snapshot():
         return [t.data.copy() for t in model.parameter_tensors()]
 
-    best_valid = evaluate_split(model, dataset, "valid").rmse if has_valid else float("inf")
+    best_valid = evaluate_split(model, dataset, "valid").rmse
     best_snap = snapshot()
     best_epoch = 0
     history = []
@@ -146,8 +161,8 @@ def train(config: RunConfig, dataset: WindowedDataset, out_dir, log=print) -> Tr
                 sums[key] += parts[key]
             n_batches += 1
         means = {key: value / n_batches for key, value in sums.items()}
-        valid_rmse = evaluate_split(model, dataset, "valid").rmse if has_valid else float("nan")
-        if has_valid and valid_rmse < best_valid:
+        valid_rmse = evaluate_split(model, dataset, "valid").rmse
+        if not valid_rmse >= best_valid:  # an empty valid split scores NaN: keep every epoch
             best_valid = valid_rmse
             best_snap = snapshot()
             best_epoch = epoch
@@ -157,10 +172,6 @@ def train(config: RunConfig, dataset: WindowedDataset, out_dir, log=print) -> Tr
             f"mse={means['mse']:.5f} valid_rmse={valid_rmse:.5f}"
         )
 
-    if not has_valid:
-        best_snap = snapshot()
-        best_epoch = config.epochs
-        best_valid = float("nan")
     for tensor, arr in zip(model.parameter_tensors(), best_snap):
         tensor.data[...] = arr
 

@@ -52,6 +52,29 @@ class TestForward:
         with pytest.raises(NonFiniteError, match="log"):
             ad.log(Tensor([-1.0]))
 
+    def test_finite_entries_with_an_overflowing_sum_pass_the_probe(self):
+        out = ad.add(np.array([1e308, 1e308]), 0.0)
+        np.testing.assert_array_equal(out.data, [1e308, 1e308])
+
+    @pytest.mark.parametrize(
+        "values", [[1.0, np.nan], [np.inf, 1.0], [np.inf, -np.inf], [1e308, 1e308, np.nan]]
+    )
+    def test_non_finite_entries_fail_the_probe(self, values):
+        with pytest.raises(NonFiniteError, match="add: non-finite values in forward pass"):
+            ad.add(np.array(values), 0.0)
+
+    def test_finite_gradient_with_an_overflowing_sum_passes_the_probe(self):
+        x = parameter([0.5, -0.5])
+        backward(ad.tsum(ad.mul(x, np.array([1e308, 1e308]))))
+        np.testing.assert_array_equal(x.grad, [1e308, 1e308])
+
+    def test_non_finite_gradient_fails_the_probe(self):
+        x = parameter([1e-320, 1e-308, 1e-308])  # d log / dx = 1 / x: [inf, 1e308, 1e308]
+        loss = ad.tsum(ad.log(x))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError, match="leaf: non-finite gradient"):
+                backward(loss)
+
 
 class TestBackward:
     def test_quadratic_gradient(self):

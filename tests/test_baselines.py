@@ -13,7 +13,6 @@ from fuzzformer.baselines import (
     arima_forecast,
     evaluate_arima_windows,
     fit_arima,
-    lstm_baseline_forecasts,
     persistence_forecast,
     rmse,
     train_lstm_baseline,
@@ -316,7 +315,7 @@ class TestLstmBaseline:
         model = train_lstm_baseline(ds, hidden=8, layers=1, epochs=25, learning_rate=3e-3, seed=0)
         origins = ds.origins_for("valid")
         batch = ds.batch(origins, history=1)
-        lstm_rmse = rmse(lstm_baseline_forecasts(model, ds, "valid"), batch.y_target)
+        lstm_rmse = rmse(model.predict(batch.x), batch.y_target)
         pers = np.stack(
             [persistence_forecast(w, ds.horizon) for w in ds.window_main(origins)]
         )
@@ -334,7 +333,7 @@ class TestLstmBaseline:
     def test_zero_epochs_still_forecasts(self):
         ds = sinusoid_dataset(n=200, lookback=40, horizon=10)
         model = train_lstm_baseline(ds, hidden=4, layers=1, epochs=0, seed=1)
-        preds = lstm_baseline_forecasts(model, ds, "test")
+        preds = model.predict(ds.batch(ds.origins_for("test"), history=1).x)
         assert preds.shape[1] == 10
         assert np.all(np.isfinite(preds))
 
@@ -345,5 +344,5 @@ class TestLstmBaseline:
             model = train_lstm_baseline(ds, hidden=4, layers=1, epochs=3, seed=5)
             origins = ds.origins_for("test")
             batch = ds.batch(origins, history=1)
-            r.append(rmse(lstm_baseline_forecasts(model, ds, "test"), batch.y_target))
+            r.append(rmse(model.predict(batch.x), batch.y_target))
         assert r[0] == r[1]

@@ -71,10 +71,26 @@ def expected_baseline_output(ds, method, extra):
             )
             rows.append(f'arima,"{label}",{setting},{split},{value:.6f}')
         else:
-            value = bl.rmse(bl.lstm_baseline_forecasts(model, ds, split), target)
+            value = bl.rmse(model.predict(ds.batch(origins, history=1).x), target)
             lines.append(f"lstm({label}) {setting} {split}: rmse={value:.6f}")
             rows.append(f'lstm,"{label}",{setting},{split},{value:.6f}')
     return lines, rows
+
+
+def expected_evaluate_output(model, ds):
+    """The stdout lines, results-CSV rows and ``--per-step`` lines of
+    ``evaluate --split all``, split by split."""
+    hist = model.config.ar_order + model.config.integration_order
+    lines, rows, steps = [], [], []
+    for split in ("train", "valid", "test"):
+        batch = ds.batch(ds.origins_for(split), history=hist)
+        err = model.predict(batch.x, batch.y_history) - batch.y_target
+        value = np.sqrt(np.mean(err**2))
+        lines.append(f"fuzzformer (p=2) 12/4 {split}: rmse={value:.6f} n={err.shape[0]}")
+        rows.append(f"fuzzformer,p=2,12/4,{split},{value:.6f}")
+        per_step = np.sqrt(np.mean(err**2, axis=0))
+        steps += [f"{split},{j},{v:.6f}" for j, v in enumerate(per_step, start=1)]
+    return lines, rows, steps
 
 
 class TestPrepare:
@@ -183,6 +199,27 @@ class TestEvaluateAndBaseline:
         rows = list(csv.DictReader(open(out)))
         assert {r["split"] for r in rows} == {"train", "valid", "test"}
         assert all(float(r["rmse"]) > 0 for r in rows)
+
+    def test_evaluate_stdout_and_appended_bytes(self, workspace, tmp_path, capsys):
+        checkpoint = workspace / "run" / "checkpoint.bin"
+        path = workspace / "data" / "dataset.bin"
+        out, per_step = tmp_path / "results.csv", tmp_path / "per_step.csv"
+        head = b"method,config,setting,split,rmse\r\nseed,,12/4,train,1.000000\r\n"
+        out.write_bytes(head)
+        per_step_head = b"seed,1,1.000000\n"
+        per_step.write_bytes(per_step_head)
+        capsys.readouterr()
+        code = main([
+            "evaluate", "--checkpoint", str(checkpoint), "--dataset", str(path),
+            "--split", "all", "--out", str(out), "--per-step", str(per_step),
+        ])
+        assert code == EXIT_OK
+        lines, rows, steps = expected_evaluate_output(
+            load_checkpoint(checkpoint)[0], WindowedDataset.load(path)
+        )
+        assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines)
+        assert out.read_bytes() == head + "".join(f"{row}\r\n" for row in rows).encode()
+        assert per_step.read_bytes() == per_step_head + "".join(f"{s}\n" for s in steps).encode()
 
     def test_baselines_append(self, workspace):
         out = workspace / "results.csv"

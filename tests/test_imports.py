@@ -5,9 +5,9 @@ tests use.
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library:
 
-* a name bound by ``import``/``from ... import`` must be read somewhere in
-  the same module (``__future__`` imports are compiler directives and are
-  skipped);
+* a name bound by ``import``/``from ... import`` must be read (loaded, not
+  just assigned to) somewhere in the same module (``__future__`` imports
+  are compiler directives and are skipped);
 * every top-level function and class, and every non-dunder method,
   defined under src/fuzzformer/ must be named somewhere in src/ or
   perfbench/: as a bare name, an attribute, an imported name or, in
@@ -46,7 +46,8 @@ def unused_imports(source: str):
             imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [(node.lineno, a.asname or a.name) for a in node.names]
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names = (node for node in ast.walk(tree) if isinstance(node, ast.Name))
+    read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
     return [(line, name) for line, name in imported if name not in read]
 
 
@@ -109,9 +110,11 @@ def test_checker_flags_an_unused_import():
     source = (
         "from __future__ import annotations\n"
         "import os.path\nimport numpy as np\nfrom dataclasses import dataclass, field\n"
-        "x = np.zeros(1)\n@dataclass\nclass A:\n    pass\n"
+        "from stats import rmse, mae\n"
+        "x = np.zeros(1)\n@dataclass\nclass A:\n    rmse: float\n    mae = 0.0\n"
     )
-    assert unused_imports(source) == [(2, "os"), (4, "field")]
+    # a field or an assignment of the same name stores it, it does not read the import
+    assert unused_imports(source) == [(2, "os"), (4, "field"), (5, "rmse"), (5, "mae")]
 
 
 def test_src_holds_no_test_only_code():

@@ -92,7 +92,6 @@ class TestOverlapLoss:
 
     def test_single_cluster_zero(self):
         assert overlap_loss(Tensor(np.zeros(0))).item() == 0.0
-        assert overlap_loss(None).item() == 0.0
 
     def test_floor_survives_coincident_clusters(self):
         a = from_covariance([0.0], [[1.0]])

@@ -1,6 +1,7 @@
 """Tests for the assembled model: routing, loss composition, gradients."""
 
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from fuzzformer import autodiff as ad
 from fuzzformer.config import RunConfig
 from fuzzformer.data import Batch
 from fuzzformer.exceptions import NonFiniteError, ShapeError
-from fuzzformer.losses import LossWeights, composite_loss
+from fuzzformer.losses import LossWeights, composite_loss, overlap_loss
 from fuzzformer.model import FuzzformerModel
 
 from gradcheck import check_gradients
@@ -99,6 +100,27 @@ class TestForwardPaths:
         model = tiny_model()
         with pytest.raises(ShapeError, match="lookback"):
             model.predict(np.zeros((2, 5, 2)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("rows", [2, 1])
+    @pytest.mark.parametrize("method", ["predict", "evaluation_forward", "training_forward"])
+    def test_history_batch_mismatch_names_both_sizes(self, method, rows):
+        model = tiny_model()
+        batch = tiny_batch(model.config, np.random.default_rng(1), batch=3)
+        with pytest.raises(ShapeError, match=f"y_history holds {rows} windows, x holds 3"):
+            getattr(model, method)(batch.x, batch.y_history[:rows])
+
+    def test_single_rule_has_zero_overlap_and_gradients(self):
+        model = tiny_model(rules=1)
+        batch = tiny_batch(model.config, np.random.default_rng(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fwd = model.training_forward(batch.x, batch.y_history)
+            loss = overlap_loss(fwd.bhattacharyya_pairs)
+            ad.backward(loss)
+        assert fwd.bhattacharyya_pairs.data.shape == (0,)
+        assert loss.item() == 0.0
+        np.testing.assert_array_equal(model.centers.gradient, 0.0)
+        np.testing.assert_array_equal(model.factors.gradient, 0.0)
 
     def test_unstable_rule_is_named(self):
         model = tiny_model(seed=9)

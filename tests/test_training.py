@@ -2,6 +2,7 @@
 
 import csv
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from fuzzformer import autodiff as ad
 from fuzzformer.baselines import rmse
 from fuzzformer.checkpoint import load_checkpoint
 from fuzzformer.config import RunConfig
-from fuzzformer.data import fit_minmax, make_synthetic, prepare_dataset
+from fuzzformer.data import SPLIT_NAMES, fit_minmax, make_synthetic, prepare_dataset
 from fuzzformer.exceptions import ConfigError, DataError
 from fuzzformer.model import FuzzformerModel
 from fuzzformer import training
@@ -54,6 +55,14 @@ def tiny_dataset():
     return prepare_dataset(make_synthetic(n_points=400, seed=3), lookback=12, horizon=4)
 
 
+@pytest.fixture(scope="module")
+def no_valid_dataset():
+    # stride 50 puts no window origin in the valid rows
+    ds = prepare_dataset(make_synthetic(n_points=400, seed=3), lookback=12, horizon=4, stride=50)
+    assert ds.origins_for("valid").size == 0 < ds.origins_for("train").size
+    return ds
+
+
 def quiet(*args, **kwargs):
     pass
 
@@ -91,6 +100,18 @@ class TestTrain:
         model, _, _ = load_checkpoint(result.checkpoint_path)
         again = evaluate_split(model, tiny_dataset, "valid")
         assert again.rmse == pytest.approx(result.best_valid_rmse, abs=1e-12)
+
+    def test_without_valid_split_keeps_last_epoch(self, no_valid_dataset, tmp_path):
+        params = {}
+        for epochs in (0, 1, 2):
+            cfg = RunConfig(**{**TINY_TRAIN, "epochs": epochs})
+            result = train(cfg, no_valid_dataset, tmp_path / f"nv{epochs}", log=quiet)
+            params[epochs] = [t.data for t in result.model.parameter_tensors()]
+        assert result.best_epoch == 2
+        assert np.isnan(result.best_valid_rmse)
+        assert [np.isnan(rec["valid_rmse"]) for rec in result.history] == [True, True]
+        for earlier in (0, 1):
+            assert any(not np.array_equal(a, b) for a, b in zip(params[2], params[earlier]))
 
     def test_dataset_mismatch_rejected(self, tiny_dataset, tmp_path):
         cfg = RunConfig(**{**TINY_TRAIN, "channels": 2})
@@ -209,6 +230,46 @@ class TestEvaluate:
         b = evaluate_split(result.model, tiny_dataset, "test")
         assert a.rmse == b.rmse
         np.testing.assert_array_equal(a.per_step_rmse, b.per_step_rmse)
+
+
+class TestScoreSplit:
+    def test_skipped_windows_are_counted_not_scored(self, tiny_dataset):
+        origins = tiny_dataset.origins_for("train")
+        assert origins.size > training.EVAL_BATCH
+        sizes = []
+
+        def forecast(batch):
+            sizes.append(batch.origins.size)
+            ok = batch.origins % 3 != 0
+            return np.where(ok[:, None], batch.y_target + 0.5, np.nan), ok
+
+        report = training.score_split(tiny_dataset, "train", 1, forecast)
+        assert sizes == [training.EVAL_BATCH, origins.size - training.EVAL_BATCH]
+        skipped = int(np.sum(origins % 3 == 0))
+        assert (report.n_samples, report.n_skipped) == (origins.size - skipped, skipped)
+        assert report.rmse == pytest.approx(0.5)
+        np.testing.assert_allclose(report.per_step_rmse, 0.5)
+
+    @pytest.mark.parametrize(
+        "data, split", [("tiny_dataset", "test"), ("no_valid_dataset", "valid")],
+        ids=["all-skipped", "empty"],
+    )
+    def test_nothing_scored_gives_nan(self, request, data, split):
+        dataset = request.getfixturevalue(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = training.score_split(
+                dataset, split, 1, lambda batch: (np.zeros_like(batch.y_target), False)
+            )
+        assert np.isnan(report.rmse)
+        assert report.per_step_rmse.shape == (4,) and np.all(np.isnan(report.per_step_rmse))
+        assert (report.n_samples, report.n_skipped) == (0, dataset.origins_for(split).size)
+
+    @pytest.mark.parametrize("index, name", list(enumerate(SPLIT_NAMES)))
+    def test_integer_split_is_labelled_by_name(self, no_valid_dataset, index, name):
+        # index 1 is the empty valid split
+        report = training.score_split(no_valid_dataset, index, 1, lambda b: (b.y_target, True))
+        assert report.split == name
 
 
 class TestForecastBundle:
