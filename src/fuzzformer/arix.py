@@ -126,19 +126,19 @@ def aggregate(psi, rule_forecasts) -> np.ndarray:
 # graph-side recursion: one fused node per call (see the module docstring)
 
 
-def _fused_forecast(seed, level, u, a, b, d, horizon, u_view, rules):
+def _fused_forecast(seed, level, u, a, b, d, horizon, rules):
     """H-step recursion of every forecast row as a single graph node.
 
     seed: (..., p) plain array of the last p differenced (d=1) or raw (d=0)
     values, oldest first; level: (...) last observed level, or None when
-    d=0; u: (B, H) tensor, read through the broadcastable shape ``u_view``;
+    d=0; u: (B, H) tensor, read with seed's leading shape (B or B, 1);
     a: (..., p) and b: (..., q) tensors.  The leading shapes of seed,
-    level, a, b and u_view broadcast to the output rows.  ``rules``
+    level, a and b broadcast to the output rows.  ``rules``
     (broadcastable to the rows, or None) gives the rule each row runs, so
     a non-finite forecast names its rule instead of its row.
     """
     p, q = a.data.shape[-1], b.data.shape[-1]
-    uv = u.data.reshape(u_view)
+    uv = u.data.reshape(seed.shape[:-1] + u.data.shape[-1:])
     rows = np.broadcast_shapes(
         seed.shape[:-1], a.data.shape[:-1], b.data.shape[:-1], uv.shape[:-1]
     )
@@ -211,7 +211,7 @@ def winner_forecast_graph(y_hist, u, a_sel, b_sel, d, horizon, rules=None):
     """
     u = ad.astensor(u)
     seed, last = _split_history(y_hist, a_sel.data.shape[-1], d)
-    return _fused_forecast(seed, last, u, a_sel, b_sel, d, horizon, u.data.shape, rules)
+    return _fused_forecast(seed, last, u, a_sel, b_sel, d, horizon, rules)
 
 
 def all_rules_forecast_graph(y_hist, u, a, b, d, horizon):
@@ -223,8 +223,7 @@ def all_rules_forecast_graph(y_hist, u, a, b, d, horizon):
     u = ad.astensor(u)
     c, p = a.data.shape
     seed, last = _split_history(y_hist, p, d)
-    bsz = seed.shape[0]
     return _fused_forecast(
         seed[:, None, :], None if last is None else last[:, None], u, a, b, d, horizon,
-        (bsz, 1, u.data.shape[-1]), np.arange(c),
+        np.arange(c),
     )

@@ -24,6 +24,7 @@ from .data import WindowedDataset
 from .encoder import Dense, LstmLayer
 from .exceptions import ArimaFitError, ConfigError, DataError, NonFiniteError
 from .kernels import arima as arima_kernels
+from .losses import mse_loss
 
 
 def rmse(pred, target) -> float:
@@ -264,8 +265,7 @@ def train_lstm_baseline(
             chunk = order[start : start + batch_size]
             batch = dataset.batch(chunk, history=1)
             pred = model.forward(batch.x)
-            diff = ad.sub(pred, ad.Tensor(batch.y_target))
-            loss = ad.tsum(ad.mul(diff, diff))
+            loss = mse_loss(pred, batch.y_target)
             ad.backward(loss)
             opt.step()
             total += loss.item()

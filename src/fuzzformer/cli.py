@@ -138,9 +138,11 @@ def cmd_evaluate(args) -> int:
     rows = []
     for split in splits:
         report = training.evaluate_split(model, dataset, split)
-        rows.append(_result_row("fuzzformer", label, setting, report))
         print(f"fuzzformer ({label}) {setting} {split}: rmse={report.rmse:.6f} "
               f"n={report.n_samples}")
+        if not report.n_samples:  # no windows, no RMSE to append (as in cmd_baseline)
+            continue
+        rows.append(_result_row("fuzzformer", label, setting, report))
         if args.per_step:
             with open(args.per_step, "a", encoding="utf-8") as fh:
                 for j, v in enumerate(report.per_step_rmse, start=1):
@@ -156,7 +158,7 @@ def cmd_forecast(args) -> int:
     channel_names = meta.get("channel_names") or []
     if not channel_names:
         raise DataError(f"{args.checkpoint}: checkpoint carries no channel names")
-    dates, matrix = training.load_window_csv(args.window, channel_names)
+    dates, matrix, _lines = dmod.read_columns(args.window, channel_names, "window file")
     training.forecast_bundle(model, scaler, channel_names, dates, matrix, args.out)
     _write_args(args.out, args)
     return EXIT_OK

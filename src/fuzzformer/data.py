@@ -1,16 +1,23 @@
 """Data pipeline: ingest series, align calendars, scale, window, split.
 
-Every series arrives as a two-column CSV (``date,value``, ISO-8601
-calendar days).  Channels are aligned onto the main series' calendar
-with forward fill, min-max scaled per channel on training-range rows
-only, and sliced into (look-back, horizon) samples split 80/10/10
-chronologically by window origin.  Samples whose target range would
-bleed into a later split's input region are embargoed (dropped), so no
-training target overlaps evaluation inputs.
+Series files (``date,value``, ISO-8601 calendar days) and forecast window
+files (``date,<channel>,...``) share one reader, ``read_columns``, and
+one dialect: Python's ``csv`` defaults, so cells may be quoted (RFC 4180);
+a header whose first cell is ``date``; named columns in any order, matched
+after stripping and without regard to case, each named once; other
+columns ignored; blank rows skipped; every other row as wide as the
+header, with finite numbers in the named columns.  Channels are aligned
+onto the main series' calendar with forward fill, min-max scaled per
+channel on training-range rows only, and sliced into (look-back, horizon)
+samples split 80/10/10 chronologically by window origin.  Samples whose
+target range would bleed into a later split's input region are embargoed
+(dropped), so no training target overlaps evaluation inputs.
 """
 
+import csv
 import datetime as dt
 import hashlib
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,40 +71,69 @@ def read_text(path, what):
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def load_csv(path, name=None) -> RawSeries:
-    """Parse a ``date,value`` CSV; sorts rows, rejects duplicates/NaN."""
+def read_columns(path, columns, what):
+    """The date texts, the (rows, len(columns)) values and the line of
+    each row of a CSV file in the module's dialect.  Errors are
+    ``DataError``s naming ``path:line``, the physical line (a quoted cell
+    may span several); ``what`` names a missing file."""
     path = Path(path)
-    lines = read_text(path, "series file").split("\n")
-    name = name or path.stem
-    rows = []
-    header = lines[0].strip().lower()
-    if header.replace(" ", "") != "date,value":
-        raise DataError(f"{path}:1: expected header 'date,value', got {header!r}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected 'date,value', got {line!r}")
-        day = _parse_date(parts[0], f"{path}:{lineno}")
-        try:
-            value = float(parts[1])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad value {parts[1]!r}") from exc
-        if not np.isfinite(value):
-            raise DataError(f"{path}:{lineno}: non-finite value {parts[1]!r}")
-        rows.append((day, value))
+    reader = csv.reader(io.StringIO(read_text(path, what)))
+    dates, rows, lines = [], [], []
+    try:
+        header = next(reader, [])
+        where = f"{path}:{max(reader.line_num, 1)}"
+        keys = [cell.strip().lower() for cell in header]
+        if keys[:1] != ["date"]:
+            raise DataError(f"{where}: header must start with 'date', got {','.join(header)!r}")
+        wanted = [name.strip().lower() for name in columns]
+        twice = sorted({key for key in wanted if keys.count(key) > 1})
+        if twice:
+            raise DataError(f"{where}: header names {twice} more than once")
+        missing = [name for name, key in zip(columns, wanted) if key not in keys]
+        if missing:
+            raise DataError(f"{where}: header is missing channels {missing}")
+        index = [keys.index(key) for key in wanted]
+        for record in reader:
+            if not "".join(record).strip():
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(record) != len(header):
+                raise DataError(
+                    f"{where}: bad row of {len(record)} fields, header has {len(header)}"
+                )
+            try:
+                values = [float(record[i]) for i in index]
+            except ValueError as exc:
+                raise DataError(f"{where}: bad row ({exc})") from None
+            if not np.isfinite(values).all():
+                raise DataError(f"{where}: non-finite value in {record!r}")
+            dates.append(record[0].strip())
+            rows.append(values)
+            lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: bad CSV ({exc})") from None
     if not rows:
-        raise DataError(f"{path}: no observations")
-    rows.sort(key=lambda r: r[0])
-    for (d1, _), (d2, _) in zip(rows, rows[1:]):
-        if d1 == d2:
-            raise DataError(f"{path}: duplicate date {d1.isoformat()}")
+        raise DataError(f"{path}:{reader.line_num}: no observations")
+    return dates, np.array(rows, dtype=np.float64), lines
+
+
+def load_csv(path, name=None) -> RawSeries:
+    """A ``date,value`` series file in ``read_columns``' dialect, sorted
+    by date; dates must be ISO-8601 calendar days, each at most once."""
+    path = Path(path)
+    texts, values, lines = read_columns(path, ["value"], "series file")
+    days = [_parse_date(text, f"{path}:{line}") for text, line in zip(texts, lines)]
+    order = sorted(range(len(days)), key=days.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if days[i] == days[j]:
+            raise DataError(
+                f"{path}:{lines[j]}: duplicate date {days[j].isoformat()} "
+                f"(also on line {lines[i]})"
+            )
     return RawSeries(
-        name=name,
-        dates=[d.isoformat() for d, _ in rows],
-        values=np.array([v for _, v in rows]),
+        name=name or path.stem,
+        dates=[days[i].isoformat() for i in order],
+        values=values[order, 0],
     )
 
 

@@ -10,7 +10,6 @@ seed/config/data reproduce identical checkpoints bit for bit.
 """
 
 import csv
-import io
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,7 @@ from .autodiff import Adam
 from .baselines import rmse
 from .checkpoint import save_checkpoint
 from .config import RunConfig
-from .data import SPLIT_NAMES, WindowedDataset, read_text
+from .data import SPLIT_NAMES, WindowedDataset
 from .exceptions import ConfigError, DataError, NumericError
 from .fuzzy import bhattacharyya  # by this name, so a profiler can patch the bundle's call
 from .losses import composite_loss
@@ -132,8 +131,6 @@ def train(config: RunConfig, dataset: WindowedDataset, out_dir, log=print) -> Tr
     opt = Adam(model.parameter_tensors(), learning_rate=config.learning_rate)
     hist_len = config.ar_order + config.integration_order
     train_origins = dataset.origins_for("train")
-    if train_origins.size == 0:
-        raise DataError("dataset has no training samples")
 
     def snapshot():
         return [t.data.copy() for t in model.parameter_tensors()]
@@ -201,49 +198,6 @@ def train(config: RunConfig, dataset: WindowedDataset, out_dir, log=print) -> Tr
 
 # ---------------------------------------------------------------------------
 # forecast bundle (interpretability export)
-
-
-def _csv_records(reader, path):
-    """The records of a ``csv.reader``, with its parse errors as ``DataError``."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise DataError(f"{path}: bad CSV ({exc})") from None
-
-
-def load_window_csv(path, channel_names):
-    """Multi-channel window CSV: header ``date,<name>,...``; any column
-    order, but every configured channel must be present and every value
-    finite."""
-    path = Path(path)
-    reader = csv.reader(io.StringIO(read_text(path, "window file")))
-    records = _csv_records(reader, path)
-    first = next(records, None)
-    if first is None:
-        raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in first]
-    if not header or header[0].lower() != "date":
-        raise DataError(f"{path}: first column must be 'date'")
-    missing = [name for name in channel_names if name not in header[1:]]
-    if missing:
-        raise DataError(f"{path}: missing channels {missing}")
-    order = [header.index(name) for name in channel_names]
-    dates, rows = [], []
-    for row in records:
-        if not row or not "".join(row).strip():
-            continue
-        lineno = reader.line_num  # physical line: a quoted cell may span several
-        try:
-            values = [float(row[i]) for i in order]
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}:{lineno}: bad row ({exc})") from exc
-        if not np.all(np.isfinite(values)):
-            raise DataError(f"{path}:{lineno}: non-finite value")
-        rows.append(values)
-        dates.append(row[0].strip())
-    if not rows:
-        raise DataError(f"{path}: no observations")
-    return dates, np.asarray(rows, dtype=np.float64)
 
 
 def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=print):

@@ -221,6 +221,36 @@ class TestEvaluateAndBaseline:
         assert out.read_bytes() == head + "".join(f"{row}\r\n" for row in rows).encode()
         assert per_step.read_bytes() == per_step_head + "".join(f"{s}\n" for s in steps).encode()
 
+    def test_empty_split_leaves_no_row_for_any_method(self, workspace, tmp_path, capsys):
+        # at stride 50 no window origin falls in the valid range
+        code = main([
+            "prepare", "--synthetic", "400", "--seed", "3", "--lookback", "12",
+            "--horizon", "4", "--stride", "50", "--out", str(tmp_path / "data"),
+        ])
+        assert code == EXIT_OK
+        dataset, out = str(tmp_path / "data" / "dataset.bin"), tmp_path / "results.csv"
+        assert WindowedDataset.load(dataset).counts()["valid"] == 0
+        per_step = tmp_path / "per_step.csv"
+        code = main([
+            "evaluate", "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+            "--dataset", dataset, "--split", "all", "--out", str(out), "--per-step", str(per_step),
+        ])
+        assert code == EXIT_OK
+        assert "valid: rmse=nan n=0" in capsys.readouterr().out
+        assert [line.split(",")[0] for line in open(per_step)] == ["train"] * 4 + ["test"] * 4
+        code = main(["baseline", "--dataset", dataset, "--method", "persistence", "--out", str(out)])
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(open(out)))
+        assert [(r["method"], r["split"]) for r in rows] == [
+            ("fuzzformer", "train"), ("fuzzformer", "test"),
+            ("persistence", "train"), ("persistence", "test"),
+        ]
+        code = main(["report", str(out), "--out", str(tmp_path / "table.csv")])
+        assert code == EXIT_OK
+        header, *table = csv.reader(open(tmp_path / "table.csv", encoding="utf-8"))
+        valid = header.index("12/4 valid")
+        assert {line[0]: line[valid] for line in table} == {"fuzzformer (p=2)": "—", "persistence": "—"}
+
     def test_baselines_append(self, workspace):
         out = workspace / "results.csv"
         for method, extra in (

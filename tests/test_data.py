@@ -18,6 +18,7 @@ from fuzzformer.data import (
     make_synthetic,
     make_windows,
     prepare_dataset,
+    read_columns,
 )
 from fuzzformer.exceptions import ConfigError, DataError, FetchError
 
@@ -98,6 +99,64 @@ class TestLoadCsv:
                 return
         assert np.isfinite(series.values).all()
         assert len(set(series.dates)) == len(series.dates)
+
+
+def load_window(path, columns):
+    dates, matrix, _ = read_columns(path, columns, "window file")
+    return dates, matrix
+
+
+class TestReadColumns:
+    """Series and window files share one reader, so one dialect."""
+
+    def test_quoted_export_loads_as_series_and_window(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes(b'"date","value"\r\n"2020-01-03","3230.8"\r\n"2020-01-02","3245.5"\r\n')
+        s = load_csv(p)
+        dates, matrix = load_window(p, ["value"])
+        assert s.dates == sorted(dates) == ["2020-01-02", "2020-01-03"]
+        np.testing.assert_array_equal(s.values, matrix[::-1, 0])
+
+    @pytest.mark.parametrize(
+        "text, load",
+        [
+            ("DATE,VALUE\n2020-01-01,1\n2020-01-02,2\n", lambda p: load_csv(p).values),
+            ("date,A,b\n2020-01-01,1,9\n2020-01-02,2,9\n", lambda p: load_window(p, ["a"])[1][:, 0]),
+        ],
+        ids=["series", "window"],
+    )
+    def test_header_names_match_without_case(self, tmp_path, text, load):
+        np.testing.assert_array_equal(load(write(tmp_path / "f.csv", text)), [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "text, load",
+        [
+            ("date,value\n2020-01-01,1\n2020-01-02,2,9\n", load_csv),
+            ("date,a,b\n2020-01-01,1,2\n2020-01-02,1,2,9\n", lambda p: load_window(p, ["a", "b"])),
+        ],
+        ids=["series", "window"],
+    )
+    def test_row_wider_than_header_names_line(self, tmp_path, text, load):
+        with pytest.raises(DataError, match=r"f\.csv:3: bad row of \d fields"):
+            load(write(tmp_path / "f.csv", text))
+
+    @pytest.mark.parametrize(
+        "text, load",
+        [
+            ("date,value,Value\n2020-01-01,1,2\n", load_csv),
+            ("date,a,b,A \n2020-01-01,1,2,3\n", lambda p: load_window(p, ["a", "b"])),
+        ],
+        ids=["series", "window"],
+    )
+    def test_duplicate_header_names_rejected(self, tmp_path, text, load):
+        with pytest.raises(DataError, match=r"f\.csv:1: header names \['\w+'\] more than once"):
+            load(write(tmp_path / "f.csv", text))
+
+    def test_other_columns_and_blank_rows_are_ignored(self, tmp_path):
+        text = "date,note,b,a\n\n2020-01-01,x,2,1\n , , , \n2020-01-02,\"y,z\",4,3\n"
+        dates, matrix, lines = read_columns(write(tmp_path / "f.csv", text), ["a", "b"], "file")
+        assert dates == ["2020-01-01", "2020-01-02"] and lines == [3, 5]
+        np.testing.assert_array_equal(matrix, [[1.0, 2.0], [3.0, 4.0]])
 
 
 class TestFetchHttp:

@@ -15,7 +15,7 @@ from fuzzformer import autodiff as ad
 from fuzzformer.baselines import rmse
 from fuzzformer.checkpoint import load_checkpoint
 from fuzzformer.config import RunConfig
-from fuzzformer.data import SPLIT_NAMES, fit_minmax, make_synthetic, prepare_dataset
+from fuzzformer.data import SPLIT_NAMES, fit_minmax, make_synthetic, prepare_dataset, read_columns
 from fuzzformer.exceptions import ConfigError, DataError
 from fuzzformer.model import FuzzformerModel
 from fuzzformer import training
@@ -23,7 +23,6 @@ from fuzzformer.training import (
     build_report,
     evaluate_split,
     forecast_bundle,
-    load_window_csv,
     read_results,
     train,
     write_report,
@@ -288,7 +287,7 @@ class TestForecastBundle:
         cfg = RunConfig(**TINY_TRAIN)
         result = train(cfg, ds, tmp_path / "run", log=quiet)
         names = self._window_csv(tmp_path / "window.csv")
-        dates, matrix = load_window_csv(tmp_path / "window.csv", names)
+        dates, matrix, _ = read_columns(tmp_path / "window.csv", names, "window file")
         paths = forecast_bundle(
             result.model, ds.scaler, names, dates, matrix, tmp_path / "bundle", log=quiet
         )
@@ -343,7 +342,7 @@ class TestForecastBundle:
         cfg = RunConfig(**TINY_TRAIN)
         result = train(cfg, ds, tmp_path / "run", log=quiet)
         names = self._window_csv(tmp_path / "w.csv", n=6)
-        dates, matrix = load_window_csv(tmp_path / "w.csv", names)
+        dates, matrix, _ = read_columns(tmp_path / "w.csv", names, "window file")
         with pytest.raises(DataError, match="rows"):
             forecast_bundle(result.model, ds.scaler, names, dates, matrix, tmp_path / "b")
 
@@ -351,7 +350,7 @@ class TestForecastBundle:
         # spreadsheet "CSV UTF-8" exports start with a byte-order mark
         path = tmp_path / "w.csv"
         path.write_bytes(b"\xef\xbb\xbfdate,b,a\n2020-01-01,2.0,1.0\n2020-01-02,4.0,3.0\n")
-        dates, matrix = load_window_csv(path, ["a", "b"])
+        dates, matrix, _ = read_columns(path, ["a", "b"], "window file")
         assert dates == ["2020-01-01", "2020-01-02"]
         np.testing.assert_array_equal(matrix, [[1.0, 2.0], [3.0, 4.0]])
 
@@ -359,7 +358,7 @@ class TestForecastBundle:
         path = tmp_path / "w.csv"
         path.write_text("date,a\n2020-01-01,1.0\n")
         with pytest.raises(DataError, match="missing channels"):
-            load_window_csv(path, ["a", "b"])
+            read_columns(path, ["a", "b"], "window file")
 
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
@@ -367,19 +366,19 @@ class TestForecastBundle:
         path = tmp_path / "w.csv"
         path.write_text(f"date,a\n2020-01-01,1.0\n2020-01-02,{cell}\n")
         with pytest.raises(DataError, match=r"w\.csv:3: non-finite"):
-            load_window_csv(path, ["a"])
+            read_columns(path, ["a"], "window file")
 
     def test_window_csv_reports_physical_line_after_multiline_cell(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text('date,a\n2020-01-01,"1\n"\n2020-01-02,x\n')
         with pytest.raises(DataError, match=r"w\.csv:4: bad row"):
-            load_window_csv(path, ["a"])
+            read_columns(path, ["a"], "window file")
 
     def test_window_csv_non_utf8_raises_data_error(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_bytes(b"date,a\n2020-01-01,\xe9\n")
         with pytest.raises(DataError, match="UTF-8"):
-            load_window_csv(path, ["a"])
+            read_columns(path, ["a"], "window file")
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -391,7 +390,7 @@ class TestForecastBundle:
             path = Path(tmp) / "w.csv"
             path.write_bytes(prefix + body)
             try:
-                dates, matrix = load_window_csv(path, ["a", "b"])
+                dates, matrix, _ = read_columns(path, ["a", "b"], "window file")
             except DataError:
                 return
         assert matrix.shape == (len(dates), 2)
