@@ -163,11 +163,16 @@ def _fused_forecast(seed, level, u, a, b, d, horizon, rules):
             np.cumsum(out, axis=-1, out=out)
     finite = np.isfinite(out).all(axis=-1)
     if not finite.all():
+        rule = None
         if rules is None:
             where = f"sample {int(np.argmin(finite))}"
         else:
-            where = f"rule {int(np.min(np.broadcast_to(rules, rows)[~finite]))}"
-        raise NonFiniteError(f"{where}: non-finite ARIX forecast (unstable polynomial)")
+            rule = int(np.min(np.broadcast_to(rules, rows)[~finite]))
+            where = f"rule {rule}"
+        raise NonFiniteError(
+            f"{where}: non-finite ARIX forecast (unstable polynomial)",
+            op="arix_recursion", rule=rule,
+        )
 
     def vjp(g):
         g_w = np.cumsum(g[..., ::-1], axis=-1)[..., ::-1] if d == 1 else g

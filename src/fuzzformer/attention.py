@@ -21,7 +21,13 @@ def scaled_dot_attention(q, k, v):
 
     Fused into a single graph node: the (N x N) weight matrices are the
     largest intermediates in the network, so the backward pass is
-    hand-derived instead of composed from primitives.
+    hand-derived instead of composed from primitives, and both passes
+    touch the (..., N, N) arrays as few times as they can.  The scale
+    goes on Q, not on the scores, and the exponential runs in place.
+    The softmax adjoint W * (dW - rowsum(W * dW)) takes its row sums
+    from the (..., N, d_out) output instead: rowsum(W * dW) =
+    rowsum(g * out), FlashAttention's D_i = dO_i . O_i (Dao et al.,
+    arXiv:2205.14135), and then runs in place in dW.
     """
     q, k, v = ad.astensor(q), ad.astensor(k), ad.astensor(v)
     if k.data.shape[-2] != v.data.shape[-2]:
@@ -34,15 +40,15 @@ def scaled_dot_attention(q, k, v):
         )
     Q, K, V = q.data, k.data, v.data
     scale = 1.0 / np.sqrt(K.shape[-1])
+    Qs = Q * scale
     try:
-        scores = np.matmul(Q, np.swapaxes(K, -1, -2))
+        W = np.matmul(Qs, np.swapaxes(K, -1, -2))
     except ValueError as exc:
         raise ShapeError(
             f"scaled_dot_attention: incompatible shapes {Q.shape} and {K.shape}"
         ) from exc
-    scores *= scale
-    scores -= np.max(scores, axis=-1, keepdims=True)
-    W = np.exp(scores)
+    W -= np.max(W, axis=-1, keepdims=True)
+    np.exp(W, out=W)
     W /= np.sum(W, axis=-1, keepdims=True)
     try:
         out_data = np.matmul(W, V)
@@ -53,13 +59,13 @@ def scaled_dot_attention(q, k, v):
 
     def vjp(g):
         dV = ad._unbroadcast(np.matmul(np.swapaxes(W, -1, -2), g), V.shape)
-        dW = np.matmul(g, np.swapaxes(V, -1, -2))
-        dW *= W
-        dS = dW - W * np.sum(dW, axis=-1, keepdims=True)  # softmax adjoint
-        dS *= scale
-        dQ = ad._unbroadcast(np.matmul(dS, K), Q.shape)
-        dK = ad._unbroadcast(np.matmul(np.swapaxes(dS, -1, -2), Q), K.shape)
-        return dQ, dK, dV
+        dS = np.matmul(g, np.swapaxes(V, -1, -2))
+        dS -= np.sum(g * out_data, axis=-1, keepdims=True)
+        dS *= W  # softmax adjoint, w.r.t. the scores of the scaled Q
+        dQ = np.matmul(dS, K)
+        dQ *= scale
+        dK = ad._unbroadcast(np.matmul(np.swapaxes(dS, -1, -2), Qs), K.shape)
+        return ad._unbroadcast(dQ, Q.shape), dK, dV
 
     out = ad.custom_op("scaled_dot_attention", out_data, (q, k, v), vjp)
     return out, ad.Tensor(W)

@@ -17,8 +17,21 @@ exists): with the defaults, glibc hands large freed blocks back to the
 OS and the next batch faults the same pages in again.
 
 Shape mismatches raise :class:`ShapeError` naming the offending
-operation; NaN/Inf in any forward value or gradient raises
-:class:`NonFiniteError` naming the op.
+operation.  NaN/Inf is caught in one of two ways:
+
+* Per-op probes.  ``_node`` checks every forward value and
+  ``Tensor._accum`` every gradient it receives, and the first non-finite
+  array raises :class:`NonFiniteError` naming the op.  They are on
+  everywhere (evaluation, ``predict``, the forecast bundle, tests) except
+  inside ``no_finite_probes``.
+* One check per training step.  ``train_step`` runs the forward pass and
+  ``backward`` with the probes off, then checks the loss and every
+  parameter gradient once; Adam steps only when all are finite.
+  Otherwise it clears the gradients, restores the dropout generator and
+  replays the batch with the probes on, so the error names the op (or
+  the ARIX rule) just as a probed run would.  Hence the one difference
+  from a probed step: a non-finite intermediate that reaches neither the
+  loss nor any parameter gradient no longer stops training.
 """
 
 from __future__ import annotations
@@ -29,9 +42,10 @@ import sys
 
 import numpy as np
 
-from .exceptions import NonFiniteError, PositiveDefinitenessError, ShapeError
+from .exceptions import NonFiniteError, NumericError, PositiveDefinitenessError, ShapeError
 
 _GRAD_ENABLED = True
+_PROBES_ON = True
 
 # glibc <malloc.h> parameter numbers
 _M_TRIM_THRESHOLD = -1
@@ -71,6 +85,18 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+@contextlib.contextmanager
+def no_finite_probes():
+    """Skip the per-op NaN/Inf probes of ``_node`` and ``_accum`` inside the block."""
+    global _PROBES_ON
+    prev = _PROBES_ON
+    _PROBES_ON = False
+    try:
+        yield
+    finally:
+        _PROBES_ON = prev
+
+
 def _all_finite(x) -> bool:
     # summing is a no-false-negative probe: any NaN/Inf entry makes the
     # sum non-finite, and no allocation of a bool array is needed; only a
@@ -108,8 +134,8 @@ class Tensor:
         return float(self.data)
 
     def _accum(self, g) -> None:
-        if not _all_finite(g):
-            raise NonFiniteError(f"{self._op}: non-finite gradient")
+        if _PROBES_ON and not _all_finite(g):
+            raise NonFiniteError(f"{self._op}: non-finite gradient", op=self._op)
         if self.grad is None:
             # copy: g may be a (read-only) view of another node's buffer
             self.grad = np.array(g, dtype=np.float64)
@@ -139,13 +165,14 @@ def parameter(data) -> Tensor:
 def _node(op: str, data, inputs, vjp) -> Tensor:
     """Build a graph node: the one place an op output is created.
 
-    Checks that the forward values are finite, then, when the tape is
-    active and some input requires a gradient, records the inputs and one
-    closure that gives each such input its entry of ``vjp(out.grad)``.
+    Probes the forward values for NaN/Inf (see the module docstring),
+    then, when the tape is active and some input requires a gradient,
+    records the inputs and one closure that gives each such input its
+    entry of ``vjp(out.grad)``.
     ``vjp`` returns one gradient array (or None) per input, in order.
     """
-    if not _all_finite(data):
-        raise NonFiniteError(f"{op}: non-finite values in forward pass")
+    if _PROBES_ON and not _all_finite(data):
+        raise NonFiniteError(f"{op}: non-finite values in forward pass", op=op)
     out = Tensor(data)
     out._op = op
     if _GRAD_ENABLED:
@@ -488,6 +515,47 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
+
+
+def train_step(opt: Adam, loss_fn, rng: np.random.Generator | None, where: str):
+    """One Adam step on the scalar loss of ``loss_fn``, checked once.
+
+    ``loss_fn()`` builds the graph, drawing its dropout masks from
+    ``rng`` (None when it draws none), and returns (loss tensor, extra);
+    ``extra`` is returned.  Forward and backward run with the per-op
+    probes off and numpy's floating-point warnings silenced.  When the
+    loss or a gradient of ``opt.params`` is non-finite, Adam does not
+    step: the gradients are cleared, ``rng`` is put back to its state
+    before the step and the batch is replayed with the probes on, whose
+    error is raised.  Every ``NumericError`` of the step is raised with
+    ``where`` in front of its message.
+    """
+    state = None if rng is None else rng.bit_generator.state
+    try:
+        with no_finite_probes(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            loss, extra = loss_fn()
+            backward(loss)
+        finite = _all_finite(loss.data) and all(
+            p.grad is None or _all_finite(p.grad) for p in opt.params
+        )
+    except NumericError:  # possibly a symptom of an unprobed NaN upstream
+        finite = False
+    if finite:
+        opt.step()
+        return extra
+    opt.zero_grad()
+    if rng is not None:
+        rng.bit_generator.state = state
+    try:
+        loss, _ = loss_fn()
+        backward(loss)
+        raise NonFiniteError("non-finite loss or gradient, yet no op's probe fired on replay")
+    except NumericError as exc:
+        opt.zero_grad()
+        message = f"{where}: {exc}"
+        if isinstance(exc, NonFiniteError):
+            raise NonFiniteError(message, op=exc.op, rule=exc.rule) from exc
+        raise NumericError(message) from exc
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

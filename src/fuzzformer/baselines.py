@@ -264,11 +264,14 @@ def train_lstm_baseline(
         for start in range(0, order.size, batch_size):
             chunk = order[start : start + batch_size]
             batch = dataset.batch(chunk, history=1)
-            pred = model.forward(batch.x)
-            loss = mse_loss(pred, batch.y_target)
-            ad.backward(loss)
-            opt.step()
-            total += loss.item()
+
+            def loss_fn():
+                loss = mse_loss(model.forward(batch.x), batch.y_target)
+                return loss, loss.item()
+
+            total += ad.train_step(
+                opt, loss_fn, None, f"epoch {epoch + 1}, batch at sample {start}"
+            )
         if log is not None:
             log(f"lstm-baseline epoch {epoch + 1}/{epochs} train_mse={total / train_origins.size:.6f}")
     return model

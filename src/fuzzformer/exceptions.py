@@ -30,7 +30,17 @@ class ShapeError(NumericError):
 
 
 class NonFiniteError(NumericError):
-    """NaN or Inf encountered during a computation."""
+    """NaN or Inf encountered during a computation.
+
+    ``op`` names the graph op whose values or gradient were non-finite
+    and ``rule`` the fuzzy rule whose ARIX forecast was; each is None
+    when unknown.
+    """
+
+    def __init__(self, message, op=None, rule=None):
+        super().__init__(message)
+        self.op = op
+        self.rule = rule
 
 
 class PositiveDefinitenessError(NumericError):

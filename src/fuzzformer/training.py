@@ -23,7 +23,7 @@ from .baselines import rmse
 from .checkpoint import save_checkpoint
 from .config import RunConfig
 from .data import SPLIT_NAMES, WindowedDataset
-from .exceptions import ConfigError, DataError, NumericError
+from .exceptions import ConfigError, DataError
 from .fuzzy import bhattacharyya  # by this name, so a profiler can patch the bundle's call
 from .losses import composite_loss
 from .model import FuzzformerModel
@@ -146,14 +146,10 @@ def train(config: RunConfig, dataset: WindowedDataset, out_dir, log=print) -> Tr
         for start in range(0, order.size, config.batch_size):
             chunk = order[start : start + config.batch_size]
             batch = dataset.batch(chunk, history=hist_len)
-            try:
-                total, parts = composite_loss(batch, model, weights, rng=rng_dropout)
-                ad.backward(total)
-            except NumericError as exc:
-                raise NumericError(
-                    f"epoch {epoch}, batch at sample {start}: {exc}"
-                ) from exc
-            opt.step()
+            parts = ad.train_step(
+                opt, lambda: composite_loss(batch, model, weights, rng=rng_dropout),
+                rng_dropout, f"epoch {epoch}, batch at sample {start}",
+            )
             for key in sums:
                 sums[key] += parts[key]
             n_batches += 1

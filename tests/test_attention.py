@@ -1,5 +1,7 @@
 """Tests for scaled dot-product and multi-head self-attention."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from fuzzformer.attention import MultiHeadAttention, scaled_dot_attention
 from fuzzformer.autodiff import Tensor, parameter
 from fuzzformer.exceptions import ConfigError, ShapeError
 
+import attention_oracle
 from gradcheck import check_gradients
 
 
@@ -86,6 +89,43 @@ class TestScaledDotAttention:
         check_gradients(
             lambda: ad.tsum(ad.tanh(scaled_dot_attention(q, k, v)[0])), [q, k, v]
         )
+
+
+def _against_oracle(q_shape, v_shape, seed, magnitude=1.0):
+    """Worst norm-relative gap of (out, W, dQ, dK, dV) from the scores-first oracle."""
+    rng = np.random.default_rng(seed)
+    Q = rng.normal(scale=magnitude, size=q_shape)
+    K = rng.normal(scale=magnitude, size=q_shape)
+    V = rng.normal(size=v_shape)
+    q, k, v = parameter(Q), parameter(K), parameter(V)
+    out, w = scaled_dot_attention(q, k, v)
+    g = rng.normal(size=out.data.shape)
+    ad.backward(ad.tsum(ad.mul(out, g)))
+    want_out, want_w = attention_oracle.attention(Q, K, V)
+    want = (want_out, want_w) + attention_oracle.attention_vjp(Q, K, V, want_w, g)
+    got = (out.data, w.data, q.grad, k.grad, v.grad)
+    return max(np.max(np.abs(a - b)) / np.max(np.abs(b)) for a, b in zip(got, want))
+
+
+class TestAgainstOracle:
+    """Q-side scaling and the output-side row sums against the scores-first formula."""
+
+    @pytest.mark.parametrize(
+        "q_shape, v_shape",
+        [
+            ((64, 60, 8), (64, 60, 8)),  # desk heads: batch 64, lookback 60, D_h/heads = 8
+            ((4, 60, 32), (4, 60, 32)),  # paper heads: D_h/heads = 32
+            ((4, 60, 8), (60, 8)),  # one value matrix broadcast over the batch
+        ],
+    )
+    def test_outputs_weights_and_gradients_match(self, q_shape, v_shape):
+        assert _against_oracle(q_shape, v_shape, seed=12) < 1e-12
+
+    def test_large_scores_underflow_without_warnings(self):
+        # scores reach about 1.5e3: many weights underflow to exact zeros
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _against_oracle((8, 60, 8), (8, 60, 8), seed=13, magnitude=17.0) < 1e-12
 
 
 class TestMultiHead:

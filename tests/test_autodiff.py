@@ -76,6 +76,103 @@ class TestForward:
                 backward(loss)
 
 
+def _probes_on() -> bool:
+    try:
+        ad.exp(Tensor([1000.0]))
+    except NonFiniteError:
+        return True
+    return False
+
+
+class TestFiniteProbes:
+    def test_error_names_its_op(self):
+        with pytest.raises(NonFiniteError) as info:
+            ad.exp(Tensor([1000.0]))
+        assert (info.value.op, info.value.rule) == ("exp", None)
+        x = parameter([1e-320])
+        with np.errstate(divide="ignore"), pytest.raises(NonFiniteError) as info:
+            backward(ad.tsum(ad.log(x)))
+        assert (info.value.op, info.value.rule) == ("leaf", None)
+
+    def test_probes_off_let_values_and_gradients_through(self):
+        x = parameter([1e-320, 1.0])
+        with ad.no_finite_probes():
+            out = ad.exp(Tensor([1000.0]))
+            with np.errstate(divide="ignore"):
+                backward(ad.tsum(ad.log(x)))
+        assert np.isinf(out.data[0]) and np.isinf(x.grad[0]) and x.grad[1] == 1.0
+
+    def test_probes_come_back_after_an_exception_and_after_nesting(self):
+        with pytest.raises(ZeroDivisionError):
+            with ad.no_finite_probes():
+                1 / 0
+        assert _probes_on()
+        with ad.no_finite_probes():
+            with ad.no_finite_probes():
+                assert not _probes_on()
+            assert not _probes_on()
+        assert _probes_on()
+
+
+class TestTrainStep:
+    def test_finite_step_equals_backward_then_adam(self):
+        rng = np.random.default_rng(5)
+        w0, target = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
+        x = rng.normal(size=(4, 3))
+        runs = []
+        for use_step in (True, False):
+            w = parameter(w0.copy())
+            opt = Adam([w], learning_rate=0.1)
+            drop = np.random.default_rng(6)
+            for _ in range(3):
+                def loss_fn():
+                    h = ad.dropout(ad.matmul(x, w), 0.5, drop, training=True)
+                    loss = ad.tsum(ad.mul(ad.sub(h, target), ad.sub(h, target)))
+                    return loss, loss.item()
+
+                if use_step:
+                    ad.train_step(opt, loss_fn, drop, "step")
+                else:
+                    loss, _ = loss_fn()
+                    backward(loss)
+                    opt.step()
+            runs.append((w.data.copy(), drop.random()))
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
+
+    @pytest.mark.parametrize(
+        "plant, message",
+        [
+            ("forward", "exp: non-finite values in forward pass"),
+            ("backward", "leaf: non-finite gradient"),
+        ],
+    )
+    def test_failed_step_replays_with_probes_and_leaves_adam_alone(self, plant, message):
+        x = parameter([0.5, 1e-320])  # d log / dx = 1 / x overflows at 1e-320
+        opt = Adam([x], learning_rate=0.1)
+        x.grad = np.array([1.0, 0.0])  # a finite step first, which keeps x[1]
+        opt.step()
+        before = x.data.copy()
+        rng = np.random.default_rng(0)
+        draws = []
+
+        def loss_fn():
+            draws.append(rng.random())
+            if plant == "forward":
+                loss = ad.tsum(ad.exp(ad.mul(x, 2000.0)))
+            else:
+                loss = ad.tsum(ad.log(x))
+            return loss, None
+
+        with pytest.raises(NonFiniteError) as info, np.errstate(all="ignore"):
+            ad.train_step(opt, loss_fn, rng, "epoch 3, batch at sample 8")
+        assert str(info.value) == f"epoch 3, batch at sample 8: {message}"
+        assert info.value.op == message.split(":")[0]
+        assert opt.step_count == 1 and x.grad is None
+        np.testing.assert_array_equal(x.data, before)
+        assert len(draws) == 2 and draws[0] == draws[1]  # the replay redraws the same numbers
+
+
 class TestBackward:
     def test_quadratic_gradient(self):
         x = parameter([1.0, 2.0, 3.0])

@@ -337,6 +337,15 @@ class TestLstmBaseline:
         assert preds.shape[1] == 10
         assert np.all(np.isfinite(preds))
 
+    def test_numeric_failure_names_epoch_and_batch(self):
+        ds = prepare_dataset(make_synthetic(n_points=400, seed=3), lookback=12, horizon=4)
+        # the first step moves every weight by about the learning rate
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
+            train_lstm_baseline(ds, hidden=4, epochs=1, learning_rate=1e308, batch_size=16, seed=1)
+        assert str(info.value) == (
+            "epoch 1, batch at sample 16: lstm_scan: non-finite values in forward pass"
+        )
+
     def test_seeded_determinism(self):
         ds = sinusoid_dataset(n=300, lookback=20, horizon=5)
         r = []

@@ -438,6 +438,16 @@ class TestExitCodes:
         ])
         assert code == EXIT_NUMERIC
 
+    def test_training_failure_is_exit_three(self, workspace, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"weight_overlap": 1e308}))
+        code = main([
+            "train", "--dataset", str(workspace / "data" / "dataset.bin"),
+            "--out", str(tmp_path / "run"), "--config", str(cfg_file), *TRAIN_FLAGS,
+        ])
+        assert code == EXIT_NUMERIC
+        assert "numeric failure: epoch 1, batch at sample 0: " in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "fetch" in capsys.readouterr().out

@@ -16,7 +16,8 @@ from fuzzformer.baselines import rmse
 from fuzzformer.checkpoint import load_checkpoint
 from fuzzformer.config import RunConfig
 from fuzzformer.data import SPLIT_NAMES, fit_minmax, make_synthetic, prepare_dataset, read_columns
-from fuzzformer.exceptions import ConfigError, DataError
+from fuzzformer.exceptions import ConfigError, DataError, NonFiniteError
+from fuzzformer.losses import LossWeights, composite_loss
 from fuzzformer.model import FuzzformerModel
 from fuzzformer import training
 from fuzzformer.training import (
@@ -116,6 +117,49 @@ class TestTrain:
         cfg = RunConfig(**{**TINY_TRAIN, "channels": 2})
         with pytest.raises(ConfigError, match="channels"):
             train(cfg, tiny_dataset, tmp_path / "bad", log=quiet)
+
+
+# the tiny model's overlap term exceeds 1.8, so its product with this
+# weight overflows in the forward pass
+OVERFLOWING_OVERLAP = dict(weight_overlap=1e308)
+
+
+class TestTrainFailure:
+    def test_train_names_epoch_batch_and_op(self, tiny_dataset, tmp_path):
+        cfg = RunConfig(**{**TINY_TRAIN, **OVERFLOWING_OVERLAP})
+        with pytest.raises(NonFiniteError) as info:
+            train(cfg, tiny_dataset, tmp_path / "run", log=quiet)
+        assert str(info.value) == (
+            "epoch 1, batch at sample 0: mul: non-finite values in forward pass"
+        )
+        assert info.value.op == "mul"
+
+    def test_replay_names_the_probed_op_and_leaves_adam_alone(self, tiny_dataset):
+        cfg = RunConfig(**TINY_TRAIN)
+        model = FuzzformerModel(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        model.initialize_clusters(training.warmup_latents(model, tiny_dataset, rng), rng)
+        batch = tiny_dataset.batch(tiny_dataset.origins_for("train")[:16], history=3)
+        opt = ad.Adam(model.parameter_tensors(), learning_rate=1e-3)
+        ad.train_step(
+            opt, lambda: composite_loss(batch, model, cfg.loss_weights(), rng), rng, "first"
+        )
+        before = [t.data.copy() for t in model.parameter_tensors()]
+        planted = LossWeights(overlap=OVERFLOWING_OVERLAP["weight_overlap"])
+        state = rng.bit_generator.state
+        with pytest.raises(NonFiniteError) as step_error:
+            ad.train_step(
+                opt, lambda: composite_loss(batch, model, planted, rng), rng, "epoch 1, batch at sample 16"
+            )
+        assert opt.step_count == 1
+        for tensor, arr in zip(model.parameter_tensors(), before):
+            np.testing.assert_array_equal(tensor.data, arr)
+            assert tensor.grad is None
+        rng.bit_generator.state = state
+        with pytest.raises(NonFiniteError) as probed_error:
+            total, _ = composite_loss(batch, model, planted, rng)
+            ad.backward(total)
+        assert str(step_error.value) == f"epoch 1, batch at sample 16: {probed_error.value}"
 
 
 class TestRunConfigFromDict:
