@@ -172,6 +172,13 @@ class TestTrainStep:
         np.testing.assert_array_equal(x.data, before)
         assert len(draws) == 2 and draws[0] == draws[1]  # the replay redraws the same numbers
 
+    def test_failure_no_probe_sees_still_raises(self):
+        # a non-finite leaf as the loss: no op, so no probe, can name it
+        opt = Adam([parameter([1.0])])
+        with pytest.raises(NonFiniteError, match="^step 1: non-finite loss or gradient, yet no op"):
+            ad.train_step(opt, lambda: (Tensor(np.inf), None), None, "step 1")
+        assert opt.step_count == 0
+
 
 class TestBackward:
     def test_quadratic_gradient(self):
