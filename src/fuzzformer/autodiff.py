@@ -527,23 +527,40 @@ def train_step(opt: Adam, loss_fn, rng: np.random.Generator | None, where: str):
     loss or a gradient of ``opt.params`` is non-finite, Adam does not
     step: the gradients are cleared, ``rng`` is put back to its state
     before the step and the batch is replayed with the probes on, whose
-    error is raised.  Every ``NumericError`` of the step is raised with
-    ``where`` in front of its message.
+    error is raised.  A finite gradient entry too large to square (above
+    ~1.3e154) would make Adam's second moment infinite and freeze that
+    entry, so it too stops the step, with a ``NonFiniteError`` whose
+    ``op`` is ``"adam"``.  Every ``NumericError`` of the step is raised
+    with ``where`` in front of its message.
     """
     state = None if rng is None else rng.bit_generator.state
+    oversized = False
     try:
         with no_finite_probes(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             loss, extra = loss_fn()
             backward(loss)
-        finite = _all_finite(loss.data) and all(
-            p.grad is None or _all_finite(p.grad) for p in opt.params
-        )
+            finite = _all_finite(loss.data)
+            for p in opt.params:
+                # a finite sum of squares certifies every entry and its
+                # square; only a non-finite one, which finite squares can
+                # reach by overflow, pays for the test of the largest entry
+                if not finite or p.grad is None or np.isfinite(np.vdot(p.grad, p.grad)):
+                    continue
+                largest = np.abs(p.grad).max()
+                if not np.isfinite(largest):
+                    finite = False
+                elif not np.isfinite(largest * largest):
+                    oversized = True
     except NumericError:  # possibly a symptom of an unprobed NaN upstream
         finite = False
-    if finite:
+    if finite and not oversized:
         opt.step()
         return extra
     opt.zero_grad()
+    if finite:
+        raise NonFiniteError(
+            f"{where}: adam: a gradient entry is too large to square", op="adam"
+        )
     if rng is not None:
         rng.bit_generator.state = state
     try:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import container
 from .config import RunConfig
-from .data import MinMaxScaler
+from .data import MinMaxScaler, check_main_channel
 from .exceptions import DataError
 from .model import FuzzformerModel
 
@@ -40,6 +40,7 @@ def load_checkpoint(path):
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path}: unsupported checkpoint format {meta.get('format')!r}")
     config = RunConfig.from_dict(container.require(meta, "config", path, "meta key"))
+    check_main_channel(meta, path)
     names = meta.get("channel_names", [])
     if not isinstance(names, list) or len(names) not in (0, config.channels):
         raise DataError(

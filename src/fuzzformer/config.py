@@ -11,7 +11,6 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .exceptions import ConfigError
-from .losses import LossWeights
 
 
 def _is_a(value, kind) -> bool:
@@ -65,7 +64,7 @@ class RunConfig:
                 f"hidden_width {self.hidden_width} must be divisible by "
                 f"attention_heads {self.attention_heads}"
             )
-        if self.lookback < self.ar_order + self.integration_order:
+        if self.lookback < self.history:
             raise ConfigError(
                 f"lookback {self.lookback} too short to seed ARIX order "
                 f"p={self.ar_order}, d={self.integration_order}"
@@ -76,16 +75,19 @@ class RunConfig:
             raise ConfigError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
-        self.loss_weights()  # validates the weight_* fields
+        for name in ("weight_mse", "weight_fcm", "weight_overlap", "weight_balance"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # also false for NaN
+                raise ConfigError(
+                    f"{name} must be finite and non-negative, got {getattr(self, name)}"
+                )
+        if self.weight_mse <= 0:
+            raise ConfigError("the MSE weight must be positive")
         return self
 
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            mse=self.weight_mse,
-            fcm=self.weight_fcm,
-            overlap=self.weight_overlap,
-            balance=self.weight_balance,
-        )
+    @property
+    def history(self) -> int:
+        """Trailing main-series values that seed the ARIX recursion: p + d."""
+        return self.ar_order + self.integration_order
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -246,8 +246,10 @@ class Batch:
 class WindowedDataset:
     """Scaled matrix plus window origins, split labels, and the scaler.
 
-    A sample with origin k covers input rows [k-N+1, k] and target rows
-    [k+1, k+H].  Split labels: 0 train, 1 valid, 2 test.
+    Column 0 of the matrix is the main series (``align`` puts it first);
+    the others are exogenous.  A sample with origin k covers input rows
+    [k-N+1, k] and target rows [k+1, k+H].  Split labels: 0 train,
+    1 valid, 2 test.
     """
 
     matrix: np.ndarray
@@ -260,7 +262,6 @@ class WindowedDataset:
     labels: np.ndarray
     scaler: MinMaxScaler
     fit_rows: int
-    main_channel: int = 0
 
     def origins_for(self, split) -> np.ndarray:
         idx = SPLIT_NAMES.index(split) if isinstance(split, str) else int(split)
@@ -275,16 +276,16 @@ class WindowedDataset:
         rows = origins[:, None] + np.arange(-n + 1, 1)[None, :]
         x = self.matrix[rows]
         tgt_rows = origins[:, None] + np.arange(1, self.horizon + 1)[None, :]
-        y_target = self.matrix[tgt_rows, self.main_channel]
+        y_target = self.matrix[tgt_rows, 0]
         hist_rows = origins[:, None] + np.arange(-history + 1, 1)[None, :]
-        y_history = self.matrix[hist_rows, self.main_channel]
+        y_history = self.matrix[hist_rows, 0]
         return Batch(x=x, y_target=y_target, y_history=y_history, origins=origins)
 
     def window_main(self, origins) -> np.ndarray:
         """(B, N) main-channel input windows (for univariate baselines)."""
         origins = np.asarray(origins, dtype=np.int64)
         rows = origins[:, None] + np.arange(-self.lookback + 1, 1)[None, :]
-        return self.matrix[rows, self.main_channel]
+        return self.matrix[rows, 0]
 
     # ------------------------------------------------------------------
     def save(self, path) -> None:
@@ -298,7 +299,7 @@ class WindowedDataset:
             "horizon": self.horizon,
             "stride": self.stride,
             "fit_rows": self.fit_rows,
-            "main_channel": self.main_channel,
+            "main_channel": 0,
             "calendar": list(self.calendar),
         }
         arrays = [
@@ -328,7 +329,7 @@ class WindowedDataset:
         mins, maxs = array("scaler.mins"), array("scaler.maxs")
         channel_names = list(container.require(meta, "channel_names", path, "meta key"))
         lookback, horizon = integer("lookback"), integer("horizon")
-        main_channel = integer("main_channel")
+        check_main_channel(meta, path)
         # every window must lie inside the matrix: a bad archive fails here,
         # not as an IndexError in ``batch``
         if matrix.ndim != 2:
@@ -359,8 +360,6 @@ class WindowedDataset:
                 f"{path}: meta key 'channel_names' lists {len(channel_names)} names "
                 f"for {channels} columns"
             )
-        if not 0 <= main_channel < channels:
-            raise DataError(f"{path}: meta key 'main_channel' {main_channel} is not a column")
         return cls(
             matrix=matrix,
             calendar=list(container.require(meta, "calendar", path, "meta key")),
@@ -372,7 +371,17 @@ class WindowedDataset:
             labels=labels.astype(np.int64),
             scaler=MinMaxScaler(mins, maxs),
             fit_rows=integer("fit_rows"),
-            main_channel=main_channel,
+        )
+
+
+def check_main_channel(meta, path) -> None:
+    """Reject archive metadata whose ``main_channel`` is not 0: the main
+    series is always column 0, and nothing reads another."""
+    main_channel = container.require_int(meta, "main_channel", path)
+    if main_channel != 0:
+        raise DataError(
+            f"{path}: meta key 'main_channel' {main_channel} is not a column the "
+            "model reads; the main series is always column 0"
         )
 
 
@@ -447,7 +456,7 @@ def write_manifest(path, dataset: WindowedDataset, sources: dict) -> None:
         entries.append(
             {
                 "channel": name,
-                "role": "main" if i == dataset.main_channel else "exogenous",
+                "role": "main" if i == 0 else "exogenous",
                 "source": sources.get(name, "unknown"),
                 "first_date": dataset.calendar[0],
                 "last_date": dataset.calendar[-1],

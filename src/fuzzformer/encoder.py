@@ -58,8 +58,6 @@ class LstmLayer:
     """Parameters of one LSTM layer (fused input/hidden gate weights)."""
 
     def __init__(self, d_in, d_h, rng):
-        self.d_in = d_in
-        self.d_h = d_h
         self.wx = ad.parameter(ad.uniform_init(rng, (d_in, 4 * d_h), d_in))
         self.wh = ad.parameter(ad.uniform_init(rng, (d_h, 4 * d_h), d_h))
         self.b = ad.parameter(ad.uniform_init(rng, (4 * d_h,), d_h))
@@ -99,49 +97,40 @@ class EncoderOutput:
 
 
 class Encoder:
-    """LSTM stack + attention stack + the z/u dense heads."""
+    """LSTM stack + attention stack + the z/u dense heads of a ``RunConfig``."""
 
-    def __init__(
-        self,
-        d_x,
-        d_h,
-        lstm_layers,
-        mha_layers,
-        n_heads,
-        d_z,
-        horizon,
-        dropout_rate,
-        rng,
-        attention_residual=True,
-    ):
-        self.d_x = d_x
-        self.d_h = d_h
-        self.dropout_rate = float(dropout_rate)
-        self.attention_residual = bool(attention_residual)
+    def __init__(self, config, rng):
+        self.config = config
+        d_h = config.hidden_width
         self.lstm_layers = [
-            LstmLayer(d_x if i == 0 else d_h, d_h, rng) for i in range(lstm_layers)
+            LstmLayer(config.channels if i == 0 else d_h, d_h, rng)
+            for i in range(config.lstm_layers)
         ]
-        self.mha_layers = [MultiHeadAttention(d_h, n_heads, rng) for _ in range(mha_layers)]
-        self.z_head = Dense(d_h, d_z, rng, activation="tanh")
-        self.u_head = Dense(d_h, horizon, rng)
+        self.mha_layers = [
+            MultiHeadAttention(d_h, config.attention_heads, rng)
+            for _ in range(config.mha_layers)
+        ]
+        self.z_head = Dense(d_h, config.latent_width, rng, activation="tanh")
+        self.u_head = Dense(d_h, config.horizon, rng)
 
     def __call__(self, x, training=False, rng=None) -> EncoderOutput:
         """x: (B, N, D_X) tensor of scaled windows."""
+        cfg = self.config
         x = ad.astensor(x)
-        if x.data.ndim != 3 or x.data.shape[-1] != self.d_x:
+        if x.data.ndim != 3 or x.data.shape[-1] != cfg.channels:
             raise ShapeError(
-                f"encoder: expected (B, N, {self.d_x}) input, got {x.data.shape}"
+                f"encoder: expected (B, N, {cfg.channels}) input, got {x.data.shape}"
             )
         h = x
         for layer in self.lstm_layers:
             h = layer(h)
-            h = ad.dropout(h, self.dropout_rate, rng, training)
+            h = ad.dropout(h, cfg.dropout_rate, rng, training)
         seq = h
         attended = h
         all_weights = []
         for mha in self.mha_layers:
             m, weights = mha(attended)
-            attended = ad.add(attended, m) if self.attention_residual else m
+            attended = ad.add(attended, m) if cfg.attention_residual else m
             all_weights.append(weights)
         pooled = ad.tmean(attended, axis=1)
         z = self.z_head(pooled)

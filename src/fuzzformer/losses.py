@@ -8,27 +8,9 @@ cluster collapse.  MSE follows the batch-sum convention; logs report it
 per sample.
 """
 
-import math
-from dataclasses import asdict, dataclass
-
 from . import autodiff as ad
-from .exceptions import ConfigError, ShapeError
+from .exceptions import ShapeError
 from .fuzzy import OVERLAP_FLOOR
-
-
-@dataclass
-class LossWeights:
-    mse: float = 1.0
-    fcm: float = 0.1
-    overlap: float = 0.01
-    balance: float = 0.1
-
-    def __post_init__(self):
-        for name, value in asdict(self).items():
-            if not 0.0 <= value < math.inf:  # also false for NaN
-                raise ConfigError(f"weight_{name} must be finite and non-negative, got {value}")
-        if self.mse <= 0:
-            raise ConfigError("the MSE weight must be positive")
 
 
 def mse_loss(pred, target):
@@ -74,10 +56,11 @@ def balance_loss(psi):
     return ad.tsum(ad.mul(pbar, ad.log(ad.mul(safe, float(n_rules)))))
 
 
-def composite_loss(batch, model, weights: LossWeights, rng=None):
+def composite_loss(batch, model, rng=None):
     """Weighted four-term objective on one training batch.
 
-    The MSE term uses the winner-takes-all forecast: each sample's
+    The weights are the ``weight_*`` fields of ``model.config``.  The
+    MSE term uses the winner-takes-all forecast: each sample's
     forward pass runs only the rule with the highest activation, and the
     selection itself is non-differentiable routing.  Returns the scalar
     loss tensor and a per-term breakdown of plain floats.
@@ -87,9 +70,10 @@ def composite_loss(batch, model, weights: LossWeights, rng=None):
     l_fcm = fcm_loss(fwd.memberships, fwd.latent_diffs)
     l_overlap = overlap_loss(fwd.bhattacharyya_pairs)
     l_balance = balance_loss(fwd.memberships)
+    cfg = model.config
     total = ad.add(
-        ad.add(ad.mul(l_mse, weights.mse), ad.mul(l_fcm, weights.fcm)),
-        ad.add(ad.mul(l_overlap, weights.overlap), ad.mul(l_balance, weights.balance)),
+        ad.add(ad.mul(l_mse, cfg.weight_mse), ad.mul(l_fcm, cfg.weight_fcm)),
+        ad.add(ad.mul(l_overlap, cfg.weight_overlap), ad.mul(l_balance, cfg.weight_balance)),
     )
     parts = {
         "mse": l_mse.item(),

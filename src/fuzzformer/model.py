@@ -40,18 +40,7 @@ class FuzzformerModel:
     def __init__(self, config: RunConfig, rng: np.random.Generator):
         config.validate()
         self.config = config
-        self.encoder = Encoder(
-            d_x=config.channels,
-            d_h=config.hidden_width,
-            lstm_layers=config.lstm_layers,
-            mha_layers=config.mha_layers,
-            n_heads=config.attention_heads,
-            d_z=config.latent_width,
-            horizon=config.horizon,
-            dropout_rate=config.dropout_rate,
-            rng=rng,
-            attention_residual=config.attention_residual,
-        )
+        self.encoder = Encoder(config, rng)
         c, dz = config.rules, config.latent_width
         # Clusters start as unit-ish spheres scattered in the tanh-bounded
         # latent box; a warm-up pass usually re-seeds the centers.
@@ -101,7 +90,7 @@ class FuzzformerModel:
         return x
 
     def _check_history(self, y_history: np.ndarray, batch: int) -> np.ndarray:
-        need = self.config.ar_order + self.config.integration_order
+        need = self.config.history
         y_history = np.asarray(y_history, dtype=np.float64)
         if y_history.ndim != 2 or y_history.shape[1] < need:
             raise ShapeError(

@@ -109,9 +109,9 @@ def score_split(dataset, split, history, forecast) -> MetricsReport:
 
 def evaluate_split(model: FuzzformerModel, dataset, split):
     """Aggregate-forecast RMSE (scaled units) over one split."""
-    hist = model.config.ar_order + model.config.integration_order
     return score_split(
-        dataset, split, hist, lambda batch: (model.predict(batch.x, batch.y_history), True)
+        dataset, split, model.config.history,
+        lambda batch: (model.predict(batch.x, batch.y_history), True),
     )
 
 
@@ -127,9 +127,7 @@ def train(config: RunConfig, dataset: WindowedDataset, out_dir, log=print) -> Tr
 
     model = FuzzformerModel(config, rng_init)
     model.initialize_clusters(warmup_latents(model, dataset, rng_cluster), rng_cluster)
-    weights = config.loss_weights()
     opt = Adam(model.parameter_tensors(), learning_rate=config.learning_rate)
-    hist_len = config.ar_order + config.integration_order
     train_origins = dataset.origins_for("train")
 
     def snapshot():
@@ -145,9 +143,9 @@ def train(config: RunConfig, dataset: WindowedDataset, out_dir, log=print) -> Tr
         n_batches = 0
         for start in range(0, order.size, config.batch_size):
             chunk = order[start : start + config.batch_size]
-            batch = dataset.batch(chunk, history=hist_len)
+            batch = dataset.batch(chunk, history=config.history)
             parts = ad.train_step(
-                opt, lambda: composite_loss(batch, model, weights, rng=rng_dropout),
+                opt, lambda: composite_loss(batch, model, rng=rng_dropout),
                 rng_dropout, f"epoch {epoch}, batch at sample {start}",
             )
             for key in sums:
@@ -214,8 +212,7 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
     window = matrix[-cfg.lookback :]
     scaled = scaler.transform(window)
     x = scaled[None, :, :]
-    hist = cfg.ar_order + cfg.integration_order
-    y_hist = scaled[None, -hist:, 0]
+    y_hist = scaled[None, -cfg.history :, 0]
     with ad.no_grad():
         ev = model.evaluation_forward(x, y_hist)
         cov = fuzzy.covariances_graph(model.factors)

@@ -31,7 +31,7 @@ from fuzzformer.data import (
     prepare_dataset,
     split_boundaries,
 )
-from fuzzformer.losses import LossWeights, balance_loss, composite_loss, fcm_loss, mse_loss, overlap_loss
+from fuzzformer.losses import balance_loss, composite_loss, fcm_loss, mse_loss, overlap_loss
 from fuzzformer.model import FuzzformerModel
 from fuzzformer.training import evaluate_split, train
 
@@ -100,10 +100,9 @@ class TestCriterion1Gradients:
             y_history=x[:, -(cfg.ar_order + cfg.integration_order):, 0],
             origins=np.arange(4),
         )
-        weights = LossWeights()
 
         def build():
-            total, _ = composite_loss(batch, model, weights)
+            total, _ = composite_loss(batch, model)
             return total
 
         worst = max(

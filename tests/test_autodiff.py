@@ -1,5 +1,7 @@
 """Unit tests for the reverse-mode differentiation engine and Adam."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +173,26 @@ class TestTrainStep:
         assert opt.step_count == 1 and x.grad is None
         np.testing.assert_array_equal(x.data, before)
         assert len(draws) == 2 and draws[0] == draws[1]  # the replay redraws the same numbers
+
+    @pytest.mark.parametrize("scale, steps", [(1e155, False), (1e153, True)])
+    def test_gradient_too_large_to_square_stops_adam(self, scale, steps):
+        # each entry of the gradient is ``scale``: at 1e155 its square
+        # overflows; at 1e153 only the sum of the 1000 squares does, and
+        # Adam's moments stay finite
+        w = parameter(np.ones(1000))
+        opt = Adam([w], learning_rate=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if steps:
+                ad.train_step(opt, lambda: (ad.tsum(ad.mul(w, scale)), None), None, "step 1")
+                assert opt.step_count == 1 and np.isfinite(opt.second_moment[0]).all()
+                return
+            with pytest.raises(NonFiniteError) as info:
+                ad.train_step(opt, lambda: (ad.tsum(ad.mul(w, scale)), None), None, "step 1")
+        assert str(info.value) == "step 1: adam: a gradient entry is too large to square"
+        assert info.value.op == "adam"
+        assert opt.step_count == 0 and w.grad is None
+        np.testing.assert_array_equal(w.data, 1.0)
 
     def test_failure_no_probe_sees_still_raises(self):
         # a non-finite leaf as the loss: no op, so no probe, can name it

@@ -195,6 +195,8 @@ class TestCheckpoint:
                 lambda meta, arrays: meta.update(channel_names=["a", "b", "c"]),
                 DataError, "'channel_names' must list the 2 configured channels",
             ),
+            (lambda meta, arrays: meta.pop("main_channel"), DataError, "missing meta key 'main_channel'"),
+            (lambda meta, arrays: meta.update(main_channel=1), DataError, "'main_channel' 1 is not a column"),
         ],
     )
     def test_incomplete_archive_raises_typed_error(self, tmp_path, edit, error, message):

@@ -383,6 +383,8 @@ class TestMakeWindows:
             (lambda meta, arrays: arrays.update({"scaler.maxs": np.ones((2, 1))}), r"'scaler.maxs' .*\(2,\)"),
             (lambda meta, arrays: meta.update(channel_names=["m"]), "'channel_names' lists 1 names for 2"),
             (lambda meta, arrays: meta.update(main_channel=2), "'main_channel' 2 is not a column"),
+            # column 1 exists, but the main series is always column 0
+            (lambda meta, arrays: meta.update(main_channel=1), "'main_channel' 1 is not a column"),
         ],
     )
     def test_incomplete_archive_raises_data_error(self, tmp_path, edit, message):

@@ -5,6 +5,7 @@ import pytest
 
 from fuzzformer import autodiff as ad
 from fuzzformer.autodiff import Tensor, parameter
+from fuzzformer.config import RunConfig
 from fuzzformer.encoder import Dense, Encoder, LstmLayer, lstm_scan
 from fuzzformer.exceptions import ShapeError
 
@@ -106,11 +107,11 @@ class TestLstmScan:
 class TestEncoder:
     def _encoder(self, rng, **kw):
         defaults = dict(
-            d_x=2, d_h=4, lstm_layers=2, mha_layers=2, n_heads=2,
-            d_z=2, horizon=3, dropout_rate=0.0, rng=rng,
+            channels=2, hidden_width=4, lstm_layers=2, mha_layers=2, attention_heads=2,
+            latent_width=2, horizon=3, dropout_rate=0.0,
         )
         defaults.update(kw)
-        return Encoder(**defaults)
+        return Encoder(RunConfig(**defaults), rng)
 
     def test_zero_parameters_give_zero_latents(self):
         enc = self._encoder(np.random.default_rng(4))
@@ -152,7 +153,7 @@ class TestEncoder:
     def test_gradients_reach_every_lstm_weight(self):
         # tiny config: N=4, D_X=2, D_h=3, one head
         rng = np.random.default_rng(15)
-        enc = self._encoder(rng, d_h=3, n_heads=1, lstm_layers=2, mha_layers=1)
+        enc = self._encoder(rng, hidden_width=3, attention_heads=1, lstm_layers=2, mha_layers=1)
         x = np.random.default_rng(16).uniform(size=(2, 4, 2))
         lstm_params = [t for n, t in enc.parameters() if n.startswith("lstm")]
 

@@ -13,13 +13,19 @@ with the standard library:
   perfbench/: as a bare name, an attribute, an imported name or, in
   perfbench/ (whose tracer patches by attribute name), a string.  Test-only
   references go into tests/ oracles instead.  The check matches names, not
-  bindings, so it can miss a dead method that shares a name with a used one.
+  bindings, so it can miss a dead method that shares a name with a used one;
+* every ``RunConfig`` field must be read as an attribute somewhere in
+  src/fuzzformer/ outside config.py, so no setting goes unread.  This too
+  matches names: another object's attribute of the same name counts.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from fuzzformer.config import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 # directory -> a module that must be found in it
@@ -96,6 +102,17 @@ def unreferenced(modules, readers):
     ]
 
 
+def unread_fields(names, sources):
+    """Each of ``names`` that no source in ``sources`` reads as an attribute."""
+    read = {
+        node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in names if name not in read]
+
+
 @pytest.mark.parametrize("directory", DIRS, ids=lambda d: str(d.relative_to(ROOT)))
 def test_modules_found(directory):
     assert directory / DIRS[directory] in MODULES
@@ -148,3 +165,18 @@ def test_checker_flags_a_function_only_tests_use():
         ("mod.py", "only_tested")
     ]
     assert unreferenced({"mod.py": module}, [(module, False), (caller, False), (bench, False)]) == flagged
+
+
+def test_every_config_field_is_read():
+    sources = [p.read_text(encoding="utf-8") for p in SRC.rglob("*.py") if p.name != "config.py"]
+    assert unread_fields([f.name for f in fields(RunConfig)], sources) == []
+
+
+def test_checker_flags_an_unread_field():
+    source = (
+        "def run(cfg, out):\n"
+        "    out.seed = 1\n"  # a store is not a read
+        "    rate = getattr(cfg, 'rate')\n"  # nor a string
+        "    return cfg.width * rate\n"
+    )
+    assert unread_fields(["width", "seed", "rate"], [source]) == ["seed", "rate"]

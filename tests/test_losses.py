@@ -6,8 +6,8 @@ import pytest
 from fuzzformer import autodiff as ad
 from fuzzformer import fuzzy
 from fuzzformer.autodiff import Tensor, parameter
-from fuzzformer.exceptions import ConfigError, ShapeError
-from fuzzformer.losses import LossWeights, balance_loss, fcm_loss, mse_loss, overlap_loss
+from fuzzformer.exceptions import ShapeError
+from fuzzformer.losses import balance_loss, fcm_loss, mse_loss, overlap_loss
 
 from fuzzy_oracle import from_covariance
 from gradcheck import check_gradients
@@ -130,13 +130,3 @@ class TestBalanceLoss:
         rng = np.random.default_rng(3)
         logits = parameter(rng.normal(size=(4, 3)))
         check_gradients(lambda: balance_loss(ad.softmax(logits, axis=1)), [logits])
-
-
-class TestLossWeights:
-    def test_rejects_negative(self):
-        with pytest.raises(ConfigError):
-            LossWeights(mse=1.0, fcm=-0.1)
-
-    def test_requires_positive_mse(self):
-        with pytest.raises(ConfigError):
-            LossWeights(mse=0.0)

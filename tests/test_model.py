@@ -10,7 +10,7 @@ from fuzzformer import autodiff as ad
 from fuzzformer.config import RunConfig
 from fuzzformer.data import Batch
 from fuzzformer.exceptions import NonFiniteError, ShapeError
-from fuzzformer.losses import LossWeights, composite_loss, overlap_loss
+from fuzzformer.losses import composite_loss, overlap_loss
 from fuzzformer.model import FuzzformerModel
 
 from gradcheck import check_gradients
@@ -149,23 +149,22 @@ class TestForwardPaths:
 
 class TestCompositeLoss:
     def test_mse_only_weights_reduce_to_mse(self):
-        model = tiny_model(seed=11)
+        model = tiny_model(seed=11, weight_fcm=0.0, weight_overlap=0.0, weight_balance=0.0)
         batch = tiny_batch(model.config, np.random.default_rng(12))
-        weights = LossWeights(mse=1.0, fcm=0.0, overlap=0.0, balance=0.0)
-        total, parts = composite_loss(batch, model, weights)
+        total, parts = composite_loss(batch, model)
         assert total.item() == pytest.approx(parts["mse"], rel=1e-12)
 
     def test_unit_weights_sum_components(self):
-        model = tiny_model(seed=13)
+        model = tiny_model(seed=13, weight_fcm=1.0, weight_overlap=1.0, weight_balance=1.0)
         batch = tiny_batch(model.config, np.random.default_rng(14))
-        total, parts = composite_loss(batch, model, LossWeights(1.0, 1.0, 1.0, 1.0))
+        total, parts = composite_loss(batch, model)
         expected = parts["mse"] + parts["fcm"] + parts["overlap"] + parts["balance"]
         assert total.item() == pytest.approx(expected, rel=1e-12)
 
     def test_finite_on_random_model(self):
         model = tiny_model(seed=15)
         batch = tiny_batch(model.config, np.random.default_rng(16))
-        total, parts = composite_loss(batch, model, LossWeights())
+        total, parts = composite_loss(batch, model)
         assert np.isfinite(total.item())
         assert all(np.isfinite(v) for v in parts.values())
         assert all(v >= 0 for v in parts.values())
@@ -176,7 +175,7 @@ class TestCompositeLoss:
         model.arix_a.data[...] = rng.normal(size=model.arix_a.data.shape) * 0.1
         model.arix_b.data[...] = rng.normal(size=model.arix_b.data.shape) * 0.5
         batch = tiny_batch(model.config, rng)
-        total, _ = composite_loss(batch, model, LossWeights())
+        total, _ = composite_loss(batch, model)
         ad.backward(total)
         groups = {
             "encoder.lstm": 0.0,
@@ -200,11 +199,10 @@ class TestCompositeLoss:
         model.arix_a.data[...] = rng.normal(size=model.arix_a.data.shape) * 0.1
         model.arix_b.data[...] = rng.normal(size=model.arix_b.data.shape) * 0.5
         batch = tiny_batch(model.config, rng, batch=3)
-        weights = LossWeights()
         params = model.parameter_tensors()
 
         def build():
-            total, _ = composite_loss(batch, model, weights)
+            total, _ = composite_loss(batch, model)
             return total
 
         check_gradients(build, params, max_coords=4, rng=np.random.default_rng(0))
@@ -217,7 +215,7 @@ class TestGraphLifetime:
         gc.collect()
         gc.disable()
         try:
-            total, _ = composite_loss(batch, model, LossWeights(), rng=np.random.default_rng(21))
+            total, _ = composite_loss(batch, model, rng=np.random.default_rng(21))
             ad.backward(total)
             del total
             assert gc.collect() == 0

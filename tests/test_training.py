@@ -3,7 +3,7 @@
 import csv
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from fuzzformer.checkpoint import load_checkpoint
 from fuzzformer.config import RunConfig
 from fuzzformer.data import SPLIT_NAMES, fit_minmax, make_synthetic, prepare_dataset, read_columns
 from fuzzformer.exceptions import ConfigError, DataError, NonFiniteError
-from fuzzformer.losses import LossWeights, composite_loss
+from fuzzformer.losses import composite_loss
 from fuzzformer.model import FuzzformerModel
 from fuzzformer import training
 from fuzzformer.training import (
@@ -141,15 +141,13 @@ class TestTrainFailure:
         model.initialize_clusters(training.warmup_latents(model, tiny_dataset, rng), rng)
         batch = tiny_dataset.batch(tiny_dataset.origins_for("train")[:16], history=3)
         opt = ad.Adam(model.parameter_tensors(), learning_rate=1e-3)
-        ad.train_step(
-            opt, lambda: composite_loss(batch, model, cfg.loss_weights(), rng), rng, "first"
-        )
+        ad.train_step(opt, lambda: composite_loss(batch, model, rng), rng, "first")
         before = [t.data.copy() for t in model.parameter_tensors()]
-        planted = LossWeights(overlap=OVERFLOWING_OVERLAP["weight_overlap"])
+        model.config = replace(cfg, **OVERFLOWING_OVERLAP)  # the planted weight
         state = rng.bit_generator.state
         with pytest.raises(NonFiniteError) as step_error:
             ad.train_step(
-                opt, lambda: composite_loss(batch, model, planted, rng), rng, "epoch 1, batch at sample 16"
+                opt, lambda: composite_loss(batch, model, rng), rng, "epoch 1, batch at sample 16"
             )
         assert opt.step_count == 1
         for tensor, arr in zip(model.parameter_tensors(), before):
@@ -157,9 +155,23 @@ class TestTrainFailure:
             assert tensor.grad is None
         rng.bit_generator.state = state
         with pytest.raises(NonFiniteError) as probed_error:
-            total, _ = composite_loss(batch, model, planted, rng)
+            total, _ = composite_loss(batch, model, rng)
             ad.backward(total)
         assert str(step_error.value) == f"epoch 1, batch at sample 16: {probed_error.value}"
+
+    def test_gradient_too_large_to_square_stops_adam(self, tmp_path):
+        # every value and gradient is finite, but a gradient entry above
+        # ~1.3e154 would overflow Adam's second moment and freeze the entry
+        dataset = prepare_dataset(make_synthetic(n_points=200, seed=3), lookback=12, horizon=4)
+        cfg = RunConfig(**{**TINY_TRAIN, "weight_mse": 1e305})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as info:
+                train(cfg, dataset, tmp_path / "run", log=quiet)
+        assert str(info.value) == (
+            "epoch 1, batch at sample 0: adam: a gradient entry is too large to square"
+        )
+        assert info.value.op == "adam"
 
 
 class TestRunConfigFromDict:
@@ -196,6 +208,8 @@ class TestRunConfigFromDict:
             ({"weight_overlap": float("inf")}, "weight_overlap must be finite"),
             ({"weight_balance": -float("inf")}, "weight_balance must be finite"),
             ({"weight_mse": float("inf")}, "weight_mse must be finite"),
+            ({"weight_fcm": -0.1}, "weight_fcm must be finite and non-negative"),
+            ({"weight_mse": 0.0}, "the MSE weight must be positive"),
         ],
     )
     def test_out_of_range_values_raise_config_error(self, data, message):
