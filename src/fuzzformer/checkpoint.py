@@ -10,42 +10,42 @@ import numpy as np
 
 from . import container
 from .config import RunConfig
-from .data import MinMaxScaler, check_main_channel
+from .data import MinMaxScaler
 from .exceptions import DataError
 from .model import FuzzformerModel
 
 CHECKPOINT_FORMAT = 1
 
 
-def save_checkpoint(path, model: FuzzformerModel, scaler=None, channel_names=None) -> None:
+def save_checkpoint(path, model: FuzzformerModel, scaler, channel_names) -> None:
     meta = {
         "kind": "checkpoint",
         "format": CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
-        "channel_names": list(channel_names) if channel_names else [],
+        "channel_names": list(channel_names),
         "main_channel": 0,
     }
     arrays = [(name, tensor.data) for name, tensor in model.parameters()]
-    if scaler is not None:
-        arrays.append(("scaler.mins", scaler.mins))
-        arrays.append(("scaler.maxs", scaler.maxs))
-    container.write_archive(path, meta, arrays)
+    container.write_archive(path, meta, arrays + scaler.archive_arrays())
+
+
+def check_main_channel(meta, path) -> None:
+    """Reject checkpoint metadata whose ``main_channel`` is not 0: the
+    main series is always column 0, and nothing reads another."""
+    main_channel = container.require_int(meta, "main_channel", path)
+    if main_channel != 0:
+        raise DataError(
+            f"{path}: meta key 'main_channel' {main_channel} is not a column the "
+            "model reads; the main series is always column 0"
+        )
 
 
 def load_checkpoint(path):
-    """Returns (model, scaler or None, meta)."""
-    meta, arrays = container.read_archive(path)
-    if meta.get("kind") != "checkpoint":
-        raise DataError(f"{path}: not a checkpoint archive (kind={meta.get('kind')!r})")
-    if meta.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(f"{path}: unsupported checkpoint format {meta.get('format')!r}")
+    """Returns (model, scaler, meta)."""
+    meta, arrays = container.read_kind(path, "checkpoint", CHECKPOINT_FORMAT, "train")
     config = RunConfig.from_dict(container.require(meta, "config", path, "meta key"))
     check_main_channel(meta, path)
-    names = meta.get("channel_names", [])
-    if not isinstance(names, list) or len(names) not in (0, config.channels):
-        raise DataError(
-            f"{path}: meta key 'channel_names' must list the {config.channels} configured channels"
-        )
+    container.require_strings(meta, "channel_names", config.channels, path)
     model = FuzzformerModel(config, np.random.default_rng(0))
     for name, tensor in model.parameters():
         stored = container.require(arrays, name, path, "tensor")
@@ -54,16 +54,4 @@ def load_checkpoint(path):
                 f"{path}: tensor {name!r} has shape {stored.shape}, expected {tensor.data.shape}"
             )
         tensor.data[...] = stored
-    scaler = None
-    if "scaler.mins" in arrays or "scaler.maxs" in arrays:
-        scaler = MinMaxScaler(
-            container.require(arrays, "scaler.mins", path, "array"),
-            container.require(arrays, "scaler.maxs", path, "array"),
-        )
-        for name, values in (("scaler.mins", scaler.mins), ("scaler.maxs", scaler.maxs)):
-            if values.shape != (config.channels,):
-                raise DataError(
-                    f"{path}: array {name!r} has shape {values.shape}, "
-                    f"expected ({config.channels},) for the configured channels"
-                )
-    return model, scaler, meta
+    return model, MinMaxScaler.from_archive(arrays, config.channels, path), meta

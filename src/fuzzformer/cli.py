@@ -85,7 +85,8 @@ def cmd_fetch(args) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("date,value\n")
         for day, value in zip(series.dates, series.values):
-            fh.write(f"{day},{value:.10g}\n")
+            # the shortest text that reads back as the same float64
+            fh.write(f"{day},{np.format_float_positional(value, trim='-')}\n")
     print(f"fetched {len(series)} observations of {series.name!r} -> {out}")
     return EXIT_OK
 
@@ -144,7 +145,7 @@ def cmd_evaluate(args) -> int:
             continue
         rows.append(_result_row("fuzzformer", label, setting, report))
         if args.per_step:
-            with open(args.per_step, "a", encoding="utf-8") as fh:
+            with dmod.open_output(args.per_step, "a", "per-step file") as fh:
                 for j, v in enumerate(report.per_step_rmse, start=1):
                     fh.write(f"{split},{j},{v:.6f}\n")
     training.append_results(args.out, rows)
@@ -153,11 +154,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_forecast(args) -> int:
     model, scaler, meta = load_checkpoint(args.checkpoint)
-    if scaler is None:
-        raise DataError(f"{args.checkpoint}: checkpoint carries no scaler; cannot forecast")
-    channel_names = meta.get("channel_names") or []
-    if not channel_names:
-        raise DataError(f"{args.checkpoint}: checkpoint carries no channel names")
+    channel_names = meta["channel_names"]
     dates, matrix, _lines = dmod.read_columns(args.window, channel_names, "window file")
     training.forecast_bundle(model, scaler, channel_names, dates, matrix, args.out)
     _write_args(args.out, args)

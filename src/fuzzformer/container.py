@@ -113,6 +113,20 @@ def read_archive(path):
     return meta, arrays
 
 
+def read_kind(path, kind, fmt, command):
+    """``read_archive(path)`` of a ``kind`` archive in format ``fmt``; any
+    other raises ``DataError`` naming ``command``, which writes this kind."""
+    meta, arrays = read_archive(path)
+    if meta.get("kind") != kind:
+        raise DataError(f"{path}: not a {kind} archive (kind={meta.get('kind')!r})")
+    if meta.get("format") != fmt:
+        raise DataError(
+            f"{path}: unsupported {kind} format {meta.get('format')!r} (this version reads "
+            f"format {fmt}); re-run `{command}` to rebuild it"
+        )
+    return meta, arrays
+
+
 def require(table, name, path, what):
     """``table[name]`` from a read archive; a missing entry raises ``DataError``."""
     if name not in table:
@@ -126,3 +140,19 @@ def require_int(meta, key, path) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DataError(f"{path}: meta key {key!r} must be an integer, got {value!r}")
     return value
+
+
+def require_strings(meta, key, count, path) -> list:
+    """Metadata value ``meta[key]`` as a list of exactly ``count`` strings;
+    anything else raises ``DataError``."""
+    value = require(meta, key, path, "meta key")
+    if not isinstance(value, list):
+        got = f"a {type(value).__name__}"
+    elif len(value) != count:
+        got = f"a list of {len(value)}"
+    else:
+        bad = [entry for entry in value if not isinstance(entry, str)]
+        if not bad:
+            return value
+        got = f"the non-string entry {bad[0]!r}"
+    raise DataError(f"{path}: meta key {key!r} must be a list of {count} strings, got {got}")

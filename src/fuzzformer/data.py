@@ -26,7 +26,7 @@ import numpy as np
 from . import container
 from .exceptions import ConfigError, DataError, FetchError
 
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
 SPLIT_NAMES = ("train", "valid", "test")
 SPLIT_RATIOS = (0.8, 0.1, 0.1)
 
@@ -69,6 +69,15 @@ def read_text(path, what):
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def open_output(path, mode, what):
+    """``path`` opened to write UTF-8 text in ``mode`` ("w" or "a"); an
+    ``OSError`` (a missing directory, say) raises ``DataError``."""
+    try:
+        return open(path, mode, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot write {what} {path}: {exc}") from exc
 
 
 def read_columns(path, columns, what):
@@ -219,6 +228,25 @@ class MinMaxScaler:
             return matrix * (self.maxs - self.mins) + self.mins
         return matrix * (self.maxs[channel] - self.mins[channel]) + self.mins[channel]
 
+    def archive_arrays(self):
+        """The (name, array) entries a dataset or checkpoint archive stores."""
+        return [("scaler.mins", self.mins), ("scaler.maxs", self.maxs)]
+
+    @classmethod
+    def from_archive(cls, arrays, channels, path) -> "MinMaxScaler":
+        """The scaler that ``archive_arrays`` stored for ``channels``
+        channels; a missing array, or one not of shape (channels,), raises
+        ``DataError``."""
+        values = []
+        for name in ("scaler.mins", "scaler.maxs"):
+            value = container.require(arrays, name, path, "array")
+            if value.shape != (channels,):
+                raise DataError(
+                    f"{path}: array {name!r} has shape {value.shape}, expected ({channels},)"
+                )
+            values.append(value)
+        return cls(*values)
+
 
 def fit_minmax(matrix, fit_rows: int) -> MinMaxScaler:
     """Fit per-channel min/max on the first ``fit_rows`` rows only."""
@@ -249,7 +277,9 @@ class WindowedDataset:
     Column 0 of the matrix is the main series (``align`` puts it first);
     the others are exogenous.  A sample with origin k covers input rows
     [k-N+1, k] and target rows [k+1, k+H].  Split labels: 0 train,
-    1 valid, 2 test.
+    1 valid, 2 test.  ``origins``, ``labels`` and ``fit_rows`` follow
+    from the row count and window sizes (``split_windows``), so the
+    archive does not store them.
     """
 
     matrix: np.ndarray
@@ -293,95 +323,39 @@ class WindowedDataset:
             "kind": "dataset",
             "format": DATASET_FORMAT_VERSION,
             "channel_names": list(self.channel_names),
-            "calendar_start": self.calendar[0],
-            "calendar_end": self.calendar[-1],
+            "calendar": list(self.calendar),
             "lookback": self.lookback,
             "horizon": self.horizon,
             "stride": self.stride,
-            "fit_rows": self.fit_rows,
-            "main_channel": 0,
-            "calendar": list(self.calendar),
         }
-        arrays = [
-            ("matrix", self.matrix),
-            ("origins", self.origins.astype(np.float64)),
-            ("labels", self.labels.astype(np.float64)),
-            ("scaler.mins", self.scaler.mins),
-            ("scaler.maxs", self.scaler.maxs),
-        ]
+        arrays = [("matrix", self.matrix), *self.scaler.archive_arrays()]
         container.write_archive(path, meta, arrays)
 
     @classmethod
     def load(cls, path) -> "WindowedDataset":
-        meta, arrays = container.read_archive(path)
-        if meta.get("kind") != "dataset":
-            raise DataError(f"{path}: not a dataset archive (kind={meta.get('kind')!r})")
-        if meta.get("format") != DATASET_FORMAT_VERSION:
-            raise DataError(f"{path}: unsupported dataset format {meta.get('format')!r}")
-
-        def array(name):
-            return container.require(arrays, name, path, "array")
-
-        def integer(key):
-            return container.require_int(meta, key, path)
-
-        matrix, origins, labels = array("matrix"), array("origins"), array("labels")
-        mins, maxs = array("scaler.mins"), array("scaler.maxs")
-        channel_names = list(container.require(meta, "channel_names", path, "meta key"))
-        lookback, horizon = integer("lookback"), integer("horizon")
-        check_main_channel(meta, path)
-        # every window must lie inside the matrix: a bad archive fails here,
-        # not as an IndexError in ``batch``
+        meta, arrays = container.read_kind(path, "dataset", DATASET_FORMAT_VERSION, "prepare")
+        matrix = container.require(arrays, "matrix", path, "array")
         if matrix.ndim != 2:
             raise DataError(f"{path}: array 'matrix' must be 2-D, got shape {matrix.shape}")
         rows, channels = matrix.shape
-        if origins.ndim != 1 or labels.shape != origins.shape:
-            raise DataError(
-                f"{path}: arrays 'origins' {origins.shape} and 'labels' {labels.shape} "
-                "must be 1-D and of equal length"
-            )
-        if not np.isin(labels, (0, 1, 2)).all():
-            raise DataError(f"{path}: array 'labels' holds a value outside {{0, 1, 2}}")
-        if lookback < 1 or horizon < 1:
-            raise DataError(f"{path}: lookback {lookback} and horizon {horizon} must be >= 1")
-        first, last = lookback - 1, rows - 1 - horizon
-        if not np.all((origins == np.floor(origins)) & (origins >= first) & (origins <= last)):
-            raise DataError(
-                f"{path}: array 'origins' holds a value that is not an integer in "
-                f"[{first}, {last}] (lookback {lookback}, horizon {horizon}, {rows} rows)"
-            )
-        for name, values in (("scaler.mins", mins), ("scaler.maxs", maxs)):
-            if values.shape != (channels,):
-                raise DataError(
-                    f"{path}: array {name!r} has shape {values.shape}, expected ({channels},)"
-                )
-        if len(channel_names) != channels:
-            raise DataError(
-                f"{path}: meta key 'channel_names' lists {len(channel_names)} names "
-                f"for {channels} columns"
-            )
+        sizes = {}
+        for key in ("lookback", "horizon", "stride"):
+            sizes[key] = container.require_int(meta, key, path)
+            if sizes[key] < 1:
+                raise DataError(f"{path}: {key} {sizes[key]} must be >= 1")
+        try:
+            origins, labels, fit_rows = split_windows(rows, **sizes)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
         return cls(
             matrix=matrix,
-            calendar=list(container.require(meta, "calendar", path, "meta key")),
-            channel_names=channel_names,
-            lookback=lookback,
-            horizon=horizon,
-            stride=integer("stride"),
-            origins=origins.astype(np.int64),
-            labels=labels.astype(np.int64),
-            scaler=MinMaxScaler(mins, maxs),
-            fit_rows=integer("fit_rows"),
-        )
-
-
-def check_main_channel(meta, path) -> None:
-    """Reject archive metadata whose ``main_channel`` is not 0: the main
-    series is always column 0, and nothing reads another."""
-    main_channel = container.require_int(meta, "main_channel", path)
-    if main_channel != 0:
-        raise DataError(
-            f"{path}: meta key 'main_channel' {main_channel} is not a column the "
-            "model reads; the main series is always column 0"
+            calendar=container.require_strings(meta, "calendar", rows, path),
+            channel_names=container.require_strings(meta, "channel_names", channels, path),
+            origins=origins,
+            labels=labels,
+            scaler=MinMaxScaler.from_archive(arrays, channels, path),
+            fit_rows=fit_rows,
+            **sizes,
         )
 
 
@@ -391,26 +365,16 @@ def split_boundaries(n_rows: int):
     return t1, t2
 
 
-def make_windows(matrix, calendar, channel_names, lookback, horizon, stride=1) -> WindowedDataset:
-    """Scale, window, and split an aligned channel matrix.
-
-    Scaler statistics come from rows before the train/valid boundary;
-    samples whose targets would overlap a later split's input region are
-    embargoed.
-    """
-    for name, value in (("lookback", lookback), ("horizon", horizon), ("stride", stride)):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
-    matrix = np.asarray(matrix, dtype=np.float64)
-    n_rows = matrix.shape[0]
+def split_windows(n_rows, lookback, horizon, stride):
+    """(origins, split labels, scaler fit-row count) of ``n_rows`` rows:
+    every complete window's origin, ``stride`` apart, split by origin, less
+    the embargoed samples whose targets reach a later split's inputs.
+    The scaler fits the rows before the train/valid boundary."""
     if n_rows < lookback + horizon:
         raise DataError(
             f"need at least lookback + horizon = {lookback + horizon} rows, got {n_rows}"
         )
     t1, t2 = split_boundaries(n_rows)
-    scaler = fit_minmax(matrix, max(t1, 1))
-    scaled = scaler.transform(matrix)
-
     origins = np.arange(lookback - 1, n_rows - horizon, stride, dtype=np.int64)
     labels = np.where(origins < t1, 0, np.where(origins < t2, 1, 2)).astype(np.int64)
 
@@ -423,13 +387,20 @@ def make_windows(matrix, calendar, channel_names, lookback, horizon, stride=1) -
         # embargo: an earlier-split sample may not have targets reaching
         # into rows the later split will observe as inputs
         keep &= ~((labels == earlier) & (origins + horizon >= input_start))
-    origins = origins[keep]
-    labels = labels[keep]
-    if origins.size == 0:
-        raise DataError("windowing produced no samples after the embargo")
+    return origins[keep], labels[keep], max(t1, 1)
 
+
+def make_windows(matrix, calendar, channel_names, lookback, horizon, stride=1) -> WindowedDataset:
+    """Scale, window, and split an aligned channel matrix (see
+    ``split_windows``)."""
+    for name, value in (("lookback", lookback), ("horizon", horizon), ("stride", stride)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+    matrix = np.asarray(matrix, dtype=np.float64)
+    origins, labels, fit_rows = split_windows(matrix.shape[0], lookback, horizon, stride)
+    scaler = fit_minmax(matrix, fit_rows)
     return WindowedDataset(
-        matrix=scaled,
+        matrix=scaler.transform(matrix),
         calendar=list(calendar),
         channel_names=list(channel_names),
         lookback=lookback,
@@ -438,7 +409,7 @@ def make_windows(matrix, calendar, channel_names, lookback, horizon, stride=1) -
         origins=origins,
         labels=labels,
         scaler=scaler,
-        fit_rows=max(t1, 1),
+        fit_rows=fit_rows,
     )
 
 
@@ -486,6 +457,8 @@ def make_synthetic(n_points=1200, seed=7):
     the main period, and a smoothed momentum proxy.  Every test and demo
     can run on this without external market data.
     """
+    if n_points < 5:  # the momentum channel's 5-point moving average needs 5
+        raise ConfigError(f"a synthetic series needs at least 5 points, got {n_points}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -10,6 +10,7 @@ seed/config/data reproduce identical checkpoints bit for bit.
 """
 
 import csv
+import io
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,7 @@ from .autodiff import Adam
 from .baselines import rmse
 from .checkpoint import save_checkpoint
 from .config import RunConfig
-from .data import SPLIT_NAMES, WindowedDataset
+from .data import SPLIT_NAMES, WindowedDataset, open_output, read_text
 from .exceptions import ConfigError, DataError
 from .fuzzy import bhattacharyya  # by this name, so a profiler can patch the bundle's call
 from .losses import composite_loss
@@ -309,7 +310,7 @@ def append_results(path, rows) -> None:
     """Append rows to a results CSV, writing the header when new."""
     path = Path(path)
     exists = path.exists()
-    with open(path, "a", encoding="utf-8", newline="") as fh:
+    with open_output(path, "a", "results file") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS)
         if not exists:
             writer.writeheader()
@@ -320,15 +321,11 @@ def append_results(path, rows) -> None:
 def read_results(paths):
     rows = []
     for path in paths:
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"results file not found: {path}")
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = set(RESULT_FIELDS) - set(reader.fieldnames or ())
-            if missing:
-                raise DataError(f"{path}: results file missing columns {sorted(missing)}")
-            rows.extend(reader)
+        reader = csv.DictReader(io.StringIO(read_text(path, "results file")))
+        missing = set(RESULT_FIELDS) - set(reader.fieldnames or ())
+        if missing:
+            raise DataError(f"{path}: results file missing columns {sorted(missing)}")
+        rows.extend(reader)
     return rows
 
 
@@ -375,8 +372,7 @@ def build_report(rows):
 
 def write_report(rows, out_path):
     text, header, table = build_report(rows)
-    out_path = Path(out_path)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(out_path, "w", "report") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(table)

@@ -1,5 +1,6 @@
 """Checkpoint and archive container round-trip tests."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -127,6 +128,21 @@ class TestMalformedArchive:
             pass
 
 
+def save_tiny_checkpoint(path):
+    """A checkpoint of ``tiny_model(seed=5)`` (two channels) as training writes it."""
+    scaler = MinMaxScaler(np.zeros(2), np.ones(2))
+    save_checkpoint(path, tiny_model(seed=5), scaler=scaler, channel_names=["m", "x"])
+
+
+def stored_entries():
+    """("meta key" or "array", name) of every entry of that checkpoint."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.bin"
+        save_tiny_checkpoint(path)
+        meta, arrays = container.read_archive(path)
+    return [("meta key", key) for key in meta] + [("array", name) for name in arrays]
+
+
 class TestCheckpoint:
     def test_save_load_bit_exact(self, tmp_path):
         model = tiny_model(seed=1)
@@ -156,31 +172,26 @@ class TestCheckpoint:
         x = rng.uniform(size=(3, model.config.lookback, model.config.channels))
         hist = x[:, -3:, 0]
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, model)
+        scaler = MinMaxScaler(np.zeros(2), np.ones(2))
+        save_checkpoint(path, model, scaler=scaler, channel_names=["m", "x"])
         back, _, _ = load_checkpoint(path)
         np.testing.assert_array_equal(model.predict(x, hist), back.predict(x, hist))
 
-    def test_missing_tensor_detected(self, tmp_path):
-        model = tiny_model(seed=5)
-        meta = {
-            "kind": "checkpoint",
-            "format": 1,
-            "config": model.config.to_dict(),
-            "channel_names": [],
-            "main_channel": 0,
-        }
-        arrays = [(n, t.data) for n, t in model.parameters()][:-1]  # drop one
-        path = tmp_path / "broken.bin"
-        container.write_archive(path, meta, arrays)
-        with pytest.raises(DataError, match="missing tensor"):
+    @pytest.mark.parametrize(
+        "table, name", stored_entries(), ids=lambda value: value.replace(" ", "-")
+    )
+    def test_every_stored_entry_is_required(self, tmp_path, table, name):
+        path = tmp_path / "ckpt.bin"
+        save_tiny_checkpoint(path)
+        meta, arrays = container.read_archive(path)
+        (meta if table == "meta key" else arrays).pop(name)
+        container.write_archive(path, meta, list(arrays.items()))
+        with pytest.raises(DataError, match=re.escape(name)):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "edit, error, message",
         [
-            (lambda meta, arrays: meta.pop("config"), DataError, "missing meta key 'config'"),
-            (lambda meta, arrays: arrays.pop("scaler.maxs"), DataError, "missing array 'scaler.maxs'"),
-            (lambda meta, arrays: arrays.pop("scaler.mins"), DataError, "missing array 'scaler.mins'"),
             (
                 lambda meta, arrays: arrays.update({"scaler.mins": np.zeros(1)}),
                 DataError, r"'scaler.mins' has shape \(1,\), expected \(2,\)",
@@ -193,15 +204,19 @@ class TestCheckpoint:
             (lambda meta, arrays: meta.update(config=[2]), ConfigError, "JSON object"),
             (
                 lambda meta, arrays: meta.update(channel_names=["a", "b", "c"]),
-                DataError, "'channel_names' must list the 2 configured channels",
+                DataError, "'channel_names' must be a list of 2 strings, got a list of 3",
             ),
-            (lambda meta, arrays: meta.pop("main_channel"), DataError, "missing meta key 'main_channel'"),
+            (
+                lambda meta, arrays: meta.update(channel_names=[1, 2]),
+                DataError, "'channel_names' .* non-string entry 1",
+            ),
             (lambda meta, arrays: meta.update(main_channel=1), DataError, "'main_channel' 1 is not a column"),
+            (lambda meta, arrays: meta.update(format=2), DataError, "checkpoint format 2 .* `train`"),
         ],
     )
     def test_incomplete_archive_raises_typed_error(self, tmp_path, edit, error, message):
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, tiny_model(seed=5), scaler=MinMaxScaler(np.zeros(2), np.ones(2)))
+        save_tiny_checkpoint(path)
         meta, arrays = container.read_archive(path)
         edit(meta, arrays)
         container.write_archive(path, meta, list(arrays.items()))

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from fuzzformer import baselines as bl
+from fuzzformer import container
 from fuzzformer.checkpoint import load_checkpoint, save_checkpoint
 from fuzzformer.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from fuzzformer.data import WindowedDataset, make_synthetic
+from fuzzformer.data import WindowedDataset, load_csv, make_synthetic
 
 
 TRAIN_FLAGS = [
@@ -119,6 +120,13 @@ class TestPrepare:
         code = main(["prepare", "--synthetic", "200", *flags, "--out", str(tmp_path)])
         assert code == EXIT_USAGE
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "dataset.bin").exists()
+
+    @pytest.mark.parametrize("n_points", ["0", "1", "4", "-3"])
+    def test_too_small_synthetic_series_is_usage_error(self, tmp_path, capsys, n_points):
+        code = main(["prepare", "--synthetic", n_points, "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert f"needs at least 5 points, got {n_points}" in capsys.readouterr().err
         assert not (tmp_path / "dataset.bin").exists()
 
 
@@ -251,6 +259,28 @@ class TestEvaluateAndBaseline:
         valid = header.index("12/4 valid")
         assert {line[0]: line[valid] for line in table} == {"fuzzformer (p=2)": "—", "persistence": "—"}
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["evaluate", "--checkpoint", "{run}/checkpoint.bin", "--dataset", "{data}/dataset.bin",
+             "--split", "test", "--out", "{absent}/r.csv"],
+            ["evaluate", "--checkpoint", "{run}/checkpoint.bin", "--dataset", "{data}/dataset.bin",
+             "--split", "test", "--out", "{tmp}/r.csv", "--per-step", "{absent}/s.csv"],
+            ["baseline", "--dataset", "{data}/dataset.bin", "--method", "persistence",
+             "--out", "{absent}/r.csv"],
+            ["report", "{tmp}", "--out", "{tmp}/table.csv"],
+        ],
+        ids=["evaluate-out", "evaluate-per-step", "baseline-out", "report-directory"],
+    )
+    def test_unusable_results_path_is_data_error(self, workspace, tmp_path, capsys, command):
+        paths = {
+            "run": workspace / "run", "data": workspace / "data",
+            "tmp": tmp_path, "absent": tmp_path / "absent",
+        }
+        code = main([arg.format(**paths) for arg in command])
+        assert code == EXIT_DATA
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_baselines_append(self, workspace):
         out = workspace / "results.csv"
         for method, extra in (
@@ -373,6 +403,18 @@ class TestForecast:
         assert len(rows) == 4
         assert all(np.isfinite(float(r["value"])) for r in rows)
 
+    def test_non_string_channel_names_are_data_error(self, workspace, tmp_path, capsys):
+        path = tmp_path / "ckpt.bin"
+        meta, arrays = container.read_archive(workspace / "run" / "checkpoint.bin")
+        meta["channel_names"] = [1, 2, 3]
+        container.write_archive(path, meta, list(arrays.items()))
+        code = main([
+            "forecast", "--checkpoint", str(path),
+            "--window", str(tmp_path / "window.csv"), "--out", str(tmp_path / "b"),
+        ])
+        assert code == EXIT_DATA
+        assert "'channel_names' must be a list of 3 strings" in capsys.readouterr().err
+
     def test_short_window_is_data_error(self, workspace, tmp_path):
         series = make_synthetic(n_points=5, seed=3)
         window = tmp_path / "short.csv"
@@ -405,6 +447,25 @@ class TestFetch:
         assert code == EXIT_OK
         assert out.read_text().startswith("date,value\n2020-01-01,1\n")
 
+    def test_fetch_keeps_every_bit(self, tmp_path, monkeypatch):
+        class Resp:
+            status_code = 200
+            content = (
+                b"date,value\n2020-01-01,4783.123456789012\n2020-01-02,0.1\n"
+                b"2020-01-03,-0\n2020-01-04,1.7976931348623157e308\n2020-01-05,5e-324\n"
+            )
+
+        monkeypatch.setattr("requests.get", lambda *a, **k: Resp())
+        out, cache = tmp_path / "series.csv", tmp_path / "cache"
+        code = main([
+            "fetch", "--url", "https://example.test/z.csv", "--out", str(out),
+            "--cache-dir", str(cache),
+        ])
+        assert code == EXIT_OK
+        (downloaded,) = cache.glob("*.csv")
+        assert load_csv(out).values.tobytes() == load_csv(downloaded).values.tobytes()
+        assert "2020-01-01,4783.123456789012\n" in out.read_text()
+
     def test_fetch_failure_is_data_error(self, tmp_path, monkeypatch):
         import requests
 
@@ -425,6 +486,15 @@ class TestExitCodes:
             "train", "--dataset", str(tmp_path / "absent.bin"), "--out", str(tmp_path),
         ])
         assert code == EXIT_DATA
+
+    def test_dataset_with_non_string_channel_names_is_data_error(self, workspace, tmp_path):
+        path = tmp_path / "dataset.bin"
+        meta, arrays = container.read_archive(workspace / "data" / "dataset.bin")
+        meta["channel_names"] = [1, 2, 3]
+        container.write_archive(path, meta, list(arrays.items()))
+        code = main(["train", "--dataset", str(path), "--out", str(tmp_path / "run"), *TRAIN_FLAGS])
+        assert code == EXIT_DATA
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
     def test_numeric_failure_is_exit_three(self, workspace, tmp_path):
         model, scaler, meta = load_checkpoint(workspace / "run" / "checkpoint.bin")

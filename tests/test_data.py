@@ -1,5 +1,7 @@
 """Tests for ingestion, alignment, scaling, windowing, and splits."""
 
+import dataclasses
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzformer import data as dmod
 from fuzzformer.data import (
+    MinMaxScaler,
     RawSeries,
     WindowedDataset,
     align,
@@ -272,12 +275,24 @@ class TestMinMax:
         np.testing.assert_allclose(scaler.inverse(scaled), m, atol=1e-12)
 
 
+def sample_dataset(n_rows=100, lookback=60, horizon=30, stride=1):
+    rng = np.random.default_rng(1)
+    matrix = rng.normal(size=(n_rows, 2)).cumsum(axis=0) + 100
+    calendar = [f"2020-{1 + i // 28:02d}-{1 + i % 28:02d}" for i in range(n_rows)]
+    return make_windows(matrix, calendar, ["m", "x"], lookback, horizon, stride)
+
+
+def stored_entries(save):
+    """("meta key" or "array", name) of every entry ``save(path)`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.bin"
+        save(path)
+        meta, arrays = dmod.container.read_archive(path)
+    return [("meta key", key) for key in meta] + [("array", name) for name in arrays]
+
+
 class TestMakeWindows:
-    def _dataset(self, n_rows=100, lookback=60, horizon=30, stride=1):
-        rng = np.random.default_rng(1)
-        matrix = rng.normal(size=(n_rows, 2)).cumsum(axis=0) + 100
-        calendar = [f"2020-{1 + i // 28:02d}-{1 + i % 28:02d}" for i in range(n_rows)]
-        return make_windows(matrix, calendar, ["m", "x"], lookback, horizon, stride)
+    _dataset = staticmethod(sample_dataset)
 
     def test_sample_count(self):
         ds = self._dataset()
@@ -343,48 +358,58 @@ class TestMakeWindows:
         ds.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
         back = WindowedDataset.load(p1)
-        np.testing.assert_array_equal(back.matrix, ds.matrix)
-        np.testing.assert_array_equal(back.origins, ds.origins)
-        np.testing.assert_array_equal(back.labels, ds.labels)
-        assert back.channel_names == ds.channel_names
+        for field in dataclasses.fields(WindowedDataset):
+            mine, theirs = getattr(back, field.name), getattr(ds, field.name)
+            if isinstance(mine, np.ndarray):
+                assert mine.dtype == theirs.dtype, field.name
+                np.testing.assert_array_equal(mine, theirs)
+            elif isinstance(mine, MinMaxScaler):
+                np.testing.assert_array_equal(mine.mins, theirs.mins)
+                np.testing.assert_array_equal(mine.maxs, theirs.maxs)
+            else:
+                assert mine == theirs, field.name
         assert back.counts() == ds.counts()
 
+    @pytest.mark.parametrize(
+        "table, name",
+        stored_entries(sample_dataset(n_rows=300).save),
+        ids=lambda value: value.replace(" ", "-"),
+    )
+    def test_every_stored_entry_is_required(self, tmp_path, table, name):
+        path = tmp_path / "ds.bin"
+        self._dataset(n_rows=300).save(path)
+        meta, arrays = dmod.container.read_archive(path)
+        (meta if table == "meta key" else arrays).pop(name)
+        dmod.container.write_archive(path, meta, list(arrays.items()))
+        with pytest.raises(DataError, match=re.escape(name)):
+            WindowedDataset.load(path)
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            *[
-                (lambda meta, arrays, n=name: arrays.pop(n), f"missing array '{name}'")
-                for name in ("matrix", "origins", "labels", "scaler.mins", "scaler.maxs")
-            ],
-            *[
-                (lambda meta, arrays, k=key: meta.pop(k), f"missing meta key '{key}'")
-                for key in (
-                    "calendar", "channel_names", "lookback", "horizon", "stride",
-                    "fit_rows", "main_channel",
-                )
-            ],
             (lambda meta, arrays: meta.update(lookback=60.5), "'lookback' must be an integer"),
             (lambda meta, arrays: meta.update(horizon="30"), "'horizon' must be an integer"),
             (lambda meta, arrays: meta.update(stride=True), "'stride' must be an integer"),
-            (lambda meta, arrays: meta.update(fit_rows=None), "'fit_rows' must be an integer"),
-            # the 300-row, 2-channel archive (lookback 60, horizon 30) has
-            # its origins in [59, 269]
-            (lambda meta, arrays: arrays["origins"].__setitem__(-1, 300.0), r"'origins' .*\[59, 269\]"),
-            (lambda meta, arrays: arrays["origins"].__setitem__(0, 58.0), r"'origins' .*\[59, 269\]"),
-            (lambda meta, arrays: arrays["origins"].__setitem__(0, 100.5), "'origins' .* not an integer"),
-            (lambda meta, arrays: meta.update(lookback=400), r"'origins' .*\[399, 269\]"),
+            # the 300-row archive has no room for a 400-row look-back
+            (lambda meta, arrays: meta.update(lookback=400), "430 rows, got 300"),
             (lambda meta, arrays: meta.update(horizon=0), "horizon 0 must be >= 1"),
-            (lambda meta, arrays: arrays.update(labels=arrays["labels"][:-1]), "equal length"),
-            (lambda meta, arrays: arrays.update(origins=arrays["origins"][None]), "must be 1-D"),
-            (lambda meta, arrays: arrays["labels"].__setitem__(0, 7.0), r"'labels' .*\{0, 1, 2\}"),
+            (lambda meta, arrays: meta.update(stride=-2), "stride -2 must be >= 1"),
             (lambda meta, arrays: arrays.update(matrix=arrays["matrix"][:, 0]), "'matrix' must be 2-D"),
             (lambda meta, arrays: arrays.update({"scaler.mins": np.zeros(1)}), r"'scaler.mins' .*\(2,\)"),
             (lambda meta, arrays: arrays.update({"scaler.maxs": np.ones((2, 1))}), r"'scaler.maxs' .*\(2,\)"),
-            (lambda meta, arrays: meta.update(channel_names=["m"]), "'channel_names' lists 1 names for 2"),
-            (lambda meta, arrays: meta.update(main_channel=2), "'main_channel' 2 is not a column"),
-            # column 1 exists, but the main series is always column 0
-            (lambda meta, arrays: meta.update(main_channel=1), "'main_channel' 1 is not a column"),
+            (
+                lambda meta, arrays: meta.update(channel_names=["m"]),
+                "'channel_names' must be a list of 2 strings, got a list of 1",
+            ),
+            (lambda meta, arrays: meta.update(channel_names=[1, 2]), "non-string entry 1"),
+            (lambda meta, arrays: meta.update(channel_names="mx"), "'channel_names' .* got a str"),
+            (
+                lambda meta, arrays: meta.update(calendar=meta["calendar"][:5]),
+                "'calendar' must be a list of 300 strings, got a list of 5",
+            ),
+            (lambda meta, arrays: meta.update(calendar="abc"), "'calendar' .* got a str"),
+            # format 1 stored the windows too; it is not read
+            (lambda meta, arrays: meta.update(format=1), "dataset format 1 .* re-run `prepare`"),
         ],
     )
     def test_incomplete_archive_raises_data_error(self, tmp_path, edit, message):
@@ -407,6 +432,14 @@ class TestSynthetic:
     def test_negative_seed_raises_config_error(self):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -5"):
             make_synthetic(n_points=200, seed=-5)
+
+    @pytest.mark.parametrize("n_points", [0, 1, 4, -3])
+    def test_too_few_points_raise_config_error(self, n_points):
+        with pytest.raises(ConfigError, match=f"at least 5 points, got {n_points}"):
+            make_synthetic(n_points=n_points)
+
+    def test_smallest_size_builds(self):
+        assert [len(s) for s in make_synthetic(n_points=5)] == [5, 5, 5]
 
     def test_prepare_pipeline(self):
         ds = prepare_dataset(make_synthetic(n_points=400, seed=4), lookback=60, horizon=30)
