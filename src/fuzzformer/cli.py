@@ -67,9 +67,8 @@ def _default_cache_dir() -> str:
 
 def _write_args(out_dir, args):
     payload = {k: v for k, v in vars(args).items() if k != "func"}
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "args.json", "w", encoding="utf-8") as fh:
+    path = dmod.output_dir(out_dir, "output directory") / "args.json"
+    with dmod.open_output(path, "w", "argument record") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
@@ -81,8 +80,8 @@ def _write_args(out_dir, args):
 def cmd_fetch(args) -> int:
     series = dmod.fetch_http(args.url, args.cache_dir, name=args.name)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
+    dmod.output_dir(out.parent, "output directory")
+    with dmod.open_output(out, "w", "series file") as fh:
         fh.write("date,value\n")
         for day, value in zip(series.dates, series.values):
             # the shortest text that reads back as the same float64
@@ -105,8 +104,7 @@ def cmd_prepare(args) -> int:
     dataset = dmod.prepare_dataset(
         series, lookback=args.lookback, horizon=args.horizon, stride=args.stride
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = dmod.output_dir(args.out, "output directory")
     dataset.save(out_dir / "dataset.bin")
     dmod.write_manifest(out_dir / "manifest.json", dataset, sources)
     counts = dataset.counts()
@@ -208,8 +206,7 @@ def cmd_baseline(args) -> int:
             print(f"{title} {setting} {split}: rmse={report.rmse:.6f}{note}")
         elif skipped:
             print(f"{title} {setting} {split}: all {skipped} windows skipped")
-    if rows:
-        training.append_results(args.out, rows)
+    training.append_results(args.out, rows)
     return EXIT_OK
 
 

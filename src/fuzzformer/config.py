@@ -10,7 +10,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .exceptions import ConfigError
+from .data import open_output, read_text
+from .exceptions import ConfigError, DataError
 
 
 def _is_a(value, kind) -> bool:
@@ -107,14 +108,18 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
+        """The config in the JSON file ``path``; a file that cannot be read
+        or decoded raises ``ConfigError``, so the CLI exits with code 1."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+            data = json.loads(read_text(path, "config file"))
+        except DataError as exc:
+            raise ConfigError(str(exc)) from None
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested too deep to decode
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
         return cls.from_dict(data)
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_output(path, "w", "config") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")

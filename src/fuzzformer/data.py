@@ -1,17 +1,28 @@
 """Data pipeline: ingest series, align calendars, scale, window, split.
 
-Series files (``date,value``, ISO-8601 calendar days) and forecast window
-files (``date,<channel>,...``) share one reader, ``read_columns``, and
-one dialect: Python's ``csv`` defaults, so cells may be quoted (RFC 4180);
-a header whose first cell is ``date``; named columns in any order, matched
-after stripping and without regard to case, each named once; other
-columns ignored; blank rows skipped; every other row as wide as the
-header, with finite numbers in the named columns.  Channels are aligned
-onto the main series' calendar with forward fill, min-max scaled per
-channel on training-range rows only, and sliced into (look-back, horizon)
-samples split 80/10/10 chronologically by window origin.  Samples whose
-target range would bleed into a later split's input region are embargoed
-(dropped), so no training target overlaps evaluation inputs.
+Every text file the package reads or writes goes through this module.
+Series files (``date,value``, ISO-8601 calendar days), forecast window
+files (``date,<channel>,...``) and results files
+(``method,config,setting,split,rmse``) share one CSV reader,
+``read_table``, and one dialect: UTF-8, a leading byte-order mark
+dropped; Python's ``csv`` defaults, so cells may be quoted (RFC 4180);
+named columns in any order, matched after stripping and without regard to
+case, each named once; other columns ignored; blank rows skipped; every
+other row as wide as the header.  Series and window files also need a
+header whose first cell is ``date``, at least one row, and finite numbers
+in the named columns; a results file needs a finite ``rmse`` and may hold
+no rows.  Config files are JSON text read through ``read_text``.  Text
+outputs are written through ``open_output`` into directories made by
+``output_dir``.  A file that cannot be read or parsed, and an output that
+cannot be written (an output directory that names a file, say), raise
+``DataError``; ``RunConfig.from_file`` turns its own into ``ConfigError``.
+
+Channels are aligned onto the main series' calendar with forward fill,
+min-max scaled per channel on training-range rows only, and sliced into
+(look-back, horizon) samples split 80/10/10 chronologically by window
+origin.  Samples whose target range would bleed into a later split's
+input region are embargoed (dropped), so no training target overlaps
+evaluation inputs.
 """
 
 import csv
@@ -80,50 +91,72 @@ def open_output(path, mode, what):
         raise DataError(f"cannot write {what} {path}: {exc}") from exc
 
 
-def read_columns(path, columns, what):
-    """The date texts, the (rows, len(columns)) values and the line of
-    each row of a CSV file in the module's dialect.  Errors are
-    ``DataError``s naming ``path:line``, the physical line (a quoted cell
-    may span several); ``what`` names a missing file."""
+def output_dir(path, what) -> Path:
+    """``path`` as a directory, made with its parents if it is not there;
+    an ``OSError`` (``path`` names a file, say) raises ``DataError``."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot make {what} {path}: {exc}") from exc
+    return path
+
+
+def read_table(path, columns, what):
+    """The header's cells, the texts of ``columns`` in each row (in that
+    order) and the line of each row, of a CSV file in the module's
+    dialect.  Errors are ``DataError``s naming ``path:line``, the
+    physical line where a row ends (a quoted cell may span several);
+    ``what`` names a missing file."""
     path = Path(path)
     reader = csv.reader(io.StringIO(read_text(path, what)))
-    dates, rows, lines = [], [], []
+    rows, lines = [], []
     try:
         header = next(reader, [])
-        where = f"{path}:{max(reader.line_num, 1)}"
         keys = [cell.strip().lower() for cell in header]
-        if keys[:1] != ["date"]:
-            raise DataError(f"{where}: header must start with 'date', got {','.join(header)!r}")
         wanted = [name.strip().lower() for name in columns]
         twice = sorted({key for key in wanted if keys.count(key) > 1})
         if twice:
-            raise DataError(f"{where}: header names {twice} more than once")
+            raise DataError(f"{path}:1: header names {twice} more than once")
         missing = [name for name, key in zip(columns, wanted) if key not in keys]
         if missing:
-            raise DataError(f"{where}: header is missing channels {missing}")
+            raise DataError(f"{path}:1: header is missing columns {missing}")
         index = [keys.index(key) for key in wanted]
         for record in reader:
             if not "".join(record).strip():
                 continue
-            where = f"{path}:{reader.line_num}"
             if len(record) != len(header):
                 raise DataError(
-                    f"{where}: bad row of {len(record)} fields, header has {len(header)}"
+                    f"{path}:{reader.line_num}: bad row of {len(record)} fields, "
+                    f"header has {len(header)}"
                 )
-            try:
-                values = [float(record[i]) for i in index]
-            except ValueError as exc:
-                raise DataError(f"{where}: bad row ({exc})") from None
-            if not np.isfinite(values).all():
-                raise DataError(f"{where}: non-finite value in {record!r}")
-            dates.append(record[0].strip())
-            rows.append(values)
+            rows.append([record[i] for i in index])
             lines.append(reader.line_num)
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: bad CSV ({exc})") from None
+    return header, rows, lines
+
+
+def read_columns(path, columns, what):
+    """The date texts, the (rows, len(columns)) values and the line of
+    each row of a series or window file: a ``read_table`` whose header
+    starts with ``date``, with at least one row and finite numbers in
+    ``columns``."""
+    header, rows, lines = read_table(path, ["date", *columns], what)
+    if header[0].strip().lower() != "date":
+        raise DataError(f"{path}:1: header must start with 'date', got {','.join(header)!r}")
     if not rows:
-        raise DataError(f"{path}:{reader.line_num}: no observations")
-    return dates, np.array(rows, dtype=np.float64), lines
+        raise DataError(f"{path}: no observations")
+    values = []
+    for row, line in zip(rows, lines):
+        try:
+            numbers = [float(cell) for cell in row[1:]]
+        except ValueError as exc:
+            raise DataError(f"{path}:{line}: bad row ({exc})") from None
+        if not np.isfinite(numbers).all():
+            raise DataError(f"{path}:{line}: non-finite value in {row!r}")
+        values.append(numbers)
+    return [row[0].strip() for row in rows], np.array(values, dtype=np.float64), lines
 
 
 def load_csv(path, name=None) -> RawSeries:
@@ -150,8 +183,7 @@ def fetch_http(url, cache_dir, name=None, timeout=30.0) -> RawSeries:
     """Download a ``date,value`` CSV, caching by URL hash for offline reruns."""
     import requests
 
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    cache_dir = output_dir(cache_dir, "cache directory")
     key = hashlib.sha256(url.encode("utf-8")).hexdigest()[:24]
     cache_file = cache_dir / f"{key}.csv"
     if not cache_file.exists():
@@ -165,8 +197,11 @@ def fetch_http(url, cache_dir, name=None, timeout=30.0) -> RawSeries:
         if resp.status_code != 200:
             raise FetchError(f"fetch of {url} failed with HTTP {resp.status_code}")
         tmp = cache_file.with_suffix(".part")
-        tmp.write_bytes(resp.content)
-        tmp.rename(cache_file)
+        try:
+            tmp.write_bytes(resp.content)
+            tmp.rename(cache_file)
+        except OSError as exc:
+            raise DataError(f"cannot write cache file {cache_file}: {exc}") from exc
     return load_csv(cache_file, name=name or url)
 
 
@@ -441,7 +476,7 @@ def write_manifest(path, dataset: WindowedDataset, sources: dict) -> None:
         "samples": dataset.counts(),
         "channels": entries,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path, "w", "manifest") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -6,6 +6,8 @@ renderings exist so a run can be eyeballed without extra tooling.
 
 import numpy as np
 
+from .data import open_output
+
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f"]
 WIDTH, HEIGHT = 720, 400
 MARGIN = 48
@@ -73,7 +75,7 @@ def line_plot(path, groups, title=""):
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
     _legend(parts, [g[0] for g in groups])
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path, "w", "plot") as fh:
         fh.write("\n".join(parts) + "\n")
 
 
@@ -88,5 +90,5 @@ def scatter_plot(path, groups, title=""):
             parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" fill="{color}"/>')
     _legend(parts, [g[0] for g in groups])
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path, "w", "plot") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -10,7 +10,7 @@ seed/config/data reproduce identical checkpoints bit for bit.
 """
 
 import csv
-import io
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +23,7 @@ from .autodiff import Adam
 from .baselines import rmse
 from .checkpoint import save_checkpoint
 from .config import RunConfig
-from .data import SPLIT_NAMES, WindowedDataset, open_output, read_text
+from .data import SPLIT_NAMES, WindowedDataset, open_output, output_dir, read_table
 from .exceptions import ConfigError, DataError
 from .fuzzy import bhattacharyya  # by this name, so a profiler can patch the bundle's call
 from .losses import composite_loss
@@ -120,8 +120,7 @@ def train(config: RunConfig, dataset: WindowedDataset, out_dir, log=print) -> Tr
     t_start = time.perf_counter()
     config.validate()
     check_dataset_compatibility(config, dataset)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(out_dir, "output directory")
 
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     rng_init, rng_cluster, rng_dropout, rng_shuffle = (np.random.default_rng(s) for s in seeds)
@@ -167,12 +166,12 @@ def train(config: RunConfig, dataset: WindowedDataset, out_dir, log=print) -> Tr
     for tensor, arr in zip(model.parameter_tensors(), best_snap):
         tensor.data[...] = arr
 
-    with open(out_dir / "losses.csv", "w", encoding="utf-8", newline="") as fh:
+    with open_output(out_dir / "losses.csv", "w", "loss log") as fh:
         writer = csv.DictWriter(fh, fieldnames=LOSS_FIELDS, extrasaction="ignore")
         writer.writeheader()
         for rec in history:
             writer.writerow({k: rec[k] for k in LOSS_FIELDS})
-    with open(out_dir / "history.csv", "w", encoding="utf-8", newline="") as fh:
+    with open_output(out_dir / "history.csv", "w", "validation log") as fh:
         writer = csv.DictWriter(fh, fieldnames=("epoch", "valid_rmse"))
         writer.writeheader()
         for rec in history:
@@ -203,8 +202,7 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
     pairwise Bhattacharyya matrix, the attention-weight CSV, and SVG
     renderings.  Returns the paths.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(out_dir, "output directory")
     cfg = model.config
     if matrix.shape[0] < cfg.lookback:
         raise DataError(
@@ -225,14 +223,14 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
 
     paths = {}
     paths["forecast"] = out_dir / "forecast.csv"
-    with open(paths["forecast"], "w", encoding="utf-8", newline="") as fh:
+    with open_output(paths["forecast"], "w", "forecast") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "value_scaled", "value"])
         for j in range(cfg.horizon):
             writer.writerow([j + 1, f"{agg_scaled[j]:.10g}", f"{agg[j]:.10g}"])
 
     paths["rules"] = out_dir / "rule_forecasts.csv"
-    with open(paths["rules"], "w", encoding="utf-8", newline="") as fh:
+    with open_output(paths["rules"], "w", "rule forecasts") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rule", "step", "value_scaled", "membership"])
         psi_text = [f"{v:.10g}" for v in psi.tolist()]
@@ -243,7 +241,7 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
         )
 
     paths["clusters"] = out_dir / "clusters.csv"
-    with open(paths["clusters"], "w", encoding="utf-8", newline="") as fh:
+    with open_output(paths["clusters"], "w", "cluster table") as fh:
         writer = csv.writer(fh)
         dz = cfg.latent_width
         head = (
@@ -264,7 +262,7 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
     paths["attention"] = out_dir / "attention_weights.csv"
     steps = range(cfg.lookback)
     rows = "".join(f"{{head}}{qi},{ki},%.10g\r\n" for qi in steps for ki in steps)
-    with open(paths["attention"], "w", encoding="utf-8", newline="") as fh:
+    with open_output(paths["attention"], "w", "attention weights") as fh:
         fh.write("layer,head,query_step,key_step,weight\r\n")
         for layer_idx, layer in enumerate(ev.encoder_output.attention_weights):
             for head_idx, w in enumerate(layer):
@@ -307,7 +305,10 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
 
 
 def append_results(path, rows) -> None:
-    """Append rows to a results CSV, writing the header when new."""
+    """Append rows to a results CSV, writing the header when new; with no
+    rows, write nothing."""
+    if not rows:
+        return
     path = Path(path)
     exists = path.exists()
     with open_output(path, "a", "results file") as fh:
@@ -319,13 +320,21 @@ def append_results(path, rows) -> None:
 
 
 def read_results(paths):
+    """The rows of results files, as dicts of RESULT_FIELDS, in
+    ``data.read_table``'s dialect.  ``rmse`` must be a finite number and is
+    read as a float; a header-only file holds no rows."""
     rows = []
     for path in paths:
-        reader = csv.DictReader(io.StringIO(read_text(path, "results file")))
-        missing = set(RESULT_FIELDS) - set(reader.fieldnames or ())
-        if missing:
-            raise DataError(f"{path}: results file missing columns {sorted(missing)}")
-        rows.extend(reader)
+        _, table, lines = read_table(path, RESULT_FIELDS, "results file")
+        for cells, line in zip(table, lines):
+            row = dict(zip(RESULT_FIELDS, cells))
+            try:
+                row["rmse"] = float(row["rmse"])
+            except ValueError:
+                raise DataError(f"{path}:{line}: rmse {row['rmse']!r} is not a number") from None
+            if not math.isfinite(row["rmse"]):
+                raise DataError(f"{path}:{line}: non-finite rmse {row['rmse']}")
+            rows.append(row)
     return rows
 
 

@@ -13,6 +13,7 @@ from fuzzformer.checkpoint import load_checkpoint, save_checkpoint
 from fuzzformer.data import MinMaxScaler
 from fuzzformer.exceptions import ConfigError, DataError
 
+from test_data import edit_meta
 from test_model import tiny_model
 
 
@@ -222,6 +223,26 @@ class TestCheckpoint:
         container.write_archive(path, meta, list(arrays.items()))
         with pytest.raises(error, match=message):
             load_checkpoint(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_edited_metadata_loads_or_raises_typed_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ckpt.bin"
+            save_tiny_checkpoint(path)
+            meta, arrays = container.read_archive(path)
+            if data.draw(st.booleans()):
+                edit_meta(data, meta)
+            else:  # a config value sizes the model, so drawn ints stay small
+                meta["config"][data.draw(st.sampled_from(sorted(meta["config"])))] = data.draw(
+                    st.integers(-2, 6) | st.floats() | st.booleans() | st.text(max_size=3) | st.none()
+                )
+            container.write_archive(path, meta, list(arrays.items()))
+            try:
+                model, scaler, back = load_checkpoint(path)
+            except (DataError, ConfigError):
+                return
+        assert model.config.channels == scaler.mins.size == len(back["channel_names"]) == 2
 
     def test_wrong_kind_detected(self, tmp_path):
         path = tmp_path / "ds.bin"

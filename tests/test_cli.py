@@ -37,6 +37,15 @@ def workspace(tmp_path_factory):
     return root
 
 
+def write_window(path, n_points):
+    """A window file of the first ``n_points`` rows of the synthetic channels."""
+    series = make_synthetic(n_points=n_points, seed=3)
+    with open(path, "w") as fh:
+        fh.write("date," + ",".join(s.name for s in series) + "\n")
+        for i in range(n_points):
+            fh.write(series[0].dates[i] + "," + ",".join(f"{s.values[i]:.8f}" for s in series) + "\n")
+
+
 def expected_baseline_output(ds, method, extra):
     """The stdout lines and results-CSV rows of ``baseline --method``, split by split."""
     flags = dict(zip(extra[::2], extra[1::2]))
@@ -165,6 +174,28 @@ class TestTrain:
         ])
         assert code == EXIT_USAGE  # 5 not divisible by 2 heads
 
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (None, "config file not found: {path}"),
+            (b'{"rules": \xff}', "{path}: not UTF-8 text"),
+            (b'{"rules": ', "cannot read config file {path}: Expecting value"),
+            (b"[" * 100_000 + b"]" * 100_000, "cannot read config file {path}: maximum recursion"),
+        ],
+        ids=["missing", "not-utf8", "truncated", "too-deep"],
+    )
+    def test_unreadable_config_file_is_usage_error(self, workspace, tmp_path, capsys, blob, message):
+        cfg_file = tmp_path / "cfg.json"
+        if blob is not None:
+            cfg_file.write_bytes(blob)
+        code = main([
+            "train", "--dataset", str(workspace / "data" / "dataset.bin"),
+            "--out", str(tmp_path / "run"), "--config", str(cfg_file),
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: " + message.format(path=cfg_file))
+        assert not (tmp_path / "run").exists()
+
     def test_negative_seed_is_usage_error(self, workspace, tmp_path, capsys):
         code = main([
             "train", "--dataset", str(workspace / "data" / "dataset.bin"),
@@ -246,6 +277,14 @@ class TestEvaluateAndBaseline:
         assert code == EXIT_OK
         assert "valid: rmse=nan n=0" in capsys.readouterr().out
         assert [line.split(",")[0] for line in open(per_step)] == ["train"] * 4 + ["test"] * 4
+        # a split with no windows gives no rows, and no rows write no file
+        valid_only = tmp_path / "valid.csv"
+        code = main([
+            "evaluate", "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+            "--dataset", dataset, "--split", "valid", "--out", str(valid_only),
+        ])
+        assert code == EXIT_OK
+        assert not valid_only.exists()
         code = main(["baseline", "--dataset", dataset, "--method", "persistence", "--out", str(out)])
         assert code == EXIT_OK
         rows = list(csv.DictReader(open(out)))
@@ -269,17 +308,29 @@ class TestEvaluateAndBaseline:
             ["baseline", "--dataset", "{data}/dataset.bin", "--method", "persistence",
              "--out", "{absent}/r.csv"],
             ["report", "{tmp}", "--out", "{tmp}/table.csv"],
+            ["prepare", "--synthetic", "200", "--out", "{file}"],
+            ["prepare", "--synthetic", "200", "--out", "{file}/data"],
+            ["train", "--dataset", "{data}/dataset.bin", "--out", "{file}", *TRAIN_FLAGS],
+            ["forecast", "--checkpoint", "{run}/checkpoint.bin", "--window", "{window}",
+             "--out", "{file}"],
         ],
-        ids=["evaluate-out", "evaluate-per-step", "baseline-out", "report-directory"],
+        ids=[
+            "evaluate-out", "evaluate-per-step", "baseline-out", "report-directory",
+            "prepare-out-file", "prepare-out-under-file", "train-out-file", "forecast-out-file",
+        ],
     )
     def test_unusable_results_path_is_data_error(self, workspace, tmp_path, capsys, command):
+        # an output that names a file where a directory belongs, too
         paths = {
-            "run": workspace / "run", "data": workspace / "data",
-            "tmp": tmp_path, "absent": tmp_path / "absent",
+            "run": workspace / "run", "data": workspace / "data", "tmp": tmp_path,
+            "absent": tmp_path / "absent", "file": tmp_path / "afile", "window": tmp_path / "w.csv",
         }
+        paths["file"].write_text("")
+        write_window(paths["window"], 40)
         code = main([arg.format(**paths) for arg in command])
         assert code == EXIT_DATA
         assert str(tmp_path) in capsys.readouterr().err
+        assert paths["file"].read_text() == ""
 
     def test_baselines_append(self, workspace):
         out = workspace / "results.csv"
@@ -376,18 +427,29 @@ class TestEvaluateAndBaseline:
         code = main(["report", str(tmp_path / "none.csv"), "--out", str(tmp_path / "t.csv")])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("x,,1/1,test", ":2: bad row of 4 fields, header has 5"),
+            ('x,"a,b', ":2: bad row of 2 fields, header has 5"),
+            ("x,,1/1,test,abc", ":2: rmse 'abc' is not a number"),
+            ("x,,1/1,test,nan", ":2: non-finite rmse nan"),
+        ],
+        ids=["short-row", "open-quote", "rmse-not-a-number", "rmse-nan"],
+    )
+    def test_malformed_results_row_is_data_error(self, tmp_path, capsys, row, message):
+        results, table = tmp_path / "r.csv", tmp_path / "t.csv"
+        results.write_text(f"method,config,setting,split,rmse\n{row}\n")
+        code = main(["report", str(results), "--out", str(table)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {results}{message}\n"
+        assert not table.exists()
+
 
 class TestForecast:
     def test_bundle(self, workspace, tmp_path):
-        series = make_synthetic(n_points=40, seed=3)
         window = tmp_path / "window.csv"
-        with open(window, "w") as fh:
-            fh.write("date," + ",".join(s.name for s in series) + "\n")
-            for i in range(40):
-                fh.write(
-                    series[0].dates[i] + ","
-                    + ",".join(f"{s.values[i]:.8f}" for s in series) + "\n"
-                )
+        write_window(window, 40)
         out = tmp_path / "bundle"
         code = main([
             "forecast", "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
@@ -416,15 +478,8 @@ class TestForecast:
         assert "'channel_names' must be a list of 3 strings" in capsys.readouterr().err
 
     def test_short_window_is_data_error(self, workspace, tmp_path):
-        series = make_synthetic(n_points=5, seed=3)
         window = tmp_path / "short.csv"
-        with open(window, "w") as fh:
-            fh.write("date," + ",".join(s.name for s in series) + "\n")
-            for i in range(5):
-                fh.write(
-                    series[0].dates[i] + ","
-                    + ",".join(f"{s.values[i]:.8f}" for s in series) + "\n"
-                )
+        write_window(window, 5)
         code = main([
             "forecast", "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
             "--window", str(window), "--out", str(tmp_path / "b"),

@@ -200,6 +200,23 @@ class TestFetchHttp:
         assert s.dates == ref.dates
         np.testing.assert_array_equal(s.values, ref.values)
 
+    def test_unwritable_cache_raises_data_error(self, tmp_path, monkeypatch):
+        import hashlib
+
+        class Resp:
+            status_code = 200
+            content = self.CSV
+
+        monkeypatch.setattr("requests.get", lambda *a, **k: Resp())
+        url = "https://example.test/series.csv"
+        (tmp_path / "afile").write_text("")
+        with pytest.raises(DataError, match="cannot make cache directory .*afile"):
+            fetch_http(url, tmp_path / "afile")
+        # a directory where the download's temporary file belongs
+        (tmp_path / f"{hashlib.sha256(url.encode()).hexdigest()[:24]}.part").mkdir()
+        with pytest.raises(DataError, match="cannot write cache file"):
+            fetch_http(url, tmp_path)
+
     def test_network_failure_suggests_offline(self, tmp_path, monkeypatch):
         import requests
 
@@ -420,6 +437,43 @@ class TestMakeWindows:
         dmod.container.write_archive(path, meta, list(arrays.items()))
         with pytest.raises(DataError, match=message):
             WindowedDataset.load(path)
+
+
+# JSON values an edit may put into archive metadata
+META_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def edit_meta(data, meta):
+    """``meta`` with 1-3 drawn edits: a key dropped, or set to a drawn
+    JSON value (a new key too)."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        key = data.draw(st.sampled_from(sorted(meta) + ["extra"]))
+        if data.draw(st.booleans()):
+            meta.pop(key, None)
+        else:
+            meta[key] = data.draw(META_VALUES)
+    return meta
+
+
+class TestEditedDatasetMetadata:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_edited_metadata_loads_or_raises_data_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ds.bin"
+            sample_dataset().save(path)
+            meta, arrays = dmod.container.read_archive(path)
+            dmod.container.write_archive(path, edit_meta(data, meta), list(arrays.items()))
+            try:
+                ds = WindowedDataset.load(path)
+            except DataError:
+                return
+        assert len(ds.calendar) == ds.matrix.shape[0] == 100
+        assert sum(ds.counts().values()) == ds.origins.size
 
 
 class TestSynthetic:

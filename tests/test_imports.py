@@ -16,7 +16,12 @@ with the standard library:
   bindings, so it can miss a dead method that shares a name with a used one;
 * every ``RunConfig`` field must be read as an attribute somewhere in
   src/fuzzformer/ outside config.py, so no setting goes unread.  This too
-  matches names: another object's attribute of the same name counts.
+  matches names: another object's attribute of the same name counts;
+* no module of src/fuzzformer/ but data.py touches files on its own: no
+  call to ``open`` (as a name or an attribute), no ``.mkdir`` call, no
+  ``csv.reader`` or ``csv.DictReader``.  So every text file goes through
+  data.py's one CSV dialect and one error policy.  container.py keeps its
+  binary ``open``: an archive is bytes, not text.
 """
 
 import ast
@@ -37,6 +42,8 @@ DIRS = {
 MODULES = sorted(path for directory in DIRS for path in directory.rglob("*.py"))
 SRC = ROOT / "src" / "fuzzformer"
 # definitions that nothing in src/ or perfbench/ names, each with its reason
+# module -> the raw file access it may keep (see ``file_access``)
+FILE_ACCESS_OK = {"data.py": {"open", "mkdir", "csv.reader"}, "container.py": {"binary open"}}
 UNREFERENCED_OK = {
     ("cli.py", "_Parser.error"): "argparse calls it on a usage error",
     ("autodiff.py", "sigmoid"): "a graph primitive whose gradient acceptance criterion 1 checks",
@@ -113,6 +120,29 @@ def unread_fields(names, sources):
     return [name for name in names if name not in read]
 
 
+def file_access(source: str):
+    """(line, kind) of each raw file access in a module: "open" or, with a
+    literal mode holding "b", "binary open"; "mkdir"; "csv.reader" or
+    "csv.DictReader", named or imported."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "open":
+                mode = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                binary = any(isinstance(m, ast.Constant) and "b" in str(m.value) for m in mode)
+                found.append((node.lineno, "binary open" if binary else "open"))
+            elif name == "mkdir" and isinstance(func, ast.Attribute):
+                found.append((node.lineno, "mkdir"))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "csv" and node.attr in ("reader", "DictReader"):
+                found.append((node.lineno, f"csv.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            found += [(node.lineno, f"csv.{a.name}") for a in node.names if a.name in ("reader", "DictReader")]
+    return sorted(found)
+
+
 @pytest.mark.parametrize("directory", DIRS, ids=lambda d: str(d.relative_to(ROOT)))
 def test_modules_found(directory):
     assert directory / DIRS[directory] in MODULES
@@ -165,6 +195,33 @@ def test_checker_flags_a_function_only_tests_use():
         ("mod.py", "only_tested")
     ]
     assert unreferenced({"mod.py": module}, [(module, False), (caller, False), (bench, False)]) == flagged
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.relative_to(SRC).as_posix())
+def test_files_are_touched_only_through_data_py(path):
+    allowed = FILE_ACCESS_OK.get(path.relative_to(SRC).as_posix(), set())
+    assert [(line, kind) for line, kind in file_access(path.read_text(encoding="utf-8"))
+            if kind not in allowed] == []
+
+
+def test_file_access_exceptions_are_used():
+    for module, kinds in FILE_ACCESS_OK.items():
+        assert {kind for _, kind in file_access((SRC / module).read_text(encoding="utf-8"))} == kinds
+
+
+def test_checker_flags_raw_file_access():
+    source = (
+        "import csv\nfrom csv import DictReader\nfrom pathlib import Path\n"
+        "with open(p, 'w') as fh:\n    pass\n"
+        "blob = open(p, mode='rb').read()\n"
+        "Path(p).open()\nPath(p).parent.mkdir(parents=True)\n"
+        "rows = csv.reader(fh)\nwriter = csv.writer(fh)\n"
+        "data.open_output(p, 'w', 'x')\ndata.output_dir(p, 'x')\n"
+    )
+    # writers and the data.py helpers are fine; each raw access is flagged
+    assert file_access(source) == [
+        (2, "csv.DictReader"), (4, "open"), (6, "binary open"), (7, "open"), (8, "mkdir"), (9, "csv.reader"),
+    ]
 
 
 def test_every_config_field_is_read():

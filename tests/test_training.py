@@ -1,6 +1,8 @@
 """Tests for the training loop, evaluation, forecast bundle, and report."""
 
 import csv
+import json
+import math
 import tempfile
 import warnings
 from dataclasses import fields, replace
@@ -244,6 +246,46 @@ class TestRunConfigFromDict:
         assert model.centers.data.shape == (cfg.rules, cfg.latent_width)
 
 
+def config_from_bytes(blob):
+    """``RunConfig.from_file`` on ``blob`` written to a fresh file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_bytes(blob)
+        return RunConfig.from_file(path)
+
+
+class TestRunConfigFromFile:
+    def test_byte_order_mark_is_dropped(self):
+        assert config_from_bytes(b'\xef\xbb\xbf{"rules": 3}').rules == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(blob=st.binary(max_size=64) | st.text(alphabet='{}[]":,0123456789 -truefalsn', max_size=64).map(str.encode))
+    def test_random_bytes_give_a_config_or_config_error(self, blob):
+        try:
+            cfg = config_from_bytes(blob)
+        except ConfigError:
+            return
+        cfg.validate()  # a config it gives is a valid one
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        value=st.recursive(
+            TestRunConfigFromDict.JSON_VALUES,
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+            max_leaves=6,
+        )
+        | st.dictionaries(
+            st.sampled_from([f.name for f in fields(RunConfig)]), TestRunConfigFromDict.JSON_VALUES, max_size=3
+        )
+    )
+    def test_random_json_gives_a_config_or_config_error(self, value):
+        try:
+            cfg = config_from_bytes(json.dumps(value).encode())
+        except ConfigError:
+            return
+        cfg.validate()  # a config it gives is a valid one
+
+
 class TestWarmupLatents:
     def _latents(self, dataset):
         model = FuzzformerModel(RunConfig(**TINY_TRAIN), np.random.default_rng(0))
@@ -415,7 +457,7 @@ class TestForecastBundle:
     def test_window_csv_validates_channels(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("date,a\n2020-01-01,1.0\n")
-        with pytest.raises(DataError, match="missing channels"):
+        with pytest.raises(DataError, match=r"w\.csv:1: header is missing columns \['b'\]"):
             read_columns(path, ["a", "b"], "window file")
 
 
@@ -488,6 +530,45 @@ class TestReport:
         rows = [{"method": "a", "config": "", "setting": "s", "split": "nope", "rmse": "1"}]
         with pytest.raises(DataError, match="split"):
             build_report(rows)
+
+    def test_header_only_file_holds_no_rows(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("method,config,setting,split,rmse\n\n")
+        assert read_results([path]) == []
+
+    def test_columns_in_any_order_and_case(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b'\xef\xbb\xbfRMSE,Split,note,setting,config,method\r\n 0.25,test,x,12/4,"p=2,d=1",arima\r\n')
+        assert read_results([path]) == [
+            {"method": "arima", "config": "p=2,d=1", "setting": "12/4", "split": "test", "rmse": 0.25}
+        ]
+
+    RESULTS = (
+        b"method,config,setting,split,rmse\r\npersistence,,12/4,train,0.100000\r\n"
+        b'arima,"p=2,d=1,q=1",12/4,test,0.200000\r\n'
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_results_file_reports_or_raises_data_error(self, data):
+        blob = self.RESULTS
+        for _ in range(data.draw(st.integers(1, 3))):
+            start = data.draw(st.integers(0, len(blob)))
+            end = data.draw(st.integers(start, min(len(blob), start + 8)))
+            piece = data.draw(
+                st.binary(max_size=3) | st.text(alphabet=',"\r\n .0125eainf-', max_size=4).map(str.encode)
+            )
+            blob = blob[:start] + piece + blob[end:]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.csv"
+            path.write_bytes(blob)
+            try:
+                rows = read_results([path])
+                _, header, table = build_report(rows)
+            except DataError:
+                return
+        assert all(math.isfinite(row["rmse"]) for row in rows)
+        assert all(len(line) == len(header) for line in table)
 
     def test_write_and_read_round_trip(self, tmp_path):
         rows = [
