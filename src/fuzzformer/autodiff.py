@@ -142,9 +142,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(op={self._op!r}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 

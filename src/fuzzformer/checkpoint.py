@@ -14,7 +14,7 @@ from .data import MinMaxScaler
 from .exceptions import DataError
 from .model import FuzzformerModel
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 def save_checkpoint(path, model: FuzzformerModel, scaler, channel_names) -> None:
@@ -23,28 +23,15 @@ def save_checkpoint(path, model: FuzzformerModel, scaler, channel_names) -> None
         "format": CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
         "channel_names": list(channel_names),
-        "main_channel": 0,
     }
     arrays = [(name, tensor.data) for name, tensor in model.parameters()]
     container.write_archive(path, meta, arrays + scaler.archive_arrays())
-
-
-def check_main_channel(meta, path) -> None:
-    """Reject checkpoint metadata whose ``main_channel`` is not 0: the
-    main series is always column 0, and nothing reads another."""
-    main_channel = container.require_int(meta, "main_channel", path)
-    if main_channel != 0:
-        raise DataError(
-            f"{path}: meta key 'main_channel' {main_channel} is not a column the "
-            "model reads; the main series is always column 0"
-        )
 
 
 def load_checkpoint(path):
     """Returns (model, scaler, meta)."""
     meta, arrays = container.read_kind(path, "checkpoint", CHECKPOINT_FORMAT, "train")
     config = RunConfig.from_dict(container.require(meta, "config", path, "meta key"))
-    check_main_channel(meta, path)
     container.require_strings(meta, "channel_names", config.channels, path)
     model = FuzzformerModel(config, np.random.default_rng(0))
     for name, tensor in model.parameters():

@@ -30,26 +30,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_bool(text):
-    value = str(text).strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
-
-
 def _add_config_flags(parser):
     group = parser.add_argument_group("model/training configuration (RunConfig fields)")
     group.add_argument("--config", help="JSON config file; explicit flags override it")
-    for f in fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if isinstance(f.default, bool):
-            group.add_argument(flag, type=_parse_bool, default=None, metavar="BOOL")
-        elif isinstance(f.default, int):
-            group.add_argument(flag, type=int, default=None)
-        else:
-            group.add_argument(flag, type=float, default=None)
+    for f in fields(RunConfig):  # each field is an int or a float
+        group.add_argument("--" + f.name.replace("_", "-"), type=f.type, default=None)
 
 
 def _resolve_config(args) -> RunConfig:

@@ -16,9 +16,7 @@ from .exceptions import ConfigError, DataError
 
 def _is_a(value, kind) -> bool:
     """JSON typing of a field value: a bool is not a number; an int is a float."""
-    if kind is bool or isinstance(value, bool):
-        return kind is bool and isinstance(value, bool)
-    return isinstance(value, (int, float) if kind is float else kind)
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass
@@ -36,7 +34,6 @@ class RunConfig:
     integration_order: int = 1
     exog_order: int = 1
     dropout_rate: float = 0.1
-    attention_residual: bool = True
     weight_mse: float = 1.0
     weight_fcm: float = 0.1
     weight_overlap: float = 0.01

@@ -329,8 +329,7 @@ class WindowedDataset:
     fit_rows: int
 
     def origins_for(self, split) -> np.ndarray:
-        idx = SPLIT_NAMES.index(split) if isinstance(split, str) else int(split)
-        return self.origins[self.labels == idx]
+        return self.origins[self.labels == SPLIT_NAMES.index(split)]
 
     def counts(self) -> dict:
         return {name: int(np.sum(self.labels == i)) for i, name in enumerate(SPLIT_NAMES)}

@@ -89,10 +89,8 @@ class Dense:
 class EncoderOutput:
     """Batched encoder products; ``attention_weights[layer][head]``."""
 
-    sequence_features: ad.Tensor  # (B, N, D_h) LSTM-stack output
-    z_latent: ad.Tensor           # (B, D_Z)
-    u_latent: ad.Tensor           # (B, H)
-    attended: ad.Tensor           # (B, N, D_h) post-attention sequence
+    z_latent: ad.Tensor  # (B, D_Z)
+    u_latent: ad.Tensor  # (B, H)
     attention_weights: list = field(default_factory=list)
 
 
@@ -125,21 +123,15 @@ class Encoder:
         for layer in self.lstm_layers:
             h = layer(h)
             h = ad.dropout(h, cfg.dropout_rate, rng, training)
-        seq = h
-        attended = h
         all_weights = []
         for mha in self.mha_layers:
-            m, weights = mha(attended)
-            attended = ad.add(attended, m) if cfg.attention_residual else m
+            m, weights = mha(h)
+            h = ad.add(h, m)
             all_weights.append(weights)
-        pooled = ad.tmean(attended, axis=1)
-        z = self.z_head(pooled)
-        u = self.u_head(pooled)
+        pooled = ad.tmean(h, axis=1)
         return EncoderOutput(
-            sequence_features=seq,
-            z_latent=z,
-            u_latent=u,
-            attended=attended,
+            z_latent=self.z_head(pooled),
+            u_latent=self.u_head(pooled),
             attention_weights=all_weights,
         )
 

@@ -24,8 +24,6 @@ class TrainingForward:
     memberships: ad.Tensor          # (B, C)
     latent_diffs: ad.Tensor         # (B, C, D_Z)
     bhattacharyya_pairs: ad.Tensor  # (P,) unordered cluster pairs
-    winners: np.ndarray             # (B,) selected rule per sample
-    encoder_output: EncoderOutput
 
 
 @dataclass
@@ -49,7 +47,7 @@ class FuzzformerModel:
         # Zero ARIX coefficients start every rule at the random-walk
         # persistence forecast, a stable initial bias.
         self.arix_a = ad.parameter(np.zeros((c, config.ar_order)))
-        self.arix_b = ad.parameter(np.zeros((c, max(config.exog_order, 0))))
+        self.arix_b = ad.parameter(np.zeros((c, config.exog_order)))
         self._pair_m, self._pair_n = np.triu_indices(c, k=1)
 
     # ------------------------------------------------------------------
@@ -109,9 +107,6 @@ class FuzzformerModel:
         psi, diffs = fuzzy.memberships_graph(z_latent, self.centers, cov)
         return cov, psi, diffs
 
-    def bhattacharyya_pairs(self, cov):
-        return fuzzy.bhattacharyya_pairs_graph(self.centers, cov, self._pair_m, self._pair_n)
-
     # ------------------------------------------------------------------
     def training_forward(self, x, y_history, rng=None) -> TrainingForward:
         x = self._check_window(x)
@@ -129,9 +124,9 @@ class FuzzformerModel:
             winner_forecast=forecast,
             memberships=psi,
             latent_diffs=diffs,
-            bhattacharyya_pairs=self.bhattacharyya_pairs(cov),
-            winners=winners,
-            encoder_output=enc,
+            bhattacharyya_pairs=fuzzy.bhattacharyya_pairs_graph(
+                self.centers, cov, self._pair_m, self._pair_n
+            ),
         )
 
     def evaluation_forward(self, x, y_history) -> EvaluationForward:

@@ -100,7 +100,7 @@ def score_split(dataset, split, history, forecast) -> MetricsReport:
     with np.errstate(invalid="ignore"):  # no window scored: 0 / 0
         per_step = np.sqrt(np.sum((preds - targets) ** 2, axis=0) / preds.shape[0])
     return MetricsReport(
-        split=split if isinstance(split, str) else SPLIT_NAMES[split],
+        split=split,
         rmse=rmse(preds, targets),
         per_step_rmse=per_step,
         n_samples=preds.shape[0],
@@ -321,13 +321,16 @@ def append_results(path, rows) -> None:
 
 def read_results(paths):
     """The rows of results files, as dicts of RESULT_FIELDS, in
-    ``data.read_table``'s dialect.  ``rmse`` must be a finite number and is
-    read as a float; a header-only file holds no rows."""
+    ``data.read_table``'s dialect.  ``split`` must be one of SPLIT_NAMES;
+    ``rmse`` must be a finite number and is read as a float; a header-only
+    file holds no rows."""
     rows = []
     for path in paths:
         _, table, lines = read_table(path, RESULT_FIELDS, "results file")
         for cells, line in zip(table, lines):
             row = dict(zip(RESULT_FIELDS, cells))
+            if row["split"] not in SPLIT_NAMES:
+                raise DataError(f"{path}:{line}: unknown split label {row['split']!r}")
             try:
                 row["rmse"] = float(row["rmse"])
             except ValueError:
@@ -343,9 +346,6 @@ def build_report(rows):
 
     Returns (text, header list, table rows); absent cells show an em dash.
     """
-    for row in rows:
-        if row["split"] not in SPLIT_NAMES:
-            raise DataError(f"unknown split label {row['split']!r} in results")
     methods = []
     settings = []
     cells = {}

@@ -47,7 +47,7 @@ def check_gradients(builder, params, h=1e-5, tol=1e-4, max_coords=None, rng=None
     Returns the worst relative error observed (for reporting).
     """
     for p in params:
-        p.zero_grad()
+        p.grad = None
     root = builder()
     ad.backward(root)
     analytic = [p.gradient.copy() for p in params]

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzformer import container
 from fuzzformer.checkpoint import load_checkpoint, save_checkpoint
-from fuzzformer.data import MinMaxScaler
+from fuzzformer.data import MinMaxScaler, WindowedDataset
 from fuzzformer.exceptions import ConfigError, DataError
 
-from test_data import edit_meta
+from test_data import edit_meta, sample_dataset
 from test_model import tiny_model
 
 
@@ -211,8 +211,8 @@ class TestCheckpoint:
                 lambda meta, arrays: meta.update(channel_names=[1, 2]),
                 DataError, "'channel_names' .* non-string entry 1",
             ),
-            (lambda meta, arrays: meta.update(main_channel=1), DataError, "'main_channel' 1 is not a column"),
-            (lambda meta, arrays: meta.update(format=2), DataError, "checkpoint format 2 .* `train`"),
+            # format 1 carried a main_channel key and attention_residual; it is not read
+            (lambda meta, arrays: meta.update(format=1), DataError, "checkpoint format 1 .* `train`"),
         ],
     )
     def test_incomplete_archive_raises_typed_error(self, tmp_path, edit, error, message):
@@ -249,3 +249,34 @@ class TestCheckpoint:
         container.write_archive(path, {"kind": "dataset", "format": 1}, [])
         with pytest.raises(DataError, match="not a checkpoint"):
             load_checkpoint(path)
+
+
+# kind -> (save to a path, load from it) of each archive the CLI writes
+SAVED_FILES = {
+    "checkpoint": (save_tiny_checkpoint, load_checkpoint),
+    "dataset": (lambda path: sample_dataset().save(path), WindowedDataset.load),
+}
+
+
+class TestDamagedFile:
+    @pytest.mark.parametrize("kind", SAVED_FILES)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_flipped_file_loads_or_raises_typed_error(self, kind, data):
+        save, load = SAVED_FILES[kind]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.bin"
+            save(path)
+            blob = bytearray(path.read_bytes())
+            # most bytes are payload; half the draws land in the text header
+            header = blob.index(b"\n---\n") + 5
+            at = data.draw(st.integers(0, header - 1) | st.integers(0, len(blob) - 1))
+            if data.draw(st.booleans()):
+                del blob[at:]
+            else:
+                blob[at] ^= data.draw(st.integers(1, 255))
+            path.write_bytes(bytes(blob))
+            try:
+                load(path)
+            except (DataError, ConfigError):
+                pass

@@ -210,7 +210,6 @@ class TestTrain:
             ('{"rules": "4"}', "rules must be int"),
             ('{"rules": 4.5}', "rules must be int"),
             ('{"rules": true}', "rules must be int"),
-            ('{"attention_residual": 1}', "attention_residual must be bool"),
             ('{"learning_rate": "fast"}', "learning_rate must be float"),
             ("[1, 2]", "config must be a JSON object"),
         ],
@@ -434,8 +433,9 @@ class TestEvaluateAndBaseline:
             ('x,"a,b', ":2: bad row of 2 fields, header has 5"),
             ("x,,1/1,test,abc", ":2: rmse 'abc' is not a number"),
             ("x,,1/1,test,nan", ":2: non-finite rmse nan"),
+            ("x,,1/1,nope,0.5", ":2: unknown split label 'nope'"),
         ],
-        ids=["short-row", "open-quote", "rmse-not-a-number", "rmse-nan"],
+        ids=["short-row", "open-quote", "rmse-not-a-number", "rmse-nan", "unknown-split"],
     )
     def test_malformed_results_row_is_data_error(self, tmp_path, capsys, row, message):
         results, table = tmp_path / "r.csv", tmp_path / "t.csv"

@@ -128,7 +128,9 @@ class TestEncoder:
             training=True,
             rng=np.random.default_rng(8),
         )
-        np.testing.assert_array_equal(out.attended.data, 0.0)
+        # zero attended features pool to zero, so each head gives its bias
+        np.testing.assert_array_equal(out.z_latent.data, np.tanh(enc.z_head.b.data) + np.zeros((2, 1)))
+        np.testing.assert_array_equal(out.u_latent.data, enc.u_head.b.data + np.zeros((2, 1)))
 
     def test_eval_mode_is_pure(self):
         enc = self._encoder(np.random.default_rng(9), dropout_rate=0.3)
@@ -169,8 +171,7 @@ class TestEncoder:
     def test_sequence_features_shape(self):
         enc = self._encoder(np.random.default_rng(17))
         out = enc(Tensor(np.random.default_rng(18).uniform(size=(3, 6, 2))))
-        assert out.sequence_features.data.shape == (3, 6, 4)
-        assert out.attended.data.shape == (3, 6, 4)
+        assert out.z_latent.data.shape == (3, 2) and out.u_latent.data.shape == (3, 3)
         assert len(out.attention_weights) == 2
         assert out.attention_weights[0][0].data.shape == (3, 6, 6)
 

@@ -15,8 +15,10 @@ with the standard library:
   references go into tests/ oracles instead.  The check matches names, not
   bindings, so it can miss a dead method that shares a name with a used one;
 * every ``RunConfig`` field must be read as an attribute somewhere in
-  src/fuzzformer/ outside config.py, so no setting goes unread.  This too
-  matches names: another object's attribute of the same name counts;
+  src/fuzzformer/ outside config.py, so no setting goes unread, and every
+  field of every other dataclass under src/fuzzformer/ somewhere in src/
+  or perfbench/, so no output goes unread.  This too matches names:
+  another object's attribute of the same name counts;
 * no module of src/fuzzformer/ but data.py touches files on its own: no
   call to ``open`` (as a name or an attribute), no ``.mkdir`` call, no
   ``csv.reader`` or ``csv.DictReader``.  So every text file goes through
@@ -47,6 +49,10 @@ FILE_ACCESS_OK = {"data.py": {"open", "mkdir", "csv.reader"}, "container.py": {"
 UNREFERENCED_OK = {
     ("cli.py", "_Parser.error"): "argparse calls it on a usage error",
     ("autodiff.py", "sigmoid"): "a graph primitive whose gradient acceptance criterion 1 checks",
+}
+# dataclass fields that nothing in src/ or perfbench/ reads, each with its reason
+UNREAD_FIELD_OK = {
+    ("data.py", "WindowedDataset.fit_rows"): "acceptance criterion 10 reads it",
 }
 
 
@@ -110,14 +116,32 @@ def unreferenced(modules, readers):
 
 
 def unread_fields(names, sources):
-    """Each of ``names`` that no source in ``sources`` reads as an attribute."""
+    """Each of ``names`` (``field`` or ``Class.field``) that no source in
+    ``sources`` reads as an attribute."""
     read = {
         node.attr
         for source in sources
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    return [name for name in names if name not in read]
+    return [name for name in names if name.split(".")[-1] not in read]
+
+
+def dataclass_fields(source: str):
+    """``Class.field`` of each annotated field of each top-level class that
+    a module decorates with ``dataclass`` (bare, called or as an attribute)."""
+    names = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            names += [
+                f"{node.name}.{sub.target.id}"
+                for sub in node.body
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
+            ]
+    return names
 
 
 def file_access(source: str):
@@ -229,6 +253,20 @@ def test_every_config_field_is_read():
     assert unread_fields([f.name for f in fields(RunConfig)], sources) == []
 
 
+def test_every_dataclass_field_is_read():
+    sources = {path: path.read_text(encoding="utf-8") for path in MODULES}
+    readers = [text for p, text in sources.items() if SRC in p.parents or ROOT / "perfbench" in p.parents]
+    declared = [
+        (p.relative_to(SRC).as_posix(), name)
+        for p, text in sources.items()
+        if SRC in p.parents
+        for name in dataclass_fields(text)
+    ]
+    unread = set(unread_fields([name for _, name in declared], readers))
+    # equal, not a subset: an entry whose field is now read is stale
+    assert {entry for entry in declared if entry[1] in unread} == set(UNREAD_FIELD_OK)
+
+
 def test_checker_flags_an_unread_field():
     source = (
         "def run(cfg, out):\n"
@@ -237,3 +275,16 @@ def test_checker_flags_an_unread_field():
         "    return cfg.width * rate\n"
     )
     assert unread_fields(["width", "seed", "rate"], [source]) == ["seed", "rate"]
+    assert unread_fields(["Config.width", "Output.seed"], [source]) == ["Output.seed"]
+
+
+def test_checker_lists_dataclass_fields():
+    source = (
+        "import dataclasses\nfrom dataclasses import dataclass, field\n"
+        "@dataclass\nclass A:\n    x: int\n    y: list = field(default_factory=list)\n"
+        "    z = 1\n    def f(self) -> int:\n        return self.x\n"
+        "@dataclasses.dataclass(frozen=True)\nclass B:\n    w: int\n"
+        "class C:\n    v: int\n"
+        "@dataclass\ndef g():\n    pass\n"
+    )
+    assert dataclass_fields(source) == ["A.x", "A.y", "B.w"]

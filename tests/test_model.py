@@ -63,7 +63,7 @@ class TestForwardPaths:
         model.centers.data[1] = z.mean(axis=0)
         train = model.training_forward(batch.x, batch.y_history)
         ev = model.evaluation_forward(batch.x, batch.y_history)
-        assert np.all(train.winners == 1)
+        assert np.all(np.argmax(train.memberships.data, axis=1) == 1)
         np.testing.assert_array_equal(ev.memberships.data[:, 1], 1.0)
         np.testing.assert_allclose(
             train.winner_forecast.data, ev.aggregate_forecast.data, atol=1e-12

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import tempfile
 import warnings
 from dataclasses import fields, replace
@@ -17,7 +18,7 @@ from fuzzformer import autodiff as ad
 from fuzzformer.baselines import rmse
 from fuzzformer.checkpoint import load_checkpoint
 from fuzzformer.config import RunConfig
-from fuzzformer.data import SPLIT_NAMES, fit_minmax, make_synthetic, prepare_dataset, read_columns
+from fuzzformer.data import fit_minmax, make_synthetic, prepare_dataset, read_columns
 from fuzzformer.exceptions import ConfigError, DataError, NonFiniteError
 from fuzzformer.losses import composite_loss
 from fuzzformer.model import FuzzformerModel
@@ -183,8 +184,8 @@ class TestRunConfigFromDict:
             ({"rules": "4"}, "rules must be int"),
             ({"rules": 4.5}, "rules must be int"),
             ({"epochs": False}, "epochs must be int"),
-            ({"attention_residual": 1}, "attention_residual must be bool"),
-            ({"attention_residual": "yes"}, "attention_residual must be bool"),
+            ({"lookback": 12.0}, "lookback must be int"),
+            ({"learning_rate": True}, "learning_rate must be float"),
             ({"dropout_rate": True}, "dropout_rate must be float"),
             ({"weight_mse": None}, "weight_mse must be float"),
             ([1, 2], "config must be a JSON object"),
@@ -196,8 +197,8 @@ class TestRunConfigFromDict:
             RunConfig.from_dict(data)
 
     def test_int_accepted_for_float_field(self):
-        cfg = RunConfig.from_dict({"dropout_rate": 0, "learning_rate": 1, "attention_residual": False})
-        assert cfg.dropout_rate == 0 and cfg.learning_rate == 1 and cfg.attention_residual is False
+        cfg = RunConfig.from_dict({"dropout_rate": 0, "learning_rate": 1})
+        assert cfg.dropout_rate == 0 and cfg.learning_rate == 1
 
     @pytest.mark.parametrize(
         "data, message",
@@ -364,12 +365,6 @@ class TestScoreSplit:
         assert report.per_step_rmse.shape == (4,) and np.all(np.isnan(report.per_step_rmse))
         assert (report.n_samples, report.n_skipped) == (0, dataset.origins_for(split).size)
 
-    @pytest.mark.parametrize("index, name", list(enumerate(SPLIT_NAMES)))
-    def test_integer_split_is_labelled_by_name(self, no_valid_dataset, index, name):
-        # index 1 is the empty valid split
-        report = training.score_split(no_valid_dataset, index, 1, lambda b: (b.y_target, True))
-        assert report.split == name
-
 
 class TestForecastBundle:
     def _window_csv(self, path, n=30):
@@ -526,10 +521,11 @@ class TestReport:
         assert "—" in text
         assert table[0][2] == "—"
 
-    def test_bad_split_label_rejected(self):
-        rows = [{"method": "a", "config": "", "setting": "s", "split": "nope", "rmse": "1"}]
-        with pytest.raises(DataError, match="split"):
-            build_report(rows)
+    def test_bad_split_label_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("method,config,setting,split,rmse\na,,s,train,1\na,,s,nope,1\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: unknown split label 'nope'")):
+            read_results([path])
 
     def test_header_only_file_holds_no_rows(self, tmp_path):
         path = tmp_path / "r.csv"
