@@ -134,8 +134,8 @@ def _fused_forecast(seed, level, u, a, b, d, horizon, rules):
     d=0; u: (B, H) tensor, read with seed's leading shape (B or B, 1);
     a: (..., p) and b: (..., q) tensors.  The leading shapes of seed,
     level, a and b broadcast to the output rows.  ``rules``
-    (broadcastable to the rows, or None) gives the rule each row runs, so
-    a non-finite forecast names its rule instead of its row.
+    (broadcastable to the rows) gives the rule each row runs, so a
+    non-finite forecast names its rule.
     """
     p, q = a.data.shape[-1], b.data.shape[-1]
     uv = u.data.reshape(seed.shape[:-1] + u.data.shape[-1:])
@@ -163,14 +163,9 @@ def _fused_forecast(seed, level, u, a, b, d, horizon, rules):
             np.cumsum(out, axis=-1, out=out)
     finite = np.isfinite(out).all(axis=-1)
     if not finite.all():
-        rule = None
-        if rules is None:
-            where = f"sample {int(np.argmin(finite))}"
-        else:
-            rule = int(np.min(np.broadcast_to(rules, rows)[~finite]))
-            where = f"rule {rule}"
+        rule = int(np.min(np.broadcast_to(rules, rows)[~finite]))
         raise NonFiniteError(
-            f"{where}: non-finite ARIX forecast (unstable polynomial)",
+            f"rule {rule}: non-finite ARIX forecast (unstable polynomial)",
             op="arix_recursion", rule=rule,
         )
 
@@ -207,12 +202,12 @@ def _split_history(y_hist, p, d):
     return hist, None
 
 
-def winner_forecast_graph(y_hist, u, a_sel, b_sel, d, horizon, rules=None):
+def winner_forecast_graph(y_hist, u, a_sel, b_sel, d, horizon, rules):
     """Per-sample forecast using each sample's selected rule.
 
     y_hist: (B, >=p+d) array; u: (B, H) tensor; a_sel: (B, p); b_sel: (B, q);
-    rules: optional (B,) selected rule indices, named if a forecast is
-    non-finite.  Returns a (B, H) tensor.
+    rules: (B,) selected rule indices, named if a forecast is non-finite.
+    Returns a (B, H) tensor.
     """
     u = ad.astensor(u)
     seed, last = _split_history(y_hist, a_sel.data.shape[-1], d)

@@ -74,17 +74,18 @@ def scaled_dot_attention(q, k, v):
 class MultiHeadAttention:
     """One attention block: per-head W_Q/W_K, shared W_V, output W_O."""
 
-    def __init__(self, d_in, n_heads, rng):
+    def __init__(self, d_in, n_heads, params):
         if d_in % n_heads != 0:
             raise ConfigError(f"attention width {d_in} is not divisible by {n_heads} heads")
         self.d_in = d_in
         self.n_heads = n_heads
         self.head_dim = d_in // n_heads
         hd = self.head_dim
-        self.w_q = [ad.parameter(ad.uniform_init(rng, (d_in, hd), d_in)) for _ in range(n_heads)]
-        self.w_k = [ad.parameter(ad.uniform_init(rng, (d_in, hd), d_in)) for _ in range(n_heads)]
-        self.w_v = ad.parameter(ad.uniform_init(rng, (d_in, hd), d_in))
-        self.w_o = ad.parameter(ad.uniform_init(rng, (n_heads * hd, d_in), n_heads * hd))
+        # every head's w_q, then every w_k: the order of draws and of checkpoints
+        self.w_q = [params.new(f"head{h}.w_q", (d_in, hd), d_in) for h in range(n_heads)]
+        self.w_k = [params.new(f"head{h}.w_k", (d_in, hd), d_in) for h in range(n_heads)]
+        self.w_v = params.new("w_v", (d_in, hd), d_in)
+        self.w_o = params.new("w_o", (n_heads * hd, d_in), n_heads * hd)
 
     def __call__(self, s):
         """s: (..., N, D_in) -> ((..., N, D_in), per-head weight tensors)."""
@@ -104,12 +105,3 @@ class MultiHeadAttention:
             weights.append(w)
         merged = ad.matmul(ad.concat(heads, axis=-1), self.w_o)
         return merged, weights
-
-    def parameters(self):
-        named = []
-        for h in range(self.n_heads):
-            named.append((f"head{h}.w_q", self.w_q[h]))
-            named.append((f"head{h}.w_k", self.w_k[h]))
-        named.append(("w_v", self.w_v))
-        named.append(("w_o", self.w_o))
-        return named

@@ -37,12 +37,14 @@ operation.  NaN/Inf is caught in one of two ways:
 from __future__ import annotations
 
 import contextlib
+import copy
 import ctypes
 import sys
 
 import numpy as np
 
-from .exceptions import NonFiniteError, NumericError, PositiveDefinitenessError, ShapeError
+from .exceptions import DataError, NonFiniteError, NumericError
+from .exceptions import PositiveDefinitenessError, ShapeError
 
 _GRAD_ENABLED = True
 _PROBES_ON = True
@@ -119,17 +121,6 @@ class Tensor:
         self._backward = None
         self._op = "leaf"
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def gradient(self) -> np.ndarray:
-        """Gradient array; zeros when the node was not touched by backward."""
-        if self.grad is None:
-            return np.zeros_like(self.data)
-        return self.grad
-
     def item(self) -> float:
         return float(self.data)
 
@@ -155,8 +146,7 @@ def astensor(x) -> Tensor:
 
 def parameter(data) -> Tensor:
     """Leaf tensor holding trainable weights."""
-    t = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
-    return t
+    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
 def _node(op: str, data, inputs, vjp) -> Tensor:
@@ -471,10 +461,10 @@ def logdet(a):
     )
 
 
-def dropout(a, rate: float, rng: np.random.Generator | None, training: bool):
-    """Inverted dropout: identity in eval mode, zero output at rate >= 1."""
+def dropout(a, rate: float, rng: np.random.Generator | None):
+    """Inverted dropout, masks drawn from ``rng``: identity if it is None, zero at rate >= 1."""
     a = astensor(a)
-    if not training or rate <= 0.0:
+    if rng is None or rate <= 0.0:
         return a
     if rate >= 1.0:
         return mul(a, np.zeros_like(a.data))
@@ -523,11 +513,11 @@ def train_step(opt: Adam, loss_fn, rng: np.random.Generator | None, where: str):
     probes off and numpy's floating-point warnings silenced.  When the
     loss or a gradient of ``opt.params`` is non-finite, Adam does not
     step: the gradients are cleared, ``rng`` is put back to its state
-    before the step and the batch is replayed with the probes on, whose
-    error is raised.  A finite gradient entry too large to square (above
-    ~1.3e154) would make Adam's second moment infinite and freeze that
-    entry, so it too stops the step, with a ``NonFiniteError`` whose
-    ``op`` is ``"adam"``.  Every ``NumericError`` of the step is raised
+    before the step and the batch is replayed with the probes on and the
+    warnings still silenced, whose error is raised.  A finite gradient
+    entry too large to square (above ~1.3e154) would make Adam's second
+    moment infinite and freeze that entry, so it too stops the step, with
+    a ``NonFiniteError`` whose ``op`` is ``"adam"``.  Every ``NumericError`` of the step is raised
     with ``where`` in front of its message.
     """
     state = None if rng is None else rng.bit_generator.state
@@ -561,8 +551,9 @@ def train_step(opt: Adam, loss_fn, rng: np.random.Generator | None, where: str):
     if rng is not None:
         rng.bit_generator.state = state
     try:
-        loss, _ = loss_fn()
-        backward(loss)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            loss, _ = loss_fn()
+            backward(loss)
         raise NonFiniteError("non-finite loss or gradient, yet no op's probe fired on replay")
     except NumericError as exc:
         opt.zero_grad()
@@ -576,3 +567,44 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     """Uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
     bound = 1.0 / np.sqrt(max(fan_in, 1))
     return rng.uniform(-bound, bound, size=shape)
+
+
+class Parameters:
+    """Registry of a model's trainable tensors, each made once by ``new``
+    under a dotted name; ``named`` lists them in creation order.
+
+    ``source`` is a generator that ``new`` draws each tensor from, or the
+    name -> array mapping of the checkpoint at ``path``, whose array
+    ``new`` takes after a shape check (``DataError`` if missing or of
+    another shape): a loaded model allocates nothing its file does not
+    hold.  ``scope`` gives a view that prefixes every name.
+    """
+
+    def __init__(self, source, path=""):
+        self.source = source
+        self.path = path
+        self.prefix = ""
+        self.named = []
+
+    def scope(self, prefix: str) -> "Parameters":
+        inner = copy.copy(self)  # shares ``named`` and the source
+        inner.prefix = f"{self.prefix}{prefix}."
+        return inner
+
+    def new(self, name: str, shape, fan_in: int = 1, init=None) -> Tensor:
+        """Tensor ``name`` of ``shape``, drawn as ``init(rng)``, by default
+        ``uniform_init`` at ``fan_in``, or taken from the checkpoint."""
+        name, shape = self.prefix + name, tuple(shape)
+        if isinstance(self.source, np.random.Generator):
+            data = uniform_init(self.source, shape, fan_in) if init is None else init(self.source)
+        elif name not in self.source:
+            raise DataError(f"{self.path}: missing tensor {name!r}")
+        else:
+            data = self.source[name]
+            if data.shape != shape:
+                raise DataError(
+                    f"{self.path}: tensor {name!r} has shape {data.shape}, expected {shape}"
+                )
+        tensor = parameter(data)
+        self.named.append((name, tensor))
+        return tensor

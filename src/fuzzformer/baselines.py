@@ -201,10 +201,13 @@ class LstmBaseline:
                 f"LSTM baseline needs lookback >= horizon ({lookback} < {horizon})"
             )
         self.horizon = horizon
+        params = ad.Parameters(rng)
         self.layers = [
-            LstmLayer(channels if i == 0 else hidden, hidden, rng) for i in range(layers)
+            LstmLayer(channels if i == 0 else hidden, hidden, params.scope(f"lstm{i}"))
+            for i in range(layers)
         ]
-        self.head = Dense(hidden, 1, rng)
+        self.head = Dense(hidden, 1, params.scope("head"))
+        self.named = params.named
 
     def forward(self, x) -> ad.Tensor:
         h = ad.astensor(x)
@@ -216,13 +219,6 @@ class LstmBaseline:
     def predict(self, x) -> np.ndarray:
         with ad.no_grad():
             return self.forward(x).data
-
-    def parameters(self):
-        named = []
-        for i, layer in enumerate(self.layers):
-            named.extend((f"lstm{i}.{n}", t) for n, t in layer.parameters())
-        named.extend((f"head.{n}", t) for n, t in self.head.parameters())
-        return named
 
 
 def train_lstm_baseline(
@@ -257,7 +253,7 @@ def train_lstm_baseline(
         lookback=dataset.lookback,
         rng=rng_init,
     )
-    opt = Adam([t for _, t in model.parameters()], learning_rate=learning_rate)
+    opt = Adam([t for _, t in model.named], learning_rate=learning_rate)
     for epoch in range(epochs):
         order = rng_shuffle.permutation(train_origins)
         total = 0.0

@@ -6,12 +6,10 @@ ordered tensor manifest, followed by flat little-endian float64
 payloads.  Save then load reproduces every parameter bit-exactly.
 """
 
-import numpy as np
-
+from . import autodiff as ad
 from . import container
 from .config import RunConfig
 from .data import MinMaxScaler
-from .exceptions import DataError
 from .model import FuzzformerModel
 
 CHECKPOINT_FORMAT = 2
@@ -33,12 +31,5 @@ def load_checkpoint(path):
     meta, arrays = container.read_kind(path, "checkpoint", CHECKPOINT_FORMAT, "train")
     config = RunConfig.from_dict(container.require(meta, "config", path, "meta key"))
     container.require_strings(meta, "channel_names", config.channels, path)
-    model = FuzzformerModel(config, np.random.default_rng(0))
-    for name, tensor in model.parameters():
-        stored = container.require(arrays, name, path, "tensor")
-        if stored.shape != tensor.data.shape:
-            raise DataError(
-                f"{path}: tensor {name!r} has shape {stored.shape}, expected {tensor.data.shape}"
-            )
-        tensor.data[...] = stored
+    model = FuzzformerModel(config, ad.Parameters(arrays, path))
     return model, MinMaxScaler.from_archive(arrays, config.channels, path), meta

@@ -2,8 +2,8 @@
 
 The LSTM stack turns the scaled input window into a feature sequence;
 each layer is one graph node, :func:`lstm_scan`, whose forward and
-backward passes run in the fused kernel ``kernels.lstm``, and dropout
-follows every layer in training mode.  The attention stack
+backward passes run in the fused kernel ``kernels.lstm``, and in
+training, dropout follows every layer.  The attention stack
 (residual connections between blocks) contextualizes the sequence, which
 is then mean-pooled over time so the summary width is independent of the
 window length.  Two dense heads map the summary to the rule-activation
@@ -57,22 +57,19 @@ def lstm_scan(x, wx, wh, b):
 class LstmLayer:
     """Parameters of one LSTM layer (fused input/hidden gate weights)."""
 
-    def __init__(self, d_in, d_h, rng):
-        self.wx = ad.parameter(ad.uniform_init(rng, (d_in, 4 * d_h), d_in))
-        self.wh = ad.parameter(ad.uniform_init(rng, (d_h, 4 * d_h), d_h))
-        self.b = ad.parameter(ad.uniform_init(rng, (4 * d_h,), d_h))
+    def __init__(self, d_in, d_h, params):
+        self.wx = params.new("wx", (d_in, 4 * d_h), d_in)
+        self.wh = params.new("wh", (d_h, 4 * d_h), d_h)
+        self.b = params.new("b", (4 * d_h,), d_h)
 
     def __call__(self, x):
         return lstm_scan(x, self.wx, self.wh, self.b)
 
-    def parameters(self):
-        return [("wx", self.wx), ("wh", self.wh), ("b", self.b)]
-
 
 class Dense:
-    def __init__(self, d_in, d_out, rng, activation=None):
-        self.w = ad.parameter(ad.uniform_init(rng, (d_in, d_out), d_in))
-        self.b = ad.parameter(ad.uniform_init(rng, (d_out,), d_in))
+    def __init__(self, d_in, d_out, params, activation=None):
+        self.w = params.new("w", (d_in, d_out), d_in)
+        self.b = params.new("b", (d_out,), d_in)
         self.activation = activation
 
     def __call__(self, x):
@@ -80,9 +77,6 @@ class Dense:
         if self.activation == "tanh":
             return ad.tanh(y)
         return y
-
-    def parameters(self):
-        return [("w", self.w), ("b", self.b)]
 
 
 @dataclass
@@ -97,22 +91,22 @@ class EncoderOutput:
 class Encoder:
     """LSTM stack + attention stack + the z/u dense heads of a ``RunConfig``."""
 
-    def __init__(self, config, rng):
+    def __init__(self, config, params):
         self.config = config
         d_h = config.hidden_width
         self.lstm_layers = [
-            LstmLayer(config.channels if i == 0 else d_h, d_h, rng)
+            LstmLayer(config.channels if i == 0 else d_h, d_h, params.scope(f"lstm{i}"))
             for i in range(config.lstm_layers)
         ]
         self.mha_layers = [
-            MultiHeadAttention(d_h, config.attention_heads, rng)
-            for _ in range(config.mha_layers)
+            MultiHeadAttention(d_h, config.attention_heads, params.scope(f"mha{i}"))
+            for i in range(config.mha_layers)
         ]
-        self.z_head = Dense(d_h, config.latent_width, rng, activation="tanh")
-        self.u_head = Dense(d_h, config.horizon, rng)
+        self.z_head = Dense(d_h, config.latent_width, params.scope("z_head"), activation="tanh")
+        self.u_head = Dense(d_h, config.horizon, params.scope("u_head"))
 
-    def __call__(self, x, training=False, rng=None) -> EncoderOutput:
-        """x: (B, N, D_X) tensor of scaled windows."""
+    def __call__(self, x, rng=None) -> EncoderOutput:
+        """x: (B, N, D_X) tensor of scaled windows; ``rng`` draws dropout masks (None: none)."""
         cfg = self.config
         x = ad.astensor(x)
         if x.data.ndim != 3 or x.data.shape[-1] != cfg.channels:
@@ -122,7 +116,7 @@ class Encoder:
         h = x
         for layer in self.lstm_layers:
             h = layer(h)
-            h = ad.dropout(h, cfg.dropout_rate, rng, training)
+            h = ad.dropout(h, cfg.dropout_rate, rng)
         all_weights = []
         for mha in self.mha_layers:
             m, weights = mha(h)
@@ -134,13 +128,3 @@ class Encoder:
             u_latent=self.u_head(pooled),
             attention_weights=all_weights,
         )
-
-    def parameters(self):
-        named = []
-        for i, layer in enumerate(self.lstm_layers):
-            named.extend((f"lstm{i}.{n}", t) for n, t in layer.parameters())
-        for i, mha in enumerate(self.mha_layers):
-            named.extend((f"mha{i}.{n}", t) for n, t in mha.parameters())
-        named.extend((f"z_head.{n}", t) for n, t in self.z_head.parameters())
-        named.extend((f"u_head.{n}", t) for n, t in self.u_head.parameters())
-        return named

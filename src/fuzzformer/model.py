@@ -35,33 +35,33 @@ class EvaluationForward:
 
 
 class FuzzformerModel:
-    def __init__(self, config: RunConfig, rng: np.random.Generator):
+    def __init__(self, config: RunConfig, rng):
+        """``rng``: the generator that draws the initial parameters, or an
+        ``ad.Parameters`` registry over a checkpoint's arrays."""
         config.validate()
         self.config = config
-        self.encoder = Encoder(config, rng)
-        c, dz = config.rules, config.latent_width
+        params = rng if isinstance(rng, ad.Parameters) else ad.Parameters(rng)
+        self.encoder = Encoder(config, params.scope("encoder"))
+        rules = params.scope("rules")
+        c, dz, p, q = config.rules, config.latent_width, config.ar_order, config.exog_order
         # Clusters start as unit-ish spheres scattered in the tanh-bounded
         # latent box; a warm-up pass usually re-seeds the centers.
-        self.centers = ad.parameter(rng.uniform(-0.5, 0.5, size=(c, dz)))
-        self.factors = ad.parameter(fuzzy.isotropic_factors(c, dz))
+        self.centers = rules.new("centers", (c, dz), init=lambda g: g.uniform(-0.5, 0.5, (c, dz)))
+        self.factors = rules.new("factors", (c, dz, dz), init=lambda g: fuzzy.isotropic_factors(c, dz))
         # Zero ARIX coefficients start every rule at the random-walk
         # persistence forecast, a stable initial bias.
-        self.arix_a = ad.parameter(np.zeros((c, config.ar_order)))
-        self.arix_b = ad.parameter(np.zeros((c, config.exog_order)))
+        self.arix_a = rules.new("arix_a", (c, p), init=lambda g: np.zeros((c, p)))
+        self.arix_b = rules.new("arix_b", (c, q), init=lambda g: np.zeros((c, q)))
+        self._named = params.named  # not the registry: it may hold a checkpoint's arrays
         self._pair_m, self._pair_n = np.triu_indices(c, k=1)
 
     # ------------------------------------------------------------------
     def parameters(self):
-        """Ordered (name, tensor) pairs; the order defines checkpoints."""
-        named = [(f"encoder.{n}", t) for n, t in self.encoder.parameters()]
-        named.append(("rules.centers", self.centers))
-        named.append(("rules.factors", self.factors))
-        named.append(("rules.arix_a", self.arix_a))
-        named.append(("rules.arix_b", self.arix_b))
-        return named
+        """(name, tensor) pairs in creation order, which checkpoints keep."""
+        return self._named
 
     def parameter_tensors(self):
-        return [t for _, t in self.parameters()]
+        return [t for _, t in self._named]
 
     def initialize_clusters(self, latents, rng) -> None:
         """Re-seed rule centers from warm-up latent vectors."""
@@ -98,8 +98,8 @@ class FuzzformerModel:
             raise ShapeError(f"y_history holds {y_history.shape[0]} windows, x holds {batch}")
         return y_history
 
-    def encode(self, x, training=False, rng=None) -> EncoderOutput:
-        return self.encoder(ad.astensor(self._check_window(x)), training=training, rng=rng)
+    def encode(self, x, rng=None) -> EncoderOutput:
+        return self.encoder(ad.astensor(self._check_window(x)), rng=rng)
 
     def fuzzy_head(self, z_latent):
         """Graph memberships of a latent batch against the rule bank."""
@@ -111,7 +111,7 @@ class FuzzformerModel:
     def training_forward(self, x, y_history, rng=None) -> TrainingForward:
         x = self._check_window(x)
         y_history = self._check_history(y_history, x.shape[0])
-        enc = self.encode(x, training=True, rng=rng)
+        enc = self.encode(x, rng=rng)
         cov, psi, diffs = self.fuzzy_head(enc.z_latent)
         winners = np.argmax(psi.data, axis=1)
         a_sel = self.arix_a[winners]
@@ -132,7 +132,7 @@ class FuzzformerModel:
     def evaluation_forward(self, x, y_history) -> EvaluationForward:
         x = self._check_window(x)
         y_history = self._check_history(y_history, x.shape[0])
-        enc = self.encode(x, training=False)
+        enc = self.encode(x)
         _cov, psi, _diffs = self.fuzzy_head(enc.z_latent)
         rule_preds = arix_mod.all_rules_forecast_graph(
             y_history, enc.u_latent, self.arix_a, self.arix_b,

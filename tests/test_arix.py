@@ -146,7 +146,9 @@ class TestGraphRecursion:
         b = rng.normal(size=(bsz, q))
         hist = rng.normal(size=(bsz, p + d))
         u = rng.normal(size=(bsz, horizon))
-        out = winner_forecast_graph(hist, Tensor(u), Tensor(a), Tensor(b), d, horizon)
+        out = winner_forecast_graph(
+            hist, Tensor(u), Tensor(a), Tensor(b), d, horizon, rules=np.arange(bsz)
+        )
         for s in range(bsz):
             coeffs = ArixCoefficients(a=a[s], b=b[s], d=d)
             np.testing.assert_allclose(
@@ -176,7 +178,9 @@ class TestGraphRecursion:
         b = rng.normal(size=(bsz, q))
         hist = rng.normal(size=(bsz, p))
         u = rng.normal(size=(bsz, horizon))
-        out = winner_forecast_graph(hist, Tensor(u), Tensor(a), Tensor(b), d, horizon)
+        out = winner_forecast_graph(
+            hist, Tensor(u), Tensor(a), Tensor(b), d, horizon, rules=np.arange(bsz)
+        )
         for s in range(bsz):
             coeffs = ArixCoefficients(a=a[s], b=b[s], d=d)
             np.testing.assert_allclose(
@@ -193,7 +197,7 @@ class TestGraphRecursion:
         mixer = rng.normal(size=(bsz, horizon))
 
         def build():
-            out = winner_forecast_graph(hist, u, a, b, d, horizon)
+            out = winner_forecast_graph(hist, u, a, b, d, horizon, rules=np.arange(bsz))
             return ad.tsum(ad.mul(out, mixer))
 
         check_gradients(build, [a, b, u])
@@ -244,7 +248,7 @@ class TestFusedRecursion:
         mixer = rng.normal(size=(bsz, horizon))
 
         def build():
-            out = winner_forecast_graph(hist, u, a, b, d, horizon)
+            out = winner_forecast_graph(hist, u, a, b, d, horizon, rules=np.arange(bsz))
             return ad.tsum(ad.mul(out, mixer))
 
         params = [a, b, u] if q else [a, u]  # an empty b has nothing to check
@@ -278,7 +282,7 @@ class TestFusedRecursion:
         rules = all_rules_forecast_graph(hist, Tensor(u), Tensor(a), Tensor(b), d, horizon).data
         winners = np.array([1, 0, 1])
         sel = winner_forecast_graph(
-            hist, Tensor(u), Tensor(a[winners]), Tensor(b[winners]), d, horizon
+            hist, Tensor(u), Tensor(a[winners]), Tensor(b[winners]), d, horizon, rules=winners
         ).data
         for s in range(bsz):
             for i in range(c):
@@ -292,7 +296,7 @@ class TestFusedRecursion:
             a, b, d, u, horizon = random_stable_system(rng, q=int(rng.integers(0, 3)))
             hist = np.zeros((1, a.size + d))
             out = winner_forecast_graph(
-                hist, Tensor(u[None]), Tensor(a[None]), Tensor(b[None]), d, horizon
+                hist, Tensor(u[None]), Tensor(a[None]), Tensor(b[None]), d, horizon, rules=[0]
             )
             oracle = zero_state_forecast(a, b, d, u, horizon)
             assert np.max(np.abs(out.data[0] - oracle)) < 1e-9
@@ -320,5 +324,3 @@ class TestFusedRecursion:
             winner_forecast_graph(
                 hist, u, Tensor(a[winners]), Tensor(b[winners]), 1, 4, rules=winners
             )
-        with pytest.raises(NonFiniteError, match="sample 1"):
-            winner_forecast_graph(hist, u, Tensor(a[winners]), Tensor(b[winners]), 1, 4)

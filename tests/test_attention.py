@@ -131,7 +131,7 @@ class TestAgainstOracle:
 class TestMultiHead:
     def test_single_head_identity_output_projection(self):
         rng = np.random.default_rng(5)
-        mha = MultiHeadAttention(d_in=4, n_heads=1, rng=rng)
+        mha = MultiHeadAttention(d_in=4, n_heads=1, params=ad.Parameters(rng))
         mha.w_o.data[...] = np.eye(4)
         s = Tensor(rng.normal(size=(6, 4)))
         out, _ = mha(s)
@@ -142,26 +142,27 @@ class TestMultiHead:
 
     def test_zero_projections_give_zero_output(self):
         rng = np.random.default_rng(6)
-        mha = MultiHeadAttention(d_in=8, n_heads=4, rng=rng)
-        for _, t in mha.parameters():
+        params = ad.Parameters(rng)
+        mha = MultiHeadAttention(d_in=8, n_heads=4, params=params)
+        for _, t in params.named:
             t.data[...] = 0.0
         out, _ = mha(Tensor(rng.normal(size=(7, 8))))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_output_shape(self):
         rng = np.random.default_rng(7)
-        mha = MultiHeadAttention(d_in=8, n_heads=4, rng=rng)
+        mha = MultiHeadAttention(d_in=8, n_heads=4, params=ad.Parameters(rng))
         out, weights = mha(Tensor(rng.normal(size=(7, 8))))
         assert out.data.shape == (7, 8)
         assert len(weights) == 4 and weights[0].data.shape == (7, 7)
 
     def test_head_width_must_divide(self):
         with pytest.raises(ConfigError):
-            MultiHeadAttention(d_in=6, n_heads=4, rng=np.random.default_rng(0))
+            MultiHeadAttention(d_in=6, n_heads=4, params=ad.Parameters(np.random.default_rng(0)))
 
     def test_batched_input(self):
         rng = np.random.default_rng(8)
-        mha = MultiHeadAttention(d_in=4, n_heads=2, rng=rng)
+        mha = MultiHeadAttention(d_in=4, n_heads=2, params=ad.Parameters(rng))
         s = rng.normal(size=(3, 5, 4))
         out, _ = mha(Tensor(s))
         assert out.data.shape == (3, 5, 4)
@@ -171,7 +172,7 @@ class TestMultiHead:
 
     def test_gradients(self):
         rng = np.random.default_rng(9)
-        mha = MultiHeadAttention(d_in=4, n_heads=2, rng=rng)
+        params = ad.Parameters(rng)
+        mha = MultiHeadAttention(d_in=4, n_heads=2, params=params)
         s = parameter(rng.normal(size=(5, 4)))
-        params = [s] + [t for _, t in mha.parameters()]
-        check_gradients(lambda: ad.tsum(ad.tanh(mha(s)[0])), params)
+        check_gradients(lambda: ad.tsum(ad.tanh(mha(s)[0])), [s] + [t for _, t in params.named])

@@ -128,7 +128,7 @@ class TestTrainStep:
             drop = np.random.default_rng(6)
             for _ in range(3):
                 def loss_fn():
-                    h = ad.dropout(ad.matmul(x, w), 0.5, drop, training=True)
+                    h = ad.dropout(ad.matmul(x, w), 0.5, drop)
                     loss = ad.tsum(ad.mul(ad.sub(h, target), ad.sub(h, target)))
                     return loss, loss.item()
 
@@ -237,7 +237,7 @@ class TestBackward:
         x = parameter([1.0, 2.0])
         unused = parameter([5.0])
         backward(ad.tsum(ad.mul(x, x)))
-        assert np.array_equal(unused.gradient, [0.0])
+        assert unused.grad is None  # Adam and the gradient check read None as zero
 
     def test_backward_requires_scalar_root(self):
         x = parameter([1.0, 2.0])
@@ -395,7 +395,7 @@ def _operands(draw, rng, shapes, make=_away_from_zero):
         ops[i] = Tensor(ops[i].data)
     elif mode == "same":
         i, j = draw(st.lists(st.integers(0, len(ops) - 1), min_size=2, max_size=2, unique=True))
-        if ops[i].shape == ops[j].shape:
+        if ops[i].data.shape == ops[j].data.shape:
             ops[j] = ops[i]
     params = []
     for t in ops:
@@ -560,8 +560,11 @@ def _arix_recursion_case(draw, rng):
     const = draw(st.sampled_from([None, 0, 1, 2] if q else [2]))  # an empty b has nothing to check
     if const is not None:
         ops[const] = Tensor(ops[const].data)
-    forecast = all_rules_forecast_graph if all_rules else winner_forecast_graph
-    return (lambda: forecast(hist, *ops, d, horizon)), ops, [t for t in ops if t.requires_grad]
+    tracked = [t for t in ops if t.requires_grad]
+    if all_rules:
+        return (lambda: all_rules_forecast_graph(hist, *ops, d, horizon)), ops, tracked
+    rules = np.arange(bsz)  # each row's rule, named if its forecast is non-finite
+    return (lambda: winner_forecast_graph(hist, *ops, d, horizon, rules)), ops, tracked
 
 
 # every primitive the engine builds graph nodes with, by function name,
@@ -604,7 +607,7 @@ class TestVjpSweep:
         rng = np.random.default_rng(seed)
         op, operands, params = SWEEP[name](data.draw, rng)
         # a random upstream adjoint, so the vjp is not only checked against ones
-        weight = Tensor(rng.normal(size=op().shape))
+        weight = Tensor(rng.normal(size=op().data.shape))
         check_gradients(lambda: ad.tsum(ad.mul(op(), weight)), params)
         for t in operands:
             if not t.requires_grad:
@@ -614,17 +617,17 @@ class TestVjpSweep:
 class TestDropout:
     def test_eval_mode_identity(self):
         x = parameter([1.0, 2.0])
-        assert ad.dropout(x, 0.5, None, training=False) is x
+        assert ad.dropout(x, 0.5, None) is x
 
     def test_rate_one_zeroes(self):
         x = parameter([1.0, 2.0])
-        out = ad.dropout(x, 1.0, np.random.default_rng(0), training=True)
+        out = ad.dropout(x, 1.0, np.random.default_rng(0))
         assert np.array_equal(out.data, [0.0, 0.0])
 
     def test_inverted_scaling_preserves_mean(self):
         rng = np.random.default_rng(0)
         x = Tensor(np.ones(200_00))
-        out = ad.dropout(x, 0.25, rng, training=True)
+        out = ad.dropout(x, 0.25, rng)
         assert abs(out.data.mean() - 1.0) < 0.02
 
 

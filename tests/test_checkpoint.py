@@ -2,6 +2,7 @@
 
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,35 @@ class TestCheckpoint:
         with pytest.raises(error, match=message):
             load_checkpoint(path)
 
+    def test_tensors_are_read_by_name_not_manifest_position(self, tmp_path):
+        # files written before the parameter registry interleave each head's w_q and w_k
+        path = tmp_path / "ckpt.bin"
+        save_tiny_checkpoint(path)
+        meta, arrays = container.read_archive(path)
+        container.write_archive(path, meta, list(reversed(arrays.items())))
+        model, _, _ = load_checkpoint(path)
+        assert [name for name, _ in model.parameters()] == list(arrays)[:-2]  # less the scaler
+        for name, tensor in model.parameters():
+            np.testing.assert_array_equal(tensor.data, arrays[name])
+
+    @pytest.mark.parametrize("width", [1024, 10**6])
+    def test_config_sizing_a_tensor_beyond_the_file_allocates_nothing(self, tmp_path, width):
+        # at width 1024 a drawn model alone would take ~60 MB; at 10**6
+        # numpy could not allocate it
+        path = tmp_path / "ckpt.bin"
+        save_tiny_checkpoint(path)
+        meta, arrays = container.read_archive(path)
+        meta["config"]["hidden_width"] = width
+        container.write_archive(path, meta, list(arrays.items()))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=r"tensor 'encoder\.lstm0\.wx' has shape \(2, 16\)"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_edited_metadata_loads_or_raises_typed_error(self, data):
@@ -233,9 +263,10 @@ class TestCheckpoint:
             meta, arrays = container.read_archive(path)
             if data.draw(st.booleans()):
                 edit_meta(data, meta)
-            else:  # a config value sizes the model, so drawn ints stay small
+            else:
                 meta["config"][data.draw(st.sampled_from(sorted(meta["config"])))] = data.draw(
-                    st.integers(-2, 6) | st.floats() | st.booleans() | st.text(max_size=3) | st.none()
+                    st.integers(-2, 6) | st.integers(-(2**64), 2**64) | st.floats() | st.booleans()
+                    | st.text(max_size=3) | st.none()
                 )
             container.write_archive(path, meta, list(arrays.items()))
             try:

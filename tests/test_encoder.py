@@ -98,34 +98,34 @@ class TestLstmScan:
 
     def test_hidden_state_bounded_by_one(self):
         rng = np.random.default_rng(3)
-        layer = LstmLayer(2, 4, rng)
+        layer = LstmLayer(2, 4, ad.Parameters(rng))
         x = rng.uniform(0.0, 1.0, size=(5, 20, 2))
         out = layer(Tensor(x))
         assert np.all(np.abs(out.data) <= 1.0)
 
 
 class TestEncoder:
-    def _encoder(self, rng, **kw):
+    def _encoder(self, params, **kw):
         defaults = dict(
             channels=2, hidden_width=4, lstm_layers=2, mha_layers=2, attention_heads=2,
             latent_width=2, horizon=3, dropout_rate=0.0,
         )
         defaults.update(kw)
-        return Encoder(RunConfig(**defaults), rng)
+        return Encoder(RunConfig(**defaults), params)
 
     def test_zero_parameters_give_zero_latents(self):
-        enc = self._encoder(np.random.default_rng(4))
-        for _, t in enc.parameters():
+        params = ad.Parameters(np.random.default_rng(4))
+        enc = self._encoder(params)
+        for _, t in params.named:
             t.data[...] = 0.0
         out = enc(Tensor(np.random.default_rng(5).uniform(size=(3, 6, 2))))
         np.testing.assert_array_equal(out.z_latent.data, 0.0)
         np.testing.assert_array_equal(out.u_latent.data, 0.0)
 
     def test_full_dropout_zeroes_attended_features(self):
-        enc = self._encoder(np.random.default_rng(6), dropout_rate=1.0)
+        enc = self._encoder(ad.Parameters(np.random.default_rng(6)), dropout_rate=1.0)
         out = enc(
             Tensor(np.random.default_rng(7).uniform(size=(2, 5, 2))),
-            training=True,
             rng=np.random.default_rng(8),
         )
         # zero attended features pool to zero, so each head gives its bias
@@ -133,31 +133,31 @@ class TestEncoder:
         np.testing.assert_array_equal(out.u_latent.data, enc.u_head.b.data + np.zeros((2, 1)))
 
     def test_eval_mode_is_pure(self):
-        enc = self._encoder(np.random.default_rng(9), dropout_rate=0.3)
+        enc = self._encoder(ad.Parameters(np.random.default_rng(9)), dropout_rate=0.3)
         x = Tensor(np.random.default_rng(10).uniform(size=(2, 5, 2)))
-        a = enc(x, training=False)
-        b = enc(x, training=False)
+        a = enc(x)
+        b = enc(x)
         assert np.array_equal(a.z_latent.data, b.z_latent.data)
         assert np.array_equal(a.u_latent.data, b.u_latent.data)
 
     def test_training_dropout_differs_from_eval(self):
-        enc = self._encoder(np.random.default_rng(11), dropout_rate=0.5)
+        enc = self._encoder(ad.Parameters(np.random.default_rng(11)), dropout_rate=0.5)
         x = Tensor(np.random.default_rng(12).uniform(size=(2, 5, 2)))
-        t = enc(x, training=True, rng=np.random.default_rng(13))
-        e = enc(x, training=False)
+        t = enc(x, rng=np.random.default_rng(13))
+        e = enc(x)
         assert not np.allclose(t.z_latent.data, e.z_latent.data)
 
     def test_channel_mismatch_raises(self):
-        enc = self._encoder(np.random.default_rng(14))
+        enc = self._encoder(ad.Parameters(np.random.default_rng(14)))
         with pytest.raises(ShapeError, match="encoder"):
             enc(Tensor(np.zeros((2, 5, 3))))
 
     def test_gradients_reach_every_lstm_weight(self):
         # tiny config: N=4, D_X=2, D_h=3, one head
-        rng = np.random.default_rng(15)
-        enc = self._encoder(rng, hidden_width=3, attention_heads=1, lstm_layers=2, mha_layers=1)
+        params = ad.Parameters(np.random.default_rng(15))
+        enc = self._encoder(params, hidden_width=3, attention_heads=1, lstm_layers=2, mha_layers=1)
         x = np.random.default_rng(16).uniform(size=(2, 4, 2))
-        lstm_params = [t for n, t in enc.parameters() if n.startswith("lstm")]
+        lstm_params = [t for n, t in params.named if n.startswith("lstm")]
 
         def build():
             out = enc(Tensor(x))
@@ -169,7 +169,7 @@ class TestEncoder:
         check_gradients(build, lstm_params)
 
     def test_sequence_features_shape(self):
-        enc = self._encoder(np.random.default_rng(17))
+        enc = self._encoder(ad.Parameters(np.random.default_rng(17)))
         out = enc(Tensor(np.random.default_rng(18).uniform(size=(3, 6, 2))))
         assert out.z_latent.data.shape == (3, 2) and out.u_latent.data.shape == (3, 3)
         assert len(out.attention_weights) == 2
@@ -179,6 +179,6 @@ class TestEncoder:
 class TestDense:
     def test_tanh_activation_bounds(self):
         rng = np.random.default_rng(19)
-        d = Dense(3, 2, rng, activation="tanh")
+        d = Dense(3, 2, ad.Parameters(rng), activation="tanh")
         out = d(Tensor(rng.normal(size=(10, 3)) * 10))
         assert np.all(np.abs(out.data) <= 1.0)

@@ -23,7 +23,11 @@ with the standard library:
   call to ``open`` (as a name or an attribute), no ``.mkdir`` call, no
   ``csv.reader`` or ``csv.DictReader``.  So every text file goes through
   data.py's one CSV dialect and one error policy.  container.py keeps its
-  binary ``open``: an archive is bytes, not text.
+  binary ``open``: an archive is bytes, not text;
+* no module of src/fuzzformer/ but autodiff.py calls ``parameter``, by
+  name or as an attribute (``ad.parameter``).  So every trainable tensor
+  is made by the registry ``autodiff.Parameters``, under a name that
+  checkpoints store.
 """
 
 import ast
@@ -167,6 +171,16 @@ def file_access(source: str):
     return sorted(found)
 
 
+def parameter_calls(source: str):
+    """Lines of each call of ``parameter``, as a name or an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "parameter" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
 @pytest.mark.parametrize("directory", DIRS, ids=lambda d: str(d.relative_to(ROOT)))
 def test_modules_found(directory):
     assert directory / DIRS[directory] in MODULES
@@ -246,6 +260,22 @@ def test_checker_flags_raw_file_access():
     assert file_access(source) == [
         (2, "csv.DictReader"), (4, "open"), (6, "binary open"), (7, "open"), (8, "mkdir"), (9, "csv.reader"),
     ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.relative_to(SRC).as_posix())
+def test_trainable_tensors_are_made_by_the_registry(path):
+    calls = parameter_calls(path.read_text(encoding="utf-8"))
+    # autodiff.py keeps its call: ``Parameters.new`` makes every tensor with it
+    assert (calls != []) == (path.relative_to(SRC).as_posix() == "autodiff.py"), calls
+
+
+def test_checker_flags_parameter_calls():
+    source = (
+        "from fuzzformer import autodiff as ad\nfrom fuzzformer.autodiff import parameter\n"
+        "w = ad.parameter(np.zeros(2))\nb = parameter([0.0])\n"
+        "v = params.new('v', (2,), 2)\nregistry = ad.Parameters(rng)\nn = params.parameters\n"
+    )
+    assert parameter_calls(source) == [3, 4]
 
 
 def test_every_config_field_is_read():

@@ -119,8 +119,8 @@ class TestForwardPaths:
             ad.backward(loss)
         assert fwd.bhattacharyya_pairs.data.shape == (0,)
         assert loss.item() == 0.0
-        np.testing.assert_array_equal(model.centers.gradient, 0.0)
-        np.testing.assert_array_equal(model.factors.gradient, 0.0)
+        np.testing.assert_array_equal(model.centers.grad, 0.0)
+        np.testing.assert_array_equal(model.factors.grad, 0.0)
 
     def test_unstable_rule_is_named(self):
         model = tiny_model(seed=9)
@@ -145,6 +145,9 @@ class TestForwardPaths:
         names = [n for n, _ in model.parameters()]
         assert len(names) == len(set(names))
         assert "rules.centers" in names and "encoder.lstm0.wx" in names
+        # creation order, which is also the draw order: every head's w_q, then every w_k
+        block = [n.removeprefix("encoder.mha0.") for n in names if n.startswith("encoder.mha0.")]
+        assert block == ["head0.w_q", "head1.w_q", "head0.w_k", "head1.w_k", "w_v", "w_o"]
 
 
 class TestCompositeLoss:
@@ -189,7 +192,7 @@ class TestCompositeLoss:
         for name, t in model.parameters():
             for g in groups:
                 if name.startswith(g):
-                    groups[g] += float(np.abs(t.gradient).sum())
+                    groups[g] += 0.0 if t.grad is None else float(np.abs(t.grad).sum())
         for g, total_abs in groups.items():
             assert total_abs > 1e-12, f"dead parameter group {g}"
 

@@ -19,7 +19,7 @@ from fuzzformer.baselines import rmse
 from fuzzformer.checkpoint import load_checkpoint
 from fuzzformer.config import RunConfig
 from fuzzformer.data import fit_minmax, make_synthetic, prepare_dataset, read_columns
-from fuzzformer.exceptions import ConfigError, DataError, NonFiniteError
+from fuzzformer.exceptions import ConfigError, DataError, NonFiniteError, NumericError
 from fuzzformer.losses import composite_loss
 from fuzzformer.model import FuzzformerModel
 from fuzzformer import training
@@ -161,6 +161,15 @@ class TestTrainFailure:
             total, _ = composite_loss(batch, model, rng)
             ad.backward(total)
         assert str(step_error.value) == f"epoch 1, batch at sample 16: {probed_error.value}"
+
+    def test_replayed_overflow_raises_typed_error_not_warning(self, tiny_dataset, tmp_path):
+        # one Adam step at this rate throws the weights to ~1e300, so the
+        # next batch overflows; its probed replay must not warn first
+        cfg = RunConfig(**{**TINY_TRAIN, "learning_rate": 1e300})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^epoch 1, batch at sample 16: "):
+                train(cfg, tiny_dataset, tmp_path / "run", log=quiet)
 
     def test_gradient_too_large_to_square_stops_adam(self, tmp_path):
         # every value and gradient is finite, but a gradient entry above
