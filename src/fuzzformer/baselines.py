@@ -62,9 +62,8 @@ class ArimaFit:
 ARIMA_CHUNK = 128
 
 # the codes _fit_stack gives a window (0: accepted) and fit_arima's message for each
-_SHORT, _RANK, _NONSTATIONARY, _NONINVERTIBLE = 1, 2, 3, 4
+_RANK, _NONSTATIONARY, _NONINVERTIBLE = 1, 2, 3
 _REJECTIONS = {
-    _SHORT: "window of {size} values is too short for {label}",
     _RANK: "{label}: rank-deficient regression on a {size}-point window",
     _NONSTATIONARY: "{label}: non-stationary AR estimate",
     _NONINVERTIBLE: "{label}: non-invertible MA estimate",
@@ -88,18 +87,20 @@ def _check_horizon(horizon):
         raise ConfigError(f"ARIMA horizon must be >= 1, got {horizon}")
 
 
+def _too_short(size, order: ArimaOrder):
+    """True when a window of ``size`` values cannot hold ``order``'s
+    regression; decided before anything is sized by p or q."""
+    return size <= order.p + order.q + order.d + 1
+
+
 def _fit_stack(windows, order: ArimaOrder):
-    """Fit every row of a finite (W, T) stack.
+    """Fit every row of a finite (W, T) stack that is not ``_too_short``.
 
     Returns (phi (W, p), theta (W, q), mean (W,), code (W,)), where
     code is 0 for an accepted fit, else the first reason in the order
-    short, rank, non-stationary, non-invertible that rejects the window.
+    rank, non-stationary, non-invertible that rejects the window.
     """
-    W, T = windows.shape
-    code = np.zeros(W, dtype=np.int64)
-    if T <= order.p + order.q + order.d + 1:
-        code[:] = _SHORT
-        return np.zeros((W, order.p)), np.zeros((W, order.q)), np.zeros(W), code
+    code = np.zeros(windows.shape[0], dtype=np.int64)
     x = _difference(windows, order.d)
     mean = x.mean(axis=1)
     phi, theta, ok = arima_kernels.hr_fit(x - mean[:, None], order.p, order.q)
@@ -133,6 +134,8 @@ def fit_arima(window, order: ArimaOrder) -> ArimaFit:
     if window.ndim != 1:
         raise DataError(f"ARIMA window must be 1-D, got shape {window.shape}")
     _check_finite(window)
+    if _too_short(window.size, order):
+        raise ArimaFitError(f"window of {window.size} values is too short for {order.label()}")
     phi, theta, mean, code = _fit_stack(window[None], order)
     if code[0]:
         raise ArimaFitError(_REJECTIONS[code[0]].format(size=window.size, label=order.label()))
@@ -168,6 +171,8 @@ def evaluate_arima_windows(windows, order: ArimaOrder, horizon: int):
     _check_horizon(horizon)
     preds = np.full((windows.shape[0], horizon), np.nan)
     ok = np.zeros(windows.shape[0], dtype=bool)
+    if _too_short(windows.shape[1], order):
+        return preds, ok
     for start in range(0, windows.shape[0], ARIMA_CHUNK):
         chunk = windows[start : start + ARIMA_CHUNK]
         phi, theta, mean, code = _fit_stack(chunk, order)

@@ -16,11 +16,16 @@ across windows, adding terms in the order of the per-window scalar loop.
 
 Each least-squares stage decides full rank with numpy lstsq's rule, but
 takes singular values only where it must.  A cheap bound on the condition
-of R, from one batched inverse and two Frobenius norms, proves full rank
-for almost every window; the few windows it cannot decide (near-singular,
-zero diagonal, overflow) get the SVD rule itself.  The bound only accepts
-windows whose ratio of extreme singular values sits orders of magnitude
-above the rule's threshold, so both routes make the same decision.
+of R, from R^-1 and two Frobenius norms, proves full rank for almost every
+window; the few windows it cannot decide (near-singular, zero diagonal,
+overflow) get the SVD rule itself.  R is upper triangular, so R^-1 comes
+from back-substitution, one batched row step at a time, rather than a
+general LU inverse.  Triangular back-substitution is backward stable
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 8),
+so on the windows the bound accepts its inverse is as accurate as LU's.
+The bound only accepts windows whose ratio of extreme singular values sits
+orders of magnitude above the rule's threshold, so both routes make the
+same decision.
 """
 
 import numpy as np
@@ -49,6 +54,23 @@ def companion_stable(coeffs):
     return np.max(np.abs(np.linalg.eigvals(comp)), axis=-1) < 1.0
 
 
+def _triangular_inverse(r):
+    """Inverse of every upper-triangular matrix in a (W, N, N) stack.
+
+    Back-substitution from the last row up: row i of X = R^-1 is
+    (e_i - R[i, i+1:] X[i+1:]) / r_ii.  Each row step is one batched
+    matmul of every window's row i with its own rows below, so a window's
+    inverse is bit-identical alone or in any stack.  Never raises: a zero
+    or tiny diagonal yields inf or NaN entries, under the caller's errstate.
+    """
+    inv = np.zeros_like(r)
+    for i in range(r.shape[1] - 1, -1, -1):
+        row = -(r[:, i, None, i + 1 :] @ inv[:, i + 1 :])[:, 0]
+        row[:, i] = 1.0
+        inv[:, i] = row / r[:, i, i, None]
+    return inv
+
+
 def _lstsq(columns):
     """Least squares per window: regress the last of the (W, M) ``columns``
     on the N others, for M > N.
@@ -56,9 +78,10 @@ def _lstsq(columns):
     QR of the stacked (W, M, N + 1) matrix [A | b] yields R and Q'b
     together.  A window counts as full rank under numpy lstsq's rule: the
     smallest singular value of its R exceeds eps * max(M, N) * the largest.
-    Most windows are certified full rank without an SVD; the rest get the
-    SVD rule itself (see below).  Returns the (W, N) solutions, zero where
-    rank deficient, and the full-rank mask.
+    Most windows are certified full rank without an SVD, from R^-1 by
+    back-substitution; the rest get the SVD rule itself (see below).
+    Returns the (W, N) solutions, zero where rank deficient, and the
+    full-rank mask.
     """
     W, M = columns[0].shape
     N = len(columns) - 1
@@ -69,25 +92,24 @@ def _lstsq(columns):
     # |R|_F), and it is at most min |r_ii| / max |r_ii|, so rows failing that
     # diagonal test could never pass and skip the inverse.  A row passes
     # when its bound exceeds ``cut``, which is at least 1e-8 and 1e4 times
-    # the rule's threshold.  Its condition number is then below 1e8, so the
-    # inverse and LAPACK's singular values are accurate to ~1e-8 relative,
-    # and the SVD rule, with a threshold 1e4 times lower, accepts it too.
-    # Every other row keeps ``full`` False here and gets the SVD rule
-    # unchanged: a tiny or zero diagonal, a bound whose norms overflow (0)
-    # or meet inf * 0 (NaN), or every row when the inverse raises.  So each
-    # window's decision is the rule's decision.
+    # the rule's threshold.  Its condition number is then below 1e8.
+    # Back-substitution is backward stable (Higham 2002, ch. 8): each
+    # computed row of R^-1 is exact for R perturbed by ~N eps relative, so
+    # the computed |R^-1|_F is accurate to ~1e-8 relative, as are LAPACK's
+    # singular values, and the SVD rule, with a threshold 1e4 times lower,
+    # accepts the row too.  Every other row keeps ``full`` False here and
+    # gets the SVD rule unchanged: a tiny or zero diagonal, or a bound whose
+    # norms overflow (0) or meet inf * 0 (NaN).  So each window's decision
+    # is the rule's decision.
     cut = max(_CERTIFIED, 1e4 * tol)
     diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
     full = diag.min(axis=1) > cut * diag.max(axis=1)
     if full.any():
         rc = r[full]
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                inv = np.linalg.inv(rc)
-                norms2 = np.einsum("wij,wij->w", inv, inv) * np.einsum("wij,wij->w", rc, rc)
-                full[full] = 1.0 / np.sqrt(norms2) > cut
-        except np.linalg.LinAlgError:
-            full[:] = False
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            inv = _triangular_inverse(rc)
+            norms2 = np.einsum("wij,wij->w", inv, inv) * np.einsum("wij,wij->w", rc, rc)
+            full[full] = 1.0 / np.sqrt(norms2) > cut
     undecided = ~full
     if undecided.any():
         s = np.linalg.svd(r[undecided], compute_uv=False)

@@ -257,16 +257,18 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
         for i, values in enumerate(table.tolist()):
             writer.writerow([i] + [f"{v:.10g}" for v in values])
 
-    # one row template for every head: "{head}" takes "layer,head," and
-    # "%.10g" the weight; rows end in "\r\n" like csv.writer's
+    # one "%" per head over a template of its rows: each query step's rows
+    # are its "key,%.10g" cells joined by the "layer,head,query," prefix;
+    # rows end in "\r\n" like csv.writer's
     paths["attention"] = out_dir / "attention_weights.csv"
     steps = range(cfg.lookback)
-    rows = "".join(f"{{head}}{qi},{ki},%.10g\r\n" for qi in steps for ki in steps)
+    keys = [f"{k},%.10g" for k in steps]
     with open_output(paths["attention"], "w", "attention weights") as fh:
         fh.write("layer,head,query_step,key_step,weight\r\n")
         for layer_idx, layer in enumerate(ev.encoder_output.attention_weights):
             for head_idx, w in enumerate(layer):
-                block = rows.replace("{head}", f"{layer_idx},{head_idx},")
+                prefixes = [f"{layer_idx},{head_idx},{q}," for q in steps]
+                block = "".join(p + f"\r\n{p}".join(keys) + "\r\n" for p in prefixes)
                 fh.write(block % tuple(w.data[0].ravel().tolist()))
 
     # SVG renderings: combined output, per-rule local forecasts, clusters

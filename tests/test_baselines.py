@@ -1,5 +1,7 @@
 """Tests for ARIMA, persistence, and LSTM-only baselines."""
 
+import tracemalloc
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -269,6 +271,22 @@ class TestEvaluateWindows:
         preds, ok = evaluate_arima_windows(windows, ArimaOrder(p=30, d=1, q=1), horizon=5)
         assert not ok.any()
         assert np.isnan(preds).all()
+
+    @pytest.mark.parametrize("p,q", [(10**6, 1), (1, 10**6)], ids=["p", "q"])
+    def test_order_beyond_the_window_allocates_nothing(self, p, q):
+        # shortness is decided before any array is sized by p or q
+        windows = np.random.default_rng(8).normal(size=(3, 60)).cumsum(axis=1)
+        order = ArimaOrder(p=p, d=1, q=q)
+        tracemalloc.start()
+        try:
+            preds, ok = evaluate_arima_windows(windows, order, horizon=5)
+            with pytest.raises(ArimaFitError, match="too short"):
+                fit_arima(windows[0], order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not ok.any() and np.isnan(preds).all()
+        assert peak < 1 << 20
 
     def test_one_dimensional_input_raises_data_error(self):
         with pytest.raises(DataError, match="2-D"):

@@ -353,8 +353,10 @@ class TestEvaluateAndBaseline:
             ("arima", ["--p", "2", "--d", "1", "--q", "1"]),
             ("arima", ["--p", "11", "--d", "1", "--q", "1"]),  # 12-value windows: all too short
             ("lstm", ["--hidden", "4", "--layers", "1", "--epochs", "1", "--seed", "3"]),
+            # an order no window holds, and no array could
+            ("arima", ["--p", "100000000", "--d", "1", "--q", "1"]),
         ],
-        ids=["persistence", "arima", "arima-all-skipped", "lstm"],
+        ids=["persistence", "arima", "arima-all-skipped", "lstm", "arima-order-beyond-memory"],
     )
     def test_baseline_stdout_and_appended_bytes(self, workspace, tmp_path, capsys, method, extra):
         path = workspace / "data" / "dataset.bin"

@@ -188,15 +188,13 @@ class TestLeastSquaresRank:
         assert full.tolist() == [False, True]
         np.testing.assert_array_equal(sol[0], 0.0)
 
-    def test_failed_inverse_leaves_every_row_to_the_svd_rule(self, monkeypatch):
-        def singular(a):
-            raise np.linalg.LinAlgError("Singular matrix")
-
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inverse_leaves_every_row_to_the_svd_rule(self, monkeypatch, bad):
         rng = np.random.default_rng(8)
         stack = np.stack([_design_row(k, rng, 30, 4) for k in ROW_KINDS * 2])
         columns = [stack[:, :, j] for j in range(5)]
         want_sol, want_full = _lstsq_by_svd(columns)
-        monkeypatch.setattr(np.linalg, "inv", singular)
+        monkeypatch.setattr(ak, "_triangular_inverse", lambda r: np.full_like(r, bad))
         sol, full = ak._lstsq(columns)
         np.testing.assert_array_equal(full, want_full)
         assert np.array_equal(sol, want_sol)
@@ -205,8 +203,7 @@ class TestLeastSquaresRank:
         # the rank test must not fall back to one SVD per window: on the
         # synthetic windows the certificate decides nearly every row, and a
         # flat window (an all-zero R) sends only its own row to the SVD
-        dataset = prepare_dataset(make_synthetic(n_points=1200, seed=42), lookback=60, horizon=30)
-        windows = dataset.window_main(dataset.origins)
+        windows = _synthetic_windows()
         windows[7] = windows[7, 0]
         svd, rows = np.linalg.svd, []
 
@@ -215,6 +212,65 @@ class TestLeastSquaresRank:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        _, ok = evaluate_arima_windows(windows, ArimaOrder(4, 1, 1), dataset.horizon)
+        _, ok = evaluate_arima_windows(windows, ArimaOrder(4, 1, 1), 30)
         assert windows.shape[0] == 933 and ok.mean() > 0.9
         assert sum(rows) <= 0.03 * windows.shape[0]
+
+    def test_rank_test_takes_no_general_inverse(self, monkeypatch):
+        def no_inverse(a):
+            raise AssertionError("np.linalg.inv called")
+
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        _, ok = evaluate_arima_windows(_synthetic_windows(), ArimaOrder(4, 1, 1), 30)
+        assert ok.mean() > 0.9
+
+
+def _synthetic_windows():
+    """The 933 look-back windows of the seed-42 synthetic series (lookback 60, horizon 30)."""
+    dataset = prepare_dataset(make_synthetic(n_points=1200, seed=42), lookback=60, horizon=30)
+    return dataset.window_main(dataset.origins)
+
+
+def _well_conditioned_r(rng, W, n):
+    """R factors of (W, 3n, n) Gaussian matrices: condition numbers near 4."""
+    return np.linalg.qr(rng.normal(size=(W, 3 * n, n)), mode="r")
+
+
+class TestTriangularInverse:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_matches_the_general_inverse(self, n):
+        r = _well_conditioned_r(np.random.default_rng(n), 6, n)
+        inv = ak._triangular_inverse(r)
+        want = np.linalg.inv(r)
+        scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(inv - want) <= 1e-12 * scale)
+        assert np.array_equal(np.triu(inv), inv)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_window_is_bit_identical_alone_and_in_any_stack(self, n):
+        rng = np.random.default_rng(30 + n)
+        r = _well_conditioned_r(rng, 7, n)
+        others = _well_conditioned_r(rng, 9, n)
+        alone = np.concatenate([ak._triangular_inverse(r[w : w + 1]) for w in range(7)])
+        assert np.array_equal(ak._triangular_inverse(r), alone)
+        for size in (2, 5, 10):
+            for w in range(7):
+                at = w % size
+                stack = np.concatenate([others[:at], r[w : w + 1], others[at : size - 1]])
+                assert np.array_equal(ak._triangular_inverse(stack)[at], alone[w])
+
+    def test_empty_stack(self):
+        for n in (1, 4):
+            inv = ak._triangular_inverse(np.zeros((0, n, n)))
+            assert inv.shape == (0, n, n)
+
+    def test_extreme_scales_emit_no_warning(self):
+        r = _well_conditioned_r(np.random.default_rng(9), 4, 6)
+        r[1] *= 1e150
+        r[2] *= 1e-150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            inv = ak._triangular_inverse(r)
+        want = np.linalg.inv(r)
+        scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(inv - want) <= 1e-12 * scale)
