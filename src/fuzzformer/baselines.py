@@ -62,8 +62,9 @@ class ArimaFit:
 ARIMA_CHUNK = 128
 
 # the codes _fit_stack gives a window (0: accepted) and fit_arima's message for each
-_RANK, _NONSTATIONARY, _NONINVERTIBLE = 1, 2, 3
+_RANK, _NONSTATIONARY, _NONINVERTIBLE, _NONFINITE = 1, 2, 3, 4
 _REJECTIONS = {
+    _NONFINITE: "{label}: the differenced window or its regression overflows to non-finite values",
     _RANK: "{label}: rank-deficient regression on a {size}-point window",
     _NONSTATIONARY: "{label}: non-stationary AR estimate",
     _NONINVERTIBLE: "{label}: non-invertible MA estimate",
@@ -98,12 +99,20 @@ def _fit_stack(windows, order: ArimaOrder):
 
     Returns (phi (W, p), theta (W, q), mean (W,), code (W,)), where
     code is 0 for an accepted fit, else the first reason in the order
-    rank, non-stationary, non-invertible that rejects the window.
+    non-finite, rank, non-stationary, non-invertible that rejects the
+    window.  Finite windows near the float64 limit can overflow in the
+    differences, their mean or the regression; those rows are rejected
+    as non-finite, with zero coefficients, and never raise or warn.
     """
     code = np.zeros(windows.shape[0], dtype=np.int64)
-    x = _difference(windows, order.d)
-    mean = x.mean(axis=1)
-    phi, theta, ok = arima_kernels.hr_fit(x - mean[:, None], order.p, order.q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _difference(windows, order.d)
+        mean = x.mean(axis=1)
+        x = x - mean[:, None]
+    phi, theta, ok = arima_kernels.hr_fit(x, order.p, order.q)
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(phi).all(axis=1) & np.isfinite(theta).all(axis=1)
+    phi[~finite] = 0.0
+    theta[~finite] = 0.0
     # the zero-init residual and forecast recursions explode on
     # non-stationary (AR) or non-invertible (MA) estimates
     stationary = arima_kernels.companion_stable(phi)
@@ -111,23 +120,27 @@ def _fit_stack(windows, order: ArimaOrder):
     code[~invertible] = _NONINVERTIBLE
     code[~stationary] = _NONSTATIONARY
     code[~ok] = _RANK
+    code[~finite] = _NONFINITE
     return phi, theta, mean, code
 
 
 def _forecast_stack(windows, phi, theta, mean, d, horizon):
-    """(W, H) recursive forecasts with future residuals at zero, integrated d times."""
-    x = _difference(windows, d) - mean[:, None]
-    eps = arima_kernels.arma_residuals(x, phi, theta)
-    xhat = arima_kernels.arma_predict(x, eps, phi, theta, horizon) + mean[:, None]
-    return xhat if d == 0 else windows[:, -1:] + np.cumsum(xhat, axis=1)
+    """(W, H) recursive forecasts with future residuals at zero, integrated
+    d times; a forecast that overflows comes back non-finite, without a
+    warning, for the caller to reject."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _difference(windows, d) - mean[:, None]
+        eps = arima_kernels.arma_residuals(x, phi, theta)
+        xhat = arima_kernels.arma_predict(x, eps, phi, theta, horizon) + mean[:, None]
+        return xhat if d == 0 else windows[:, -1:] + np.cumsum(xhat, axis=1)
 
 
 def fit_arima(window, order: ArimaOrder) -> ArimaFit:
     """Hannan-Rissanen estimation on one look-back window.
 
-    Rejects rank-deficient regressions and estimates that are
-    non-stationary (AR part) or non-invertible (MA part) with
-    ``ArimaFitError``.  A window that is not 1-D or holds a non-finite
+    Rejects regressions that overflow to non-finite values or are rank
+    deficient, and estimates that are non-stationary (AR part) or
+    non-invertible (MA part), with ``ArimaFitError``.  A window that is not 1-D or holds a non-finite
     value raises ``DataError``.
     """
     window = np.asarray(window, dtype=np.float64)

@@ -48,4 +48,5 @@ class PositiveDefinitenessError(NumericError):
 
 
 class ArimaFitError(NumericError):
-    """Per-window ARIMA estimation failed (rank-deficient regression)."""
+    """Per-window ARIMA estimation failed: too short, non-finite, rank
+    deficient, non-stationary or non-invertible."""

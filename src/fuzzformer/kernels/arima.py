@@ -9,21 +9,25 @@ are bit-identical whether it is fitted by itself or inside any stack.
 ``hr_fit`` is the two-stage Hannan-Rissanen least-squares procedure
 (Hannan & Rissanen, Biometrika 1982): a long autoregression supplies
 residual proxies, then the series is regressed on its own lags and
-lagged residuals.  Rank deficiency is reported per window via the ``ok``
-flags rather than an exception; the baseline layer turns it into a typed
-error.  The time recursions loop once over time with vector operations
-across windows, adding terms in the order of the per-window scalar loop.
+lagged residuals.  Rank deficiency, and overflow of a window near the
+float64 limit, are reported per window via the ``ok`` flags rather than an
+exception; the baseline layer turns them into typed errors.  The time
+recursions loop once over time with vector operations across windows,
+adding terms in the order of the per-window scalar loop.
 
 Each least-squares stage decides full rank with numpy lstsq's rule, but
 takes singular values only where it must.  A cheap bound on the condition
 of R, from R^-1 and two Frobenius norms, proves full rank for almost every
 window; the few windows it cannot decide (near-singular, zero diagonal,
-overflow) get the SVD rule itself.  R is upper triangular, so R^-1 comes
-from back-substitution, one batched row step at a time, rather than a
-general LU inverse.  Triangular back-substitution is backward stable
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 8),
-so on the windows the bound accepts its inverse is as accurate as LU's.
-The bound only accepts windows whose ratio of extreme singular values sits
+overflow in the bound) get the SVD rule itself.  R is upper triangular, so
+one back-substitution, one batched row step at a time, solves R X =
+[I | Q'b]: its first N columns are the R^-1 the bound needs and its last
+column is the coefficients.  No LU inverse or solve is used.  Triangular
+back-substitution is backward stable (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., ch. 8, Thm 8.5), so on the windows the
+bound accepts its inverse is as accurate as LU's, and every accepted
+window's coefficients solve a system within ~N eps of its own R.  The
+bound only accepts windows whose ratio of extreme singular values sits
 orders of magnitude above the rule's threshold, so both routes make the
 same decision.
 """
@@ -54,21 +58,20 @@ def companion_stable(coeffs):
     return np.max(np.abs(np.linalg.eigvals(comp)), axis=-1) < 1.0
 
 
-def _triangular_inverse(r):
-    """Inverse of every upper-triangular matrix in a (W, N, N) stack.
+def _back_substitute(r, rhs):
+    """Solve R X = rhs for every upper-triangular R in a (W, N, N) stack,
+    with rhs (W, N, K).
 
-    Back-substitution from the last row up: row i of X = R^-1 is
-    (e_i - R[i, i+1:] X[i+1:]) / r_ii.  Each row step is one batched
-    matmul of every window's row i with its own rows below, so a window's
-    inverse is bit-identical alone or in any stack.  Never raises: a zero
-    or tiny diagonal yields inf or NaN entries, under the caller's errstate.
+    Back-substitution from the last row up: row i of X is (rhs[i] -
+    R[i, i+1:] X[i+1:]) / r_ii.  Each row step is one batched matmul of
+    every window's row i with its own rows below, so a window's solution
+    is bit-identical alone or in any stack.  Never raises: a zero or tiny
+    diagonal yields inf or NaN entries, under the caller's errstate.
     """
-    inv = np.zeros_like(r)
+    x = np.empty_like(rhs)
     for i in range(r.shape[1] - 1, -1, -1):
-        row = -(r[:, i, None, i + 1 :] @ inv[:, i + 1 :])[:, 0]
-        row[:, i] = 1.0
-        inv[:, i] = row / r[:, i, i, None]
-    return inv
+        x[:, i] = (rhs[:, i] - (r[:, i, None, i + 1 :] @ x[:, i + 1 :])[:, 0]) / r[:, i, i, None]
+    return x
 
 
 def _lstsq(columns):
@@ -76,46 +79,54 @@ def _lstsq(columns):
     on the N others, for M > N.
 
     QR of the stacked (W, M, N + 1) matrix [A | b] yields R and Q'b
-    together.  A window counts as full rank under numpy lstsq's rule: the
-    smallest singular value of its R exceeds eps * max(M, N) * the largest.
-    Most windows are certified full rank without an SVD, from R^-1 by
-    back-substitution; the rest get the SVD rule itself (see below).
-    Returns the (W, N) solutions, zero where rank deficient, and the
-    full-rank mask.
+    together, and one back-substitution with right-hand side [I | Q'b]
+    yields R^-1 and the solution together; no LU is used.  A window counts
+    as full rank under numpy lstsq's rule: the smallest singular value of
+    its R exceeds eps * max(M, N) * the largest.  Most windows are
+    certified full rank without an SVD, from R^-1; the rest get the SVD
+    rule itself (see below).  Returns the (W, N) solutions and the
+    full-rank mask.  Solutions are zero where rank deficient, and NaN where
+    R, Q'b or the solution is not finite (overflow, or non-finite
+    columns); the mask is False in both cases.
     """
     W, M = columns[0].shape
     N = len(columns) - 1
-    r = np.linalg.qr(np.stack(columns, axis=2), mode="r")
-    r, qb = r[:, :N, :N], r[:, :N, N]
+    r = np.linalg.qr(np.stack(columns, axis=2), mode="r")[:, :N]
+    finite = np.isfinite(r).all(axis=(1, 2))
+    rhs = np.concatenate([np.broadcast_to(np.eye(N), (W, N, N)), r[:, :, N:]], axis=2)
+    r = r[:, :, :N]
     tol = _EPS * max(M, N)
     # Certificate: for triangular R, sigma_min / sigma_max >= 1 / (|R^-1|_F
     # |R|_F), and it is at most min |r_ii| / max |r_ii|, so rows failing that
-    # diagonal test could never pass and skip the inverse.  A row passes
-    # when its bound exceeds ``cut``, which is at least 1e-8 and 1e4 times
-    # the rule's threshold.  Its condition number is then below 1e8.
-    # Back-substitution is backward stable (Higham 2002, ch. 8): each
-    # computed row of R^-1 is exact for R perturbed by ~N eps relative, so
-    # the computed |R^-1|_F is accurate to ~1e-8 relative, as are LAPACK's
-    # singular values, and the SVD rule, with a threshold 1e4 times lower,
-    # accepts the row too.  Every other row keeps ``full`` False here and
-    # gets the SVD rule unchanged: a tiny or zero diagonal, or a bound whose
-    # norms overflow (0) or meet inf * 0 (NaN).  So each window's decision
-    # is the rule's decision.
+    # diagonal test could never pass.  A row passes when its bound exceeds
+    # ``cut``, which is at least 1e-8 and 1e4 times the rule's threshold.
+    # Its condition number is then below 1e8.  Back-substitution is
+    # backward stable (Higham 2002, ch. 8): each computed row of R^-1 is
+    # exact for R perturbed by ~N eps relative, so the computed |R^-1|_F is
+    # accurate to ~1e-8 relative, as are LAPACK's singular values, and the
+    # SVD rule, with a threshold 1e4 times lower, accepts the row too.
+    # Every other row keeps ``full`` False here and gets the SVD rule
+    # unchanged: a tiny or zero diagonal, or a bound whose norms overflow
+    # (0) or meet inf * 0 (NaN).  So each window's decision is the rule's
+    # decision.  Rows with a non-finite R or Q'b never reach the SVD.
     cut = max(_CERTIFIED, 1e4 * tol)
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    full = diag.min(axis=1) > cut * diag.max(axis=1)
-    if full.any():
-        rc = r[full]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            inv = _triangular_inverse(rc)
-            norms2 = np.einsum("wij,wij->w", inv, inv) * np.einsum("wij,wij->w", rc, rc)
-            full[full] = 1.0 / np.sqrt(norms2) > cut
-    undecided = ~full
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        x = _back_substitute(r, rhs)
+        inv = x[:, :, :N]
+        norms2 = np.einsum("wij,wij->w", inv, inv) * np.einsum("wij,wij->w", r, r)
+        full = (diag.min(axis=1) > cut * diag.max(axis=1)) & (1.0 / np.sqrt(norms2) > cut)
+    undecided = ~full & finite
     if undecided.any():
         s = np.linalg.svd(r[undecided], compute_uv=False)
         full[undecided] = s[:, -1] > tol * s[:, 0]
-    sol = np.zeros((W, N))
-    sol[full] = np.linalg.solve(r[full], qb[full, :, None])[:, :, 0]
+    # The last column solves R x = Q'b, backward stable like R^-1 itself
+    # (Higham 2002, Thm 8.5), so no second solve is needed.
+    sol = x[:, :, N]
+    overflow = ~finite | (full & ~np.isfinite(sol).all(axis=1))
+    full &= ~overflow
+    sol[~full] = 0.0
+    sol[overflow] = np.nan
     return sol, full
 
 
@@ -124,7 +135,9 @@ def hr_fit(x, p, q):
 
     Returns (phi (W, p), theta (W, q), ok (W,)); phi/theta follow the
     regression convention x[t] = sum_j phi[j] x[t-1-j] + sum_n theta[n]
-    eps[t-1-n] + eps[t], and are zero where ok is False.
+    eps[t-1-n] + eps[t].  Where ok is False they are zero for a rank
+    deficient regression and NaN for one whose series, residual proxies or
+    coefficients are not finite; a row of ``x`` may hold inf or NaN.
     """
     W, T = x.shape
     phi = np.zeros((W, p))
@@ -150,13 +163,15 @@ def hr_fit(x, p, q):
     sol1, full1 = _lstsq(x_lags + [x[:, n1:]])
     eps = np.zeros((W, T))
     eps[:, n1:] = x[:, n1:]
-    for j, col in enumerate(x_lags):
-        eps[:, n1:] -= sol1[:, j, None] * col
-    # stage 2: regress on own lags and lagged residual proxies
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, col in enumerate(x_lags):
+            eps[:, n1:] -= sol1[:, j, None] * col
+    # stage 2: regress on own lags and lagged residual proxies.  A NaN
+    # stage-1 solution makes every proxy NaN, so stage 2 is NaN too; its
+    # other rejections (rank) leave zeros.
     sol2, full2 = _lstsq(lags(x, m0, p) + lags(eps, m0, q) + [x[:, m0:]])
-    full = full1 & full2
-    sol2[~full] = 0.0
-    return sol2[:, :p], sol2[:, p:], ok | full
+    sol2[full2 & ~full1] = 0.0
+    return sol2[:, :p], sol2[:, p:], ok | (full1 & full2)
 
 
 def arma_residuals(x, phi, theta):

@@ -1,6 +1,7 @@
 """Tests for ARIMA, persistence, and LSTM-only baselines."""
 
 import tracemalloc
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -21,6 +22,7 @@ from fuzzformer.baselines import (
 )
 from fuzzformer.data import RawSeries, make_synthetic, prepare_dataset
 from fuzzformer.exceptions import ArimaFitError, ConfigError, DataError, NonFiniteError
+from fuzzformer.kernels import arima as arima_kernels
 
 
 def simulate_arma(rng, n, phi=(), theta=(), scale=1.0):
@@ -291,6 +293,71 @@ class TestEvaluateWindows:
     def test_one_dimensional_input_raises_data_error(self):
         with pytest.raises(DataError, match="2-D"):
             evaluate_arima_windows(np.arange(80.0), ArimaOrder(p=2, d=1, q=1), horizon=5)
+
+
+# finite windows whose fit overflows float64, by where the overflow starts
+OVERFLOWING = {
+    "differences": np.tile([1e308, -1e308], 30),
+    "mean": np.tile([6e307, -6e307], 30),
+    "regression": np.random.default_rng(0).uniform(-1.0, 1.0, 60) * 5e307,
+}
+
+
+class TestOverflowingWindows:
+    """Finite windows near the float64 limit are rejected, never raised on or warned about."""
+
+    @pytest.mark.parametrize("order", [(4, 1, 1), (2, 0, 0), (2, 0, 1), (1, 1, 2)], ids=str)
+    @pytest.mark.parametrize("kind", OVERFLOWING)
+    def test_rejected_row_leaves_the_others_bit_identical(self, monkeypatch, kind, order):
+        order = ArimaOrder(*order)
+        good = np.random.default_rng(3).normal(size=(3, 60)).cumsum(axis=1)
+        want, want_ok = evaluate_arima_windows(good, order, 7)
+        stable = arima_kernels.companion_stable
+
+        def finite_only(coeffs):
+            assert np.isfinite(coeffs).all()
+            return stable(coeffs)
+
+        monkeypatch.setattr(arima_kernels, "companion_stable", finite_only)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            preds, ok = evaluate_arima_windows(np.vstack([good, OVERFLOWING[kind]]), order, 7)
+            with pytest.raises(ArimaFitError, match="non-finite"):
+                fit_arima(OVERFLOWING[kind], order)
+        assert want_ok.all() and ok.tolist() == [True, True, True, False]
+        assert np.array_equal(preds[:3], want) and np.isnan(preds[3]).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_any_scale_raises_only_data_error_and_matches_per_window_api(self, data):
+        W = data.draw(st.integers(1, 4), label="W")
+        T = data.draw(st.integers(4, 70), label="T")
+        p = data.draw(st.integers(0, 4), label="p")
+        q = data.draw(st.integers(0 if p else 1, 2), label="q")
+        order = ArimaOrder(p, data.draw(st.integers(0, 1), label="d"), q)
+        horizon = data.draw(st.integers(1, 8), label="horizon")
+        stack = data.draw(hnp.arrays(np.float64, (W, T), elements=st.floats(-100.0, 100.0)), label="stack")
+        if data.draw(st.booleans(), label="walk"):
+            stack = stack.cumsum(axis=1)
+        # every other draw sits at the float64 limit, where the fit overflows
+        scales = st.integers(-300, 308) | st.integers(300, 308)
+        k = data.draw(hnp.arrays(np.int64, W, elements=scales), label="k")
+        with np.errstate(over="ignore"):
+            stack = stack * 10.0 ** k[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                preds, ok = evaluate_arima_windows(stack, order, horizon)
+            except DataError:
+                assert not np.isfinite(stack).all()
+                return
+            for w in range(W):
+                try:
+                    want = arima_forecast(fit_arima(stack[w], order), stack[w], horizon)
+                except (ArimaFitError, NonFiniteError):
+                    assert not ok[w] and np.isnan(preds[w]).all()
+                else:
+                    assert ok[w] and np.array_equal(preds[w], want)
 
 
 class TestPersistence:

@@ -121,17 +121,23 @@ class TestArimaKernels:
             assert [bool(g) for g in got] == [arima_oracle.companion_stable(c) for c in coeffs]
 
 
-def _lstsq_by_svd(columns):
-    """numpy lstsq's rank rule on every row: the SVD of R, then a solve."""
-    W, M = columns[0].shape
+def _svd_rule(columns):
+    """numpy lstsq's rank rule on every row: (R, Q'b, full) from the QR and the SVD of R."""
+    M = columns[0].shape[1]
     N = len(columns) - 1
     r = np.linalg.qr(np.stack(columns, axis=2), mode="r")
     r, qb = r[:, :N, :N], r[:, :N, N]
     s = np.linalg.svd(r, compute_uv=False)
-    full = s[:, -1] > np.finfo(np.float64).eps * max(M, N) * s[:, 0]
-    sol = np.zeros((W, N))
-    sol[full] = np.linalg.solve(r[full], qb[full, :, None])[:, :, 0]
-    return sol, full
+    return r, qb, s[:, -1] > np.finfo(np.float64).eps * max(M, N) * s[:, 0]
+
+
+def assert_back_substitution_residual(r, qb, sol):
+    """Componentwise backward-error bound of a triangular solve (Higham 2002,
+    Thm 8.5): |R x - Q'b| <= 3 N eps |R| |x| on every row."""
+    N = r.shape[1]
+    resid = np.abs(np.einsum("wij,wj->wi", r, sol) - qb)
+    bound = 3 * N * np.finfo(np.float64).eps * np.einsum("wij,wj->wi", np.abs(r), np.abs(sol))
+    assert np.all(resid <= bound)
 
 
 def _design_row(kind, rng, M, N):
@@ -168,12 +174,13 @@ class TestLeastSquaresRank:
         rng = np.random.default_rng(seed)
         stack = np.stack([_design_row(k, rng, n + extra, n) for k in kinds])
         columns = [stack[:, :, j] for j in range(n + 1)]
-        want_sol, want_full = _lstsq_by_svd(columns)
+        r, qb, want_full = _svd_rule(columns)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             sol, full = ak._lstsq(columns)
         np.testing.assert_array_equal(full, want_full)
-        assert np.array_equal(sol, want_sol)
+        np.testing.assert_array_equal(sol[~full], 0.0)
+        assert_back_substitution_residual(r[full], qb[full], sol[full])
 
     def test_planted_collinearity_crosses_the_threshold(self):
         rng = np.random.default_rng(5)
@@ -190,14 +197,50 @@ class TestLeastSquaresRank:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_inverse_leaves_every_row_to_the_svd_rule(self, monkeypatch, bad):
+        # a non-finite R^-1 block certifies no row; the solution column is kept
         rng = np.random.default_rng(8)
         stack = np.stack([_design_row(k, rng, 30, 4) for k in ROW_KINDS * 2])
         columns = [stack[:, :, j] for j in range(5)]
-        want_sol, want_full = _lstsq_by_svd(columns)
-        monkeypatch.setattr(ak, "_triangular_inverse", lambda r: np.full_like(r, bad))
+        _, _, want_full = _svd_rule(columns)
+        want_sol = ak._lstsq(columns)[0]
+        back_substitute = ak._back_substitute
+
+        def spoiled_inverse(r, rhs):
+            x = back_substitute(r, rhs)
+            x[:, :, :-1] = bad
+            return x
+
+        monkeypatch.setattr(ak, "_back_substitute", spoiled_inverse)
         sol, full = ak._lstsq(columns)
         np.testing.assert_array_equal(full, want_full)
         assert np.array_equal(sol, want_sol)
+
+    def test_non_finite_rows_never_reach_the_svd(self, monkeypatch):
+        # NaN or inf columns, and finite ones whose QR overflows, come back
+        # as NaN solutions with full False; the other rows are untouched
+        rng = np.random.default_rng(10)
+        stack = np.stack([_design_row(k, rng, 30, 4) for k in ROW_KINDS * 2])
+        bad = stack[:4].copy()
+        bad[0, 3, 1] = np.nan
+        bad[1, :, 4] = np.inf
+        bad[2] = np.where(np.arange(30)[:, None] % 2, 1e308, -1e308)
+        bad[3, :, 0] = 1e308
+        svd, seen = np.linalg.svd, []
+
+        def finite_svd(a, *args, **kwargs):
+            seen.append(np.isfinite(a).all())
+            return svd(a, *args, **kwargs)
+
+        want_sol, want_full = ak._lstsq([stack[:, :, j] for j in range(5)])
+        monkeypatch.setattr(np.linalg, "svd", finite_svd)
+        both = np.concatenate([stack, bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol, full = ak._lstsq([both[:, :, j] for j in range(5)])
+        assert all(seen)
+        assert not full[len(stack) :].any() and np.isnan(sol[len(stack) :]).all()
+        np.testing.assert_array_equal(full[: len(stack)], want_full)
+        assert np.array_equal(sol[: len(stack)], want_sol)
 
     def test_svd_only_sees_rows_the_certificate_leaves_open(self, monkeypatch):
         # the rank test must not fall back to one SVD per window: on the
@@ -224,6 +267,14 @@ class TestLeastSquaresRank:
         _, ok = evaluate_arima_windows(_synthetic_windows(), ArimaOrder(4, 1, 1), 30)
         assert ok.mean() > 0.9
 
+    def test_solution_takes_no_lu_solve(self, monkeypatch):
+        def no_solve(a, b):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        _, ok = evaluate_arima_windows(_synthetic_windows(), ArimaOrder(4, 1, 1), 30)
+        assert ok.mean() > 0.9
+
 
 def _synthetic_windows():
     """The 933 look-back windows of the seed-42 synthetic series (lookback 60, horizon 30)."""
@@ -236,41 +287,62 @@ def _well_conditioned_r(rng, W, n):
     return np.linalg.qr(rng.normal(size=(W, 3 * n, n)), mode="r")
 
 
+def _inverse_and_solution(r, rhs):
+    """``_back_substitute`` with right-hand side [I | rhs]: (R^-1, R^-1 rhs)."""
+    W, N = r.shape[:2]
+    x = ak._back_substitute(r, np.concatenate([np.broadcast_to(np.eye(N), (W, N, N)), rhs[:, :, None]], axis=2))
+    return x[:, :, :N], x[:, :, N]
+
+
+def _assert_near_reference(r, b, inv, sol):
+    """Within 1e-12 of the LU inverse and solution, relative to each row's largest entry."""
+    want = np.linalg.inv(r)
+    scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(inv - want) <= 1e-12 * scale)
+    want = np.einsum("wij,wj->wi", want, b)
+    assert np.all(np.abs(sol - want) <= 1e-12 * np.abs(want).max(axis=1, keepdims=True))
+
+
 class TestTriangularInverse:
+    """R^-1 and the solution from one ``_back_substitute`` with [I | b]."""
+
     @pytest.mark.parametrize("n", range(1, 21))
     def test_matches_the_general_inverse(self, n):
-        r = _well_conditioned_r(np.random.default_rng(n), 6, n)
-        inv = ak._triangular_inverse(r)
-        want = np.linalg.inv(r)
-        scale = np.abs(want).max(axis=(1, 2), keepdims=True)
-        assert np.all(np.abs(inv - want) <= 1e-12 * scale)
+        rng = np.random.default_rng(n)
+        r, b = _well_conditioned_r(rng, 6, n), rng.normal(size=(6, n))
+        inv, sol = _inverse_and_solution(r, b)
+        _assert_near_reference(r, b, inv, sol)
         assert np.array_equal(np.triu(inv), inv)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 20])
     def test_window_is_bit_identical_alone_and_in_any_stack(self, n):
         rng = np.random.default_rng(30 + n)
-        r = _well_conditioned_r(rng, 7, n)
-        others = _well_conditioned_r(rng, 9, n)
-        alone = np.concatenate([ak._triangular_inverse(r[w : w + 1]) for w in range(7)])
-        assert np.array_equal(ak._triangular_inverse(r), alone)
+        r, b = _well_conditioned_r(rng, 7, n), rng.normal(size=(7, n))
+        others, b_others = _well_conditioned_r(rng, 9, n), rng.normal(size=(9, n))
+        rows = [_inverse_and_solution(r[w : w + 1], b[w : w + 1]) for w in range(7)]
+        alone = np.concatenate([inv for inv, _ in rows]), np.concatenate([sol for _, sol in rows])
+        for got, want in zip(_inverse_and_solution(r, b), alone):
+            assert np.array_equal(got, want)
         for size in (2, 5, 10):
             for w in range(7):
                 at = w % size
                 stack = np.concatenate([others[:at], r[w : w + 1], others[at : size - 1]])
-                assert np.array_equal(ak._triangular_inverse(stack)[at], alone[w])
+                rhs = np.concatenate([b_others[:at], b[w : w + 1], b_others[at : size - 1]])
+                inv, sol = _inverse_and_solution(stack, rhs)
+                assert np.array_equal(inv[at], alone[0][w]) and np.array_equal(sol[at], alone[1][w])
 
     def test_empty_stack(self):
         for n in (1, 4):
-            inv = ak._triangular_inverse(np.zeros((0, n, n)))
-            assert inv.shape == (0, n, n)
+            inv, sol = _inverse_and_solution(np.zeros((0, n, n)), np.zeros((0, n)))
+            assert inv.shape == (0, n, n) and sol.shape == (0, n)
 
     def test_extreme_scales_emit_no_warning(self):
-        r = _well_conditioned_r(np.random.default_rng(9), 4, 6)
+        rng = np.random.default_rng(9)
+        r, b = _well_conditioned_r(rng, 4, 6), rng.normal(size=(4, 6))
         r[1] *= 1e150
         r[2] *= 1e-150
+        b[3] *= 1e150
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            inv = ak._triangular_inverse(r)
-        want = np.linalg.inv(r)
-        scale = np.abs(want).max(axis=(1, 2), keepdims=True)
-        assert np.all(np.abs(inv - want) <= 1e-12 * scale)
+            inv, sol = _inverse_and_solution(r, b)
+        _assert_near_reference(r, b, inv, sol)
