@@ -140,8 +140,8 @@ def fit_arima(window, order: ArimaOrder) -> ArimaFit:
 
     Rejects regressions that overflow to non-finite values or are rank
     deficient, and estimates that are non-stationary (AR part) or
-    non-invertible (MA part), with ``ArimaFitError``.  A window that is not 1-D or holds a non-finite
-    value raises ``DataError``.
+    non-invertible (MA part), with ``ArimaFitError``.  A window that is
+    not 1-D or holds a non-finite value raises ``DataError``.
     """
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 1:

@@ -86,14 +86,17 @@ def _lstsq(columns):
     certified full rank without an SVD, from R^-1; the rest get the SVD
     rule itself (see below).  Returns the (W, N) solutions and the
     full-rank mask.  Solutions are zero where rank deficient, and NaN where
-    R, Q'b or the solution is not finite (overflow, or non-finite
-    columns); the mask is False in both cases.
+    R or the solution is not finite (overflow, or non-finite columns); the
+    mask is False in both cases.
     """
     W, M = columns[0].shape
     N = len(columns) - 1
-    r = np.linalg.qr(np.stack(columns, axis=2), mode="r")[:, :N]
-    finite = np.isfinite(r).all(axis=(1, 2))
-    rhs = np.concatenate([np.broadcast_to(np.eye(N), (W, N, N)), r[:, :, N:]], axis=2)
+    # stacked as (W, N + 1, M) and viewed transposed, each window's matrix
+    # is column-major: the layout numpy's QR copies into LAPACK fastest
+    r = np.linalg.qr(np.stack(columns, axis=1).transpose(0, 2, 1), mode="r")[:, :N]
+    rhs = np.zeros((W, N, N + 1))
+    rhs[:, range(N), range(N)] = 1.0
+    rhs[:, :, N] = r[:, :, N]
     r = r[:, :, :N]
     tol = _EPS * max(M, N)
     # Certificate: for triangular R, sigma_min / sigma_max >= 1 / (|R^-1|_F
@@ -108,7 +111,8 @@ def _lstsq(columns):
     # Every other row keeps ``full`` False here and gets the SVD rule
     # unchanged: a tiny or zero diagonal, or a bound whose norms overflow
     # (0) or meet inf * 0 (NaN).  So each window's decision is the rule's
-    # decision.  Rows with a non-finite R or Q'b never reach the SVD.
+    # decision.  A certified row has a finite |R|_F, so only the rows left
+    # open can hold a non-finite R, and those never reach the SVD.
     cut = max(_CERTIFIED, 1e4 * tol)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
@@ -116,6 +120,8 @@ def _lstsq(columns):
         inv = x[:, :, :N]
         norms2 = np.einsum("wij,wij->w", inv, inv) * np.einsum("wij,wij->w", r, r)
         full = (diag.min(axis=1) > cut * diag.max(axis=1)) & (1.0 / np.sqrt(norms2) > cut)
+    finite = np.ones(W, dtype=bool)
+    finite[~full] = np.isfinite(r[~full]).all(axis=(1, 2))
     undecided = ~full & finite
     if undecided.any():
         s = np.linalg.svd(r[undecided], compute_uv=False)

@@ -290,7 +290,8 @@ def _well_conditioned_r(rng, W, n):
 def _inverse_and_solution(r, rhs):
     """``_back_substitute`` with right-hand side [I | rhs]: (R^-1, R^-1 rhs)."""
     W, N = r.shape[:2]
-    x = ak._back_substitute(r, np.concatenate([np.broadcast_to(np.eye(N), (W, N, N)), rhs[:, :, None]], axis=2))
+    eye = np.broadcast_to(np.eye(N), (W, N, N))
+    x = ak._back_substitute(r, np.concatenate([eye, rhs[:, :, None]], axis=2))
     return x[:, :, :N], x[:, :, N]
 
 
