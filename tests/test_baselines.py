@@ -327,7 +327,7 @@ class TestOverflowingWindows:
         assert want_ok.all() and ok.tolist() == [True, True, True, False]
         assert np.array_equal(preds[:3], want) and np.isnan(preds[3]).all()
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_any_scale_raises_only_data_error_and_matches_per_window_api(self, data):
         W = data.draw(st.integers(1, 4), label="W")
