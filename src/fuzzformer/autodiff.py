@@ -14,7 +14,14 @@ backpropagated once; build it again for a second pass.  Because each
 step's activations now go back to the allocator at once, importing this
 module raises glibc's mmap and trim thresholds (where ``mallopt``
 exists): with the defaults, glibc hands large freed blocks back to the
-OS and the next batch faults the same pages in again.
+OS and the next batch faults the same pages in again.  It also caps glibc
+at one malloc arena, so the threads that ``training.score_split`` runs
+its chunks on share one heap rather than each growing an arena of its own.
+
+The two modes, graph recording (``no_grad``) and the finite probes
+(``no_finite_probes``), are context variables, not module globals: a
+block entered in one thread leaves every other thread's modes alone, and
+a task run under ``contextvars.copy_context()`` sees its caller's modes.
 
 Shape mismatches raise :class:`ShapeError` naming the offending
 operation.  NaN/Inf is caught in one of two ways:
@@ -37,6 +44,7 @@ operation.  NaN/Inf is caught in one of two ways:
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import copy
 import ctypes
 import sys
@@ -46,12 +54,13 @@ import numpy as np
 from .exceptions import DataError, NonFiniteError, NumericError
 from .exceptions import PositiveDefinitenessError, ShapeError
 
-_GRAD_ENABLED = True
-_PROBES_ON = True
+_GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
+_PROBES_ON = contextvars.ContextVar("probes_on", default=True)
 
 # glibc <malloc.h> parameter numbers
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _keep_freed_memory() -> None:
@@ -66,37 +75,34 @@ def _keep_freed_memory() -> None:
     # 32 MiB: the ceiling glibc itself uses for its dynamic mmap threshold
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 512 << 20)
+    # one arena: a thread of its own would otherwise get a heap of its own
+    mallopt(_M_ARENA_MAX, 1)
 
 
 _keep_freed_memory()
 
 
 def grad_enabled() -> bool:
-    return _GRAD_ENABLED
+    return _GRAD_ENABLED.get()
 
 
 @contextlib.contextmanager
+def _switched_off(mode):
+    token = mode.set(False)
+    try:
+        yield
+    finally:
+        mode.reset(token)
+
+
 def no_grad():
     """Disable graph recording inside the block (evaluation mode)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
+    return _switched_off(_GRAD_ENABLED)
 
 
-@contextlib.contextmanager
 def no_finite_probes():
     """Skip the per-op NaN/Inf probes of ``_node`` and ``_accum`` inside the block."""
-    global _PROBES_ON
-    prev = _PROBES_ON
-    _PROBES_ON = False
-    try:
-        yield
-    finally:
-        _PROBES_ON = prev
+    return _switched_off(_PROBES_ON)
 
 
 def _all_finite(x) -> bool:
@@ -125,7 +131,7 @@ class Tensor:
         return float(self.data)
 
     def _accum(self, g) -> None:
-        if _PROBES_ON and not _all_finite(g):
+        if _PROBES_ON.get() and not _all_finite(g):
             raise NonFiniteError(f"{self._op}: non-finite gradient", op=self._op)
         if self.grad is None:
             # copy: g may be a (read-only) view of another node's buffer
@@ -158,11 +164,11 @@ def _node(op: str, data, inputs, vjp) -> Tensor:
     entry of ``vjp(out.grad)``.
     ``vjp`` returns one gradient array (or None) per input, in order.
     """
-    if _PROBES_ON and not _all_finite(data):
+    if _PROBES_ON.get() and not _all_finite(data):
         raise NonFiniteError(f"{op}: non-finite values in forward pass", op=op)
     out = Tensor(data)
     out._op = op
-    if _GRAD_ENABLED:
+    if _GRAD_ENABLED.get():
         inputs = tuple(inputs)
         tracked = tuple(p for p in inputs if p.requires_grad)
         if tracked:

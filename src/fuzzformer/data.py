@@ -180,25 +180,36 @@ def load_csv(path, name=None) -> RawSeries:
 
 
 def fetch_http(url, cache_dir, name=None, timeout=30.0) -> RawSeries:
-    """Download a ``date,value`` CSV, caching by URL hash for offline reruns."""
-    import requests
+    """Download a ``date,value`` CSV, caching by URL hash for offline reruns.
+
+    An HTTP status other than 200 raises ``FetchError`` naming it; any
+    other failure to fetch (no route, a timeout, a malformed URL or
+    response) raises ``FetchError`` suggesting a manual download.
+    """
+    # imported here: urllib.request loads ssl, ~7 MB of RSS no other command needs
+    import http.client
+    import urllib.error
+    import urllib.request
 
     cache_dir = output_dir(cache_dir, "cache directory")
     key = hashlib.sha256(url.encode("utf-8")).hexdigest()[:24]
     cache_file = cache_dir / f"{key}.csv"
     if not cache_file.exists():
         try:
-            resp = requests.get(url, timeout=timeout)
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(url, timeout=timeout) as resp:
+                status, content = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            status = exc.code
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             raise FetchError(
                 f"could not fetch {url}: {exc}. Download the CSV manually and "
                 "pass the local file instead."
             ) from exc
-        if resp.status_code != 200:
-            raise FetchError(f"fetch of {url} failed with HTTP {resp.status_code}")
+        if status != 200:
+            raise FetchError(f"fetch of {url} failed with HTTP {status}")
         tmp = cache_file.with_suffix(".part")
         try:
-            tmp.write_bytes(resp.content)
+            tmp.write_bytes(content)
             tmp.rename(cache_file)
         except OSError as exc:
             raise DataError(f"cannot write cache file {cache_file}: {exc}") from exc

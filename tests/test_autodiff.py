@@ -1,5 +1,8 @@
 """Unit tests for the reverse-mode differentiation engine and Adam."""
 
+import contextlib
+import contextvars
+import threading
 import warnings
 
 import numpy as np
@@ -114,6 +117,62 @@ class TestFiniteProbes:
                 assert not _probes_on()
             assert not _probes_on()
         assert _probes_on()
+
+
+def _modes():
+    """(graph recording on, finite probes on) as the calling thread sees them."""
+    return ad.grad_enabled(), _probes_on()
+
+
+def _in_threads(*steps_per_thread):
+    """Run each thread's steps in lockstep: step k of every thread runs
+    between the k-th and the (k+1)-th barrier; returns what each step
+    returned, per thread."""
+    barrier = threading.Barrier(len(steps_per_thread))
+    results = [[] for _ in steps_per_thread]
+
+    def run(steps, out):
+        for step in steps:
+            out.append(step())
+            barrier.wait(timeout=10)
+
+    threads = [threading.Thread(target=run, args=pair) for pair in zip(steps_per_thread, results)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return results
+
+
+class TestModesAreContextLocal:
+    def test_a_block_in_one_thread_leaves_another_threads_modes_alone(self):
+        with contextlib.ExitStack() as a_blocks, contextlib.ExitStack() as b_blocks:
+            a, b = _in_threads(
+                [lambda: a_blocks.enter_context(ad.no_grad()), _modes, a_blocks.close, _modes],
+                [lambda: b_blocks.enter_context(ad.no_finite_probes()), _modes, b_blocks.close, _modes],
+            )
+        assert a[1:] == [(False, True), None, (True, True)]
+        assert b[1:] == [(True, False), None, (True, True)]
+        assert _modes() == (True, True)
+
+    @pytest.mark.parametrize("block", [ad.no_grad, ad.no_finite_probes])
+    def test_overlapping_blocks_in_two_threads_restore_every_mode(self, block):
+        # a enters, b enters, a leaves, b leaves: with one module-wide flag
+        # b would restore the "off" that it saw when it entered
+        with contextlib.ExitStack() as a_blocks, contextlib.ExitStack() as b_blocks:
+            a, _b = _in_threads(
+                [lambda: a_blocks.enter_context(block()), lambda: None, a_blocks.close, _modes],
+                [lambda: None, lambda: b_blocks.enter_context(block()), lambda: None, b_blocks.close],
+            )
+        assert a[3] == (True, True) and _modes() == (True, True)
+        x = parameter([1.0])
+        assert ad.mul(x, x).requires_grad
+
+    def test_a_copied_context_carries_the_callers_modes(self):
+        with ad.no_grad(), ad.no_finite_probes():
+            ctx = contextvars.copy_context()
+        assert ctx.run(_modes) == (False, False)
+        assert _modes() == (True, True)
 
 
 class TestTrainStep:

@@ -1,7 +1,9 @@
 """End-to-end CLI tests driving every subcommand in-process."""
 
 import csv
+import io
 import json
+import urllib.error
 
 import numpy as np
 import pytest
@@ -489,13 +491,16 @@ class TestForecast:
         assert code == EXIT_DATA
 
 
+class Response(io.BytesIO):
+    """What ``urllib.request.urlopen`` returns, as far as ``fetch_http`` reads it."""
+
+    status = 200
+
+
 class TestFetch:
     def test_fetch_writes_csv(self, tmp_path, monkeypatch):
-        class Resp:
-            status_code = 200
-            content = b"date,value\n2020-01-02,2\n2020-01-01,1\n"
-
-        monkeypatch.setattr("requests.get", lambda *a, **k: Resp())
+        body = b"date,value\n2020-01-02,2\n2020-01-01,1\n"
+        monkeypatch.setattr("urllib.request.urlopen", lambda *a, **k: Response(body))
         out = tmp_path / "series.csv"
         code = main([
             "fetch", "--url", "https://example.test/x.csv", "--name", "idx",
@@ -505,14 +510,11 @@ class TestFetch:
         assert out.read_text().startswith("date,value\n2020-01-01,1\n")
 
     def test_fetch_keeps_every_bit(self, tmp_path, monkeypatch):
-        class Resp:
-            status_code = 200
-            content = (
-                b"date,value\n2020-01-01,4783.123456789012\n2020-01-02,0.1\n"
-                b"2020-01-03,-0\n2020-01-04,1.7976931348623157e308\n2020-01-05,5e-324\n"
-            )
-
-        monkeypatch.setattr("requests.get", lambda *a, **k: Resp())
+        body = (
+            b"date,value\n2020-01-01,4783.123456789012\n2020-01-02,0.1\n"
+            b"2020-01-03,-0\n2020-01-04,1.7976931348623157e308\n2020-01-05,5e-324\n"
+        )
+        monkeypatch.setattr("urllib.request.urlopen", lambda *a, **k: Response(body))
         out, cache = tmp_path / "series.csv", tmp_path / "cache"
         code = main([
             "fetch", "--url", "https://example.test/z.csv", "--out", str(out),
@@ -524,12 +526,10 @@ class TestFetch:
         assert "2020-01-01,4783.123456789012\n" in out.read_text()
 
     def test_fetch_failure_is_data_error(self, tmp_path, monkeypatch):
-        import requests
-
         def fail(*a, **k):
-            raise requests.ConnectionError("offline")
+            raise urllib.error.URLError("offline")
 
-        monkeypatch.setattr("requests.get", fail)
+        monkeypatch.setattr("urllib.request.urlopen", fail)
         code = main([
             "fetch", "--url", "https://example.test/y.csv",
             "--out", str(tmp_path / "o.csv"), "--cache-dir", str(tmp_path / "cache"),

@@ -1,8 +1,10 @@
 """Tests for ingestion, alignment, scaling, windowing, and splits."""
 
 import dataclasses
+import io
 import re
 import tempfile
+import urllib.error
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +164,12 @@ class TestReadColumns:
         np.testing.assert_array_equal(matrix, [[1.0, 2.0], [3.0, 4.0]])
 
 
+class Response(io.BytesIO):
+    """What ``urllib.request.urlopen`` returns, as far as ``fetch_http`` reads it."""
+
+    status = 200
+
+
 class TestFetchHttp:
     CSV = b"date,value\n2020-01-01,1\n2020-01-02,2\n"
 
@@ -175,25 +183,29 @@ class TestFetchHttp:
         def boom(*a, **k):
             raise AssertionError("network touched despite cache")
 
-        monkeypatch.setattr("requests.get", boom)
+        monkeypatch.setattr("urllib.request.urlopen", boom)
         s = fetch_http(url, tmp_path)
         assert len(s) == 2
 
     def test_http_error_raises_fetch_error(self, tmp_path, monkeypatch):
-        class Resp:
-            status_code = 404
-            content = b""
+        def not_found(url, *a, **k):
+            raise urllib.error.HTTPError(url, 404, "Not Found", None, None)
 
-        monkeypatch.setattr("requests.get", lambda *a, **k: Resp())
-        with pytest.raises(FetchError, match="404"):
+        monkeypatch.setattr("urllib.request.urlopen", not_found)
+        with pytest.raises(FetchError, match="HTTP 404"):
             fetch_http("https://example.test/missing.csv", tmp_path)
 
-    def test_fetched_equals_local_load(self, tmp_path, monkeypatch):
-        class Resp:
-            status_code = 200
-            content = self.CSV
+    def test_status_other_than_200_raises_fetch_error(self, tmp_path, monkeypatch):
+        class NoContent(Response):
+            status = 204
 
-        monkeypatch.setattr("requests.get", lambda *a, **k: Resp())
+        monkeypatch.setattr("urllib.request.urlopen", lambda *a, **k: NoContent())
+        with pytest.raises(FetchError, match="HTTP 204"):
+            fetch_http("https://example.test/empty.csv", tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fetched_equals_local_load(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("urllib.request.urlopen", lambda *a, **k: Response(self.CSV))
         s = fetch_http("https://example.test/ok.csv", tmp_path)
         local = write(tmp_path / "local.csv", self.CSV.decode())
         ref = load_csv(local)
@@ -203,11 +215,7 @@ class TestFetchHttp:
     def test_unwritable_cache_raises_data_error(self, tmp_path, monkeypatch):
         import hashlib
 
-        class Resp:
-            status_code = 200
-            content = self.CSV
-
-        monkeypatch.setattr("requests.get", lambda *a, **k: Resp())
+        monkeypatch.setattr("urllib.request.urlopen", lambda *a, **k: Response(self.CSV))
         url = "https://example.test/series.csv"
         (tmp_path / "afile").write_text("")
         with pytest.raises(DataError, match="cannot make cache directory .*afile"):
@@ -217,13 +225,16 @@ class TestFetchHttp:
         with pytest.raises(DataError, match="cannot write cache file"):
             fetch_http(url, tmp_path)
 
-    def test_network_failure_suggests_offline(self, tmp_path, monkeypatch):
-        import requests
-
+    @pytest.mark.parametrize(
+        "error",
+        [urllib.error.URLError("no route"), TimeoutError("timed out"), ValueError("unknown url type")],
+        ids=["no-route", "timeout", "bad-url"],
+    )
+    def test_network_failure_suggests_offline(self, tmp_path, monkeypatch, error):
         def fail(*a, **k):
-            raise requests.ConnectionError("no route")
+            raise error
 
-        monkeypatch.setattr("requests.get", fail)
+        monkeypatch.setattr("urllib.request.urlopen", fail)
         with pytest.raises(FetchError, match="manually"):
             fetch_http("https://example.test/x.csv", tmp_path)
 

@@ -27,7 +27,10 @@ with the standard library:
 * no module of src/fuzzformer/ but autodiff.py calls ``parameter``, by
   name or as an attribute (``ad.parameter``).  So every trainable tensor
   is made by the registry ``autodiff.Parameters``, under a name that
-  checkpoints store.
+  checkpoints store;
+* no module of src/fuzzformer/ has a ``global`` statement.  A mode kept
+  in a module global leaks between threads (``training.score_split``
+  forecasts on several), so modes are context variables instead.
 """
 
 import ast
@@ -276,6 +279,28 @@ def test_checker_flags_parameter_calls():
         "v = params.new('v', (2,), 2)\nregistry = ad.Parameters(rng)\nn = params.parameters\n"
     )
     assert parameter_calls(source) == [3, 4]
+
+
+def global_statements(source: str):
+    """(line, names) of each ``global`` statement in a module."""
+    return [
+        (node.lineno, node.names)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Global)
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.relative_to(SRC).as_posix())
+def test_no_module_keeps_state_in_globals(path):
+    assert global_statements(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_global_statements():
+    source = (
+        "MODE = True\ndef off():\n    global MODE\n    MODE = False\n"
+        "def read():\n    return MODE\nclass A:\n    def f(self):\n        global X, Y\n"
+    )
+    assert global_statements(source) == [(3, ["MODE"]), (9, ["X", "Y"])]
 
 
 def test_every_config_field_is_read():

@@ -5,6 +5,8 @@ import json
 import math
 import re
 import tempfile
+import threading
+import time
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -341,6 +343,17 @@ class TestEvaluate:
         np.testing.assert_array_equal(a.per_step_rmse, b.per_step_rmse)
 
 
+def chunk_sizes(n):
+    return [min(training.EVAL_BATCH, n - start) for start in range(0, n, training.EVAL_BATCH)]
+
+
+@pytest.fixture
+def four_cores(monkeypatch):
+    """score_split sees four usable cores, so a split of two or more
+    chunks runs on a pool on any host."""
+    monkeypatch.setattr(training, "_usable_cores", lambda: 4)
+
+
 class TestScoreSplit:
     def test_skipped_windows_are_counted_not_scored(self, tiny_dataset):
         origins = tiny_dataset.origins_for("train")
@@ -353,11 +366,83 @@ class TestScoreSplit:
             return np.where(ok[:, None], batch.y_target + 0.5, np.nan), ok
 
         report = training.score_split(tiny_dataset, "train", 1, forecast)
-        assert sizes == [training.EVAL_BATCH, origins.size - training.EVAL_BATCH]
+        # chunks may run in any order, on any thread
+        assert sorted(sizes) == sorted(chunk_sizes(origins.size))
         skipped = int(np.sum(origins % 3 == 0))
         assert (report.n_samples, report.n_skipped) == (origins.size - skipped, skipped)
         assert report.rmse == pytest.approx(0.5)
         np.testing.assert_allclose(report.per_step_rmse, 0.5)
+
+    def test_pooled_report_equals_a_chunk_by_chunk_reference(self, tiny_dataset, four_cores):
+        origins = tiny_dataset.origins_for("train")
+        assert origins.size > 2 * training.EVAL_BATCH
+        cfg = RunConfig(**TINY_TRAIN)
+        model = FuzzformerModel(cfg, np.random.default_rng(5))
+        threads = set()
+
+        def forecast(batch):
+            threads.add(threading.get_ident())
+            preds = model.predict(batch.x, batch.y_history)
+            ok = batch.origins % 4 != 1
+            return preds, ok
+
+        report = training.score_split(tiny_dataset, "train", cfg.history, forecast)
+        assert threading.get_ident() not in threads  # the chunks ran on the pool
+        parts = []
+        for start in range(0, origins.size, training.EVAL_BATCH):
+            batch = tiny_dataset.batch(origins[start : start + training.EVAL_BATCH], history=cfg.history)
+            keep = batch.origins % 4 != 1
+            parts.append((model.predict(batch.x, batch.y_history)[keep], batch.y_target[keep]))
+        preds, targets = (np.concatenate(p) for p in zip(*parts))
+        per_step = np.sqrt(np.sum((preds - targets) ** 2, axis=0) / preds.shape[0])
+        assert report.rmse == rmse(preds, targets)
+        assert report.per_step_rmse.tobytes() == per_step.tobytes()
+        assert (report.n_samples, report.n_skipped) == (preds.shape[0], origins.size - preds.shape[0])
+
+    def test_chunks_see_the_callers_modes(self, tiny_dataset, four_cores):
+        seen = []
+
+        def forecast(batch):
+            try:
+                ad.exp(ad.Tensor([1000.0]))
+                probes = False
+            except NonFiniteError:
+                probes = True
+            seen.append((threading.get_ident(), ad.grad_enabled(), probes, np.geterr()["over"]))
+            return batch.y_target, True
+
+        with ad.no_grad(), np.errstate(over="ignore"):
+            training.score_split(tiny_dataset, "train", 1, forecast)
+        with ad.no_finite_probes(), np.errstate(over="raise"):
+            training.score_split(tiny_dataset, "train", 1, forecast)
+        n = len(chunk_sizes(tiny_dataset.origins_for("train").size))
+        assert threading.get_ident() not in {ident for ident, *_ in seen}
+        assert sorted(tuple(modes) for _, *modes in seen) == sorted(
+            [(False, True, "ignore")] * n + [(True, False, "raise")] * n
+        )
+        assert ad.grad_enabled()
+
+    def test_first_failing_chunk_is_raised_after_every_chunk_finished(self, four_cores):
+        dataset = prepare_dataset(make_synthetic(n_points=600, seed=3), lookback=12, horizon=4)
+        origins = dataset.origins_for("train")
+        n = len(chunk_sizes(origins.size))
+        assert n >= 5
+        finished = []
+
+        def forecast(batch):
+            chunk = int(np.searchsorted(origins, batch.origins[0])) // training.EVAL_BATCH
+            if chunk == 1:
+                time.sleep(0.05)  # chunk 3 fails first
+            if chunk in (1, 3):
+                raise NonFiniteError(f"chunk {chunk}")
+            if chunk == n - 1:
+                time.sleep(0.2)
+            finished.append(chunk)
+            return batch.y_target, True
+
+        with pytest.raises(NonFiniteError, match="chunk 1"):
+            training.score_split(dataset, "train", 1, forecast)
+        assert sorted(finished) == [c for c in range(n) if c not in (1, 3)]
 
     @pytest.mark.parametrize(
         "data, split", [("tiny_dataset", "test"), ("no_valid_dataset", "valid")],
