@@ -7,7 +7,6 @@ file can seed the values with explicit flags overriding it.  Exit codes:
 """
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -53,9 +52,7 @@ def _default_cache_dir() -> str:
 def _write_args(out_dir, args):
     payload = {k: v for k, v in vars(args).items() if k != "func"}
     path = dmod.output_dir(out_dir, "output directory") / "args.json"
-    with dmod.open_output(path, "w", "argument record") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    dmod.write_json(path, payload, "argument record")
 
 
 # ---------------------------------------------------------------------------

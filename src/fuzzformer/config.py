@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .data import open_output, read_text
+from .data import read_text, write_json
 from .exceptions import ConfigError, DataError
 
 
@@ -117,6 +117,4 @@ class RunConfig:
         return cls.from_dict(data)
 
     def write(self, path) -> None:
-        with open_output(path, "w", "config") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict(), "config")

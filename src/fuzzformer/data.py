@@ -12,8 +12,8 @@ other row as wide as the header.  Series and window files also need a
 header whose first cell is ``date``, at least one row, and finite numbers
 in the named columns; a results file needs a finite ``rmse`` and may hold
 no rows.  Config files are JSON text read through ``read_text``.  Text
-outputs are written through ``open_output`` into directories made by
-``output_dir``.  A file that cannot be read or parsed, and an output that
+outputs are written through ``open_output`` (JSON ones through
+``write_json``) into directories made by ``output_dir``.  A file that cannot be read or parsed, and an output that
 cannot be written (an output directory that names a file, say), raise
 ``DataError``; ``RunConfig.from_file`` turns its own into ``ConfigError``.
 
@@ -29,6 +29,7 @@ import csv
 import datetime as dt
 import hashlib
 import io
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,6 +90,15 @@ def open_output(path, mode, what):
         return open(path, mode, encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def write_json(path, value, what) -> None:
+    """``value`` written to ``path`` as indented JSON with sorted keys and
+    a final newline; a value JSON has no type for (a path, say) is
+    written as its text."""
+    with open_output(path, "w", what) as fh:
+        json.dump(value, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
 
 
 def output_dir(path, what) -> Path:
@@ -465,8 +475,6 @@ def prepare_dataset(series_list, lookback, horizon, stride=1):
 
 def write_manifest(path, dataset: WindowedDataset, sources: dict) -> None:
     """Human-readable record of channels, sources, roles, and date range."""
-    import json
-
     entries = []
     for i, name in enumerate(dataset.channel_names):
         entries.append(
@@ -486,9 +494,7 @@ def write_manifest(path, dataset: WindowedDataset, sources: dict) -> None:
         "samples": dataset.counts(),
         "channels": entries,
     }
-    with open_output(path, "w", "manifest") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload, "manifest")
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ snapshot.  All randomness flows from one seed through separate child
 generators (init, cluster warm-up, dropout, shuffling), so identical
 seed/config/data reproduce identical checkpoints bit for bit.
 
-Evaluation windows are independent, so ``score_split`` forecasts a
-split's chunks on the usable cores at once, one thread per chunk; every
-window's forecast, and so every report, has the same bits as one thread
-scoring the chunks in turn.
+Evaluation and cluster warm-up windows are independent, so
+``score_split`` and ``warmup_latents`` run their chunks on the usable
+cores at once, through one helper, ``_over_chunks``; every window's
+forecast or latent has the same bits as one thread running the chunks
+in turn.
 """
 
 import contextvars
@@ -31,7 +32,7 @@ from .autodiff import Adam
 from .baselines import rmse
 from .checkpoint import save_checkpoint
 from .config import RunConfig
-from .data import SPLIT_NAMES, WindowedDataset, open_output, output_dir, read_table
+from .data import SPLIT_NAMES, WindowedDataset, open_output, output_dir, read_table, write_json
 from .exceptions import ConfigError, DataError
 from .fuzzy import bhattacharyya  # by this name, so a profiler can patch the bundle's call
 from .losses import composite_loss
@@ -40,10 +41,18 @@ from .model import FuzzformerModel
 RESULT_FIELDS = ("method", "config", "setting", "split", "rmse")
 LOSS_FIELDS = ("epoch", "mse", "fcm", "overlap", "balance", "composite")
 WARMUP_WINDOWS = 256  # training windows sampled to seed the cluster centers
-# windows per forecast call in score_split, and so per worker.  A split of
-# up to 96 windows stays one call: small models are per-call bound, and
-# splitting a 90-window split into 64 + 26 cut desk-shape throughput by a
-# third.  Larger chunks hold more activations per worker at once.
+# windows per chunk of _over_chunks, and so per worker and per forecast or
+# encode call.  A split of up to 96 windows stays one call: small models
+# are per-call bound, and splitting a 90-window split into 64 + 26 cut
+# desk-shape throughput by a third.  Larger chunks hold more activations
+# per worker at once.  Keep it a multiple of 16.  OpenBLAS's double GEMM
+# takes rows in blocks of 16 and the rows left over in smaller blocks, and
+# a row in a block of 1 or 2 can get other last bits than in a larger one
+# (at the paper shape, warm-up chunks of 2, 5 or 102 windows changed the
+# latents of 156, 31 and 2 of 256 windows; every multiple of 4 tried left
+# all equal).  With chunks a multiple of 16, each window falls in the same
+# kind of block as in one batch of all the windows, so chunked forecasts
+# and warm-up latents keep one batch's bits.
 EVAL_BATCH = 96
 
 
@@ -78,23 +87,73 @@ def check_dataset_compatibility(config: RunConfig, dataset: WindowedDataset) -> 
         )
 
 
-def warmup_latents(model: FuzzformerModel, dataset: WindowedDataset, rng):
-    """Latent vectors of up to WARMUP_WINDOWS training windows (for cluster seeding)."""
-    origins = dataset.origins_for("train")
-    if origins.size == 0:
-        raise DataError("dataset has no training samples")
-    if origins.size > WARMUP_WINDOWS:
-        origins = np.sort(rng.choice(origins, size=WARMUP_WINDOWS, replace=False))
-    batch = dataset.batch(origins, history=1)
-    with ad.no_grad():
-        return model.encode(batch.x).z_latent.data.copy()
-
-
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask off Linux
         return os.cpu_count() or 1
+
+
+def numeric_environment() -> dict:
+    """What a seeded run's bits depend on beyond seed, config and data:
+    numpy, its BLAS build and the BLAS thread settings (see the README's
+    Determinism note), and the cores the process may use."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": {
+            k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+        "cpu_count": os.cpu_count(),
+        "usable_cores": _usable_cores(),
+    }
+
+
+def _over_chunks(n, work) -> None:
+    """Call ``work(rows)`` on each EVAL_BATCH-row slice of ``range(n)``.
+
+    More than one chunk runs on a thread pool of one worker per usable
+    core (at most one per chunk); numpy releases the GIL in its GEMMs
+    and ufuncs, so the chunks run in parallel, and ``work`` must be safe
+    to call from several threads at once.  Each chunk runs in a copy of
+    the caller's context, so it sees the caller's autodiff modes and
+    numpy errstate (a context variable since numpy 2.0).  ``work`` should
+    write only its own rows, so nothing depends on the order the chunks
+    finish in.  Every chunk finishes before this returns or raises; when
+    chunks fail, the first failing chunk's error is raised, as a loop
+    over the chunks in turn would.
+    """
+    chunks = [slice(start, start + EVAL_BATCH) for start in range(0, n, EVAL_BATCH)]
+    workers = min(_usable_cores(), len(chunks))
+    if workers <= 1:
+        for rows in chunks:
+            work(rows)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        done = [pool.submit(contextvars.copy_context().run, work, rows) for rows in chunks]
+    for future in done:  # the pool has shut down: every chunk has finished
+        future.result()
+
+
+def warmup_latents(model: FuzzformerModel, dataset: WindowedDataset, rng):
+    """Latent vectors of up to WARMUP_WINDOWS training windows (for cluster
+    seeding), encoded in chunks on the usable cores.  Each row has the bits
+    of one batch of all the sampled windows (see EVAL_BATCH)."""
+    origins = dataset.origins_for("train")
+    if origins.size == 0:
+        raise DataError("dataset has no training samples")
+    if origins.size > WARMUP_WINDOWS:
+        origins = np.sort(rng.choice(origins, size=WARMUP_WINDOWS, replace=False))
+    latents = np.empty((origins.size, model.config.latent_width))
+
+    def encode(rows):
+        latents[rows] = model.encode(dataset.batch(origins[rows], history=1).x).z_latent.data
+
+    with ad.no_grad():
+        _over_chunks(origins.size, encode)
+    return latents
 
 
 def score_split(dataset, split, history, forecast) -> MetricsReport:
@@ -106,16 +165,14 @@ def score_split(dataset, split, history, forecast) -> MetricsReport:
     Windows left out are counted, not scored; with none scored the
     RMSEs are NaN.
 
-    A split of more than one chunk is scored on a thread pool of one
-    worker per usable core (at most one per chunk); numpy releases the
-    GIL in its GEMMs and ufuncs, so the chunks run in parallel, and
-    ``forecast`` must be safe to call from several threads at once.
-    Each chunk runs in a copy of the caller's context, so it sees the
-    caller's autodiff modes and numpy errstate (a context variable
-    since numpy 2.0).  Each writes only its own rows, so the report does
-    not depend on the order the chunks finish in.  Every chunk finishes
-    before this returns or raises; when chunks fail, the first failing
-    chunk's error is raised, as a loop over the chunks in turn would.
+    The chunks run through ``_over_chunks``, on the usable cores at once,
+    so ``forecast`` must be safe to call from several threads at once;
+    it sees the caller's autodiff modes and numpy errstate, and when
+    chunks fail, the first failing chunk's error is raised.  Each chunk
+    writes only its own rows, so the report does not depend on the order
+    the chunks finish in.  EVAL_BATCH stays a multiple of 16, so each
+    window meets the same OpenBLAS GEMM row blocks as in one batch of the
+    whole split, and its forecast keeps that batch's bits.
     """
     origins = dataset.origins_for(split)
     preds = np.zeros((origins.size, dataset.horizon))
@@ -127,16 +184,7 @@ def score_split(dataset, split, history, forecast) -> MetricsReport:
         preds[rows], ok[rows] = forecast(batch)
         targets[rows] = batch.y_target
 
-    chunks = [slice(start, start + EVAL_BATCH) for start in range(0, origins.size, EVAL_BATCH)]
-    workers = min(_usable_cores(), len(chunks))
-    if workers <= 1:
-        for rows in chunks:
-            score(rows)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = [pool.submit(contextvars.copy_context().run, score, rows) for rows in chunks]
-        for future in done:  # the pool has shut down: every chunk has finished
-            future.result()
+    _over_chunks(origins.size, score)
     preds, targets = preds[ok], targets[ok]
     with np.errstate(invalid="ignore"):  # no window scored: 0 / 0
         per_step = np.sqrt(np.sum((preds - targets) ** 2, axis=0) / preds.shape[0])
@@ -221,6 +269,7 @@ def train(config: RunConfig, dataset: WindowedDataset, out_dir, log=print) -> Tr
     ckpt_path = out_dir / "checkpoint.bin"
     save_checkpoint(ckpt_path, model, scaler=dataset.scaler, channel_names=dataset.channel_names)
     config.write(out_dir / "config.json")
+    write_json(out_dir / "environment.json", numeric_environment(), "environment record")
     return TrainResult(
         checkpoint_path=ckpt_path,
         best_epoch=best_epoch,

@@ -144,7 +144,8 @@ class TestPrepare:
 class TestTrain:
     def test_artifacts(self, workspace):
         run = workspace / "run"
-        for name in ("checkpoint.bin", "config.json", "losses.csv", "history.csv", "args.json"):
+        outputs = ("checkpoint.bin", "config.json", "losses.csv", "history.csv", "args.json", "environment.json")
+        for name in outputs:
             assert (run / name).exists()
         cfg = json.loads((run / "config.json").read_text())
         assert cfg["lookback"] == 12 and cfg["epochs"] == 1

@@ -30,7 +30,10 @@ with the standard library:
   checkpoints store;
 * no module of src/fuzzformer/ has a ``global`` statement.  A mode kept
   in a module global leaks between threads (``training.score_split``
-  forecasts on several), so modes are context variables instead.
+  forecasts on several), so modes are context variables instead;
+* one function of src/fuzzformer/, ``training._over_chunks``, builds a
+  ``ThreadPoolExecutor``.  So every parallel pass shares its chunking,
+  its copy of the caller's context and its error order.
 """
 
 import ast
@@ -301,6 +304,44 @@ def test_checker_flags_global_statements():
         "def read():\n    return MODE\nclass A:\n    def f(self):\n        global X, Y\n"
     )
     assert global_statements(source) == [(3, ["MODE"]), (9, ["X", "Y"])]
+
+
+def thread_pool_builders(source: str):
+    """(line, innermost enclosing function or None) of each
+    ``ThreadPoolExecutor(...)`` call in a module, by name or attribute."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "ThreadPoolExecutor" in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                found.append((child.lineno, function))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_function_builds_every_thread_pool():
+    built = [
+        (path.relative_to(SRC).as_posix(), function)
+        for path in sorted(SRC.rglob("*.py"))
+        for _, function in thread_pool_builders(path.read_text(encoding="utf-8"))
+    ]
+    assert built == [("training.py", "_over_chunks")]
+
+
+def test_checker_finds_thread_pool_builders():
+    source = (
+        "import concurrent.futures as cf\nfrom concurrent.futures import ThreadPoolExecutor\n"
+        "POOL = cf.ThreadPoolExecutor(2)\n"
+        "def run(n):\n    with ThreadPoolExecutor(max_workers=n) as pool:\n        pool.submit(f)\n"
+        "    def inner():\n        return cf.ThreadPoolExecutor()\n"
+        "class A:\n    def go(self):\n        return self.pool.submit(ThreadPoolExecutor)\n"
+    )
+    assert thread_pool_builders(source) == [(3, None), (5, "run"), (8, "inner")]
 
 
 def test_every_config_field_is_read():

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import re
 import tempfile
 import threading
@@ -83,6 +84,12 @@ class TestTrain:
         assert [tuple(r.keys()) for r in rows][0] == training.LOSS_FIELDS
         assert len(rows) == cfg.epochs
         assert all(float(r["composite"]) >= 0 for r in rows)
+        env = json.loads((tmp_path / "run" / "environment.json").read_text())
+        blas_threads = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert set(env) == {"numpy", "blas_name", "blas_version", "blas_threads", "cpu_count", "usable_cores"}
+        assert set(env["blas_threads"]) == blas_threads
+        assert (env["numpy"], env["cpu_count"]) == (np.__version__, os.cpu_count())
+        assert 1 <= env["usable_cores"] <= env["cpu_count"]
 
     def test_zero_epochs_produces_valid_checkpoint(self, tiny_dataset, tmp_path):
         cfg = RunConfig(**{**TINY_TRAIN, "epochs": 0})
@@ -98,6 +105,22 @@ class TestTrain:
         r2 = train(cfg, tiny_dataset, tmp_path / "b", log=quiet)
         assert r1.checkpoint_path.read_bytes() == r2.checkpoint_path.read_bytes()
         assert r1.best_valid_rmse == r2.best_valid_rmse
+
+    def test_artifacts_do_not_depend_on_cores_or_the_recorded_environment(
+        self, tiny_dataset, tmp_path, monkeypatch
+    ):
+        cfg = RunConfig(**TINY_TRAIN)
+        envs = {}
+        for cores in (1, 4):
+            monkeypatch.setattr(training, "_usable_cores", lambda n=cores: n)
+            # BLAS read the variable when it loaded, so this only changes the record
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(cores))
+            train(cfg, tiny_dataset, tmp_path / str(cores), log=quiet)
+            envs[cores] = json.loads((tmp_path / str(cores) / "environment.json").read_text())
+        for name in ("checkpoint.bin", "losses.csv", "history.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "4" / name).read_bytes(), name
+        recorded = [(env["usable_cores"], env["blas_threads"]["OPENBLAS_NUM_THREADS"]) for env in envs.values()]
+        assert recorded == [(1, "1"), (4, "4")]
 
     def test_best_checkpoint_matches_recorded_validation_rmse(self, tiny_dataset, tmp_path):
         cfg = RunConfig(**{**TINY_TRAIN, "epochs": 3})
@@ -298,6 +321,24 @@ class TestRunConfigFromFile:
         cfg.validate()  # a config it gives is a valid one
 
 
+def chunk_sizes(n):
+    return [min(training.EVAL_BATCH, n - start) for start in range(0, n, training.EVAL_BATCH)]
+
+
+@pytest.fixture
+def four_cores(monkeypatch):
+    """The chunk pool sees four usable cores, so two or more chunks run on
+    a pool on any host."""
+    monkeypatch.setattr(training, "_usable_cores", lambda: 4)
+
+
+@pytest.fixture
+def one_core(monkeypatch):
+    """The chunk pool sees one usable core, so every chunk runs on the
+    calling thread."""
+    monkeypatch.setattr(training, "_usable_cores", lambda: 1)
+
+
 class TestWarmupLatents:
     def _latents(self, dataset):
         model = FuzzformerModel(RunConfig(**TINY_TRAIN), np.random.default_rng(0))
@@ -320,6 +361,33 @@ class TestWarmupLatents:
         every, latents = self._latents(dataset)
         np.testing.assert_array_equal(latents, every)
 
+    @pytest.mark.parametrize(
+        "cores, width", [("four_cores", 4), ("one_core", 4), ("four_cores", 128)],
+        ids=["pool", "one-core", "pool-width-128"],
+    )
+    def test_chunks_give_the_bits_of_one_batch(self, request, tiny_dataset, cores, width):
+        # at width 128 the GEMMs are large enough for BLAS to pick its
+        # blocked kernels, where the chunk sizes could change the bits
+        request.getfixturevalue(cores)
+        model = FuzzformerModel(RunConfig(**{**TINY_TRAIN, "hidden_width": width}), np.random.default_rng(0))
+        train_origins = tiny_dataset.origins_for("train")
+        origins = np.sort(np.random.default_rng(1).choice(train_origins, size=256, replace=False))
+        with ad.no_grad():
+            one_batch = model.encode(tiny_dataset.batch(origins, history=1).x).z_latent.data
+        threads = []
+        encode = model.encode
+
+        def spy(x, rng=None):
+            threads.append(threading.get_ident())
+            return encode(x, rng=rng)
+
+        model.encode = spy
+        latents = training.warmup_latents(model, tiny_dataset, np.random.default_rng(1))
+        np.testing.assert_array_equal(latents, one_batch)
+        assert len(threads) == len(chunk_sizes(256)) == 3
+        on_caller = {threading.get_ident() == ident for ident in threads}
+        assert on_caller == ({True} if cores == "one_core" else {False})
+
 
 class TestEvaluate:
     def test_rmse_matches_recomputation_from_forecasts(self, tiny_dataset, tmp_path):
@@ -341,17 +409,6 @@ class TestEvaluate:
         b = evaluate_split(result.model, tiny_dataset, "test")
         assert a.rmse == b.rmse
         np.testing.assert_array_equal(a.per_step_rmse, b.per_step_rmse)
-
-
-def chunk_sizes(n):
-    return [min(training.EVAL_BATCH, n - start) for start in range(0, n, training.EVAL_BATCH)]
-
-
-@pytest.fixture
-def four_cores(monkeypatch):
-    """score_split sees four usable cores, so a split of two or more
-    chunks runs on a pool on any host."""
-    monkeypatch.setattr(training, "_usable_cores", lambda: 4)
 
 
 class TestScoreSplit:
