@@ -13,9 +13,10 @@ header whose first cell is ``date``, at least one row, and finite numbers
 in the named columns; a results file needs a finite ``rmse`` and may hold
 no rows.  Config files are JSON text read through ``read_text``.  Text
 outputs are written through ``open_output`` (JSON ones through
-``write_json``) into directories made by ``output_dir``.  A file that cannot be read or parsed, and an output that
-cannot be written (an output directory that names a file, say), raise
-``DataError``; ``RunConfig.from_file`` turns its own into ``ConfigError``.
+``write_json``) into directories made by ``output_dir``.  A file that
+cannot be read or parsed, and an output that cannot be written (an
+output directory that names a file, say), raise ``DataError``;
+``RunConfig.from_file`` turns its own into ``ConfigError``.
 
 Channels are aligned onto the main series' calendar with forward fill,
 min-max scaled per channel on training-range rows only, and sliced into

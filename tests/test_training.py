@@ -85,9 +85,8 @@ class TestTrain:
         assert len(rows) == cfg.epochs
         assert all(float(r["composite"]) >= 0 for r in rows)
         env = json.loads((tmp_path / "run" / "environment.json").read_text())
-        blas_threads = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
         assert set(env) == {"numpy", "blas_name", "blas_version", "blas_threads", "cpu_count", "usable_cores"}
-        assert set(env["blas_threads"]) == blas_threads
+        assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
         assert (env["numpy"], env["cpu_count"]) == (np.__version__, os.cpu_count())
         assert 1 <= env["usable_cores"] <= env["cpu_count"]
 
