@@ -1,4 +1,6 @@
-"""Reference forecasters: per-window ARIMA, persistence, and LSTM-only.
+"""Reference forecasters: per-window ARIMA, persistence, and the
+LSTM-only model.  The LSTM is trained by ``training.train_lstm_baseline``
+through the same loop as Fuzzformer; this module holds only its layers.
 
 The ARIMA baseline refits on every input window (it keeps no state
 across windows, unlike the learned models) with two-stage
@@ -19,12 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Adam
-from .data import WindowedDataset
 from .encoder import Dense, LstmLayer
 from .exceptions import ArimaFitError, ConfigError, DataError, NonFiniteError
 from .kernels import arima as arima_kernels
-from .losses import mse_loss
 
 
 def rmse(pred, target) -> float:
@@ -237,56 +236,3 @@ class LstmBaseline:
     def predict(self, x) -> np.ndarray:
         with ad.no_grad():
             return self.forward(x).data
-
-
-def train_lstm_baseline(
-    dataset: WindowedDataset,
-    hidden=32,
-    layers=1,
-    epochs=30,
-    learning_rate=1e-3,
-    batch_size=64,
-    seed=0,
-    log=None,
-) -> LstmBaseline:
-    """Fit the LSTM-only baseline on the training split with Adam on MSE."""
-    for name, value, least in (
-        ("hidden", hidden, 1), ("layers", layers, 1), ("batch_size", batch_size, 1),
-        ("epochs", epochs, 0), ("seed", seed, 0),
-    ):
-        if value < least:
-            raise ConfigError(f"{name} must be >= {least}, got {value}")
-    if not 0.0 < learning_rate < np.inf:
-        raise ConfigError(f"learning_rate must be positive and finite, got {learning_rate}")
-    train_origins = dataset.origins_for("train")
-    if train_origins.size == 0:
-        raise DataError("dataset has no training samples")
-    ss = np.random.SeedSequence(seed)
-    rng_init, rng_shuffle = [np.random.default_rng(s) for s in ss.spawn(2)]
-    model = LstmBaseline(
-        channels=dataset.matrix.shape[1],
-        hidden=hidden,
-        layers=layers,
-        horizon=dataset.horizon,
-        lookback=dataset.lookback,
-        rng=rng_init,
-    )
-    opt = Adam([t for _, t in model.named], learning_rate=learning_rate)
-    for epoch in range(epochs):
-        order = rng_shuffle.permutation(train_origins)
-        total = 0.0
-        for start in range(0, order.size, batch_size):
-            chunk = order[start : start + batch_size]
-            batch = dataset.batch(chunk, history=1)
-
-            def loss_fn():
-                loss = mse_loss(model.forward(batch.x), batch.y_target)
-                return loss, loss.item()
-
-            total += ad.train_step(
-                opt, loss_fn, None, f"epoch {epoch + 1}, batch at sample {start}"
-            )
-        if log is not None:
-            log(f"lstm-baseline epoch {epoch + 1}/{epochs} train_mse={total / train_origins.size:.6f}")
-    return model
-

@@ -160,7 +160,7 @@ def _baseline_forecaster(args, dataset):
             return bl.evaluate_arima_windows(dataset.window_main(batch.origins), order, horizon)
 
         return f"p={args.p},d={args.d},q={args.q}", forecast
-    model = bl.train_lstm_baseline(
+    model = training.train_lstm_baseline(
         dataset,
         hidden=args.hidden,
         layers=args.layers,

@@ -1,12 +1,15 @@
 """Run orchestration: the training loop, evaluation, forecast export,
 and the cross-method comparison report.
 
-Training shuffles the train split each epoch, optimizes the four-term
-composite with Adam, evaluates validation RMSE after every epoch in
-aggregate-forecast mode, and keeps the best-validation parameter
-snapshot.  All randomness flows from one seed through separate child
-generators (init, cluster warm-up, dropout, shuffling), so identical
-seed/config/data reproduce identical checkpoints bit for bit.
+One loop, ``fit``, trains both learned models, Fuzzformer (``train``) and
+the LSTM-only baseline (``train_lstm_baseline``).  It shuffles the train
+split each epoch, steps Adam on the model's loss, scores validation RMSE
+after every epoch, and keeps the best-validation parameter snapshot.
+Fuzzformer optimizes the four-term composite and is scored in
+aggregate-forecast mode; the baseline optimizes MSE.  All randomness
+flows from one seed through separate child generators (Fuzzformer: init,
+cluster warm-up, dropout, shuffling; the baseline: init, shuffling), so
+identical seed/config/data reproduce identical checkpoints bit for bit.
 
 Evaluation and cluster warm-up windows are independent, so
 ``score_split`` and ``warmup_latents`` run their chunks on the usable
@@ -29,13 +32,13 @@ import numpy as np
 from . import autodiff as ad
 from . import fuzzy, svgplot
 from .autodiff import Adam
-from .baselines import rmse
+from .baselines import LstmBaseline, rmse
 from .checkpoint import save_checkpoint
 from .config import RunConfig
 from .data import SPLIT_NAMES, WindowedDataset, open_output, output_dir, read_table, write_json
 from .exceptions import ConfigError, DataError
 from .fuzzy import bhattacharyya  # by this name, so a profiler can patch the bundle's call
-from .losses import composite_loss
+from .losses import composite_loss, mse_loss
 from .model import FuzzformerModel
 
 RESULT_FIELDS = ("method", "config", "setting", "split", "rmse")
@@ -205,6 +208,47 @@ def evaluate_split(model: FuzzformerModel, dataset, split):
     )
 
 
+def fit(params, loss_fn, origins, batch_size, epochs, learning_rate, valid_rmse, rng_shuffle, rng_dropout,
+        log):
+    """The one training loop: Adam on ``params`` for ``epochs`` epochs.
+
+    Each epoch steps through ``rng_shuffle.permutation(origins)``
+    ``batch_size`` windows at a time; ``loss_fn(chunk)`` builds one
+    batch's graph, drawing its dropout masks from ``rng_dropout`` (None
+    when it draws none), and returns (loss tensor, {part: float}).  After
+    each epoch ``valid_rmse()`` scores the parameters, then ``log`` gets
+    one line.  The best-scoring snapshot, of the initial parameters
+    (epoch 0) or of an epoch's, is restored at the end.  Returns (best
+    epoch, its score, one {"epoch", mean of each part, "valid_rmse"} per
+    epoch).
+    """
+    opt = Adam(params, learning_rate=learning_rate)
+    best_epoch, best_valid, best_snap = 0, valid_rmse(), [t.data.copy() for t in params]
+    history = []
+    for epoch in range(1, epochs + 1):
+        order = rng_shuffle.permutation(origins)
+        starts = range(0, order.size, batch_size)
+        sums = {}
+        for start in starts:
+            chunk = order[start : start + batch_size]
+            parts = ad.train_step(
+                opt, lambda: loss_fn(chunk), rng_dropout, f"epoch {epoch}, batch at sample {start}"
+            )
+            for key, value in parts.items():
+                sums[key] = sums.get(key, 0.0) + value
+        means = {key: value / len(starts) for key, value in sums.items()}
+        valid = valid_rmse()
+        if not valid >= best_valid:  # an empty valid split scores NaN: keep every epoch
+            best_epoch, best_valid, best_snap = epoch, valid, [t.data.copy() for t in params]
+        history.append({"epoch": epoch, **means, "valid_rmse": valid})
+        parts_text = " ".join(f"{key}={value:.5f}" for key, value in means.items())
+        log(f"epoch {epoch}/{epochs} {parts_text} valid_rmse={valid:.5f}")
+
+    for tensor, arr in zip(params, best_snap):
+        tensor.data[...] = arr
+    return best_epoch, best_valid, history
+
+
 def train(config: RunConfig, dataset: WindowedDataset, out_dir, log=print) -> TrainResult:
     t_start = time.perf_counter()
     config.validate()
@@ -216,44 +260,12 @@ def train(config: RunConfig, dataset: WindowedDataset, out_dir, log=print) -> Tr
 
     model = FuzzformerModel(config, rng_init)
     model.initialize_clusters(warmup_latents(model, dataset, rng_cluster), rng_cluster)
-    opt = Adam(model.parameter_tensors(), learning_rate=config.learning_rate)
-    train_origins = dataset.origins_for("train")
-
-    def snapshot():
-        return [t.data.copy() for t in model.parameter_tensors()]
-
-    best_valid = evaluate_split(model, dataset, "valid").rmse
-    best_snap = snapshot()
-    best_epoch = 0
-    history = []
-    for epoch in range(1, config.epochs + 1):
-        order = rng_shuffle.permutation(train_origins)
-        sums = dict.fromkeys(("mse", "fcm", "overlap", "balance", "composite"), 0.0)
-        n_batches = 0
-        for start in range(0, order.size, config.batch_size):
-            chunk = order[start : start + config.batch_size]
-            batch = dataset.batch(chunk, history=config.history)
-            parts = ad.train_step(
-                opt, lambda: composite_loss(batch, model, rng=rng_dropout),
-                rng_dropout, f"epoch {epoch}, batch at sample {start}",
-            )
-            for key in sums:
-                sums[key] += parts[key]
-            n_batches += 1
-        means = {key: value / n_batches for key, value in sums.items()}
-        valid_rmse = evaluate_split(model, dataset, "valid").rmse
-        if not valid_rmse >= best_valid:  # an empty valid split scores NaN: keep every epoch
-            best_valid = valid_rmse
-            best_snap = snapshot()
-            best_epoch = epoch
-        history.append({"epoch": epoch, **means, "valid_rmse": valid_rmse})
-        log(
-            f"epoch {epoch}/{config.epochs} composite={means['composite']:.5f} "
-            f"mse={means['mse']:.5f} valid_rmse={valid_rmse:.5f}"
-        )
-
-    for tensor, arr in zip(model.parameter_tensors(), best_snap):
-        tensor.data[...] = arr
+    best_epoch, best_valid, history = fit(
+        model.parameter_tensors(),
+        lambda chunk: composite_loss(dataset.batch(chunk, history=config.history), model, rng=rng_dropout),
+        dataset.origins_for("train"), config.batch_size, config.epochs, config.learning_rate,
+        lambda: evaluate_split(model, dataset, "valid").rmse, rng_shuffle, rng_dropout, log,
+    )
 
     with open_output(out_dir / "losses.csv", "w", "loss log") as fh:
         writer = csv.DictWriter(fh, fieldnames=LOSS_FIELDS, extrasaction="ignore")
@@ -278,6 +290,39 @@ def train(config: RunConfig, dataset: WindowedDataset, out_dir, log=print) -> Tr
         wall_seconds=time.perf_counter() - t_start,
         model=model,
     )
+
+
+def train_lstm_baseline(
+    dataset: WindowedDataset, hidden=32, layers=1, epochs=30, learning_rate=1e-3, batch_size=64, seed=0,
+    log=None,
+) -> LstmBaseline:
+    """Fit the LSTM-only baseline on the training split with Adam on MSE,
+    through ``fit``, so it too keeps its best-validation epoch."""
+    for name, value, least in (
+        ("hidden", hidden, 1), ("layers", layers, 1), ("batch_size", batch_size, 1),
+        ("epochs", epochs, 0), ("seed", seed, 0),
+    ):
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
+    if not 0.0 < learning_rate < np.inf:
+        raise ConfigError(f"learning_rate must be positive and finite, got {learning_rate}")
+    train_origins = dataset.origins_for("train")
+    if train_origins.size == 0:
+        raise DataError("dataset has no training samples")
+    rng_init, rng_shuffle = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    model = LstmBaseline(dataset.matrix.shape[1], hidden, layers, dataset.horizon, dataset.lookback, rng_init)
+
+    def loss_fn(chunk):
+        batch = dataset.batch(chunk, history=1)
+        loss = mse_loss(model.forward(batch.x), batch.y_target)
+        return loss, {"mse": loss.item()}
+
+    fit(
+        [t for _, t in model.named], loss_fn, train_origins, batch_size, epochs, learning_rate,
+        lambda: score_split(dataset, "valid", 1, lambda b: (model.predict(b.x), True)).rmse,
+        rng_shuffle, None, log or (lambda _line: None),
+    )
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +442,15 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
 
 
 def append_results(path, rows) -> None:
-    """Append rows to a results CSV, writing the header when new; with no
-    rows, write nothing."""
+    """Append rows to a results CSV, writing the header when the file is
+    missing or empty; with no rows, write nothing."""
     if not rows:
         return
     path = Path(path)
-    exists = path.exists()
+    new = not path.exists() or path.stat().st_size == 0
     with open_output(path, "a", "results file") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS)
-        if not exists:
+        if new:
             writer.writeheader()
         for row in rows:
             writer.writerow({k: row[k] for k in RESULT_FIELDS})

@@ -18,11 +18,11 @@ from fuzzformer.baselines import (
     fit_arima,
     persistence_forecast,
     rmse,
-    train_lstm_baseline,
 )
 from fuzzformer.data import RawSeries, make_synthetic, prepare_dataset
 from fuzzformer.exceptions import ArimaFitError, ConfigError, DataError, NonFiniteError
 from fuzzformer.kernels import arima as arima_kernels
+from fuzzformer.training import train_lstm_baseline
 
 
 def simulate_arma(rng, n, phi=(), theta=(), scale=1.0):

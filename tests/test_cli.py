@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fuzzformer import baselines as bl
-from fuzzformer import container
+from fuzzformer import container, training
 from fuzzformer.checkpoint import load_checkpoint, save_checkpoint
 from fuzzformer.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from fuzzformer.data import WindowedDataset, load_csv, make_synthetic
@@ -57,7 +57,7 @@ def expected_baseline_output(ds, method, extra):
         label = f"p={order.p},d={order.d},q={order.q}"
     elif method == "lstm":
         label = f"hidden={flags['--hidden']},layers={flags['--layers']}"
-        model = bl.train_lstm_baseline(
+        model = training.train_lstm_baseline(
             ds, hidden=int(flags["--hidden"]), layers=int(flags["--layers"]),
             epochs=int(flags["--epochs"]), seed=int(flags["--seed"]),
         )

@@ -33,7 +33,11 @@ with the standard library:
   forecasts on several), so modes are context variables instead;
 * one function of src/fuzzformer/, ``training._over_chunks``, builds a
   ``ThreadPoolExecutor``.  So every parallel pass shares its chunking,
-  its copy of the caller's context and its error order.
+  its copy of the caller's context and its error order;
+* one function of src/fuzzformer/, ``training.fit``, builds an ``Adam``
+  and calls ``train_step``.  So both learned models train through one
+  epoch loop, with one shuffle, one failure report and one best-epoch
+  rule.
 """
 
 import ast
@@ -306,14 +310,14 @@ def test_checker_flags_global_statements():
     assert global_statements(source) == [(3, ["MODE"]), (9, ["X", "Y"])]
 
 
-def thread_pool_builders(source: str):
-    """(line, innermost enclosing function or None) of each
-    ``ThreadPoolExecutor(...)`` call in a module, by name or attribute."""
+def callers(source: str, callee: str):
+    """(line, innermost enclosing function or None) of each call of
+    ``callee`` in a module, by name or attribute."""
     found = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and "ThreadPoolExecutor" in (
+            if isinstance(child, ast.Call) and callee in (
                 getattr(child.func, "id", None), getattr(child.func, "attr", None)
             ):
                 found.append((child.lineno, function))
@@ -324,13 +328,22 @@ def thread_pool_builders(source: str):
     return found
 
 
-def test_one_function_builds_every_thread_pool():
-    built = [
+def src_callers(callee):
+    """(module, function) of each call of ``callee`` in src/fuzzformer/."""
+    return [
         (path.relative_to(SRC).as_posix(), function)
         for path in sorted(SRC.rglob("*.py"))
-        for _, function in thread_pool_builders(path.read_text(encoding="utf-8"))
+        for _, function in callers(path.read_text(encoding="utf-8"), callee)
     ]
-    assert built == [("training.py", "_over_chunks")]
+
+
+def test_one_function_builds_every_thread_pool():
+    assert src_callers("ThreadPoolExecutor") == [("training.py", "_over_chunks")]
+
+
+@pytest.mark.parametrize("callee", ["Adam", "train_step"])
+def test_one_function_runs_every_training_loop(callee):
+    assert src_callers(callee) == [("training.py", "fit")]
 
 
 def test_checker_finds_thread_pool_builders():
@@ -341,7 +354,16 @@ def test_checker_finds_thread_pool_builders():
         "    def inner():\n        return cf.ThreadPoolExecutor()\n"
         "class A:\n    def go(self):\n        return self.pool.submit(ThreadPoolExecutor)\n"
     )
-    assert thread_pool_builders(source) == [(3, None), (5, "run"), (8, "inner")]
+    assert callers(source, "ThreadPoolExecutor") == [(3, None), (5, "run"), (8, "inner")]
+    source = (
+        "from fuzzformer import autodiff as ad\nfrom fuzzformer.autodiff import Adam, train_step\n"
+        "def fit(params, step):\n    opt = Adam(params)\n    return ad.train_step(opt, step, None, '')\n"
+        "def train(model):\n    opt = ad.Adam(model.params, learning_rate=1e-3)\n"
+        "    def epoch():\n        train_step(opt, f, rng, 'epoch 1')\n"
+        "class Adamish:\n    def train_step(self):\n        return Adam\n"
+    )
+    assert callers(source, "Adam") == [(4, "fit"), (7, "train")]
+    assert callers(source, "train_step") == [(5, "fit"), (9, "epoch")]
 
 
 def test_every_config_field_is_read():

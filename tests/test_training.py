@@ -73,6 +73,19 @@ def quiet(*args, **kwargs):
     pass
 
 
+def fuzzformer_run(dataset, out_dir, log=quiet, **overrides):
+    """(parameter arrays, TrainResult) of a TINY_TRAIN run."""
+    result = train(RunConfig(**{**TINY_TRAIN, **overrides}), dataset, out_dir, log=log)
+    return [t.data for t in result.model.parameter_tensors()], result
+
+
+def lstm_run(dataset, out_dir, log=quiet, epochs=2):
+    """(parameter arrays, None) of a small LSTM-baseline run; ``out_dir``
+    is unused, as the baseline writes no files."""
+    model = training.train_lstm_baseline(dataset, hidden=4, epochs=epochs, batch_size=16, seed=11, log=log)
+    return [t.data for _, t in model.named], None
+
+
 class TestTrain:
     def test_artifacts_and_history(self, tiny_dataset, tmp_path):
         cfg = RunConfig(**TINY_TRAIN)
@@ -128,17 +141,73 @@ class TestTrain:
         again = evaluate_split(model, tiny_dataset, "valid")
         assert again.rmse == pytest.approx(result.best_valid_rmse, abs=1e-12)
 
-    def test_without_valid_split_keeps_last_epoch(self, no_valid_dataset, tmp_path):
+    @pytest.mark.parametrize("run", [fuzzformer_run, lstm_run], ids=["fuzzformer", "lstm"])
+    def test_without_valid_split_keeps_last_epoch(self, run, no_valid_dataset, tmp_path):
         params = {}
         for epochs in (0, 1, 2):
-            cfg = RunConfig(**{**TINY_TRAIN, "epochs": epochs})
-            result = train(cfg, no_valid_dataset, tmp_path / f"nv{epochs}", log=quiet)
-            params[epochs] = [t.data for t in result.model.parameter_tensors()]
-        assert result.best_epoch == 2
-        assert np.isnan(result.best_valid_rmse)
-        assert [np.isnan(rec["valid_rmse"]) for rec in result.history] == [True, True]
+            params[epochs], result = run(no_valid_dataset, tmp_path / f"nv{epochs}", epochs=epochs)
+        if result is not None:  # the baseline returns only its model
+            assert result.best_epoch == 2
+            assert np.isnan(result.best_valid_rmse)
+            assert [np.isnan(rec["valid_rmse"]) for rec in result.history] == [True, True]
         for earlier in (0, 1):
             assert any(not np.array_equal(a, b) for a, b in zip(params[2], params[earlier]))
+
+    def test_best_epoch_is_the_run_of_that_many_epochs(self, tiny_dataset, tmp_path):
+        # at this rate validation RMSE is least at epoch 2 of 4: epochs
+        # 1-4 score about 0.087, 0.079, 0.084 and 0.090
+        _, long = fuzzformer_run(tiny_dataset, tmp_path / "long", epochs=4, learning_rate=1e-2)
+        k = long.best_epoch
+        assert 0 < k < 4
+        _, short = fuzzformer_run(tiny_dataset, tmp_path / "short", epochs=k, learning_rate=1e-2)
+        assert short.history == long.history[:k]
+        # the checkpoints differ in their config's epochs, not in any parameter
+        arrays = [
+            [(name, t.data.tobytes()) for name, t in load_checkpoint(r.checkpoint_path)[0].parameters()]
+            for r in (long, short)
+        ]
+        assert arrays[0] == arrays[1]
+
+    def test_lstm_baseline_keeps_its_best_epoch(self, tiny_dataset):
+        def model(epochs):
+            return training.train_lstm_baseline(
+                tiny_dataset, hidden=4, epochs=epochs, learning_rate=1e-2, batch_size=16, seed=2
+            )
+
+        def valid_rmse(m):
+            return training.score_split(tiny_dataset, "valid", 1, lambda b: (m.predict(b.x), True)).rmse
+
+        # a j-epoch run keeps the best of epochs 0..j, so the first run
+        # scoring the least is the run that ends on the best epoch of all
+        k = int(np.argmin([valid_rmse(model(epochs)) for epochs in range(5)]))
+        assert 0 < k < 4
+        test_x = tiny_dataset.batch(tiny_dataset.origins_for("test"), history=1).x
+        assert np.array_equal(model(4).predict(test_x), model(k).predict(test_x))
+
+    @pytest.mark.parametrize("run", [fuzzformer_run, lstm_run], ids=["fuzzformer", "lstm"])
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_log_gets_one_line_per_epoch_after_its_validation(
+        self, run, epochs, tiny_dataset, tmp_path, monkeypatch
+    ):
+        scored, lines = [], []
+        score_split = training.score_split
+
+        def counting(dataset, split, history, forecast):
+            scored.append(split)
+            return score_split(dataset, split, history, forecast)
+
+        def log(*args, **kwargs):
+            lines.append((args, kwargs, scored.count("valid")))
+
+        monkeypatch.setattr(training, "score_split", counting)
+        run(tiny_dataset, tmp_path / "run", log=log, epochs=epochs)
+        assert scored == ["valid"] * (epochs + 1)  # the initial parameters, then each epoch
+        # one positional string per epoch, once that epoch is scored
+        assert [(len(args), kwargs, n) for args, kwargs, n in lines] == [
+            (1, {}, e + 1) for e in range(1, epochs + 1)
+        ]
+        for e, (args, _, _) in enumerate(lines, start=1):
+            assert isinstance(args[0], str) and args[0].startswith(f"epoch {e}/{epochs} ")
 
     def test_dataset_mismatch_rejected(self, tiny_dataset, tmp_path):
         cfg = RunConfig(**{**TINY_TRAIN, "channels": 2})
@@ -715,6 +784,13 @@ class TestReport:
                 return
         assert all(math.isfinite(row["rmse"]) for row in rows)
         assert all(len(line) == len(header) for line in table)
+
+    def test_append_to_an_empty_file_writes_the_header(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.touch()
+        row = {"method": "a", "config": "", "setting": "60/30", "split": "test", "rmse": "0.4"}
+        training.append_results(path, [row])
+        assert read_results([path]) == [{**row, "rmse": 0.4}]
 
     def test_write_and_read_round_trip(self, tmp_path):
         rows = [
