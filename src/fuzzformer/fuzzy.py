@@ -76,16 +76,18 @@ def init_clusters(latents, n_rules, rng):
     """Warm-up initialization: centers drawn from observed latent vectors,
     covariances from :func:`isotropic_factors`.
 
-    Returns (centers (C, D), factors (C, D, D)) parameter arrays.
+    ``latents`` is an (N, D) array or a sequence of rows such as
+    :class:`training.WarmupLatents`; only ``len(latents)`` and the rows
+    picked as centers are read, in one ``latents[pick]``.  Returns
+    (centers (C, D), factors (C, D, D)) parameter arrays.
     """
-    latents = np.asarray(latents, dtype=np.float64)
-    n = latents.shape[0]
+    n = len(latents)
     replace = n < n_rules
     pick = rng.choice(n, size=n_rules, replace=replace)
-    centers = latents[pick].copy()
+    centers = np.asarray(latents[pick], dtype=np.float64)
     if replace:  # break exact duplicates so clusters stay distinguishable
         centers += rng.normal(scale=1e-3, size=centers.shape)
-    return centers, isotropic_factors(n_rules, latents.shape[1])
+    return centers, isotropic_factors(n_rules, centers.shape[1])
 
 
 def clusters_from_params(centers, factors):

@@ -12,10 +12,11 @@ cluster warm-up, dropout, shuffling; the baseline: init, shuffling), so
 identical seed/config/data reproduce identical checkpoints bit for bit.
 
 Evaluation and cluster warm-up windows are independent, so
-``score_split`` and ``warmup_latents`` run their chunks on the usable
+``score_split`` and the warm-up encode run their chunks on the usable
 cores at once, through one helper, ``_over_chunks``; every window's
 forecast or latent has the same bits as one thread running the chunks
-in turn.
+in turn.  The warm-up samples up to WARMUP_WINDOWS train windows but
+encodes only the C that seed the rule centers (``WarmupLatents``).
 """
 
 import contextvars
@@ -140,23 +141,50 @@ def _over_chunks(n, work) -> None:
         future.result()
 
 
-def warmup_latents(model: FuzzformerModel, dataset: WindowedDataset, rng):
-    """Latent vectors of up to WARMUP_WINDOWS training windows (for cluster
-    seeding), encoded in chunks on the usable cores.  Each row has the bits
-    of one batch of all the sampled windows (see EVAL_BATCH)."""
+class WarmupLatents:
+    """Read-only rows of the latents of sampled training windows.
+
+    ``len()`` counts the windows; ``latents[rows]`` (an index, a slice or
+    an index array) encodes only the windows it reads, with the model's
+    parameters at the time of the read, in chunks on the usable cores.
+    The windows are padded to a multiple of 16 by repeating them, so each
+    row has the bits of one batch of all the sampled windows (see
+    EVAL_BATCH).
+    """
+
+    def __init__(self, model: FuzzformerModel, dataset: WindowedDataset, origins):
+        self.model, self.dataset, self.origins = model, dataset, origins
+
+    def __len__(self):
+        return self.origins.size
+
+    def __getitem__(self, rows):
+        picks = self.origins[rows]
+        if picks.ndim == 0:
+            return self[[rows]][0]
+        padded = np.resize(picks, -(-picks.size // 16) * 16)
+        latents = np.empty((padded.size, self.model.config.latent_width))
+
+        def encode(chunk):
+            latents[chunk] = self.model.encode(self.dataset.batch(padded[chunk], history=1).x).z_latent.data
+
+        with ad.no_grad():
+            _over_chunks(padded.size, encode)
+        return latents[: picks.size]
+
+
+def warmup_latents(model: FuzzformerModel, dataset: WindowedDataset, rng) -> WarmupLatents:
+    """Latents of up to WARMUP_WINDOWS training windows, for cluster
+    seeding: more train windows than that are sampled, sorted, with one
+    draw from ``rng``.  Nothing is encoded until rows are read, and rows
+    are encoded with the model's parameters at the time they are read,
+    so :func:`fuzzy.init_clusters` encodes only the C windows it keeps."""
     origins = dataset.origins_for("train")
     if origins.size == 0:
         raise DataError("dataset has no training samples")
     if origins.size > WARMUP_WINDOWS:
         origins = np.sort(rng.choice(origins, size=WARMUP_WINDOWS, replace=False))
-    latents = np.empty((origins.size, model.config.latent_width))
-
-    def encode(rows):
-        latents[rows] = model.encode(dataset.batch(origins[rows], history=1).x).z_latent.data
-
-    with ad.no_grad():
-        _over_chunks(origins.size, encode)
-    return latents
+    return WarmupLatents(model, dataset, origins)
 
 
 def score_split(dataset, split, history, forecast) -> MetricsReport:

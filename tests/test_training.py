@@ -412,7 +412,7 @@ class TestWarmupLatents:
         model = FuzzformerModel(RunConfig(**TINY_TRAIN), np.random.default_rng(0))
         with ad.no_grad():
             every = model.encode(dataset.batch(dataset.origins_for("train"), history=1).x)
-        return every.z_latent.data, training.warmup_latents(model, dataset, np.random.default_rng(1))
+        return every.z_latent.data, training.warmup_latents(model, dataset, np.random.default_rng(1))[:]
 
     def test_more_than_256_origins_sample_256_sorted_distinct(self, tiny_dataset):
         assert tiny_dataset.origins_for("train").size > 256
@@ -450,11 +450,79 @@ class TestWarmupLatents:
             return encode(x, rng=rng)
 
         model.encode = spy
-        latents = training.warmup_latents(model, tiny_dataset, np.random.default_rng(1))
+        latents = training.warmup_latents(model, tiny_dataset, np.random.default_rng(1))[:]
         np.testing.assert_array_equal(latents, one_batch)
         assert len(threads) == len(chunk_sizes(256)) == 3
         on_caller = {threading.get_ident() == ident for ident in threads}
         assert on_caller == ({True} if cores == "one_core" else {False})
+
+
+    @pytest.mark.parametrize("n_rows", [1, 4, 5, 16, 17])
+    @pytest.mark.parametrize("width", [16, 128])
+    @pytest.mark.parametrize("n_points", [400, 260], ids=["over-256-origins", "182-origins"])
+    def test_rows_read_alone_have_the_bits_of_all_rows(self, n_rows, width, n_points):
+        # 16 and 128 are the desk and paper widths; 182 origins leave the
+        # last chunk of all rows 86 windows, not a multiple of 16
+        dataset = prepare_dataset(make_synthetic(n_points=n_points, seed=3), lookback=12, horizon=4)
+        model = FuzzformerModel(RunConfig(**{**TINY_TRAIN, "hidden_width": width}), np.random.default_rng(0))
+        latents = training.warmup_latents(model, dataset, np.random.default_rng(1))
+        assert len(latents) == min(dataset.origins_for("train").size, training.WARMUP_WINDOWS)
+        rows = np.random.default_rng(n_rows).choice(len(latents), size=n_rows, replace=False)
+        np.testing.assert_array_equal(latents[rows], latents[:][rows])
+        np.testing.assert_array_equal(latents[int(rows[0])], latents[:][rows[0]])
+
+    @pytest.mark.parametrize("rules", [2, 16, 17])
+    def test_cluster_seeding_encodes_the_picked_windows_once_on_the_caller(
+        self, four_cores, tiny_dataset, rules
+    ):
+        model = FuzzformerModel(RunConfig(**{**TINY_TRAIN, "rules": rules}), np.random.default_rng(0))
+        calls = []
+        encode = model.encode
+
+        def spy(x, rng=None):
+            calls.append((threading.get_ident(), x.shape[0]))
+            return encode(x, rng=rng)
+
+        model.encode = spy
+        latents = training.warmup_latents(model, tiny_dataset, np.random.default_rng(1))
+        assert calls == []  # nothing is encoded before rows are read
+        model.initialize_clusters(latents, np.random.default_rng(1))
+        assert calls == [(threading.get_ident(), -(-rules // 16) * 16)]
+
+    @pytest.mark.parametrize("n_points, rules", [(400, 2), (400, 16), (200, 300)], ids=["c2", "c16", "replace"])
+    def test_seeding_draws_the_origins_then_the_picks(self, n_points, rules):
+        # the draws of encoding all sampled windows before picking C of them
+        dataset = prepare_dataset(make_synthetic(n_points=n_points, seed=3), lookback=12, horizon=4)
+        model = FuzzformerModel(RunConfig(**{**TINY_TRAIN, "rules": rules}), np.random.default_rng(0))
+        rng = np.random.default_rng(5)
+        model.initialize_clusters(training.warmup_latents(model, dataset, rng), rng)
+
+        expected = np.random.default_rng(5)
+        origins = dataset.origins_for("train")
+        if origins.size > training.WARMUP_WINDOWS:
+            origins = np.sort(expected.choice(origins, size=training.WARMUP_WINDOWS, replace=False))
+        replace = origins.size < rules
+        pick = expected.choice(origins.size, size=rules, replace=replace)
+        with ad.no_grad():
+            centers = model.encode(dataset.batch(origins, history=1).x).z_latent.data[pick]
+        if replace:
+            centers = centers + expected.normal(scale=1e-3, size=centers.shape)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        np.testing.assert_allclose(model.centers.data, centers, rtol=0, atol=1e-12)
+
+    def test_train_encodes_no_more_than_the_picks_and_the_valid_split(self, tiny_dataset, tmp_path, monkeypatch):
+        # a work-count guard: an eager warm-up encode would fail here
+        encoded = []
+        encode = FuzzformerModel.encode
+
+        def counting(self, x, rng=None):
+            encoded.append(x.shape[0])
+            return encode(self, x, rng=rng)
+
+        monkeypatch.setattr(FuzzformerModel, "encode", counting)
+        train(RunConfig(**{**TINY_TRAIN, "epochs": 0}), tiny_dataset, tmp_path / "run", log=quiet)
+        picks = -(-TINY_TRAIN["rules"] // 16) * 16
+        assert sum(encoded) <= picks + tiny_dataset.origins_for("valid").size
 
 
 class TestEvaluate:
