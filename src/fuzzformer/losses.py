@@ -4,8 +4,10 @@ Four terms: forecast MSE (winner-takes-all during training), the fuzzy
 C-means clustering loss shaping the latent space, an overlap penalty of
 inverse Bhattacharyya distances keeping clusters apart, and a balance
 term (KL of the mean assignment from uniform, natural log) preventing
-cluster collapse.  MSE follows the batch-sum convention; logs report it
-per sample.
+cluster collapse.  MSE follows the batch-sum convention: it sums squared
+errors over the batch's windows and horizon steps.  ``losses.csv`` and
+the ``training.fit`` log hold each term's mean over the epoch's batches,
+so their ``mse`` is that batch sum, not a per-sample mean.
 """
 
 from . import autodiff as ad

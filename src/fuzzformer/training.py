@@ -144,8 +144,8 @@ def _over_chunks(n, work) -> None:
 class WarmupLatents:
     """Read-only rows of the latents of sampled training windows.
 
-    ``len()`` counts the windows; ``latents[rows]`` (an index, a slice or
-    an index array) encodes only the windows it reads, with the model's
+    ``len()`` counts the windows; ``latents[rows]`` (a slice or an index
+    array) encodes only the windows it reads, with the model's
     parameters at the time of the read, in chunks on the usable cores.
     The windows are padded to a multiple of 16 by repeating them, so each
     row has the bits of one batch of all the sampled windows (see
@@ -160,8 +160,6 @@ class WarmupLatents:
 
     def __getitem__(self, rows):
         picks = self.origins[rows]
-        if picks.ndim == 0:
-            return self[[rows]][0]
         padded = np.resize(picks, -(-picks.size // 16) * 16)
         latents = np.empty((padded.size, self.model.config.latent_width))
 

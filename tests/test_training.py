@@ -456,7 +456,6 @@ class TestWarmupLatents:
         on_caller = {threading.get_ident() == ident for ident in threads}
         assert on_caller == ({True} if cores == "one_core" else {False})
 
-
     @pytest.mark.parametrize("n_rows", [1, 4, 5, 16, 17])
     @pytest.mark.parametrize("width", [16, 128])
     @pytest.mark.parametrize("n_points", [400, 260], ids=["over-256-origins", "182-origins"])
@@ -469,7 +468,6 @@ class TestWarmupLatents:
         assert len(latents) == min(dataset.origins_for("train").size, training.WARMUP_WINDOWS)
         rows = np.random.default_rng(n_rows).choice(len(latents), size=n_rows, replace=False)
         np.testing.assert_array_equal(latents[rows], latents[:][rows])
-        np.testing.assert_array_equal(latents[int(rows[0])], latents[:][rows[0]])
 
     @pytest.mark.parametrize("rules", [2, 16, 17])
     def test_cluster_seeding_encodes_the_picked_windows_once_on_the_caller(
