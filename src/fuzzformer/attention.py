@@ -87,21 +87,29 @@ class MultiHeadAttention:
         self.w_v = params.new("w_v", (d_in, hd), d_in)
         self.w_o = params.new("w_o", (n_heads * hd, d_in), n_heads * hd)
 
-    def __call__(self, s):
-        """s: (..., N, D_in) -> ((..., N, D_in), per-head weight tensors)."""
+    def __call__(self, s, maps=False):
+        """s: (..., N, D_in) -> ((..., N, D_in), per-head weight tensors).
+
+        The weight list is empty unless ``maps`` asks for it.  Outside a
+        recorded graph nothing outlives its use: a head's (..., N, N) map
+        is freed with the head, before the next head makes its own, and
+        the head outputs once they are concatenated.
+        """
         s = ad.astensor(s)
         if s.data.shape[-1] != self.d_in:
             raise ShapeError(
                 f"multi_head: expected feature width {self.d_in}, got {s.data.shape[-1]}"
             )
         v = ad.matmul(s, self.w_v)
-        heads = []
         weights = []
-        for h in range(self.n_heads):
+
+        def head(h):
             out, w = scaled_dot_attention(
                 ad.matmul(s, self.w_q[h]), ad.matmul(s, self.w_k[h]), v
             )
-            heads.append(out)
-            weights.append(w)
-        merged = ad.matmul(ad.concat(heads, axis=-1), self.w_o)
+            if maps:
+                weights.append(w)
+            return out
+
+        merged = ad.matmul(ad.concat([head(h) for h in range(self.n_heads)], axis=-1), self.w_o)
         return merged, weights

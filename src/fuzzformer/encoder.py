@@ -27,6 +27,10 @@ def lstm_scan(x, wx, wh, b):
 
     x: (B, N, D_in) tensor -> (B, N, D_h).  Forward and backward run in
     the fused kernel (time-major internally); the graph sees one node.
+    This is the one caller of the kernel, and it decides what the kernel
+    keeps: the gate and cell caches only while gradients are recorded
+    (outside ``ad.no_grad``), since only the backward pass reads them,
+    and no input adjoint when ``x`` needs no gradient.
     """
     x, wx, wh, b = ad.astensor(x), ad.astensor(wx), ad.astensor(wh), ad.astensor(b)
     if x.data.ndim != 3 or x.data.shape[-1] != wx.data.shape[0]:
@@ -42,14 +46,16 @@ def lstm_scan(x, wx, wh, b):
             f"lstm_scan: bias {b.data.shape} does not match gate width {wx.data.shape[1]}"
         )
     xt = np.ascontiguousarray(np.swapaxes(x.data, 0, 1))
-    h_all, gates, c_all = lstm_kernels.lstm_forward(xt, wx.data, wh.data, b.data)
+    h_all, gates, c_all = lstm_kernels.lstm_forward(
+        xt, wx.data, wh.data, b.data, cache=ad.grad_enabled()
+    )
 
     def vjp(g):
         gt = np.ascontiguousarray(np.swapaxes(g, 0, 1))
         dx, dwx, dwh, db = lstm_kernels.lstm_backward(
-            xt, wx.data, wh.data, gt, h_all, gates, c_all
+            xt, wx.data, wh.data, gt, h_all, gates, c_all, input_grad=x.requires_grad
         )
-        return np.swapaxes(dx, 0, 1), dwx, dwh, db
+        return None if dx is None else np.swapaxes(dx, 0, 1), dwx, dwh, db
 
     return ad.custom_op("lstm_scan", np.swapaxes(h_all, 0, 1), (x, wx, wh, b), vjp)
 
@@ -89,7 +95,13 @@ class EncoderOutput:
 
 
 class Encoder:
-    """LSTM stack + attention stack + the z/u dense heads of a ``RunConfig``."""
+    """LSTM stack + attention stack + the z/u dense heads of a ``RunConfig``.
+
+    A forward pass under ``ad.no_grad`` (prediction, evaluation, cluster
+    warm-up, the forecast bundle) holds only what its outputs need: the
+    LSTM layers keep no gradient caches, and the attention maps are kept
+    only when the caller asks for them.
+    """
 
     def __init__(self, config, params):
         self.config = config
@@ -105,8 +117,12 @@ class Encoder:
         self.z_head = Dense(d_h, config.latent_width, params.scope("z_head"), activation="tanh")
         self.u_head = Dense(d_h, config.horizon, params.scope("u_head"))
 
-    def __call__(self, x, rng=None) -> EncoderOutput:
-        """x: (B, N, D_X) tensor of scaled windows; ``rng`` draws dropout masks (None: none)."""
+    def __call__(self, x, rng=None, attention_maps=False) -> EncoderOutput:
+        """x: (B, N, D_X) tensor of scaled windows; ``rng`` draws dropout masks (None: none).
+
+        ``attention_weights`` holds every head's (B, N, N) map only when
+        ``attention_maps`` asks for them, and is empty otherwise.
+        """
         cfg = self.config
         x = ad.astensor(x)
         if x.data.ndim != 3 or x.data.shape[-1] != cfg.channels:
@@ -119,9 +135,11 @@ class Encoder:
             h = ad.dropout(h, cfg.dropout_rate, rng)
         all_weights = []
         for mha in self.mha_layers:
-            m, weights = mha(h)
+            m, weights = mha(h, maps=attention_maps)
             h = ad.add(h, m)
-            all_weights.append(weights)
+            del m  # outside a recorded graph, free it before the next block runs
+            if attention_maps:
+                all_weights.append(weights)
         pooled = ad.tmean(h, axis=1)
         return EncoderOutput(
             z_latent=self.z_head(pooled),

@@ -6,26 +6,40 @@ This is the hottest loop in training and serving.  Arrays are time-major
 matrices is input, forget, candidate, output (i, f, g, o), as in the
 checkpoints and the single-step oracle ``tests/lstm_oracle.py``.
 
-Forward.  The input-side contribution and the bias are hoisted into one
-GEMM before the time loop (``ax = x @ wx + b``), so each step runs only
-the recurrent GEMM into a reused ``(B, 4*D_h)`` buffer ``pre`` and adds
-``ax[t]`` to it; ``h_0 = 0`` spares the first step's GEMM.  The
-post-activation gates go into one cache ``gates`` of shape
-``(N, 4, B, D_h)``: ``gates[t, k]`` is gate k of step t, a contiguous
-``(B, D_h)`` block.  ``gates`` is ``ax``'s own buffer: step t has read
-``ax[t]`` into ``pre`` before it writes ``gates[t]`` over the same bytes,
-so the cache costs no memory beyond the projection.  Each nonlinearity
-reads its column slice of ``pre`` once and writes its block; the rest of
-the sigmoid (``exp``, ``+1``, ``reciprocal``) then runs in place on the
-contiguous (i, f) pair and on the o block, and c and h are written into
-``c_all``/``h_all`` with ``out=``.
+Forward.  The input-side contribution and the bias are hoisted out of
+the recurrence: one GEMM per block of time steps (:func:`block_steps`)
+computes ``ax = x @ wx + b`` for the block, so each step runs only the
+recurrent GEMM into a reused ``(B, 4*D_h)`` buffer ``pre`` and adds
+``ax[t]`` to it; ``h_0 = 0`` spares the first step's GEMM.  The post-activation gates
+of step t go into ``gates[t]``, a ``(4, B, D_h)`` array whose block k is
+gate k, over the bytes of ``ax[t]``: step t has read ``ax[t]`` into
+``pre`` before it writes its gates, so they cost no memory beyond the
+projection.  Each nonlinearity reads its column slice of ``pre`` once
+and writes its block; the rest of the sigmoid (``exp``, ``+1``,
+``reciprocal``) then runs in place on the contiguous (i, f) pair and on
+the o block, and c and h are written with ``out=``.
+
+Where the blocks go depends on whether a backward pass will follow.
+With ``cache=True`` each block is its slice of the full ``(N, 4, B,
+D_h)`` gate cache and c goes into ``c_all``, both kept for
+:func:`lstm_backward`.  With ``cache=False`` (forward-only runs) every
+block reuses one buffer of a block's gates and c cycles through two
+slots, so for blocks of S steps a layer holds only ``h_all`` beyond a
+fixed ``(4 * S + 2) * B * D_h`` floats.  At the paper shape (N=60,
+D_h=128) and 256 windows (S=16) that is 17 MB where the caches take
+79 MB.  The outputs are the same bits either way, and the same as with
+one GEMM over all N steps: a block's rows are a multiple of 16, which
+keeps OpenBLAS's 16-row blocks aligned, so every block GEMM gives the
+bits of the matching rows of the whole-window GEMM.
 
 Backward.  Each step builds the four gate adjoints in a contiguous
 ``(4, B, D_h)`` scratch and copies them once into the row-major
 ``(N, B, 4*D_h)`` pre-activation adjoint ``dA``.  ``dh`` for the step
 before is one GEMM against ``wh.T`` with ``out=``; ``dwh`` is a single
 GEMM after the loop (``h_all[:-1]`` against ``dA[1:]``) rather than one
-per step, and ``dx``, ``dwx``, ``db`` come from ``dA`` as a whole.
+per step, and ``dwx``, ``db`` and, unless the input needs no gradient
+(the first layer, whose input is the data window), ``dx`` come from
+``dA`` as a whole.
 
 Why each gate block must be contiguous: at D_h=16 an elementwise op on
 a column slice of a ``(B, 4*D_h)`` buffer loops once per row, so keeping
@@ -39,52 +53,74 @@ costs 24 ms per layer; paper-shape evaluation lost 14% that way.
 
 import numpy as np
 
+BLOCK_ROWS = 1024  # least rows per input-projection GEMM, where the window has them
 
-def lstm_forward(x, wx, wh, b):
+
+def block_steps(B):
+    """Time steps per input-projection GEMM for a batch of B windows.
+
+    A multiple of 16, so a block's rows keep OpenBLAS's 16-row blocks
+    aligned, and at least BLOCK_ROWS rows: each GEMM packs all of ``wx``,
+    and at B=1 four 16-row GEMMs instead of one made a paper-shape
+    forecast about 3% slower.  From B=64 on it is 16 steps.
+    """
+    return 16 * -(-BLOCK_ROWS // (16 * B))
+
+
+def lstm_forward(x, wx, wh, b, *, cache=True):
     """Scan one LSTM layer over a window.
 
     x: (N, B, D_in); wx: (D_in, 4*D_h); wh: (D_h, 4*D_h); b: (4*D_h,).
     Returns (h_all, gates, c_all): h_all and c_all are (N, B, D_h),
     gates is (N, 4, B, D_h) with the post-activation i, f, g, o blocks;
-    the gate and cell caches feed the backward pass.
+    the gate and cell caches feed the backward pass.  ``cache=False``
+    keeps neither: gates and c_all are None, and h_all has the same bits.
     """
     N, B, d_in = x.shape
     Dh = wh.shape[0]
-    # the outputs before the projection: in the other order glibc's heap
-    # fragmented and paper-shape serving peaked ~4 MB higher
     h_all = np.empty((N, B, Dh))
-    c_all = np.empty((N, B, Dh))
-    ax = np.dot(x.reshape(N * B, d_in), wx)
-    ax += b
-    gates = ax.reshape(N, 4, B, Dh)
-    ax = ax.reshape(N, B, 4 * Dh)
+    per_block = block_steps(B)
+    if cache:
+        gates = np.empty((N, 4, B, Dh))
+        c_all = cells = np.empty((N, B, Dh))
+    else:
+        block = np.empty((min(N, per_block), 4, B, Dh))
+        gates = c_all = None
+        cells = np.empty((2, B, Dh))  # step t writes slot t % 2
     pre = np.empty((B, 4 * Dh))
     pre_blocks = _gate_view(pre)
     pre_if, pre_g, pre_o = pre_blocks[:2], pre_blocks[2], pre_blocks[3]
     fc = np.empty((B, Dh))
     h_prev = c_prev = None
-    for ax_t, g_t, c, h in zip(ax, gates, c_all, h_all):
-        if h_prev is None:
-            np.copyto(pre, ax_t)  # h_0 = 0
-        else:
-            np.dot(h_prev, wh, out=pre)
-            pre += ax_t
-        i, f, g, o = g_t
-        sig_if = g_t[:2]
-        np.negative(pre_if, out=sig_if)
-        np.negative(pre_o, out=o)
-        np.tanh(pre_g, out=g)
-        for s in (sig_if, o):
-            np.exp(s, out=s)
-            s += 1.0
-            np.reciprocal(s, out=s)
-        np.multiply(i, g, out=c)
-        if c_prev is not None:
-            np.multiply(f, c_prev, out=fc)
-            c += fc
-        np.tanh(c, out=h)
-        h *= o
-        h_prev, c_prev = h, c
+    for start in range(0, N, per_block):
+        steps = range(start, min(start + per_block, N))
+        g_block = gates[start : steps.stop] if cache else block[: len(steps)]
+        ax = g_block.reshape(len(steps) * B, 4 * Dh)
+        np.dot(x[start : steps.stop].reshape(len(steps) * B, d_in), wx, out=ax)
+        ax += b
+        for t, ax_t, g_t in zip(steps, ax.reshape(len(steps), B, 4 * Dh), g_block):
+            c, h = cells[t % len(cells)], h_all[t]
+            if h_prev is None:
+                np.copyto(pre, ax_t)  # h_0 = 0
+            else:
+                np.dot(h_prev, wh, out=pre)
+                pre += ax_t
+            i, f, g, o = g_t
+            sig_if = g_t[:2]
+            np.negative(pre_if, out=sig_if)
+            np.negative(pre_o, out=o)
+            np.tanh(pre_g, out=g)
+            for s in (sig_if, o):
+                np.exp(s, out=s)
+                s += 1.0
+                np.reciprocal(s, out=s)
+            np.multiply(i, g, out=c)
+            if c_prev is not None:
+                np.multiply(f, c_prev, out=fc)
+                c += fc
+            np.tanh(c, out=h)
+            h *= o
+            h_prev, c_prev = h, c
     return h_all, gates, c_all
 
 
@@ -94,11 +130,12 @@ def _gate_view(a):
     return a.reshape(B, 4, width // 4).transpose(1, 0, 2)
 
 
-def lstm_backward(x, wx, wh, dh_out, h_all, gates, c_all):
+def lstm_backward(x, wx, wh, dh_out, h_all, gates, c_all, *, input_grad=True):
     """Adjoints of the scan given dL/dh at every step.
 
-    Returns (dx, dwx, dwh, db) matching the forward argument shapes.
-    Reads but never writes its arguments.
+    Returns (dx, dwx, dwh, db) matching the forward argument shapes; dx
+    is None when ``input_grad`` is false.  Reads but never writes its
+    arguments.
     """
     N, B, d_in = x.shape
     Dh = wh.shape[0]
@@ -145,7 +182,7 @@ def lstm_backward(x, wx, wh, dh_out, h_all, gates, c_all):
             np.dot(dA[t], whT, out=dh_next)
     dA2 = dA.reshape(N * B, 4 * Dh)
     dwh = np.dot(h_all[:-1].reshape((N - 1) * B, Dh).T, dA[1:].reshape((N - 1) * B, 4 * Dh))
-    dx = np.dot(dA2, wx.T).reshape(N, B, d_in)
+    dx = np.dot(dA2, wx.T).reshape(N, B, d_in) if input_grad else None
     dwx = np.dot(x.reshape(N * B, d_in).T, dA2)
     db = np.sum(dA2, axis=0)
     return dx, dwx, dwh, db

@@ -98,8 +98,8 @@ class FuzzformerModel:
             raise ShapeError(f"y_history holds {y_history.shape[0]} windows, x holds {batch}")
         return y_history
 
-    def encode(self, x, rng=None) -> EncoderOutput:
-        return self.encoder(ad.astensor(self._check_window(x)), rng=rng)
+    def encode(self, x, rng=None, attention_maps=False) -> EncoderOutput:
+        return self.encoder(ad.astensor(self._check_window(x)), rng=rng, attention_maps=attention_maps)
 
     def fuzzy_head(self, z_latent):
         """Graph memberships of a latent batch against the rule bank."""
@@ -129,10 +129,18 @@ class FuzzformerModel:
             ),
         )
 
-    def evaluation_forward(self, x, y_history) -> EvaluationForward:
+    def evaluation_forward(self, x, y_history, attention_maps=False) -> EvaluationForward:
+        """Membership-blended forecasts of a batch, with the rule forecasts,
+        memberships and encoder products they came from.
+
+        The encoder output keeps the attention maps only when
+        ``attention_maps`` asks for them (the forecast bundle does).
+        Under ``ad.no_grad`` nothing else the forecast does not need is
+        kept either: the LSTM layers hold no gradient caches.
+        """
         x = self._check_window(x)
         y_history = self._check_history(y_history, x.shape[0])
-        enc = self.encode(x)
+        enc = self.encode(x, attention_maps=attention_maps)
         _cov, psi, _diffs = self.fuzzy_head(enc.z_latent)
         rule_preds = arix_mod.all_rules_forecast_graph(
             y_history, enc.u_latent, self.arix_a, self.arix_b,
@@ -148,6 +156,8 @@ class FuzzformerModel:
         )
 
     def predict(self, x, y_history) -> np.ndarray:
-        """Aggregate forecasts as plain arrays (no graph kept)."""
+        """Aggregate forecasts as plain arrays: a forward pass under
+        ``ad.no_grad``, which keeps no graph, no LSTM gradient caches and
+        no attention maps."""
         with ad.no_grad():
             return self.evaluation_forward(x, y_history).aggregate_forecast.data

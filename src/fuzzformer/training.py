@@ -374,7 +374,7 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
     x = scaled[None, :, :]
     y_hist = scaled[None, -cfg.history :, 0]
     with ad.no_grad():
-        ev = model.evaluation_forward(x, y_hist)
+        ev = model.evaluation_forward(x, y_hist, attention_maps=True)
         cov = fuzzy.covariances_graph(model.factors)
         distance = bhattacharyya(model.centers, cov)
     agg_scaled = ev.aggregate_forecast.data[0]

@@ -30,7 +30,7 @@ def write_bundle_csvs(model, scaler, matrix, out_dir):
     hist = cfg.ar_order + cfg.integration_order
     y_hist = scaled[None, -hist:, 0]
     with ad.no_grad():
-        ev = model.evaluation_forward(x, y_hist)
+        ev = model.evaluation_forward(x, y_hist, attention_maps=True)
     agg_scaled = ev.aggregate_forecast.data[0]
     agg = scaler.inverse(agg_scaled, channel=0)
     psi = ev.memberships.data[0]

@@ -152,7 +152,7 @@ class TestMultiHead:
     def test_output_shape(self):
         rng = np.random.default_rng(7)
         mha = MultiHeadAttention(d_in=8, n_heads=4, params=ad.Parameters(rng))
-        out, weights = mha(Tensor(rng.normal(size=(7, 8))))
+        out, weights = mha(Tensor(rng.normal(size=(7, 8))), maps=True)
         assert out.data.shape == (7, 8)
         assert len(weights) == 4 and weights[0].data.shape == (7, 7)
 

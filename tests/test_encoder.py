@@ -8,6 +8,7 @@ from fuzzformer.autodiff import Tensor, parameter
 from fuzzformer.config import RunConfig
 from fuzzformer.encoder import Dense, Encoder, LstmLayer, lstm_scan
 from fuzzformer.exceptions import ShapeError
+from fuzzformer.kernels import lstm as lstm_kernels
 
 from gradcheck import check_gradients
 from lstm_oracle import lstm_step
@@ -88,6 +89,45 @@ class TestLstmScan:
             return ad.tsum(ad.mul(ad.tanh(out), mixer))
 
         check_gradients(build, [x, wx, wh, b])
+
+    def test_data_input_gets_no_adjoint(self, monkeypatch):
+        # the first layer's input is the data window: its dx is never read
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(3, 9, 2))
+        weights = [rng.normal(size=(2, 12)) * 0.5, rng.normal(size=(3, 12)) * 0.5, rng.normal(size=12)]
+        kinds = []
+        backward = lstm_kernels.lstm_backward
+
+        def spy(*args, **kwargs):
+            grads = backward(*args, **kwargs)
+            kinds.append(grads[0] is None)
+            return grads
+
+        monkeypatch.setattr(lstm_kernels, "lstm_backward", spy)
+        grads = []
+        for inp in (Tensor(x), parameter(x)):
+            params = [parameter(w) for w in weights]
+            ad.backward(ad.tsum(ad.tanh(lstm_scan(inp, *params))))
+            grads.append([p.grad for p in params])
+        assert kinds == [True, False]
+        for plain, tracked in zip(*grads):
+            assert np.array_equal(plain, tracked)
+
+    def test_caches_only_while_recording(self, monkeypatch):
+        kept = []
+        forward = lstm_kernels.lstm_forward
+
+        def spy(*args, **kwargs):
+            kept.append(kwargs["cache"])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(lstm_kernels, "lstm_forward", spy)
+        wx, wh, b = (parameter(w) for w in _zero_weights(2, 3))
+        x = Tensor(np.ones((2, 4, 2)))
+        lstm_scan(x, wx, wh, b)
+        with ad.no_grad():
+            lstm_scan(x, wx, wh, b)
+        assert kept == [True, False]
 
     @pytest.mark.parametrize("shape", [(1,), (3,), (2, 8)])
     def test_bias_shape_mismatch_raises(self, shape):
@@ -170,7 +210,7 @@ class TestEncoder:
 
     def test_sequence_features_shape(self):
         enc = self._encoder(ad.Parameters(np.random.default_rng(17)))
-        out = enc(Tensor(np.random.default_rng(18).uniform(size=(3, 6, 2))))
+        out = enc(Tensor(np.random.default_rng(18).uniform(size=(3, 6, 2))), attention_maps=True)
         assert out.z_latent.data.shape == (3, 2) and out.u_latent.data.shape == (3, 3)
         assert len(out.attention_weights) == 2
         assert out.attention_weights[0][0].data.shape == (3, 6, 6)

@@ -38,6 +38,10 @@ with the standard library:
   and calls ``train_step``.  So both learned models train through one
   epoch loop, with one shuffle, one failure report and one best-epoch
   rule.
+* one function of src/fuzzformer/, ``encoder.lstm_scan``, calls the
+  LSTM kernels ``lstm_forward`` and ``lstm_backward`` (the latter from
+  its ``vjp``).  So one place decides, from the autodiff mode, whether a
+  forward pass keeps the gate and cell caches.
 """
 
 import ast
@@ -311,8 +315,9 @@ def test_checker_flags_global_statements():
 
 
 def callers(source: str, callee: str):
-    """(line, innermost enclosing function or None) of each call of
-    ``callee`` in a module, by name or attribute."""
+    """(line, enclosing function or None) of each call of ``callee`` in a
+    module, by name or attribute.  A nested function is named by its
+    dotted path from the outermost one (``outer.inner``)."""
     found = []
 
     def visit(node, function):
@@ -321,8 +326,10 @@ def callers(source: str, callee: str):
                 getattr(child.func, "id", None), getattr(child.func, "attr", None)
             ):
                 found.append((child.lineno, function))
-            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if inner else function)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name if function is None else f"{function}.{child.name}")
+            else:
+                visit(child, function)
 
     visit(ast.parse(source), None)
     return found
@@ -346,6 +353,11 @@ def test_one_function_runs_every_training_loop(callee):
     assert src_callers(callee) == [("training.py", "fit")]
 
 
+@pytest.mark.parametrize("callee,function", [("lstm_forward", "lstm_scan"), ("lstm_backward", "lstm_scan.vjp")])
+def test_one_function_decides_the_lstm_caches(callee, function):
+    assert src_callers(callee) == [("encoder.py", function)]
+
+
 def test_checker_finds_thread_pool_builders():
     source = (
         "import concurrent.futures as cf\nfrom concurrent.futures import ThreadPoolExecutor\n"
@@ -354,7 +366,7 @@ def test_checker_finds_thread_pool_builders():
         "    def inner():\n        return cf.ThreadPoolExecutor()\n"
         "class A:\n    def go(self):\n        return self.pool.submit(ThreadPoolExecutor)\n"
     )
-    assert callers(source, "ThreadPoolExecutor") == [(3, None), (5, "run"), (8, "inner")]
+    assert callers(source, "ThreadPoolExecutor") == [(3, None), (5, "run"), (8, "run.inner")]
     source = (
         "from fuzzformer import autodiff as ad\nfrom fuzzformer.autodiff import Adam, train_step\n"
         "def fit(params, step):\n    opt = Adam(params)\n    return ad.train_step(opt, step, None, '')\n"
@@ -363,7 +375,7 @@ def test_checker_finds_thread_pool_builders():
         "class Adamish:\n    def train_step(self):\n        return Adam\n"
     )
     assert callers(source, "Adam") == [(4, "fit"), (7, "train")]
-    assert callers(source, "train_step") == [(5, "fit"), (9, "epoch")]
+    assert callers(source, "train_step") == [(5, "fit"), (9, "train.epoch")]
 
 
 def test_every_config_field_is_read():

@@ -53,6 +53,38 @@ class TestLstmKernels:
         for before, after in zip(kept + cached, list(args) + [dh_out] + list(caches)):
             assert np.array_equal(before, after)
 
+    @pytest.mark.parametrize("d_h", [16, 128])
+    @pytest.mark.parametrize("d_in", [3, 16, 128])
+    @pytest.mark.parametrize("B", [1, 7, 31, 44, 64, 96, 256])
+    def test_cache_free_forward_has_the_caching_bits(self, B, d_in, d_h):
+        # N=60 (the paper's look-back): one block up to B=7, two at B=31
+        # and 44, three full blocks and a short one from B=64 on
+        rng = np.random.default_rng(B * 1000 + d_in * 10 + d_h)
+        x, wx, wh, b = _lstm_inputs(rng, N=60, B=B, d_in=d_in, d_h=d_h)
+        h, gates, c_all = lk.lstm_forward(x, wx, wh, b, cache=True)
+        h_free, no_gates, no_cells = lk.lstm_forward(x, wx, wh, b, cache=False)
+        assert no_gates is None and no_cells is None
+        assert gates.shape == (60, 4, B, d_h) and c_all.shape == (60, B, d_h)
+        assert np.array_equal(h, h_free)
+        # the block GEMMs give the bits of one GEMM over every step, so the
+        # blocked projection leaves the outputs of the whole-window one
+        full = np.dot(x.reshape(60 * B, d_in), wx).reshape(60, B, -1)
+        steps = lk.block_steps(B)
+        for start in range(0, 60, steps):
+            block = np.dot(x[start : start + steps].reshape(-1, d_in), wx)
+            assert np.array_equal(block, full[start : start + steps].reshape(-1, 4 * d_h))
+
+    def test_backward_without_input_gradient_keeps_weight_bits(self):
+        rng = np.random.default_rng(5)
+        args = _lstm_inputs(rng, N=20, B=7, d_in=3, d_h=6)
+        dh_out = rng.normal(size=(20, 7, 6))
+        caches = lk.lstm_forward(*args)
+        dx, *weights = lk.lstm_backward(*args[:3], dh_out, *caches)
+        no_dx, *same = lk.lstm_backward(*args[:3], dh_out, *caches, input_grad=False)
+        assert no_dx is None and dx.shape == (20, 7, 3)
+        for a, b in zip(weights, same):
+            assert np.array_equal(a, b)
+
     def test_forward_deterministic(self):
         rng = np.random.default_rng(3)
         x, wx, wh, b = _lstm_inputs(rng)

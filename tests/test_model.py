@@ -1,14 +1,16 @@
 """Tests for the assembled model: routing, loss composition, gradients."""
 
 import gc
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from fuzzformer import autodiff as ad
+from fuzzformer import training
 from fuzzformer.config import RunConfig
-from fuzzformer.data import Batch
+from fuzzformer.data import Batch, make_synthetic, prepare_dataset
 from fuzzformer.exceptions import NonFiniteError, ShapeError
 from fuzzformer.losses import composite_loss, overlap_loss
 from fuzzformer.model import FuzzformerModel
@@ -224,3 +226,57 @@ class TestGraphLifetime:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def traced_peak(fn):
+    """Bytes ``fn()`` holds at its peak beyond what was live before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestInferenceMemory:
+    def test_no_grad_forward_holds_less_than_one_gate_cache(self):
+        # the paper shape (D_h=128, N=60) on one 96-window evaluation chunk;
+        # a forward that allocated the LSTM gate cache would hold at least
+        # that much (the parent's peak was 53 MB, the cache alone is 23.6 MB)
+        cfg = RunConfig()
+        model = FuzzformerModel(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.uniform(size=(training.EVAL_BATCH, cfg.lookback, cfg.channels))
+        y_history = rng.uniform(size=(training.EVAL_BATCH, cfg.history))
+        gate_cache = x.shape[0] * cfg.lookback * 4 * cfg.hidden_width * 8
+        with ad.no_grad():
+            peak = traced_peak(lambda: model.evaluation_forward(x, y_history))
+        assert peak < gate_cache
+
+    def test_forward_only_paths_keep_no_attention_maps(self):
+        model = tiny_model(seed=3, channels=3)
+        dataset = prepare_dataset(make_synthetic(n_points=200, seed=3), lookback=6, horizon=3)
+        maps = []
+        encoder = model.encoder
+
+        def spy(*args, **kwargs):
+            out = encoder(*args, **kwargs)
+            maps.append(out.attention_weights)
+            return out
+
+        model.encoder = spy
+        batch = dataset.batch(dataset.origins_for("test")[:5], history=model.config.history)
+        model.predict(batch.x, batch.y_history)
+        training.evaluate_split(model, dataset, "test")
+        with ad.no_grad():
+            model.evaluation_forward(batch.x, batch.y_history)
+        assert maps == [[], [], []]
+        with ad.no_grad():
+            asked = model.evaluation_forward(batch.x, batch.y_history, attention_maps=True)
+        layer = asked.encoder_output.attention_weights
+        assert len(layer) == 1 and [w.data.shape for w in layer[0]] == [(5, 6, 6)] * 2

@@ -513,9 +513,9 @@ class TestWarmupLatents:
         encoded = []
         encode = FuzzformerModel.encode
 
-        def counting(self, x, rng=None):
+        def counting(self, x, **kwargs):
             encoded.append(x.shape[0])
-            return encode(self, x, rng=rng)
+            return encode(self, x, **kwargs)
 
         monkeypatch.setattr(FuzzformerModel, "encode", counting)
         train(RunConfig(**{**TINY_TRAIN, "epochs": 0}), tiny_dataset, tmp_path / "run", log=quiet)
@@ -716,6 +716,10 @@ class TestForecastBundle:
             for name in bundle_oracle.CSV_NAMES:
                 got = (tmp_path / "bundle" / name).read_bytes()
                 assert got == (tmp_path / "oracle" / name).read_bytes(), name
+            # the bundle is the caller that asks for attention maps: one row
+            # per layer, head, query and key under the header
+            rows = (tmp_path / "bundle" / "attention_weights.csv").read_bytes().count(b"\n")
+            assert rows == 1 + cfg.mha_layers * cfg.attention_heads * cfg.lookback**2
 
     def test_window_too_short(self, tmp_path):
         ds = prepare_dataset(make_synthetic(n_points=400, seed=3), lookback=12, horizon=4)
