@@ -153,10 +153,15 @@ def _fused_forecast(seed, level, u, a, b, d, horizon, rules):
         for n in range(q):
             term = b.data[..., n : n + 1] * u_lag[n]
             exog = term if exog is None else exog + term
+        terms = np.empty(rows + (p,))
         for j in range(horizon):
             # the p newest values, newest first, to line up with a_1..a_p
-            ar = np.sum(w[..., j : j + p][..., ::-1] * a.data, axis=-1)
-            w[..., p + j] = -ar if exog is None else exog[..., j] - ar
+            np.multiply(w[..., j : j + p][..., ::-1], a.data, out=terms)
+            w_j = np.add.reduce(terms, axis=-1, out=w[..., p + j])
+            if exog is None:
+                np.negative(w_j, out=w_j)
+            else:
+                np.subtract(exog[..., j], w_j, out=w_j)
         out = w[..., p:].copy()
         if d == 1:
             out[..., 0] += level  # y_1 = y_0 + w_1, then a running sum
@@ -172,8 +177,11 @@ def _fused_forecast(seed, level, u, a, b, d, horizon, rules):
     def vjp(g):
         g_w = np.cumsum(g[..., ::-1], axis=-1)[..., ::-1] if d == 1 else g
         lam = np.zeros(rows + (horizon + p,))
+        terms = np.empty(rows + (p,))
         for j in range(horizon - 1, -1, -1):
-            lam[..., j] = g_w[..., j] - np.sum(lam[..., j + 1 : j + 1 + p] * a.data, axis=-1)
+            np.multiply(lam[..., j + 1 : j + 1 + p], a.data, out=terms)
+            lam_j = np.add.reduce(terms, axis=-1, out=lam[..., j])
+            np.subtract(g_w[..., j], lam_j, out=lam_j)
         lam = lam[..., :horizon]
         da = np.stack(
             [-np.sum(lam * w[..., p - m : p - m + horizon], axis=-1) for m in range(1, p + 1)], axis=-1

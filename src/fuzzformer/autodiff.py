@@ -107,12 +107,10 @@ def no_finite_probes():
 
 
 def _all_finite(x) -> bool:
-    # summing is a no-false-negative probe: any NaN/Inf entry makes the
-    # sum non-finite, and no allocation of a bool array is needed; only a
-    # non-finite sum, which finite entries can reach by overflow, pays for
-    # the entrywise test
-    with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.isfinite(np.sum(x))) or bool(np.isfinite(x).all())
+    # the entrywise test itself: a probe through the sum needs an errstate
+    # context on every node, since finite entries can overflow the sum,
+    # and the entrywise test after it whenever they do
+    return bool(np.isfinite(x).all())
 
 
 class Tensor:

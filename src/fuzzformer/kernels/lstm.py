@@ -4,20 +4,34 @@ hand-derived backward pass.
 This is the hottest loop in training and serving.  Arrays are time-major
 ``(N, B, ...)`` C-contiguous float64; gate order inside the fused weight
 matrices is input, forget, candidate, output (i, f, g, o), as in the
-checkpoints and the single-step oracle ``tests/lstm_oracle.py``.
+checkpoints and the oracles in ``tests/lstm_oracle.py``.
 
 Forward.  The input-side contribution and the bias are hoisted out of
 the recurrence: one GEMM per block of time steps (:func:`block_steps`)
 computes ``ax = x @ wx + b`` for the block, so each step runs only the
 recurrent GEMM into a reused ``(B, 4*D_h)`` buffer ``pre`` and adds
 ``ax[t]`` to it; ``h_0 = 0`` spares the first step's GEMM.  The post-activation gates
-of step t go into ``gates[t]``, a ``(4, B, D_h)`` array whose block k is
-gate k, over the bytes of ``ax[t]``: step t has read ``ax[t]`` into
+of step t go into ``gates[t]``, a ``(4, B, D_h)`` array whose blocks are
+i, f, o, g, over the bytes of ``ax[t]``: step t has read ``ax[t]`` into
 ``pre`` before it writes its gates, so they cost no memory beyond the
-projection.  Each nonlinearity reads its column slice of ``pre`` once
-and writes its block; the rest of the sigmoid (``exp``, ``+1``,
-``reciprocal``) then runs in place on the contiguous (i, f) pair and on
-the o block, and c and h are written with ``out=``.
+projection.  The three sigmoid gates lead, so after the two negations
+that read the i, f and the o column slices of ``pre``, the rest of the
+sigmoid (``exp``, ``+1``, ``reciprocal``) runs once over one contiguous
+``(3, B, D_h)`` block; the tanh reads the g slice, and c and h are
+written with ``out=``.  A step is 13 array calls.
+
+The bits are those of the reference kernels in ``tests/lstm_oracle.py``,
+whose cache holds (i, f, g, o): every GEMM is the same call on the same
+operands, and each gate entry meets the same elementwise operations in
+the same order; only which entries share a call changed.  Negating
+the sigmoid columns of ``wx``, ``wh`` and ``b`` instead (a sign fold)
+would spare the two negations per step, but costs a weight copy per
+call: at D_h=128 that is 1 MB of fresh memory, and a single-window
+paper-shape forecast got no faster.  Moving the o columns next to i
+and f in the weights also changes GEMM bits when D_h is odd (seen at
+D_h = 3, 5, 7, 9 from D_in = 16 on): 4*D_h is then no multiple of 8,
+and OpenBLAS computes the last 4 columns with another kernel, which
+sums in another order.
 
 Where the blocks go depends on whether a backward pass will follow.
 With ``cache=True`` each block is its slice of the full ``(N, 4, B,
@@ -33,13 +47,18 @@ keeps OpenBLAS's 16-row blocks aligned, so every block GEMM gives the
 bits of the matching rows of the whole-window GEMM.
 
 Backward.  Each step builds the four gate adjoints in a contiguous
-``(4, B, D_h)`` scratch and copies them once into the row-major
-``(N, B, 4*D_h)`` pre-activation adjoint ``dA``.  ``dh`` for the step
-before is one GEMM against ``wh.T`` with ``out=``; ``dwh`` is a single
-GEMM after the loop (``h_all[:-1]`` against ``dA[1:]``) rather than one
-per step, and ``dwx``, ``db`` and, unless the input needs no gradient
-(the first layer, whose input is the data window), ``dx`` come from
-``dA`` as a whole.
+``(4, B, D_h)`` scratch in the cache's i, f, o, g order, scales them by
+the gate slopes in one call and copies them into the row-major ``(N, B,
+4*D_h)`` pre-activation adjoint ``dA`` in two: i, f as they lie, then
+o, g reversed into the g, o columns.  ``dA`` keeps the (i, f, g, o)
+column order of the weights, so every GEMM below sums in the reference
+kernels' order; one broadcast product writes both ``dc * g`` and
+``dc * i``, so a step does the reference's 19 array calls.  ``dh`` for
+the step before is one GEMM against ``wh.T`` with ``out=``; ``dwh`` is a
+single GEMM after the loop (``h_all[:-1]`` against ``dA[1:]``) rather
+than one per step, and ``dwx``, ``db`` and, unless the input needs no
+gradient (the first layer, whose input is the data window), ``dx`` come
+from ``dA`` as a whole.
 
 Why each gate block must be contiguous: at D_h=16 an elementwise op on
 a column slice of a ``(B, 4*D_h)`` buffer loops once per row, so keeping
@@ -70,11 +89,12 @@ def block_steps(B):
 def lstm_forward(x, wx, wh, b, *, cache=True):
     """Scan one LSTM layer over a window.
 
-    x: (N, B, D_in); wx: (D_in, 4*D_h); wh: (D_h, 4*D_h); b: (4*D_h,).
-    Returns (h_all, gates, c_all): h_all and c_all are (N, B, D_h),
-    gates is (N, 4, B, D_h) with the post-activation i, f, g, o blocks;
-    the gate and cell caches feed the backward pass.  ``cache=False``
-    keeps neither: gates and c_all are None, and h_all has the same bits.
+    x: (N, B, D_in); wx: (D_in, 4*D_h); wh: (D_h, 4*D_h); b: (4*D_h,),
+    gate columns (i, f, g, o).  Returns (h_all, gates, c_all): h_all and
+    c_all are (N, B, D_h), gates is (N, 4, B, D_h) with the
+    post-activation i, f, o, g blocks; the gate and cell caches feed the
+    backward pass.  ``cache=False`` keeps neither: gates and c_all are
+    None, and h_all has the same bits.
     """
     N, B, d_in = x.shape
     Dh = wh.shape[0]
@@ -105,15 +125,14 @@ def lstm_forward(x, wx, wh, b, *, cache=True):
             else:
                 np.dot(h_prev, wh, out=pre)
                 pre += ax_t
-            i, f, g, o = g_t
-            sig_if = g_t[:2]
-            np.negative(pre_if, out=sig_if)
+            i, f, o, g = g_t
+            sig = g_t[:3]
+            np.negative(pre_if, out=sig[:2])
             np.negative(pre_o, out=o)
+            np.exp(sig, out=sig)
+            sig += 1.0
+            np.reciprocal(sig, out=sig)
             np.tanh(pre_g, out=g)
-            for s in (sig_if, o):
-                np.exp(s, out=s)
-                s += 1.0
-                np.reciprocal(s, out=s)
             np.multiply(i, g, out=c)
             if c_prev is not None:
                 np.multiply(f, c_prev, out=fc)
@@ -141,8 +160,13 @@ def lstm_backward(x, wx, wh, dh_out, h_all, gates, c_all, *, input_grad=True):
     Dh = wh.shape[0]
     whT = np.ascontiguousarray(wh.T)
     dA = np.empty((N, B, 4 * Dh))
-    dgate = np.empty((4, B, Dh))
-    di, df, dg, do = dgate
+    # dA's gate blocks i, f and g, o: the cache's i, f and, reversed, its o, g
+    dA_gates = dA.reshape(N, B, 4, Dh).transpose(0, 2, 1, 3)
+    dA_if, dA_go = dA_gates[:, :2], dA_gates[:, 2:]
+    dgate = np.empty((4, B, Dh))  # i, f, o, g like the cache
+    di, df, do, dg = dgate
+    d_ig = dgate[::3]  # (di, dg) = dc * (g, i)
+    g_i = gates[:, ::-3]
     slope = np.empty((4, B, Dh))
     dh_buf = np.empty((B, Dh))
     dh_next = np.empty((B, Dh))
@@ -151,7 +175,7 @@ def lstm_backward(x, wx, wh, dh_out, h_all, gates, c_all, *, input_grad=True):
     tc = np.empty((B, Dh))
     for t in range(N - 1, -1, -1):
         g_t = gates[t]
-        i, f, g, o = g_t
+        i, f, o, g = g_t
         np.tanh(c_all[t], out=tc)
         if t < N - 1:
             dh = np.add(dh_out[t], dh_next, out=dh_buf)
@@ -164,8 +188,7 @@ def lstm_backward(x, wx, wh, dh_out, h_all, gates, c_all, *, input_grad=True):
         dc *= tc
         if t < N - 1:
             dc += dc_next
-        np.multiply(dc, g, out=di)
-        np.multiply(dc, i, out=dg)
+        np.multiply(dc, g_i[t], out=d_ig)
         if t:
             np.multiply(dc, c_all[t - 1], out=df)
             np.multiply(dc, f, out=dc_next)
@@ -174,10 +197,11 @@ def lstm_backward(x, wx, wh, dh_out, h_all, gates, c_all, *, input_grad=True):
         # gate slopes: s * (1 - s) for i, f, o and 1 - g^2 for g
         np.subtract(1.0, g_t, out=slope)
         slope *= g_t
-        np.multiply(g, g, out=slope[2])
-        np.subtract(1.0, slope[2], out=slope[2])
+        np.multiply(g, g, out=slope[3])
+        np.subtract(1.0, slope[3], out=slope[3])
         dgate *= slope
-        np.copyto(_gate_view(dA[t]), dgate)
+        np.copyto(dA_if[t], dgate[:2])
+        np.copyto(dA_go[t], dgate[:1:-1])
         if t:
             np.dot(dA[t], whT, out=dh_next)
     dA2 = dA.reshape(N * B, 4 * Dh)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fuzzformer import autodiff as ad
+from fuzzformer import arix, autodiff as ad
 from fuzzformer.arix import (
     ArixCoefficients,
     aggregate,
@@ -14,6 +14,7 @@ from fuzzformer.arix import (
 from fuzzformer.autodiff import Tensor, parameter
 from fuzzformer.exceptions import ConfigError, NonFiniteError, ShapeError
 
+import arix_oracle
 from arix_oracle import random_stable_system, zero_state_forecast
 from gradcheck import check_gradients
 
@@ -324,3 +325,35 @@ class TestFusedRecursion:
             winner_forecast_graph(
                 hist, u, Tensor(a[winners]), Tensor(b[winners]), 1, 4, rules=winners
             )
+
+    @pytest.mark.parametrize("bsz", [1, 96])
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    @pytest.mark.parametrize("d", [0, 1])
+    @pytest.mark.parametrize("p", [1, 4, 30])
+    @pytest.mark.parametrize("winner", [False, True])
+    def test_loops_match_the_reference_bit_for_bit(self, monkeypatch, winner, p, d, q, bsz):
+        # forecasts and (du, da, db) byte for byte against the loops of
+        # arix_oracle.fused_forecast; p=30 sums its AR terms pairwise
+        rng = np.random.default_rng(1000 * p + 100 * d + 10 * q + bsz + winner)
+        c, horizon = 16, 30
+        rows = bsz if winner else c
+        a0 = rng.uniform(-1.0, 1.0, size=(rows, p))
+        a0 *= rng.uniform(0.5, 0.95, size=(rows, 1)) / np.abs(a0).sum(axis=1, keepdims=True)
+        b0 = rng.normal(scale=0.5, size=(rows, q))
+        u0 = rng.normal(size=(bsz, horizon))
+        hist = rng.normal(size=(bsz, p + d)).cumsum(axis=1)
+        mixer = rng.normal(size=(bsz, horizon) if winner else (bsz, c, horizon))
+
+        def run():
+            a, b, u = parameter(a0), parameter(b0), parameter(u0)
+            if winner:
+                out = winner_forecast_graph(hist, u, a, b, d, horizon, rules=np.arange(bsz) % c)
+            else:
+                out = all_rules_forecast_graph(hist, u, a, b, d, horizon)
+            ad.backward(ad.tsum(ad.mul(out, mixer)))
+            return out.data, u.grad, a.grad, b.grad
+
+        got = run()
+        monkeypatch.setattr(arix, "_fused_forecast", arix_oracle.fused_forecast)
+        for x, want in zip(got, run()):
+            assert x.shape == want.shape and x.tobytes() == want.tobytes()

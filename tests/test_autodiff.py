@@ -73,6 +73,18 @@ class TestForward:
         backward(ad.tsum(ad.mul(x, np.array([1e308, 1e308]))))
         np.testing.assert_array_equal(x.grad, [1e308, 1e308])
 
+    @pytest.mark.parametrize("last", [1e308, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(), (0,), (2,), (3, 40_000)])
+    def test_probe_is_the_entrywise_test(self, shape, last):
+        # 0-d, empty, sums that overflow, and 120,000 entries of which the
+        # last alone decides
+        x = np.full(shape, 1e308)
+        if x.size:
+            x.reshape(-1)[-1] = last
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert ad._all_finite(x) is bool(np.isfinite(x).all())
+
     def test_non_finite_gradient_fails_the_probe(self):
         x = parameter([1e-320, 1e-308, 1e-308])  # d log / dx = 1 / x: [inf, 1e308, 1e308]
         loss = ad.tsum(ad.log(x))

@@ -12,6 +12,7 @@ from fuzzformer.data import make_synthetic, prepare_dataset
 from fuzzformer.kernels import arima as ak, lstm as lk
 
 import arima_oracle
+import lstm_oracle
 from gradcheck import fd_gradient, max_rel_err
 
 
@@ -73,6 +74,27 @@ class TestLstmKernels:
         for start in range(0, 60, steps):
             block = np.dot(x[start : start + steps].reshape(-1, d_in), wx)
             assert np.array_equal(block, full[start : start + steps].reshape(-1, 4 * d_h))
+
+    @pytest.mark.parametrize("N", [1, 60])
+    @pytest.mark.parametrize("d_h", [5, 16, 128])
+    @pytest.mark.parametrize("d_in", [3, 16, 128])
+    @pytest.mark.parametrize("B", [1, 7, 31, 44, 64, 96, 256])
+    def test_matches_the_reference_kernels_bit_for_bit(self, B, d_in, d_h, N):
+        # byte for byte against lstm_oracle's kernels, whose gate cache is
+        # (i, f, g, o): any reordered sum or product shows here
+        rng = np.random.default_rng(B * 1000 + d_in * 10 + d_h + N)
+        x, wx, wh, b = _lstm_inputs(rng, N=N, B=B, d_in=d_in, d_h=d_h)
+        dh_out = rng.normal(size=(N, B, d_h))
+        h, gates, c_all = lk.lstm_forward(x, wx, wh, b)
+        h_want, gates_want, c_want = lstm_oracle.lstm_forward(x, wx, wh, b)
+        got = [h, c_all, lk.lstm_forward(x, wx, wh, b, cache=False)[0]]
+        got += lk.lstm_backward(x, wx, wh, dh_out, h, gates, c_all)
+        want = [h_want, c_want, h_want]
+        want += lstm_oracle.lstm_backward(x, wx, wh, dh_out, h_want, gates_want, c_want)
+        got.append(gates)
+        want.append(gates_want[:, [0, 1, 3, 2]])  # the cache holds i, f, o, g
+        for a, w in zip(got, want):
+            assert a.shape == w.shape and a.tobytes() == w.tobytes()
 
     def test_backward_without_input_gradient_keeps_weight_bits(self):
         rng = np.random.default_rng(5)
