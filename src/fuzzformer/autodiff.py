@@ -25,13 +25,13 @@ block entered in one thread leaves every other thread's modes alone, and
 a task run under ``contextvars.copy_context()`` sees its caller's modes.
 
 Shape mismatches raise :class:`ShapeError` naming the offending
-operation.  NaN/Inf is caught in one of two ways:
+operation.  NaN/Inf is caught in one of three ways:
 
 * Per-op probes.  ``_node`` checks every forward value and
   ``Tensor._accum`` every gradient it receives, and the first non-finite
   array raises :class:`NonFiniteError` naming the op.  They are on
-  everywhere (evaluation, ``predict``, the forecast bundle, tests) except
-  inside ``no_finite_probes``.
+  except inside ``no_finite_probes``, which in this package only the
+  two functions below enter.
 * One check per training step.  ``train_step`` runs the forward pass and
   ``backward`` with the probes off, then checks the loss and every
   parameter gradient once; Adam steps only when all are finite.
@@ -40,6 +40,13 @@ operation.  NaN/Inf is caught in one of two ways:
   the ARIX rule) just as a probed run would.  Hence the one difference
   from a probed step: a non-finite intermediate that reaches neither the
   loss nor any parameter gradient no longer stops training.
+* One check per forward-only pass.  ``checked_forward`` runs a pass
+  (``predict``, the forecast bundle, the cluster warm-up encode) with
+  the probes off and tests every array it returns; when one is
+  non-finite it replays the pass with the probes on, whose error is
+  raised.  Likewise, a non-finite intermediate that reaches no returned
+  array no longer raises: a rule at infinite Mahalanobis distance, say,
+  gets membership exactly 0.
 """
 
 from __future__ import annotations
@@ -566,6 +573,31 @@ def train_step(opt: Adam, loss_fn, rng: np.random.Generator | None, where: str):
         if isinstance(exc, NonFiniteError):
             raise NonFiniteError(message, op=exc.op, rule=exc.rule) from exc
         raise NumericError(message) from exc
+
+
+def checked_forward(run):
+    """The arrays of the forward-only pass ``run()``, checked once.
+
+    ``run()`` returns an array or a tuple of arrays.  It runs under
+    ``no_grad`` with the per-op probes off and numpy's floating-point
+    warnings silenced, and every array it returns is tested for NaN/Inf.
+    When one is non-finite, or the pass raises a ``NumericError`` (the
+    ARIX recursion checks its forecast without probes, so a NaN from an
+    earlier op can surface there first), the pass is replayed under
+    ``no_grad`` with the probes on and the caller's errstate, and the
+    replay's error is raised: the one a probed pass raises, naming the
+    op or the ARIX rule.
+    """
+    try:
+        with no_grad(), no_finite_probes(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = run()
+        if all(_all_finite(a) for a in (out if isinstance(out, tuple) else (out,))):
+            return out
+    except NumericError:  # possibly a symptom of an unprobed NaN upstream
+        pass
+    with no_grad():
+        run()
+    raise NonFiniteError("non-finite forward output, yet no op's probe fired on replay")
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

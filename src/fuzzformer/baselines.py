@@ -82,9 +82,9 @@ def _check_finite(windows):
         raise DataError("ARIMA window holds a non-finite value")
 
 
-def _check_horizon(horizon):
+def _check_horizon(horizon, label="ARIMA"):
     if horizon < 1:
-        raise ConfigError(f"ARIMA horizon must be >= 1, got {horizon}")
+        raise ConfigError(f"{label} horizon must be >= 1, got {horizon}")
 
 
 def _too_short(size, order: ArimaOrder):
@@ -197,10 +197,17 @@ def evaluate_arima_windows(windows, order: ArimaOrder, horizon: int):
 
 
 def persistence_forecast(window, horizon: int) -> np.ndarray:
-    """Repeat the last observed value across the horizon."""
+    """Repeat the last observed value across the horizon.
+
+    A window that is not 1-D or is empty raises ``DataError``, a horizon
+    below 1 ``ConfigError``.
+    """
     window = np.asarray(window, dtype=np.float64)
+    if window.ndim != 1:
+        raise DataError(f"persistence_forecast: window must be 1-D, got shape {window.shape}")
     if window.size == 0:
         raise DataError("persistence_forecast: empty window")
+    _check_horizon(horizon, "persistence")
     return np.full(horizon, window[-1])
 
 
@@ -234,5 +241,4 @@ class LstmBaseline:
         return y[:, -self.horizon :, 0]
 
     def predict(self, x) -> np.ndarray:
-        with ad.no_grad():
-            return self.forward(x).data
+        return ad.checked_forward(lambda: self.forward(x).data)

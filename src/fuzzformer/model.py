@@ -156,8 +156,8 @@ class FuzzformerModel:
         )
 
     def predict(self, x, y_history) -> np.ndarray:
-        """Aggregate forecasts as plain arrays: a forward pass under
-        ``ad.no_grad``, which keeps no graph, no LSTM gradient caches and
-        no attention maps."""
-        with ad.no_grad():
-            return self.evaluation_forward(x, y_history).aggregate_forecast.data
+        """Aggregate forecasts as plain arrays: a forward pass through
+        ``ad.checked_forward``, which keeps no graph, no LSTM gradient
+        caches and no attention maps, and checks the forecasts for NaN/Inf
+        once instead of probing every op."""
+        return ad.checked_forward(lambda: self.evaluation_forward(x, y_history).aggregate_forecast.data)

@@ -146,7 +146,8 @@ class WarmupLatents:
 
     ``len()`` counts the windows; ``latents[rows]`` (a slice or an index
     array) encodes only the windows it reads, with the model's
-    parameters at the time of the read, in chunks on the usable cores.
+    parameters at the time of the read, in chunks on the usable cores,
+    as one ``ad.checked_forward`` pass.
     The windows are padded to a multiple of 16 by repeating them, so each
     row has the bits of one batch of all the sampled windows (see
     EVAL_BATCH).
@@ -166,9 +167,11 @@ class WarmupLatents:
         def encode(chunk):
             latents[chunk] = self.model.encode(self.dataset.batch(padded[chunk], history=1).x).z_latent.data
 
-        with ad.no_grad():
+        def encode_all():
             _over_chunks(padded.size, encode)
-        return latents[: picks.size]
+            return latents[: picks.size]
+
+        return ad.checked_forward(encode_all)
 
 
 def warmup_latents(model: FuzzformerModel, dataset: WindowedDataset, rng) -> WarmupLatents:
@@ -362,6 +365,10 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
     per-rule forecast/membership CSV, the cluster geometry CSV with the
     pairwise Bhattacharyya matrix, the attention-weight CSV, and SVG
     renderings.  Returns the paths.
+
+    The forward pass runs through ``ad.checked_forward``, which checks
+    every array the bundle writes for NaN/Inf once instead of probing
+    every op.
     """
     out_dir = output_dir(out_dir, "output directory")
     cfg = model.config
@@ -373,14 +380,19 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
     scaled = scaler.transform(window)
     x = scaled[None, :, :]
     y_hist = scaled[None, -cfg.history :, 0]
-    with ad.no_grad():
+
+    def bundle_pass():
         ev = model.evaluation_forward(x, y_hist, attention_maps=True)
         cov = fuzzy.covariances_graph(model.factors)
-        distance = bhattacharyya(model.centers, cov)
-    agg_scaled = ev.aggregate_forecast.data[0]
+        enc = ev.encoder_output
+        maps = np.array([[w.data[0] for w in layer] for layer in enc.attention_weights])
+        return (
+            ev.aggregate_forecast.data[0], ev.memberships.data[0], ev.rule_forecasts.data[0],
+            enc.z_latent.data, cov.data, bhattacharyya(model.centers, cov), maps,
+        )
+
+    agg_scaled, psi, rules_scaled, z, cov, distance, maps = ad.checked_forward(bundle_pass)
     agg = scaler.inverse(agg_scaled, channel=0)
-    psi = ev.memberships.data[0]
-    rules_scaled = ev.rule_forecasts.data[0]
 
     paths = {}
     paths["forecast"] = out_dir / "forecast.csv"
@@ -413,7 +425,7 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
         )
         writer.writerow(head)
         table = np.concatenate(
-            [model.centers.data, cov.data.reshape(cfg.rules, -1), distance], axis=1
+            [model.centers.data, cov.reshape(cfg.rules, -1), distance], axis=1
         )
         for i, values in enumerate(table.tolist()):
             writer.writerow([i] + [f"{v:.10g}" for v in values])
@@ -426,11 +438,11 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
     keys = [f"{k},%.10g" for k in steps]
     with open_output(paths["attention"], "w", "attention weights") as fh:
         fh.write("layer,head,query_step,key_step,weight\r\n")
-        for layer_idx, layer in enumerate(ev.encoder_output.attention_weights):
+        for layer_idx, layer in enumerate(maps):
             for head_idx, w in enumerate(layer):
                 prefixes = [f"{layer_idx},{head_idx},{q}," for q in steps]
                 block = "".join(p + f"\r\n{p}".join(keys) + "\r\n" for p in prefixes)
-                fh.write(block % tuple(w.data[0].ravel().tolist()))
+                fh.write(block % tuple(w.ravel().tolist()))
 
     # SVG renderings: combined output, per-rule local forecasts, clusters
     steps_hist = np.arange(-cfg.lookback + 1, 1)
@@ -449,7 +461,6 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
         title="Per-rule ARIX forecasts (scaled)",
     )
     paths["clusters_svg"] = out_dir / "clusters.svg"
-    z = ev.encoder_output.z_latent.data
     centers = model.centers.data
     svgplot.scatter_plot(
         paths["clusters_svg"],

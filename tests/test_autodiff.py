@@ -273,6 +273,74 @@ class TestTrainStep:
         assert opt.step_count == 0
 
 
+class TestCheckedForward:
+    def test_finite_pass_runs_once_unrecorded_and_unprobed(self):
+        x = parameter([1.0, 2.0])
+        seen = []
+
+        def run():
+            seen.append((_modes(), np.geterr()["over"]))
+            return ad.exp(x).data, ad.mul(x, 3.0).data
+
+        out = ad.checked_forward(run)
+        assert [a.tolist() for a in out] == [np.exp([1.0, 2.0]).tolist(), [3.0, 6.0]]
+        assert seen == [((False, False), "ignore")]
+        assert _modes() == (True, True)
+
+    @pytest.mark.parametrize("returns", ["array", "tuple"])
+    def test_non_finite_output_is_replayed_with_probes_on(self, returns):
+        x = Tensor([1.0, 1000.0])
+        seen = []
+
+        def run():
+            seen.append(_modes())
+            out = ad.neg(ad.exp(x)).data  # exp overflows: its probe names it
+            return out if returns == "array" else (np.zeros(2), out)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as info:
+                ad.checked_forward(run)
+        assert (str(info.value), info.value.op) == ("exp: non-finite values in forward pass", "exp")
+        assert seen == [(False, False), (False, True)]
+        assert _modes() == (True, True)
+
+    def test_a_numeric_error_of_the_unprobed_pass_gives_way_to_an_earlier_probe(self):
+        # the ARIX recursion checks its forecast even without probes; the
+        # probed replay names the op that made the NaN it was fed
+        a, b = parameter([[0.5]]), parameter([[1.0]])
+
+        def run():
+            u = ad.mul(Tensor(np.full((1, 3), np.inf)), 0.0)  # inf * 0: NaN
+            return all_rules_forecast_graph(np.ones((1, 2)), u, a, b, 1, 3).data
+
+        with ad.no_finite_probes(), pytest.raises(NonFiniteError, match="^rule 0: "):
+            run()
+        with pytest.raises(NonFiniteError) as info:
+            ad.checked_forward(run)
+        assert (str(info.value), info.value.op, info.value.rule) == (
+            "mul: non-finite values in forward pass", "mul", None
+        )
+
+    def test_intermediate_that_reaches_no_output_does_not_raise(self):
+        # exp overflows to inf, which softmax turns into a weight of exactly 0
+        psi = ad.checked_forward(lambda: ad.softmax(ad.neg(ad.exp(Tensor([1000.0, 0.0])))).data)
+        assert psi.tolist() == [0.0, 1.0]
+        with pytest.raises(NonFiniteError, match="^exp: non-finite values in forward pass$"):
+            ad.softmax(ad.neg(ad.exp(Tensor([1000.0, 0.0]))))
+
+    def test_failure_no_probe_sees_still_raises(self):
+        calls = []
+
+        def run():
+            calls.append(1)
+            return np.array([np.nan])  # no op made it, so no probe can name it
+
+        with pytest.raises(NonFiniteError, match="^non-finite forward output, yet no op's probe fired on replay$"):
+            ad.checked_forward(run)
+        assert len(calls) == 2
+
+
 class TestBackward:
     def test_quadratic_gradient(self):
         x = parameter([1.0, 2.0, 3.0])

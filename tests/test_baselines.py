@@ -1,5 +1,6 @@
 """Tests for ARIMA, persistence, and LSTM-only baselines."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -378,6 +379,16 @@ class TestPersistence:
     def test_empty_window(self):
         with pytest.raises(DataError):
             persistence_forecast(np.array([]), 3)
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_is_a_config_error(self, horizon):
+        with pytest.raises(ConfigError, match=f"^persistence horizon must be >= 1, got {horizon}$"):
+            persistence_forecast(np.array([1.0, 2.0]), horizon)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 1), ()])
+    def test_window_not_1d_is_a_data_error(self, shape):
+        with pytest.raises(DataError, match=re.escape(f"window must be 1-D, got shape {shape}")):
+            persistence_forecast(np.ones(shape), 3)
 
 
 def sinusoid_dataset(n=1000, lookback=60, horizon=30):

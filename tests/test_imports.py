@@ -353,6 +353,10 @@ def test_one_function_runs_every_training_loop(callee):
     assert src_callers(callee) == [("training.py", "fit")]
 
 
+def test_one_module_decides_when_probes_are_off():
+    assert src_callers("no_finite_probes") == [("autodiff.py", "train_step"), ("autodiff.py", "checked_forward")]
+
+
 @pytest.mark.parametrize("callee,function", [("lstm_forward", "lstm_scan"), ("lstm_backward", "lstm_scan.vjp")])
 def test_one_function_decides_the_lstm_caches(callee, function):
     assert src_callers(callee) == [("encoder.py", function)]

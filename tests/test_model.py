@@ -132,6 +132,20 @@ class TestForwardPaths:
         with pytest.raises(NonFiniteError, match="rule 2"):
             model.evaluation_forward(batch.x, batch.y_history)
 
+    def test_rule_at_infinite_distance_gets_membership_zero(self):
+        model = tiny_model(seed=9)
+        model.centers.data[0] = 1e200  # its squared distance overflows to inf
+        batch = tiny_batch(model.config, np.random.default_rng(10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = ad.checked_forward(lambda: model.evaluation_forward(batch.x, batch.y_history).memberships.data)
+            preds = model.predict(batch.x, batch.y_history)
+        assert np.all(psi[:, 0] == 0.0) and np.all(psi[:, 1:] > 0.0)
+        assert np.isfinite(preds).all()
+        # probed op by op, the infinite distance itself raises
+        with ad.no_grad(), pytest.raises(NonFiniteError):
+            model.evaluation_forward(batch.x, batch.y_history)
+
     def test_unstable_winner_rule_is_named(self):
         model = tiny_model(seed=9)
         model.arix_a.data[...] = -1e150  # every rule overflows

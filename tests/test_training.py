@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import bundle_oracle
 from fuzzformer import autodiff as ad
-from fuzzformer.baselines import rmse
+from fuzzformer.baselines import LstmBaseline, rmse
 from fuzzformer.checkpoint import load_checkpoint
 from fuzzformer.config import RunConfig
 from fuzzformer.data import fit_minmax, make_synthetic, prepare_dataset, read_columns
@@ -779,6 +779,80 @@ class TestForecastBundle:
                 return
         assert matrix.shape == (len(dates), 2)
         assert np.isfinite(matrix).all()
+
+
+NAN_WINDOW = ("lstm_scan: non-finite values in forward pass", "lstm_scan", None)
+UNSTABLE_RULE = ("rule 1: non-finite ARIX forecast (unstable polynomial)", "arix_recursion", 1)
+
+
+def raised(call):
+    """(message, op, rule) of the ``NonFiniteError`` that ``call()`` raises
+    while every warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError) as info:
+            call()
+    return str(info.value), info.value.op, info.value.rule
+
+
+class TestForwardPassReplay:
+    """A forward-only pass checks its outputs once and, when one is not
+    finite, replays with the per-op probes on: the error is the one a
+    pass probed throughout raises, never a ``RuntimeWarning``."""
+
+    @pytest.fixture
+    def planted(self, tiny_dataset):
+        """(model, dataset, origin of a window to forecast, expected error) for
+        a NaN in an exogenous channel of train windows past the first
+        chunk, whose NaN latents reach the ARIX check, which fires without
+        probes, before any output; or for an unstable rule 1."""
+        def plant(kind):
+            model = FuzzformerModel(RunConfig(**TINY_TRAIN), np.random.default_rng(5))
+            origin = tiny_dataset.origins_for("train")[training.EVAL_BATCH + 20]
+            if kind == "unstable-rule":
+                model.arix_a.data[1, 0] = -1e150  # overflows within 3 steps
+                return model, tiny_dataset, origin, UNSTABLE_RULE
+            matrix = tiny_dataset.matrix.copy()
+            matrix[origin, 2] = np.nan
+            return model, replace(tiny_dataset, matrix=matrix), origin, NAN_WINDOW
+
+        return plant
+
+    @pytest.mark.parametrize("kind", ["nan-window", "unstable-rule"])
+    def test_predict_one_window(self, planted, kind):
+        model, dataset, origin, error = planted(kind)
+        batch = dataset.batch([origin], history=model.config.history)
+        assert raised(lambda: model.predict(batch.x, batch.y_history)) == error
+
+    @pytest.mark.parametrize("kind", ["nan-window", "unstable-rule"])
+    def test_evaluate_split_on_worker_threads(self, planted, kind, four_cores):
+        model, dataset, _origin, error = planted(kind)
+        assert len(chunk_sizes(dataset.origins_for("train").size)) >= 3
+        assert raised(lambda: evaluate_split(model, dataset, "train")) == error
+
+    @pytest.mark.parametrize("kind", ["nan-window", "unstable-rule"])
+    def test_forecast_bundle(self, planted, kind, tmp_path):
+        model, dataset, origin, error = planted(kind)
+        rows = slice(origin - dataset.lookback + 1, origin + 1)
+        raw = dataset.scaler.inverse(dataset.matrix[rows])
+        bundle = lambda: forecast_bundle(  # noqa: E731
+            model, dataset.scaler, dataset.channel_names, dataset.calendar[rows], raw, tmp_path, log=quiet
+        )
+        assert raised(bundle) == error
+        assert list(tmp_path.iterdir()) == []  # nothing is written before the check
+
+    def test_warmup_encode(self, planted, four_cores):
+        model, dataset, origin, error = planted("nan-window")
+        train = dataset.origins_for("train")
+        latents = training.WarmupLatents(model, dataset, train[train <= origin + 4])
+        assert len(chunk_sizes(len(latents))) >= 2
+        assert raised(lambda: latents[:]) == error
+
+    def test_lstm_baseline_predict(self, planted):
+        _model, dataset, origin, error = planted("nan-window")
+        model = LstmBaseline(3, 4, 2, dataset.horizon, dataset.lookback, np.random.default_rng(5))
+        assert raised(lambda: model.predict(dataset.batch([origin - 1, origin], history=1).x)) == error
+
 
 class TestReport:
     def test_single_method_single_setting(self):
