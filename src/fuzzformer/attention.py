@@ -3,7 +3,9 @@
 Each head carries its own query/key projections while all heads share a
 single value projection; head outputs are concatenated and recombined by
 an output projection.  Head width is ``d_in / n_heads`` so the input
-features are distributed across head subspaces.
+features are distributed across head subspaces.  Each head is one call
+of the fused kernel ``scaled_dot_attention``, made through this module's
+global so that a wrapper set on it sees every head.
 """
 
 import numpy as np
@@ -12,63 +14,95 @@ from . import autodiff as ad
 from .exceptions import ConfigError, ShapeError
 
 
-def scaled_dot_attention(q, k, v):
+def scaled_dot_attention(q, k, v, *, maps=False):
     """softmax(Q K^T / sqrt(D_h)) V with row-wise softmax.
 
-    q, k: (..., N, D_h); v: (..., N, d_out).  Returns (output, weights);
-    the weight rows are non-negative and sum to one, and are kept around
-    for interpretability export (as plain values, not a graph path).
+    q: (..., N_q, D_h); k: (..., N_k, D_h); v: (..., N_k, d_out).
+    Returns (output, weights).  ``weights`` is None unless ``maps`` asks
+    for the (..., N_q, N_k) softmax rows (non-negative, each summing to
+    one), built then as plain values for interpretability export, not
+    as a graph path.
 
-    Fused into a single graph node: the (N x N) weight matrices are the
-    largest intermediates in the network, so the backward pass is
-    hand-derived instead of composed from primitives, and both passes
-    touch the (..., N, N) arrays as few times as they can.  The scale
-    goes on Q, not on the scores, and the exponential runs in place.
-    The softmax adjoint W * (dW - rowsum(W * dW)) takes its row sums
-    from the (..., N, d_out) output instead: rowsum(W * dW) =
-    rowsum(g * out), FlashAttention's D_i = dO_i . O_i (Dao et al.,
-    arXiv:2205.14135), and then runs in place in dW.
+    Fused into a single graph node with a hand-derived backward pass.
+    The (N x N) arrays are the largest intermediates in the network, and
+    at short head widths the passes over them, not the GEMMs, set the
+    cost.  So they are laid out key-major: ``ET = K (Q / sqrt(D_h))^T``
+    is (..., N_k, N_q), and a reduction or broadcast over one query's
+    scores runs down a column, across contiguous rows.
+
+    Forward: ET is shifted by its exact column max, exponentiated in
+    place, and its column sums ``Z`` (the softmax normalisers) come from
+    one BLAS product with a ones vector.  The N x N array is never
+    divided: the (..., N_q, d_out) output ET^T V is divided by ``Z``
+    instead, FlashAttention's deferred normalisation (Dao et al.,
+    arXiv:2205.14135).  The shift
+    stays the exact max, not a cheaper bound: every column then holds
+    an exact 1, so ``Z >= 1`` and scores far below their column's max
+    underflow to zero weights with no guard path.
+
+    Backward: the node keeps ET and ``Z``.  Dividing the upstream
+    gradient by ``Z`` once, on the thin side, gives g_Z = g / Z, and
+    then dV = ET g_Z and the transposed softmax adjoint is
+    (V g_Z^T - rho) * ET, with rho = rowsum(g_Z * out) =
+    rowsum(W * dW) / Z (FlashAttention's D_i = dO_i . O_i) from one BLAS
+    product on the output side.  dQ and dK are that adjoint times K and
+    the scaled Q.  Every pass over N x N reads contiguous memory, and
+    none divides.
     """
     q, k, v = ad.astensor(q), ad.astensor(k), ad.astensor(v)
-    if k.data.shape[-2] != v.data.shape[-2]:
-        raise ShapeError(
-            f"scaled_dot_attention: key/value row counts differ ({k.data.shape}, {v.data.shape})"
-        )
-    if q.data.shape[-1] != k.data.shape[-1]:
-        raise ShapeError(
-            f"scaled_dot_attention: query/key widths differ ({q.data.shape}, {k.data.shape})"
-        )
     Q, K, V = q.data, k.data, v.data
+    if min(Q.ndim, K.ndim, V.ndim) < 2:
+        raise ShapeError(
+            f"scaled_dot_attention: q, k and v must be (..., N, width), got "
+            f"{Q.shape}, {K.shape}, {V.shape}"
+        )
+    if K.shape[-2] != V.shape[-2]:
+        raise ShapeError(
+            f"scaled_dot_attention: key/value row counts differ ({K.shape}, {V.shape})"
+        )
+    if Q.shape[-1] != K.shape[-1]:
+        raise ShapeError(
+            f"scaled_dot_attention: query/key widths differ ({Q.shape}, {K.shape})"
+        )
+    if Q.shape[-2] == 0 or K.shape[-2] == 0:
+        raise ShapeError(f"scaled_dot_attention: empty sequence ({Q.shape}, {K.shape})")
+    if K.shape[-1] == 0:
+        raise ShapeError(f"scaled_dot_attention: zero head width ({Q.shape}, {K.shape})")
     scale = 1.0 / np.sqrt(K.shape[-1])
     Qs = Q * scale
     try:
-        W = np.matmul(Qs, np.swapaxes(K, -1, -2))
+        ET = np.matmul(K, np.swapaxes(Qs, -1, -2))
     except ValueError as exc:
         raise ShapeError(
             f"scaled_dot_attention: incompatible shapes {Q.shape} and {K.shape}"
         ) from exc
-    W -= np.max(W, axis=-1, keepdims=True)
-    np.exp(W, out=W)
-    W /= np.sum(W, axis=-1, keepdims=True)
+    ET -= np.max(ET, axis=-2, keepdims=True)
+    np.exp(ET, out=ET)
+    Z = np.matmul(np.ones(ET.shape[-2]), ET)[..., None]  # (..., N_q, 1)
     try:
-        out_data = np.matmul(W, V)
+        out_data = np.matmul(np.swapaxes(ET, -1, -2), V)
     except ValueError as exc:
         raise ShapeError(
-            f"scaled_dot_attention: values {V.shape} do not broadcast against weights {W.shape}"
+            f"scaled_dot_attention: values {V.shape} do not broadcast against weights "
+            f"{np.swapaxes(ET, -1, -2).shape}"
         ) from exc
+    out_data /= Z
 
     def vjp(g):
-        dV = ad._unbroadcast(np.matmul(np.swapaxes(W, -1, -2), g), V.shape)
-        dS = np.matmul(g, np.swapaxes(V, -1, -2))
-        dS -= np.sum(g * out_data, axis=-1, keepdims=True)
-        dS *= W  # softmax adjoint, w.r.t. the scores of the scaled Q
-        dQ = np.matmul(dS, K)
+        g = g / Z
+        dV = ad._unbroadcast(np.matmul(ET, g), V.shape)
+        dE = np.matmul(V, np.swapaxes(g, -1, -2))
+        dE -= np.matmul(g * out_data, np.ones(g.shape[-1]))[..., None, :]
+        dE *= ET  # the softmax adjoint w.r.t. the scaled-Q scores, transposed
+        dQ = np.matmul(np.swapaxes(dE, -1, -2), K)
         dQ *= scale
-        dK = ad._unbroadcast(np.matmul(np.swapaxes(dS, -1, -2), Qs), K.shape)
+        dK = ad._unbroadcast(np.matmul(dE, Qs), K.shape)
         return ad._unbroadcast(dQ, Q.shape), dK, dV
 
     out = ad.custom_op("scaled_dot_attention", out_data, (q, k, v), vjp)
-    return out, ad.Tensor(W)
+    if not maps:
+        return out, None
+    return out, ad.Tensor(np.divide(np.swapaxes(ET, -1, -2), Z, order="C"))
 
 
 class MultiHeadAttention:
@@ -90,10 +124,11 @@ class MultiHeadAttention:
     def __call__(self, s, maps=False):
         """s: (..., N, D_in) -> ((..., N, D_in), per-head weight tensors).
 
-        The weight list is empty unless ``maps`` asks for it.  Outside a
-        recorded graph nothing outlives its use: a head's (..., N, N) map
-        is freed with the head, before the next head makes its own, and
-        the head outputs once they are concatenated.
+        The weight list is empty unless ``maps`` asks for it, and only
+        then does a head build its normalised weights.  Outside a
+        recorded graph nothing outlives its use: a head's (..., N, N)
+        scores are freed with the head, before the next head makes its
+        own, and the head outputs once they are concatenated.
         """
         s = ad.astensor(s)
         if s.data.shape[-1] != self.d_in:
@@ -105,7 +140,7 @@ class MultiHeadAttention:
 
         def head(h):
             out, w = scaled_dot_attention(
-                ad.matmul(s, self.w_q[h]), ad.matmul(s, self.w_k[h]), v
+                ad.matmul(s, self.w_q[h]), ad.matmul(s, self.w_k[h]), v, maps=maps
             )
             if maps:
                 weights.append(w)

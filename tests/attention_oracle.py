@@ -1,12 +1,14 @@
 """Plain-array oracle for the fused scaled dot-product attention.
 
-The scores-first formula: scale the (..., N, N) scores, normalise them
-with a row-wise softmax, and in the backward pass form the softmax
+The scores-first formula: scale the (..., N_q, N_k) scores, normalise
+them with a row-wise softmax, and in the backward pass form the softmax
 adjoint from the elementwise product W * dW and its row sums.  It is
 kept as an independent check on ``fuzzformer.attention.
-scaled_dot_attention``, which scales Q instead of the scores and takes
-the row sums from the (..., N, d) output (rowsum(W * dW) = rowsum(g *
-out)), so the two agree to rounding, not bit for bit.
+scaled_dot_attention``, which lays the scores out key-major, scales Q
+instead of the scores, never normalises the N x N array (it divides the
+output, and in the backward pass the upstream gradient, by the softmax
+row sums) and takes rowsum(W * dW) from the output side as rowsum(g *
+out).  The two agree to rounding, not bit for bit.
 """
 
 import numpy as np
