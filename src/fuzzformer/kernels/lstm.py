@@ -88,9 +88,10 @@ def block_steps(B):
     A multiple of 16, so a block's rows keep OpenBLAS's 16-row blocks
     aligned, and at least BLOCK_ROWS rows: each GEMM packs all of ``wx``,
     and at B=1 four 16-row GEMMs instead of one made a paper-shape
-    forecast about 3% slower.  From B=64 on it is 16 steps.
+    forecast about 3% slower.  From B=64 on it is 16 steps; an empty
+    batch gets B=1's blocks.
     """
-    return 16 * -(-BLOCK_ROWS // (16 * B))
+    return 16 * -(-BLOCK_ROWS // (16 * max(B, 1)))
 
 
 def lstm_forward(x, wx, wh, b, *, cache=True):

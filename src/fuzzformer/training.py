@@ -21,6 +21,7 @@ encodes only the C that seed the rule centers (``WarmupLatents``).
 
 import contextvars
 import csv
+import itertools
 import math
 import os
 import time
@@ -358,13 +359,37 @@ def train_lstm_baseline(
 # forecast bundle (interpretability export)
 
 
+def _write_grid(path, header, levels, values):
+    """Write a bundle table to ``path`` and return ``path``: the ``header``
+    row, then one row per point of the product of the label ``levels``
+    (outermost first), holding its labels and its ``values`` row (shape:
+    the level sizes, then the value columns) in ``%.10g``, ending in "\r\n"
+    like csv.writer's.  Each outer prefix joins the innermost level's row
+    templates in C, and one "%" fills each block of the two innermost
+    levels (one attention head's map): no row is formatted in Python."""
+    *outer, inner = levels
+    rows = [f"{k}" + ",%.10g" * values.shape[-1] for k in inner]
+    prefixes = ("".join(f"{label}," for label in point) for point in itertools.product(*outer))
+    step = len(outer[-1]) if outer else 1
+    with open_output(path, "w", "bundle table") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for chunk in values.reshape(-1, step * len(rows) * values.shape[-1]):
+            template = "".join(p + f"\r\n{p}".join(rows) + "\r\n" for p in itertools.islice(prefixes, step))
+            fh.write(template % tuple(chunk.tolist()))
+    return path
+
+
 def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=print):
     """Run one forecast and export the full interpretability bundle.
 
     Writes forecast.csv (original units via inverse scaling), the
     per-rule forecast/membership CSV, the cluster geometry CSV with the
     pairwise Bhattacharyya matrix, the attention-weight CSV, and SVG
-    renderings.  Returns the paths.
+    renderings.  Returns the paths.  Each CSV is a grid (``_write_grid``):
+    label columns, then ``%.10g`` value columns, one row per point of the
+    labels' product: forecast [step]; rule forecasts [rule, step], with the
+    membership as a second value; clusters [rule]; attention [layer, head,
+    query, key].
 
     The forward pass runs through ``ad.checked_forward``, which checks
     every array the bundle writes for NaN/Inf once instead of probing
@@ -372,10 +397,10 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
     """
     out_dir = output_dir(out_dir, "output directory")
     cfg = model.config
+    if matrix.ndim != 2 or matrix.shape[1] != cfg.channels:
+        raise DataError(f"window has shape {matrix.shape}, model needs (rows, {cfg.channels})")
     if matrix.shape[0] < cfg.lookback:
-        raise DataError(
-            f"window has {matrix.shape[0]} rows, model needs at least {cfg.lookback}"
-        )
+        raise DataError(f"window has {matrix.shape[0]} rows, model needs at least {cfg.lookback}")
     window = matrix[-cfg.lookback :]
     scaled = scaler.transform(window)
     x = scaled[None, :, :]
@@ -394,55 +419,28 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
     agg_scaled, psi, rules_scaled, z, cov, distance, maps = ad.checked_forward(bundle_pass)
     agg = scaler.inverse(agg_scaled, channel=0)
 
-    paths = {}
-    paths["forecast"] = out_dir / "forecast.csv"
-    with open_output(paths["forecast"], "w", "forecast") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "value_scaled", "value"])
-        for j in range(cfg.horizon):
-            writer.writerow([j + 1, f"{agg_scaled[j]:.10g}", f"{agg[j]:.10g}"])
-
-    paths["rules"] = out_dir / "rule_forecasts.csv"
-    with open_output(paths["rules"], "w", "rule forecasts") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rule", "step", "value_scaled", "membership"])
-        psi_text = [f"{v:.10g}" for v in psi.tolist()]
-        writer.writerows(
-            [i, j + 1, f"{v:.10g}", psi_text[i]]
-            for i, row in enumerate(rules_scaled.tolist())
-            for j, v in enumerate(row)
-        )
-
-    paths["clusters"] = out_dir / "clusters.csv"
-    with open_output(paths["clusters"], "w", "cluster table") as fh:
-        writer = csv.writer(fh)
-        dz = cfg.latent_width
-        head = (
-            ["rule"]
-            + [f"center_{k}" for k in range(dz)]
-            + [f"cov_{r}{c}" for r in range(dz) for c in range(dz)]
-            + [f"bhattacharyya_{i}" for i in range(cfg.rules)]
-        )
-        writer.writerow(head)
-        table = np.concatenate(
-            [model.centers.data, cov.reshape(cfg.rules, -1), distance], axis=1
-        )
-        for i, values in enumerate(table.tolist()):
-            writer.writerow([i] + [f"{v:.10g}" for v in values])
-
-    # one "%" per head over a template of its rows: each query step's rows
-    # are its "key,%.10g" cells joined by the "layer,head,query," prefix;
-    # rows end in "\r\n" like csv.writer's
-    paths["attention"] = out_dir / "attention_weights.csv"
-    steps = range(cfg.lookback)
-    keys = [f"{k},%.10g" for k in steps]
-    with open_output(paths["attention"], "w", "attention weights") as fh:
-        fh.write("layer,head,query_step,key_step,weight\r\n")
-        for layer_idx, layer in enumerate(maps):
-            for head_idx, w in enumerate(layer):
-                prefixes = [f"{layer_idx},{head_idx},{q}," for q in steps]
-                block = "".join(p + f"\r\n{p}".join(keys) + "\r\n" for p in prefixes)
-                fh.write(block % tuple(w.ravel().tolist()))
+    steps, queries, dz = range(1, cfg.horizon + 1), range(cfg.lookback), range(cfg.latent_width)
+    paths = {
+        "forecast": _write_grid(
+            out_dir / "forecast.csv", ["step", "value_scaled", "value"], [steps],
+            np.stack([agg_scaled, agg], axis=1),
+        ),
+        "rules": _write_grid(
+            out_dir / "rule_forecasts.csv", ["rule", "step", "value_scaled", "membership"],
+            [range(cfg.rules), steps], np.stack(np.broadcast_arrays(rules_scaled, psi[:, None]), axis=2),
+        ),
+        "clusters": _write_grid(
+            out_dir / "clusters.csv",
+            ["rule", *(f"center_{k}" for k in dz), *(f"cov_{r}{c}" for r in dz for c in dz),
+             *(f"bhattacharyya_{i}" for i in range(cfg.rules))],
+            [range(cfg.rules)],
+            np.concatenate([model.centers.data, cov.reshape(cfg.rules, -1), distance], axis=1),
+        ),
+        "attention": _write_grid(
+            out_dir / "attention_weights.csv", ["layer", "head", "query_step", "key_step", "weight"],
+            [range(cfg.mha_layers), range(cfg.attention_heads), queries, queries], maps[..., None],
+        ),
+    }
 
     # SVG renderings: combined output, per-rule local forecasts, clusters
     steps_hist = np.arange(-cfg.lookback + 1, 1)

@@ -27,8 +27,7 @@ def write_bundle_csvs(model, scaler, matrix, out_dir):
     window = matrix[-cfg.lookback :]
     scaled = scaler.transform(window)
     x = scaled[None, :, :]
-    hist = cfg.ar_order + cfg.integration_order
-    y_hist = scaled[None, -hist:, 0]
+    y_hist = scaled[None, -cfg.history :, 0]
     with ad.no_grad():
         ev = model.evaluation_forward(x, y_hist, attention_maps=True)
     agg_scaled = ev.aggregate_forecast.data[0]

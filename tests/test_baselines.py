@@ -14,6 +14,7 @@ from fuzzformer.baselines import (
     ARIMA_CHUNK,
     ArimaFit,
     ArimaOrder,
+    LstmBaseline,
     arima_forecast,
     evaluate_arima_windows,
     fit_arima,
@@ -432,6 +433,10 @@ class TestLstmBaseline:
         preds = model.predict(ds.batch(ds.origins_for("test"), history=1).x)
         assert preds.shape[1] == 10
         assert np.all(np.isfinite(preds))
+
+    def test_empty_batch_forecasts_nothing(self):
+        model = LstmBaseline(3, 4, 2, 5, 12, np.random.default_rng(0))
+        assert model.predict(np.zeros((0, 12, 3))).shape == (0, 5)
 
     def test_numeric_failure_names_epoch_and_batch(self):
         ds = prepare_dataset(make_synthetic(n_points=400, seed=3), lookback=12, horizon=4)

@@ -42,6 +42,10 @@ with the standard library:
   LSTM kernels ``lstm_forward`` and ``lstm_backward`` (the latter from
   its ``vjp``).  So one place decides, from the autodiff mode, whether a
   forward pass keeps the gate and cell caches.
+* one function of src/fuzzformer/, ``training.forecast_bundle``, calls the
+  grid writer ``_write_grid``, and it opens no file and builds no
+  ``csv.writer`` of its own.  So every bundle table, and every table
+  added to the bundle later, is one more grid in one format.
 """
 
 import ast
@@ -360,6 +364,18 @@ def test_one_module_decides_when_probes_are_off():
 @pytest.mark.parametrize("callee,function", [("lstm_forward", "lstm_scan"), ("lstm_backward", "lstm_scan.vjp")])
 def test_one_function_decides_the_lstm_caches(callee, function):
     assert src_callers(callee) == [("encoder.py", function)]
+
+
+def test_the_bundle_writes_every_table_as_a_grid():
+    assert set(src_callers("_write_grid")) == {("training.py", "forecast_bundle")}
+    training = (SRC / "training.py").read_text(encoding="utf-8")
+    own = [
+        (line, callee)
+        for callee in ("writer", "DictWriter", "open_output")
+        for line, function in callers(training, callee)
+        if function is not None and function.split(".")[0] == "forecast_bundle"
+    ]
+    assert own == []
 
 
 def test_checker_finds_thread_pool_builders():

@@ -54,6 +54,13 @@ class TestLstmKernels:
         for before, after in zip(kept + cached, list(args) + [dh_out] + list(caches)):
             assert np.array_equal(before, after)
 
+    def test_empty_batch_gets_the_single_window_blocks(self):
+        assert lk.block_steps(0) == lk.block_steps(1) == 1024
+        x, wx, wh, b = _lstm_inputs(np.random.default_rng(0), N=6, B=0)
+        h, gates, c_all = lk.lstm_forward(x, wx, wh, b)
+        assert h.shape == c_all.shape == (6, 0, 5) and gates.shape == (6, 4, 0, 5)
+        assert lk.lstm_forward(x, wx, wh, b, cache=False)[0].shape == (6, 0, 5)
+
     @pytest.mark.parametrize("d_h", [16, 128])
     @pytest.mark.parametrize("d_in", [3, 16, 128])
     @pytest.mark.parametrize("B", [1, 7, 31, 44, 64, 96, 256])

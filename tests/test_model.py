@@ -98,6 +98,12 @@ class TestForwardPaths:
         t2 = model.training_forward(batch.x, batch.y_history, rng=np.random.default_rng(2))
         assert not np.allclose(t1.winner_forecast.data, t2.winner_forecast.data)
 
+    def test_empty_batch_forecasts_nothing(self):
+        model = tiny_model()
+        cfg = model.config
+        preds = model.predict(np.zeros((0, cfg.lookback, cfg.channels)), np.zeros((0, cfg.history)))
+        assert preds.shape == (0, cfg.horizon)
+
     def test_window_length_checked(self):
         model = tiny_model()
         with pytest.raises(ShapeError, match="lookback"):

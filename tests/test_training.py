@@ -1,6 +1,7 @@
 """Tests for the training loop, evaluation, forecast bundle, and report."""
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -694,6 +695,7 @@ class TestForecastBundle:
             dict(rules=4, attention_heads=2, mha_layers=2, latent_width=3),
             dict(rules=4, attention_heads=1, mha_layers=2, latent_width=2),
             dict(rules=1, attention_heads=2, mha_layers=1, latent_width=3),
+            dict(rules=4, attention_heads=2, mha_layers=1, latent_width=2, horizon=1),
         ],
         ids=lambda shape: "-".join(f"{k}{v}" for k, v in shape.items()),
     )
@@ -720,6 +722,49 @@ class TestForecastBundle:
             # per layer, head, query and key under the header
             rows = (tmp_path / "bundle" / "attention_weights.csv").read_bytes().count(b"\n")
             assert rows == 1 + cfg.mha_layers * cfg.attention_heads * cfg.lookback**2
+
+    # whole numbers, signed zeros and the extremes of the float range,
+    # next to any finite float
+    GRID_VALUES = (
+        st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 1e300, 5e-324, 3.0, -12.0, 1e16])
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.integers(-(10**12), 10**12).map(float)
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        levels=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 5)), min_size=1, max_size=4),
+        columns=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_grid_writer_matches_a_per_cell_csv_writer(self, levels, columns, data):
+        levels = [range(start, start + size) for start, size in levels]
+        shape = [len(level) for level in levels] + [columns]
+        pool = data.draw(st.lists(self.GRID_VALUES, min_size=1, max_size=12))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=16))
+        values = np.resize(np.array(pool)[picks], shape)
+        header = [f"label_{i}" for i in range(len(levels))] + [f"value_{j}" for j in range(columns)]
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "grid.csv", Path(tmp) / "oracle.csv"
+            assert training._write_grid(got, header, levels, values) == got
+            with open(want, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for point in itertools.product(*levels):
+                    index = tuple(k - level.start for k, level in zip(point, levels))
+                    writer.writerow([*point, *(f"{v:.10g}" for v in values[index])])
+            assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("shape", [(12,), (12, 2), (12, 4)], ids=["1-D", "2-columns", "4-columns"])
+    def test_window_of_wrong_shape(self, shape, tmp_path):
+        cfg = RunConfig(**TINY_TRAIN)
+        rng = np.random.default_rng(3)
+        model = FuzzformerModel(cfg, rng)
+        model.initialize_clusters(rng.normal(size=(8, cfg.latent_width)), rng)
+        scaler = fit_minmax(rng.normal(size=(20, cfg.channels)), 20)
+        expected = re.escape(f"window has shape {shape}, model needs (rows, {cfg.channels})")
+        with pytest.raises(DataError, match=expected):
+            forecast_bundle(model, scaler, ["a", "b", "c"], [], np.zeros(shape), tmp_path / "b", log=quiet)
 
     def test_window_too_short(self, tmp_path):
         ds = prepare_dataset(make_synthetic(n_points=400, seed=3), lookback=12, horizon=4)
