@@ -9,18 +9,23 @@ are bit-identical whether it is fitted by itself or inside any stack.
 ``hr_fit`` is the two-stage Hannan-Rissanen least-squares procedure
 (Hannan & Rissanen, Biometrika 1982): a long autoregression supplies
 residual proxies, then the series is regressed on its own lags and
-lagged residuals.  Rank deficiency, and overflow of a window near the
-float64 limit, are reported per window via the ``ok`` flags rather than an
-exception; the baseline layer turns them into typed errors.  The time
-recursions loop once over time with vector operations across windows,
-adding terms in the order of the per-window scalar loop.
+lagged residuals.  The proxies come from one batched product of each
+window's long-AR coefficients with its stage-1 design, the same stack
+the regression factors.  Rank deficiency, and overflow of a window near
+the float64 limit, are reported per window via the ``ok`` flags rather
+than an exception; the baseline layer turns them into typed errors.  The
+time recursions loop once over time with vector operations across
+windows, adding terms in the order of the per-window scalar loop.
 
 Each least-squares stage decides full rank with numpy lstsq's rule, but
-takes singular values only where it must.  A cheap bound on the condition
-of R, from R^-1 and two Frobenius norms, proves full rank for almost every
-window; the few windows it cannot decide (near-singular, zero diagonal,
-overflow in the bound) get the SVD rule itself.  R is upper triangular, so
-one back-substitution, one batched row step at a time, solves R X =
+takes singular values only where it must.  A cheap bound on the
+condition of R, from R^-1 and two Frobenius norms, proves full rank for
+almost every window; the few windows it cannot decide (near-singular,
+zero diagonal) get the SVD rule itself.  Where the bound's squared norms
+leave float64's range (windows beyond about 1e+-154), they are taken
+again on R and R^-1 rescaled, exactly, by reciprocal powers of two, so
+such windows are certified too.  R is upper triangular, so one
+back-substitution, one batched row step at a time, solves R X =
 [I | Q'b]: its first N columns are the R^-1 the bound needs and its last
 column is the coefficients.  No LU inverse or solve is used.  Triangular
 back-substitution is backward stable (Higham, Accuracy and Stability of
@@ -74,11 +79,11 @@ def _back_substitute(r, rhs):
     return x
 
 
-def _lstsq(columns):
-    """Least squares per window: regress the last of the (W, M) ``columns``
-    on the N others, for M > N.
+def _lstsq(design):
+    """Least squares per window: in a (W, N + 1, M) ``design`` stack of
+    columns, regress each window's last column on its N others, for M > N.
 
-    QR of the stacked (W, M, N + 1) matrix [A | b] yields R and Q'b
+    QR of the (W, M, N + 1) matrix [A | b] yields R and Q'b
     together, and one back-substitution with right-hand side [I | Q'b]
     yields R^-1 and the solution together; no LU is used.  A window counts
     as full rank under numpy lstsq's rule: the smallest singular value of
@@ -89,11 +94,10 @@ def _lstsq(columns):
     R or the solution is not finite (overflow, or non-finite columns); the
     mask is False in both cases.
     """
-    W, M = columns[0].shape
-    N = len(columns) - 1
-    # stacked as (W, N + 1, M) and viewed transposed, each window's matrix
-    # is column-major: the layout numpy's QR copies into LAPACK fastest
-    r = np.linalg.qr(np.stack(columns, axis=1).transpose(0, 2, 1), mode="r")[:, :N]
+    W, N, M = design.shape[0], design.shape[1] - 1, design.shape[2]
+    # a C-ordered stack viewed transposed makes each window's matrix
+    # column-major: the layout numpy's QR copies into LAPACK fastest
+    r = np.linalg.qr(design.transpose(0, 2, 1), mode="r")[:, :N]
     rhs = np.zeros((W, N, N + 1))
     rhs[:, range(N), range(N)] = 1.0
     rhs[:, :, N] = r[:, :, N]
@@ -110,15 +114,27 @@ def _lstsq(columns):
     # SVD rule, with a threshold 1e4 times lower, accepts the row too.
     # Every other row keeps ``full`` False here and gets the SVD rule
     # unchanged: a tiny or zero diagonal, or a bound whose norms overflow
-    # (0) or meet inf * 0 (NaN).  So each window's decision is the rule's
-    # decision.  A certified row has a finite |R|_F, so only the rows left
-    # open can hold a non-finite R, and those never reach the SVD.
+    # (0) or meet inf * 0 (NaN) even after the rescaling below.  So each
+    # window's decision is the rule's decision.  A certified row has a
+    # finite |R|_F, so only the rows left open can hold a non-finite R, and
+    # those never reach the SVD.
+    # The squared norms leave float64's range for windows beyond about
+    # 1e+-154: the product overflows, underflows to 0 or meets inf * 0.
+    # Those rows take both norms again on R scaled by 2^-e and R^-1 by 2^e,
+    # with e the frexp exponent of the row's largest |r_ii|.  Powers of two
+    # scale exactly, so such a row gets the bound it would get at unit
+    # scale, and no SVD either.
     cut = max(_CERTIFIED, 1e4 * tol)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
         x = _back_substitute(r, rhs)
         inv = x[:, :, :N]
         norms2 = np.einsum("wij,wij->w", inv, inv) * np.einsum("wij,wij->w", r, r)
+        redo = ~((norms2 > 0) & (norms2 < np.inf))
+        if redo.any():
+            e = np.frexp(diag[redo].max(axis=1))[1][:, None, None]
+            r_s, inv_s = r[redo] * np.ldexp(1.0, -e), inv[redo] * np.ldexp(1.0, e)
+            norms2[redo] = np.einsum("wij,wij->w", inv_s, inv_s) * np.einsum("wij,wij->w", r_s, r_s)
         full = (diag.min(axis=1) > cut * diag.max(axis=1)) & (1.0 / np.sqrt(norms2) > cut)
     finite = np.ones(W, dtype=bool)
     finite[~full] = np.isfinite(r[~full]).all(axis=(1, 2))
@@ -158,24 +174,25 @@ def hr_fit(x, p, q):
     if q == 0:
         if T - p < p + 1:
             return phi, theta, ok
-        phi, full = _lstsq(lags(x, p, p) + [x[:, p:]])
+        phi, full = _lstsq(np.stack(lags(x, p, p) + [x[:, p:]], axis=1))
         return phi, theta, ok | full
     # stage 1: long AR for residual proxies; order capped by window length
     n1 = min(max(2 * (p + q), 20), T // 2)
     m0 = max(p, n1 + q)
     if n1 < 1 or T - n1 < n1 + 1 or T - m0 < p + q + 1:
         return phi, theta, ok
-    x_lags = lags(x, n1, n1)
-    sol1, full1 = _lstsq(x_lags + [x[:, n1:]])
+    stage1 = np.stack(lags(x, n1, n1) + [x[:, n1:]], axis=1)
+    sol1, full1 = _lstsq(stage1)
+    # every proxy of a window from one batched product with its own lags,
+    # written into eps in place
     eps = np.zeros((W, T))
-    eps[:, n1:] = x[:, n1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, col in enumerate(x_lags):
-            eps[:, n1:] -= sol1[:, j, None] * col
+        np.matmul(sol1[:, None], stage1[:, :n1], out=eps[:, None, n1:])
+        np.subtract(x[:, n1:], eps[:, n1:], out=eps[:, n1:])
     # stage 2: regress on own lags and lagged residual proxies.  A NaN
     # stage-1 solution makes every proxy NaN, so stage 2 is NaN too; its
     # other rejections (rank) leave zeros.
-    sol2, full2 = _lstsq(lags(x, m0, p) + lags(eps, m0, q) + [x[:, m0:]])
+    sol2, full2 = _lstsq(np.stack(lags(x, m0, p) + lags(eps, m0, q) + [x[:, m0:]], axis=1))
     sol2[full2 & ~full1] = 0.0
     return sol2[:, :p], sol2[:, p:], ok | (full1 & full2)
 

@@ -53,6 +53,44 @@ class TestArimaOrder:
         with pytest.raises(ConfigError):
             ArimaOrder(p=1, d=2, q=0)
 
+    def test_numpy_integers_are_accepted(self):
+        order = ArimaOrder(np.int64(2), np.int32(1), np.uint8(1))
+        assert order == ArimaOrder(2, 1, 1) and order.label() == "ARIMA(2,1,1)"
+        windows = np.random.default_rng(2).normal(size=(3, 40)).cumsum(axis=1)
+        preds, ok = evaluate_arima_windows(windows, order, np.int64(4))
+        want, want_ok = evaluate_arima_windows(windows, ArimaOrder(2, 1, 1), 4)
+        assert np.array_equal(preds, want, equal_nan=True) and np.array_equal(ok, want_ok)
+        assert persistence_forecast(windows[0], np.int16(2)).shape == (2,)
+
+
+ZERO_FIT = ArimaFit(ArimaOrder(1, 1, 1), np.zeros(1), np.zeros(1), 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (ArimaOrder, (1.5, 1, 1), "ARIMA order must be integers, got (1.5, 1, 1)"),
+        (ArimaOrder, ("2", 1, 1), "ARIMA order must be integers, got ('2', 1, 1)"),
+        (ArimaOrder, (2, 1, 1.0), "ARIMA order must be integers, got (2, 1, 1.0)"),
+        *[
+            (call, (*args, horizon), f"{label} horizon must be an integer, got {horizon}")
+            for horizon in (5.0, 2.5)
+            for call, args, label in (
+                (evaluate_arima_windows, (np.ones((2, 10)), ArimaOrder(1, 1, 1)), "ARIMA"),
+                (arima_forecast, (ZERO_FIT, np.arange(10.0)), "ARIMA"),
+                (persistence_forecast, (np.arange(3.0),), "persistence"),
+            )
+        ],
+    ],
+    ids=[
+        "p-float", "p-str", "q-float",
+        *[f"{name}-{h}" for h in (5.0, 2.5) for name in ("evaluate", "forecast", "persistence")],
+    ],
+)
+def test_malformed_arima_input_is_a_config_error(call, args, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call(*args)
+
 
 class TestFitArima:
     def test_recovers_pure_ar2(self):

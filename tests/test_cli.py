@@ -361,15 +361,28 @@ class TestEvaluateAndBaseline:
         ],
         ids=["persistence", "arima", "arima-all-skipped", "lstm", "arima-order-beyond-memory"],
     )
-    def test_baseline_stdout_and_appended_bytes(self, workspace, tmp_path, capsys, method, extra):
+    def test_baseline_stdout_and_appended_bytes(
+        self, workspace, tmp_path, capsys, monkeypatch, method, extra
+    ):
         path = workspace / "data" / "dataset.bin"
         out = tmp_path / "results.csv"
         head = b"method,config,setting,split,rmse\r\nseed,,12/4,train,1.000000\r\n"
         out.write_bytes(head)
         capsys.readouterr()
+        evaluate, calls = bl.evaluate_arima_windows, []
+
+        def counting_evaluate(windows, *args):
+            calls.append(windows.shape[0])
+            return evaluate(windows, *args)
+
+        monkeypatch.setattr(bl, "evaluate_arima_windows", counting_evaluate)
         code = main(["baseline", "--dataset", str(path), "--method", method, "--out", str(out), *extra])
         assert code == EXIT_OK
-        lines, rows = expected_baseline_output(WindowedDataset.load(path), method, extra)
+        monkeypatch.undo()
+        dataset = WindowedDataset.load(path)
+        # ARIMA forecasts every window of every split in one call
+        assert calls == ([dataset.origins.size] if method == "arima" else [])
+        lines, rows = expected_baseline_output(dataset, method, extra)
         assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines)
         assert out.read_bytes() == head + "".join(f"{row}\r\n" for row in rows).encode()
 

@@ -46,6 +46,12 @@ with the standard library:
   grid writer ``_write_grid``, and it opens no file and builds no
   ``csv.writer`` of its own.  So every bundle table, and every table
   added to the bundle later, is one more grid in one format.
+* one function of src/fuzzformer/, ``kernels/arima.py::_lstsq``, calls
+  ``svd`` and ``qr``.  So every least-squares stage takes one rank rule.
+* one function of src/fuzzformer/, ``cli._baseline_forecaster`` itself
+  (not the per-batch closure it returns), calls
+  ``evaluate_arima_windows``.  So ``baseline --method arima`` forecasts
+  every window in one pass of full ``ARIMA_CHUNK`` stacks.
 """
 
 import ast
@@ -376,6 +382,15 @@ def test_the_bundle_writes_every_table_as_a_grid():
         if function is not None and function.split(".")[0] == "forecast_bundle"
     ]
     assert own == []
+
+
+@pytest.mark.parametrize("callee", ["svd", "qr"])
+def test_one_function_takes_every_rank_decision(callee):
+    assert src_callers(callee) == [("kernels/arima.py", "_lstsq")]
+
+
+def test_the_arima_baseline_runs_one_pass_per_cli_run():
+    assert src_callers("evaluate_arima_windows") == [("cli.py", "_baseline_forecaster")]
 
 
 def test_checker_finds_thread_pool_builders():

@@ -182,11 +182,11 @@ class TestArimaKernels:
             assert [bool(g) for g in got] == [arima_oracle.companion_stable(c) for c in coeffs]
 
 
-def _svd_rule(columns):
-    """numpy lstsq's rank rule on every row: (R, Q'b, full) from the QR and the SVD of R."""
-    M = columns[0].shape[1]
-    N = len(columns) - 1
-    r = np.linalg.qr(np.stack(columns, axis=2), mode="r")
+def _svd_rule(stack):
+    """numpy lstsq's rank rule on every (M, N + 1) row [A | b] of a stack:
+    (R, Q'b, full) from the QR and the SVD of R."""
+    M, N = stack.shape[1], stack.shape[2] - 1
+    r = np.linalg.qr(stack, mode="r")
     r, qb = r[:, :N, :N], r[:, :N, N]
     s = np.linalg.svd(r, compute_uv=False)
     return r, qb, s[:, -1] > np.finfo(np.float64).eps * max(M, N) * s[:, 0]
@@ -234,11 +234,10 @@ class TestLeastSquaresRank:
     def test_matches_the_svd_rule(self, kinds, n, extra, seed):
         rng = np.random.default_rng(seed)
         stack = np.stack([_design_row(k, rng, n + extra, n) for k in kinds])
-        columns = [stack[:, :, j] for j in range(n + 1)]
-        r, qb, want_full = _svd_rule(columns)
+        r, qb, want_full = _svd_rule(stack)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            sol, full = ak._lstsq(columns)
+            sol, full = ak._lstsq(stack.transpose(0, 2, 1))
         np.testing.assert_array_equal(full, want_full)
         np.testing.assert_array_equal(sol[~full], 0.0)
         assert_back_substitution_residual(r[full], qb[full], sol[full])
@@ -252,7 +251,7 @@ class TestLeastSquaresRank:
             a[:, 2] = a[:, :2] @ [0.7, -1.3] + rel * a[:, 2]
             rows.append(a)
         stack = np.stack(rows)
-        sol, full = ak._lstsq([stack[:, :, j] for j in range(4)])
+        sol, full = ak._lstsq(stack.transpose(0, 2, 1))
         assert full.tolist() == [False, True]
         np.testing.assert_array_equal(sol[0], 0.0)
 
@@ -261,9 +260,8 @@ class TestLeastSquaresRank:
         # a non-finite R^-1 block certifies no row; the solution column is kept
         rng = np.random.default_rng(8)
         stack = np.stack([_design_row(k, rng, 30, 4) for k in ROW_KINDS * 2])
-        columns = [stack[:, :, j] for j in range(5)]
-        _, _, want_full = _svd_rule(columns)
-        want_sol = ak._lstsq(columns)[0]
+        _, _, want_full = _svd_rule(stack)
+        want_sol = ak._lstsq(stack.transpose(0, 2, 1))[0]
         back_substitute = ak._back_substitute
 
         def spoiled_inverse(r, rhs):
@@ -272,7 +270,7 @@ class TestLeastSquaresRank:
             return x
 
         monkeypatch.setattr(ak, "_back_substitute", spoiled_inverse)
-        sol, full = ak._lstsq(columns)
+        sol, full = ak._lstsq(stack.transpose(0, 2, 1))
         np.testing.assert_array_equal(full, want_full)
         assert np.array_equal(sol, want_sol)
 
@@ -292,12 +290,12 @@ class TestLeastSquaresRank:
             seen.append(np.isfinite(a).all())
             return svd(a, *args, **kwargs)
 
-        want_sol, want_full = ak._lstsq([stack[:, :, j] for j in range(5)])
+        want_sol, want_full = ak._lstsq(stack.transpose(0, 2, 1))
         monkeypatch.setattr(np.linalg, "svd", finite_svd)
         both = np.concatenate([stack, bad])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol, full = ak._lstsq([both[:, :, j] for j in range(5)])
+            sol, full = ak._lstsq(both.transpose(0, 2, 1))
         assert all(seen)
         assert not full[len(stack) :].any() and np.isnan(sol[len(stack) :]).all()
         np.testing.assert_array_equal(full[: len(stack)], want_full)
@@ -319,6 +317,26 @@ class TestLeastSquaresRank:
         _, ok = evaluate_arima_windows(windows, ArimaOrder(4, 1, 1), 30)
         assert windows.shape[0] == 933 and ok.mean() > 0.9
         assert sum(rows) <= 0.03 * windows.shape[0]
+
+    @pytest.mark.parametrize("order", [(4, 1, 1), (2, 0, 1), (3, 0, 0), (1, 1, 2)], ids=str)
+    @pytest.mark.parametrize("scale", [2.0**531, 2.0**-531], ids=["2^531", "2^-531"])
+    def test_certificate_is_scale_free(self, monkeypatch, order, scale):
+        # unscaled, |R|_F^2 or |R^-1|_F^2 of these windows would leave the
+        # float64 range and send every stage row to the SVD
+        windows = np.random.default_rng(11).normal(size=(40, 60)).cumsum(axis=1)
+        order = ArimaOrder(*order)
+        svd, rows = np.linalg.svd, []
+
+        def counting_svd(a, *args, **kwargs):
+            rows.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        want, want_ok = evaluate_arima_windows(windows, order, 7)
+        preds, ok = evaluate_arima_windows(windows * scale, order, 7)
+        assert rows == [] and want_ok.mean() > 0.9
+        np.testing.assert_array_equal(ok, want_ok)
+        np.testing.assert_allclose(preds[ok], want[ok] * scale, rtol=1e-12, atol=0)
 
     def test_rank_test_takes_no_general_inverse(self, monkeypatch):
         def no_inverse(a):
