@@ -21,6 +21,23 @@ from .attention import MultiHeadAttention
 from .exceptions import ShapeError
 from .kernels import lstm as lstm_kernels
 
+# windows per chunk of a forward-only encode, and of training._over_chunks,
+# and so per worker and per forecast or encode call.  A split of up to 96
+# windows stays one call: small models are per-call bound, and splitting a
+# 90-window split into 64 + 26 cut desk-shape throughput by a third.
+# Larger chunks hold more activations at once.  Keep it a multiple of 16.
+# OpenBLAS's double GEMM takes rows in blocks of 16 and the rows left over
+# in smaller blocks, and a row in a block of 1 or 2 can get other last bits
+# than in a larger one (at the paper shape, warm-up chunks of 2, 5 or 102
+# windows changed the latents of 156, 31 and 2 of 256 windows; every
+# multiple of 4 tried left all equal).  With chunks a multiple of 16, each
+# window falls in the same kind of block as in one batch of all the
+# windows, so chunked forecasts and latents keep one batch's bits.  The
+# exception is a last chunk of one window: at the paper shape, 96 + r
+# windows keep one batch's bits for every r from 2 to 40, but at r = 1 the
+# last window's latent moves in its last bit.
+EVAL_BATCH = 96
+
 
 def lstm_scan(x, wx, wh, b):
     """Graph op: run one LSTM layer over a batch of windows.
@@ -94,13 +111,19 @@ class EncoderOutput:
     attention_weights: list = field(default_factory=list)
 
 
+def _rows(tensors) -> ad.Tensor:
+    """One plain tensor of the chunks' rows, in order."""
+    return ad.Tensor(np.concatenate([t.data for t in tensors]))
+
+
 class Encoder:
     """LSTM stack + attention stack + the z/u dense heads of a ``RunConfig``.
 
     A forward pass under ``ad.no_grad`` (prediction, evaluation, cluster
     warm-up, the forecast bundle) holds only what its outputs need: the
-    LSTM layers keep no gradient caches, and the attention maps are kept
-    only when the caller asks for them.
+    LSTM layers keep no gradient caches, the attention maps are kept
+    only when the caller asks for them, and a batch of more than
+    EVAL_BATCH windows is encoded one chunk at a time.
     """
 
     def __init__(self, config, params):
@@ -122,12 +145,32 @@ class Encoder:
 
         ``attention_weights`` holds every head's (B, N, N) map only when
         ``attention_maps`` asks for them, and is empty otherwise.
+
+        A pass that records no graph and draws no dropout encodes more
+        than EVAL_BATCH windows EVAL_BATCH at a time, so it holds one
+        chunk's activations at once, however many windows it is given,
+        and each window gets the bits ``training.score_split``'s chunks
+        give it.
         """
         cfg = self.config
         x = ad.astensor(x)
         if x.data.ndim != 3 or x.data.shape[-1] != cfg.channels:
             raise ShapeError(
                 f"encoder: expected (B, N, {cfg.channels}) input, got {x.data.shape}"
+            )
+        n = x.data.shape[0]
+        if n > EVAL_BATCH and rng is None and not ad.grad_enabled():
+            parts = [
+                self(x.data[start : start + EVAL_BATCH], attention_maps=attention_maps)
+                for start in range(0, n, EVAL_BATCH)
+            ]
+            return EncoderOutput(
+                z_latent=_rows(p.z_latent for p in parts),
+                u_latent=_rows(p.u_latent for p in parts),
+                attention_weights=[
+                    [_rows(head) for head in zip(*layer)]
+                    for layer in zip(*(p.attention_weights for p in parts))
+                ],
             )
         h = x
         for layer in self.lstm_layers:

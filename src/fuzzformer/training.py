@@ -38,6 +38,7 @@ from .baselines import LstmBaseline, rmse
 from .checkpoint import save_checkpoint
 from .config import RunConfig
 from .data import SPLIT_NAMES, WindowedDataset, open_output, output_dir, read_table, write_json
+from .encoder import EVAL_BATCH
 from .exceptions import ConfigError, DataError
 from .fuzzy import bhattacharyya  # by this name, so a profiler can patch the bundle's call
 from .losses import composite_loss, mse_loss
@@ -46,19 +47,6 @@ from .model import FuzzformerModel
 RESULT_FIELDS = ("method", "config", "setting", "split", "rmse")
 LOSS_FIELDS = ("epoch", "mse", "fcm", "overlap", "balance", "composite")
 WARMUP_WINDOWS = 256  # training windows sampled to seed the cluster centers
-# windows per chunk of _over_chunks, and so per worker and per forecast or
-# encode call.  A split of up to 96 windows stays one call: small models
-# are per-call bound, and splitting a 90-window split into 64 + 26 cut
-# desk-shape throughput by a third.  Larger chunks hold more activations
-# per worker at once.  Keep it a multiple of 16.  OpenBLAS's double GEMM
-# takes rows in blocks of 16 and the rows left over in smaller blocks, and
-# a row in a block of 1 or 2 can get other last bits than in a larger one
-# (at the paper shape, warm-up chunks of 2, 5 or 102 windows changed the
-# latents of 156, 31 and 2 of 256 windows; every multiple of 4 tried left
-# all equal).  With chunks a multiple of 16, each window falls in the same
-# kind of block as in one batch of all the windows, so chunked forecasts
-# and warm-up latents keep one batch's bits.
-EVAL_BATCH = 96
 
 
 @dataclass

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fuzzformer import autodiff as ad
-from fuzzformer import training
+from fuzzformer import encoder, training
 from fuzzformer.config import RunConfig
 from fuzzformer.data import Batch, make_synthetic, prepare_dataset
 from fuzzformer.exceptions import NonFiniteError, ShapeError
@@ -300,3 +300,63 @@ class TestInferenceMemory:
             asked = model.evaluation_forward(batch.x, batch.y_history, attention_maps=True)
         layer = asked.encoder_output.attention_weights
         assert len(layer) == 1 and [w.data.shape for w in layer[0]] == [(5, 6, 6)] * 2
+
+    def test_a_large_no_grad_forward_holds_one_chunk(self):
+        # the paper shape: two chunks in turn hold what one chunk holds, not
+        # twice that (a 256-window forward peaked at 52.6 MiB in one batch
+        # and at 19.8 MiB in chunks)
+        cfg = RunConfig()
+        model = FuzzformerModel(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.uniform(size=(2 * training.EVAL_BATCH, cfg.lookback, cfg.channels))
+        y_history = rng.uniform(size=(x.shape[0], cfg.history))
+        chunk = slice(0, training.EVAL_BATCH)
+        with ad.no_grad():
+            one = traced_peak(lambda: model.evaluation_forward(x[chunk], y_history[chunk]))
+            two = traced_peak(lambda: model.evaluation_forward(x, y_history))
+        assert two < 1.25 * one
+
+    @pytest.mark.parametrize("extra", [2, 16, 37])
+    def test_chunked_forward_keeps_one_batchs_bits(self, monkeypatch, extra):
+        cfg = RunConfig(**{**TINY, "mha_layers": 2})
+        model = FuzzformerModel(cfg, np.random.default_rng(4))
+        batch = tiny_batch(cfg, np.random.default_rng(5), batch=2 * encoder.EVAL_BATCH + extra)
+        calls = encode_calls(monkeypatch)
+
+        def outputs():
+            with ad.no_grad():
+                ev = model.evaluation_forward(batch.x, batch.y_history, attention_maps=True)
+            maps = [w.data for layer in ev.encoder_output.attention_weights for w in layer]
+            return [ev.aggregate_forecast.data, ev.memberships.data, ev.rule_forecasts.data,
+                    ev.encoder_output.z_latent.data, ev.encoder_output.u_latent.data, *maps]
+
+        chunked = outputs()
+        assert calls == [batch.x.shape[0], encoder.EVAL_BATCH, encoder.EVAL_BATCH, extra]
+        monkeypatch.setattr(encoder, "EVAL_BATCH", batch.x.shape[0])
+        whole = outputs()
+        assert len(chunked) == 5 + cfg.mha_layers * cfg.attention_heads
+        for got, want in zip(chunked, whole):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_a_recorded_or_dropout_forward_is_not_chunked(self, monkeypatch):
+        cfg = RunConfig(**{**TINY, "dropout_rate": 0.5})
+        model = FuzzformerModel(cfg, np.random.default_rng(6))
+        x = np.random.default_rng(7).uniform(size=(encoder.EVAL_BATCH + 1, cfg.lookback, cfg.channels))
+        calls = encode_calls(monkeypatch)
+        model.encode(x)  # records a graph
+        with ad.no_grad():
+            model.encode(x, rng=np.random.default_rng(8))  # draws dropout masks
+        assert calls == [x.shape[0], x.shape[0]]
+
+
+def encode_calls(monkeypatch):
+    """Batch sizes of every Encoder call from now on, chunk calls included."""
+    calls = []
+    body = encoder.Encoder.__call__
+
+    def counting(self, x, **kwargs):
+        calls.append(ad.astensor(x).data.shape[0])
+        return body(self, x, **kwargs)
+
+    monkeypatch.setattr(encoder.Encoder, "__call__", counting)
+    return calls
