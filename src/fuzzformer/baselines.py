@@ -152,6 +152,16 @@ def _forecast_stack(windows, phi, theta, mean, d, horizon):
         return xhat if d == 0 else windows[:, -1:] + np.cumsum(xhat, axis=1)
 
 
+def _one_window(window):
+    """``window`` as a float64 array; one that is not 1-D or holds a
+    non-finite value raises ``DataError``."""
+    window = np.asarray(window, dtype=np.float64)
+    if window.ndim != 1:
+        raise DataError(f"ARIMA window must be 1-D, got shape {window.shape}")
+    _check_finite(window)
+    return window
+
+
 def fit_arima(window, order: ArimaOrder) -> ArimaFit:
     """Hannan-Rissanen estimation on one look-back window.
 
@@ -160,10 +170,7 @@ def fit_arima(window, order: ArimaOrder) -> ArimaFit:
     non-invertible (MA part), with ``ArimaFitError``.  A window that is
     not 1-D or holds a non-finite value raises ``DataError``.
     """
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 1:
-        raise DataError(f"ARIMA window must be 1-D, got shape {window.shape}")
-    _check_finite(window)
+    window = _one_window(window)
     if _too_short(window.size, order):
         raise ArimaFitError(f"window of {window.size} values is too short for {order.label()}")
     phi, theta, mean, code = _fit_stack(window[None], order)
@@ -173,9 +180,16 @@ def fit_arima(window, order: ArimaOrder) -> ArimaFit:
 
 
 def arima_forecast(fit: ArimaFit, window, horizon: int) -> np.ndarray:
-    """Recursive H-step forecast with future residuals at zero, integrated d times."""
+    """Recursive H-step forecast with future residuals at zero, integrated d times.
+
+    The window must be one ``fit_arima`` could fit with ``fit.order``: a
+    window that is not 1-D, holds a non-finite value or is too short for
+    the order raises ``DataError``.
+    """
     _check_horizon(horizon)
-    window = np.asarray(window, dtype=np.float64)
+    window = _one_window(window)
+    if _too_short(window.size, fit.order):
+        raise DataError(f"window of {window.size} values is too short for {fit.order.label()}")
     out = _forecast_stack(
         window[None], fit.phi[None], fit.theta[None], np.array([fit.mean]), fit.order.d, horizon
     )[0]

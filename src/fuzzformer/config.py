@@ -8,15 +8,11 @@ resolved config next to every run's outputs.
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
-from .data import read_text, write_json
+from .data import as_int, read_text, write_json
 from .exceptions import ConfigError, DataError
-
-
-def _is_a(value, kind) -> bool:
-    """JSON typing of a field value: a bool is not a number; an int is a float."""
-    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass
@@ -44,6 +40,14 @@ class RunConfig:
     seed: int = 42
 
     def validate(self) -> "RunConfig":
+        # integers of any kind (numpy's too), held as Python ints afterwards;
+        # a float field takes any real number.  A bool is neither.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int:
+                setattr(self, f.name, as_int(f.name, value))
+            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{f.name} must be float, got {value!r}")
         positive = (
             "lookback", "horizon", "channels", "lstm_layers", "hidden_width",
             "mha_layers", "attention_heads", "latent_width", "rules",
@@ -94,13 +98,9 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        kinds = {f.name: f.type for f in fields(cls)}
-        unknown = set(data) - set(kinds)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        for name, value in data.items():
-            if not _is_a(value, kinds[name]):
-                raise ConfigError(f"{name} must be {kinds[name].__name__}, got {value!r}")
         return cls(**data).validate()
 
     @classmethod

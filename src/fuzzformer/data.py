@@ -31,6 +31,7 @@ import datetime as dt
 import hashlib
 import io
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -446,12 +447,26 @@ def split_windows(n_rows, lookback, horizon, stride):
     return origins[keep], labels[keep], max(t1, 1)
 
 
+def as_int(name, value) -> int:
+    """``value`` as a Python int: integers of any kind (numpy's too) pass,
+    anything else, a bool or a float included, raises ``ConfigError``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be int, got {value!r}")
+
+
 def make_windows(matrix, calendar, channel_names, lookback, horizon, stride=1) -> WindowedDataset:
     """Scale, window, and split an aligned channel matrix (see
-    ``split_windows``)."""
-    for name, value in (("lookback", lookback), ("horizon", horizon), ("stride", stride)):
-        if value < 1:
+    ``split_windows``).  Window sizes must be integers >= 1."""
+    sizes = {"lookback": lookback, "horizon": horizon, "stride": stride}
+    for name, value in sizes.items():
+        sizes[name] = as_int(name, value)
+        if sizes[name] < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
+    lookback, horizon, stride = sizes.values()
     matrix = np.asarray(matrix, dtype=np.float64)
     origins, labels, fit_rows = split_windows(matrix.shape[0], lookback, horizon, stride)
     scaler = fit_minmax(matrix, fit_rows)
@@ -509,6 +524,7 @@ def make_synthetic(n_points=1200, seed=7):
     the main period, and a smoothed momentum proxy.  Every test and demo
     can run on this without external market data.
     """
+    n_points, seed = as_int("n_points", n_points), as_int("seed", seed)
     if n_points < 5:  # the momentum channel's 5-point moving average needs 5
         raise ConfigError(f"a synthetic series needs at least 5 points, got {n_points}")
     if seed < 0:

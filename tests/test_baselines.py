@@ -172,7 +172,7 @@ class TestFitArima:
 class TestArimaForecast:
     def test_zero_coefficients_d1_is_persistence(self):
         fit = ArimaFit(ArimaOrder(1, 1, 1), np.zeros(1), np.zeros(1), 0.0)
-        window = np.array([1.0, 4.0, 2.0, 8.0])
+        window = np.array([1.0, 4.0, 2.0, 3.0, 8.0])  # the shortest window fit_arima takes
         np.testing.assert_allclose(arima_forecast(fit, window, 6), 8.0)
 
     def test_ar1_geometric_decay_closed_form(self):
@@ -198,6 +198,21 @@ class TestArimaForecast:
             arima_forecast(fit, np.arange(10.0), horizon=-3)
         with pytest.raises(ConfigError, match="horizon"):
             evaluate_arima_windows(np.ones((2, 10)), ArimaOrder(1, 1, 1), horizon=-3)
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            (np.ones((2, 60)), r"must be 1-D, got shape \(2, 60\)"),
+            (np.zeros(0), r"window of 0 values is too short for ARIMA\(2,1,1\)"),
+            (np.full(60, np.nan), "non-finite"),
+            (np.array([1.0, 2.0]), r"window of 2 values is too short for ARIMA\(2,1,1\)"),
+        ],
+        ids=["2-D", "empty", "NaN", "two values"],
+    )
+    def test_a_window_fit_arima_would_refuse_is_a_data_error(self, window, message):
+        fit = fit_arima(np.random.default_rng(7).normal(size=60).cumsum(), ArimaOrder(2, 1, 1))
+        with pytest.raises(DataError, match=message):
+            arima_forecast(fit, window, 5)
 
     def test_d1_starts_from_last_level(self):
         rng = np.random.default_rng(5)

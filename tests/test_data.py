@@ -367,6 +367,17 @@ class TestMakeWindows:
         with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {value}"):
             self._dataset(**{name: value})
 
+    @pytest.mark.parametrize("value", [10.5, 12.0, True, "12"], ids=repr)
+    @pytest.mark.parametrize("name", ["lookback", "horizon", "stride"])
+    def test_window_sizes_that_are_not_integers_raise_config_error(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be int, got {re.escape(repr(value))}$"):
+            self._dataset(n_rows=300, **{name: value})
+
+    def test_numpy_integer_sizes_are_held_as_ints(self):
+        ds = self._dataset(n_rows=300, lookback=np.int64(60), horizon=np.int32(30), stride=np.uint8(2))
+        assert [type(v) for v in (ds.lookback, ds.horizon, ds.stride)] == [int, int, int]
+        assert ds.batch(ds.origins_for("train")[:2], history=1).x.shape == (2, 60, 2)
+
     def test_batch_shapes_and_contents(self):
         ds = self._dataset(n_rows=300)
         origins = ds.origins_for("train")[:4]
@@ -502,6 +513,16 @@ class TestSynthetic:
     def test_too_few_points_raise_config_error(self, n_points):
         with pytest.raises(ConfigError, match=f"at least 5 points, got {n_points}"):
             make_synthetic(n_points=n_points)
+
+    @pytest.mark.parametrize("kwargs", [{"n_points": 100.5}, {"n_points": True}, {"seed": 2.0}, {"seed": "3"}], ids=repr)
+    def test_sizes_and_seeds_that_are_not_integers_raise_config_error(self, kwargs):
+        (name, value), = kwargs.items()
+        with pytest.raises(ConfigError, match=f"^{name} must be int, got {re.escape(repr(value))}$"):
+            make_synthetic(**kwargs)
+
+    def test_numpy_integers_give_the_same_series(self):
+        for a, b in zip(make_synthetic(n_points=np.int64(50), seed=np.int32(3)), make_synthetic(n_points=50, seed=3)):
+            np.testing.assert_array_equal(a.values, b.values)
 
     def test_smallest_size_builds(self):
         assert [len(s) for s in make_synthetic(n_points=5)] == [5, 5, 5]

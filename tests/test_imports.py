@@ -48,6 +48,9 @@ with the standard library:
   added to the bundle later, is one more grid in one format.
 * one function of src/fuzzformer/, ``kernels/arima.py::_lstsq``, calls
   ``svd`` and ``qr``.  So every least-squares stage takes one rank rule.
+* no function of src/fuzzformer/ calls ``eigvals`` or ``eig``.  Stationarity
+  and invertibility come from the step-down recursion of
+  ``kernels/arima.py::companion_stable``, which needs no eigenvalue solver.
 * one function of src/fuzzformer/, ``cli._baseline_forecaster`` itself
   (not the per-batch closure it returns), calls
   ``evaluate_arima_windows``.  So ``baseline --method arima`` forecasts
@@ -387,6 +390,11 @@ def test_the_bundle_writes_every_table_as_a_grid():
 @pytest.mark.parametrize("callee", ["svd", "qr"])
 def test_one_function_takes_every_rank_decision(callee):
     assert src_callers(callee) == [("kernels/arima.py", "_lstsq")]
+
+
+@pytest.mark.parametrize("callee", ["eigvals", "eig"])
+def test_no_function_calls_an_eigenvalue_solver(callee):
+    assert src_callers(callee) == []
 
 
 def test_the_arima_baseline_runs_one_pass_per_cli_run():

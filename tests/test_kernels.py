@@ -182,6 +182,97 @@ class TestArimaKernels:
             assert [bool(g) for g in got] == [arima_oracle.companion_stable(c) for c in coeffs]
 
 
+def _random_roots(rng, moduli):
+    """Roots with the given moduli: conjugate pairs at random angles, and
+    one real root of random sign when their number is odd."""
+    m = len(moduli)
+    pairs = moduli[: m // 2] * np.exp(1j * rng.uniform(0.0, np.pi, size=m // 2))
+    return np.concatenate([pairs, pairs.conj(), moduli[2 * (m // 2) :] * rng.choice([-1.0, 1.0], size=m % 2)])
+
+
+def _from_roots(roots):
+    """Coefficients of the recursion y[t] = sum_j c[j] y[t-1-j] whose
+    characteristic roots are ``roots`` (closed under conjugation)."""
+    return -np.atleast_1d(np.poly(roots))[1:].real
+
+
+def _stability_rows(rng, m, n):
+    """n rows of m coefficients: half normal at a random scale (mostly
+    unstable for large m), half from roots at least 0.03 from the unit
+    circle, so that rounding decides neither test."""
+    rows = np.empty((n, m))
+    for row in rows:
+        if rng.random() < 0.5:
+            row[:] = rng.normal(scale=rng.choice([0.1, 0.4, 0.8]), size=m)
+        else:
+            moduli = np.where(rng.random(m) < 0.8, rng.uniform(0, 0.97, m), rng.uniform(1.03, 1.5, m))
+            row[:] = _from_roots(_random_roots(rng, moduli))
+    return rows
+
+
+class TestCompanionStable:
+    """The step-down test against the eigenvalues of the companion matrix
+    (``arima_oracle.companion_stable``) and against known roots."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(0, 30),
+        lead=st.sampled_from([(), (1,), (3,), (0, 5), (1, 5), (2, 3), (3, 1), (3, 5)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_eigenvalue_oracle(self, m, lead, seed):
+        rows = _stability_rows(np.random.default_rng(seed), m, int(np.prod(lead, dtype=int)))
+        got = ak.companion_stable(rows.reshape(lead + (m,)))
+        assert np.shape(got) == lead
+        assert np.reshape(got, -1).tolist() == [arima_oracle.companion_stable(r) for r in rows]
+
+    @pytest.mark.parametrize("m", range(1, 31))
+    def test_roots_1e6_from_the_unit_circle(self, m):
+        # one root (a conjugate pair when m > 1) at modulus 1 +- 1e-6, the
+        # others anywhere inside 0.95
+        rng = np.random.default_rng(m)
+        inside = rng.random(200) < 0.5
+        moduli = rng.uniform(0.0, 0.95, size=(200, m))
+        moduli[:, 0] = np.where(inside, 1 - 1e-6, 1 + 1e-6)
+        rows = np.stack([_from_roots(_random_roots(rng, mod)) for mod in moduli])
+        np.testing.assert_array_equal(ak.companion_stable(rows), inside)
+
+    @pytest.mark.parametrize("m", range(2, 31))
+    def test_a_pair_near_plus_or_minus_one_just_inside_the_circle(self, m):
+        # a pair at modulus 1 - 1e-6, 1e-7 .. 1e-3 radians from the real
+        # axis, nearly a double root at +1 or -1: the partial
+        # autocorrelations come within ~1e-12 of +-1.  The step in its
+        # plain form, (a_j + r a_{k-j}) / (1 - r^2), calls a fifth to a
+        # third of these unstable; the eigenvalues get every one right.
+        rng = np.random.default_rng(m)
+        near = np.logspace(-7, -3, 41)
+        rows = []
+        for angle in np.concatenate([near, np.pi - near]):
+            edge = (1 - 1e-6) * np.exp(1j * angle)
+            others = _random_roots(rng, rng.uniform(0.0, 0.5, m - 2))
+            rows.append(_from_roots(np.r_[edge, edge.conjugate(), others]))
+        assert ak.companion_stable(np.stack(rows)).all()
+
+    def test_non_finite_rows_are_unstable_without_a_warning(self):
+        rows = np.zeros((6, 4))
+        rows[0, 0], rows[1, 3], rows[2, 1], rows[3, :] = np.nan, np.inf, -np.inf, [np.inf, np.nan, 1e308, -1e308]
+        rows[4] = [0.5, -0.2, 0.1, 0.05]
+        rows[5] = [1e308, 1e308, 1e308, 0.5]  # overflows in the steps after its last coefficient
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ak.companion_stable(rows)
+        assert got.tolist() == [False, False, False, False, True, False]
+
+    def test_a_row_alone_equals_the_row_in_a_stack(self):
+        rng = np.random.default_rng(3)
+        for m in (1, 2, 5, 17):
+            stack = _stability_rows(rng, m, 40).reshape(4, 10, m)
+            got = ak.companion_stable(stack)
+            for i, j in np.ndindex(4, 10):
+                assert ak.companion_stable(stack[i, j]) == got[i, j]
+                assert ak.companion_stable(stack[i, j : j + 1])[0] == got[i, j]
+
+
 def _svd_rule(stack):
     """numpy lstsq's rank rule on every (M, N + 1) row [A | b] of a stack:
     (R, Q'b, full) from the QR and the SVD of R."""

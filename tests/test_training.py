@@ -299,6 +299,30 @@ class TestRunConfigFromDict:
         with pytest.raises(ConfigError, match=message):
             RunConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("lookback", 60.5, "int"),
+            ("rules", 4.0, "int"),
+            ("epochs", 2.5, "int"),
+            ("batch_size", True, "int"),
+            ("hidden_width", "16", "int"),
+            ("seed", np.float64(3.0), "int"),
+            ("dropout_rate", "0.1", "float"),
+            ("learning_rate", None, "float"),
+            ("weight_fcm", np.True_, "float"),
+        ],
+    )
+    def test_validate_rejects_fields_of_the_wrong_type(self, field, value, kind):
+        with pytest.raises(ConfigError, match=f"^{field} must be {kind}, got {re.escape(repr(value))}$"):
+            RunConfig(**{field: value}).validate()
+
+    def test_validate_takes_numpy_numbers_and_holds_ints(self):
+        cfg = RunConfig(lookback=np.int64(60), rules=np.int32(4), seed=np.uint16(7), dropout_rate=np.float32(0.25))
+        cfg.validate()
+        assert [type(v) for v in (cfg.lookback, cfg.rules, cfg.seed)] == [int, int, int]
+        assert (cfg.lookback, cfg.rules, cfg.seed, cfg.dropout_rate) == (60, 4, 7, 0.25)
+
     def test_int_accepted_for_float_field(self):
         cfg = RunConfig.from_dict({"dropout_rate": 0, "learning_rate": 1})
         assert cfg.dropout_rate == 0 and cfg.learning_rate == 1
