@@ -18,15 +18,15 @@ proxies of a chunk come from one batched product, and the full-rank
 certificate is scale-safe: scaling a window by a power of two leaves its
 decision, and its route past the SVD, as they were, unless the fit
 overflows or underflows.  Orders and horizons must be integers (numpy's
-too); anything else is a ``ConfigError``.
+too); anything else, a bool included, is a ``ConfigError``.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from .data import as_int
 from .encoder import Dense, LstmLayer
 from .exceptions import ArimaFitError, ConfigError, DataError, NonFiniteError
 from .kernels import arima as arima_kernels
@@ -47,9 +47,9 @@ class ArimaOrder:
 
     def __post_init__(self):
         order = (self.p, self.d, self.q)
-        try:  # integers of any kind (numpy's too), never floats or strings
-            self.p, self.d, self.q = (operator.index(k) for k in order)
-        except TypeError:
+        try:  # integers of any kind (numpy's too), never bools, floats or strings
+            self.p, self.d, self.q = (as_int("ARIMA order", k) for k in order)
+        except ConfigError:
             raise ConfigError(f"ARIMA order must be integers, got {order!r}") from None
         if self.p < 0 or self.q < 0 or (self.p == 0 and self.q == 0):
             raise ConfigError(f"ARIMA order needs p >= 1 or q >= 1, got ({self.p}, {self.q})")
@@ -98,8 +98,8 @@ def _check_finite(windows):
 
 def _check_horizon(horizon, label="ARIMA"):
     try:
-        operator.index(horizon)
-    except TypeError:
+        as_int("horizon", horizon)
+    except ConfigError:
         raise ConfigError(f"{label} horizon must be an integer, got {horizon!r}") from None
     if horizon < 1:
         raise ConfigError(f"{label} horizon must be >= 1, got {horizon}")

@@ -142,17 +142,18 @@ def cmd_forecast(args) -> int:
 
 
 def _baseline_forecaster(args, dataset):
-    """(label, forecast) of the ``--method`` baseline, where
+    """(label, forecast, width) of the ``--method`` baseline, where
     ``forecast(batch)`` gives ``training.score_split`` the batch's
-    forecasts and a mask of the windows it forecast; only ARIMA leaves
-    windows out."""
+    forecasts and a mask of the windows it forecast (only ARIMA leaves
+    windows out), and ``width`` is its per-window work for
+    ``score_split``'s chunk layout: 0 for the row lookups."""
     horizon = dataset.horizon
     if args.method == "persistence":
         def forecast(batch):
             windows = dataset.window_main(batch.origins)
             return np.stack([bl.persistence_forecast(w, horizon) for w in windows]), True
 
-        return "", forecast
+        return "", forecast, 0
     if args.method == "arima":
         # one pass over every window, so the kernels get ARIMA_CHUNK-window
         # stacks; each row's forecast is the same in any stack
@@ -163,7 +164,7 @@ def _baseline_forecaster(args, dataset):
             rows = np.searchsorted(dataset.origins, batch.origins)  # origins ascend
             return preds[rows], ok[rows]
 
-        return f"p={args.p},d={args.d},q={args.q}", forecast
+        return f"p={args.p},d={args.d},q={args.q}", forecast, 0
     model = training.train_lstm_baseline(
         dataset,
         hidden=args.hidden,
@@ -174,17 +175,17 @@ def _baseline_forecaster(args, dataset):
         seed=args.seed,
         log=print if args.verbose else None,
     )
-    return f"hidden={args.hidden},layers={args.layers}", lambda b: (model.predict(b.x), True)
+    return f"hidden={args.hidden},layers={args.layers}", lambda b: (model.predict(b.x), True), args.hidden
 
 
 def cmd_baseline(args) -> int:
     dataset = dmod.WindowedDataset.load(args.dataset)
     setting = f"{dataset.lookback}/{dataset.horizon}"
-    label, forecast = _baseline_forecaster(args, dataset)
+    label, forecast, width = _baseline_forecaster(args, dataset)
     title = f"{args.method}({label})" if label else args.method
     rows = []
     for split in dmod.SPLIT_NAMES:
-        report = training.score_split(dataset, split, 1, forecast)
+        report = training.score_split(dataset, split, 1, forecast, width=width)
         skipped, total = report.n_skipped, report.n_samples + report.n_skipped
         if report.n_samples:
             rows.append(_result_row(args.method, label, setting, report))

@@ -21,11 +21,14 @@ from .attention import MultiHeadAttention
 from .exceptions import ShapeError
 from .kernels import lstm as lstm_kernels
 
-# windows per chunk of a forward-only encode, and of training._over_chunks,
-# and so per worker and per forecast or encode call.  A split of up to 96
-# windows stays one call: small models are per-call bound, and splitting a
-# 90-window split into 64 + 26 cut desk-shape throughput by a third.
-# Larger chunks hold more activations at once.  Keep it a multiple of 16.
+# windows per chunk of a forward-only encode, and the most per chunk of
+# training._over_chunks, and so per worker and per forecast or encode call.
+# Larger chunks hold more activations at once.  _over_chunks cuts smaller
+# chunks only for a split's last round, and only for models wide enough to
+# gain from threads (training.WORK_FLOOR): small models are per-call bound,
+# and splitting a desk-shape (D_h=16) 90-window split into 64 + 26 cut its
+# throughput by a third, while at D_h=128 48 + 42 ran 1.3x as fast on two
+# cores.  Keep it, and the smaller chunks, a multiple of 16.
 # OpenBLAS's double GEMM takes rows in blocks of 16 and the rows left over
 # in smaller blocks, and a row in a block of 1 or 2 can get other last bits
 # than in a larger one (at the paper shape, warm-up chunks of 2, 5 or 102
@@ -35,7 +38,9 @@ from .kernels import lstm as lstm_kernels
 # windows, so chunked forecasts and latents keep one batch's bits.  The
 # exception is a last chunk of one window: at the paper shape, 96 + r
 # windows keep one batch's bits for every r from 2 to 40, but at r = 1 the
-# last window's latent moves in its last bit.
+# last window's latent moves in its last bit (a 17-window batch cut 16 + 1
+# moves the last forecast by 2e-16), so training._chunk_layout cuts off no
+# lone last window of its own.
 EVAL_BATCH = 96
 
 

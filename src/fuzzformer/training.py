@@ -12,10 +12,12 @@ cluster warm-up, dropout, shuffling; the baseline: init, shuffling), so
 identical seed/config/data reproduce identical checkpoints bit for bit.
 
 Evaluation and cluster warm-up windows are independent, so
-``score_split`` and the warm-up encode run their chunks on the usable
-cores at once, through one helper, ``_over_chunks``; every window's
-forecast or latent has the same bits as one thread running the chunks
-in turn.  The warm-up samples up to WARMUP_WINDOWS train windows but
+``score_split`` and the warm-up encode run their chunks through one
+helper, ``_over_chunks``, which spreads them over the usable cores when
+the model is wide enough for threads to pay (``WORK_FLOOR``) and keeps
+them on the calling thread otherwise; at one BLAS thread every window's
+forecast or latent has the same bits as in one batch of all the
+windows.  The warm-up samples up to WARMUP_WINDOWS train windows but
 encodes only the C that seed the rule centers (``WarmupLatents``).
 """
 
@@ -37,7 +39,7 @@ from .autodiff import Adam
 from .baselines import LstmBaseline, rmse
 from .checkpoint import save_checkpoint
 from .config import RunConfig
-from .data import SPLIT_NAMES, WindowedDataset, open_output, output_dir, read_table, write_json
+from .data import SPLIT_NAMES, WindowedDataset, as_int, open_output, output_dir, read_table, write_json
 from .encoder import EVAL_BATCH
 from .exceptions import ConfigError, DataError
 from .fuzzy import bhattacharyya  # by this name, so a profiler can patch the bundle's call
@@ -104,27 +106,74 @@ def numeric_environment() -> dict:
     }
 
 
-def _over_chunks(n, work) -> None:
-    """Call ``work(rows)`` on each EVAL_BATCH-row slice of ``range(n)``.
+# the least work, in windows x the forecaster's per-window width (D_h for
+# the learned models), for which a chunk earns a worker thread of its own.
+# Each numpy call of a forward pass takes a few microseconds at D_h=16, and
+# handing the GIL between two threads around such calls costs more than
+# the threads overlap.  Two-core speedup over one thread, for a 90-window
+# split and the 812-window train split of the synthetic series (p=30,
+# C=16, look-back 60), on a two-core Xeon with one BLAS thread:
+#   D_h   16    32    48    64    96   128
+#   90   0.87  0.98  1.01  1.32  1.28  1.33
+#   812  0.95  1.44  1.42  1.66  1.81  1.60
+# So a 96-window chunk at D_h=16 (1536) stays on the calling thread, and
+# 16 windows at D_h=128 (2048) get a worker.
+WORK_FLOOR = 2048
 
-    More than one chunk runs on a thread pool of one worker per usable
-    core (at most one per chunk); numpy releases the GIL in its GEMMs
-    and ufuncs, so the chunks run in parallel, and ``work`` must be safe
-    to call from several threads at once.  Each chunk runs in a copy of
-    the caller's context, so it sees the caller's autodiff modes and
-    numpy errstate (a context variable since numpy 2.0).  ``work`` should
-    write only its own rows, so nothing depends on the order the chunks
-    finish in.  Every chunk finishes before this returns or raises; when
-    chunks fail, the first failing chunk's error is raised, as a loop
-    over the chunks in turn would.
+
+def _chunk_layout(n, cores, width):
+    """(chunks, pooled): the row slices ``_over_chunks`` cuts ``range(n)``
+    into for ``cores`` usable cores and a forecaster of per-window
+    ``width``, and whether they run on a pool.
+
+    Whole rounds of one EVAL_BATCH chunk per core come first.  The rows
+    left after them are cut into parts of 16 * ceil(rows / (16 * parts))
+    windows, with the most parts, up to one per core, whose size meets
+    WORK_FLOOR without leaving a lone last window (see EVAL_BATCH: that
+    window can take other bits); without such a cut they stay
+    EVAL_BATCH chunks.
+    Every chunk but the last is a multiple of 16 windows, and none holds
+    more than EVAL_BATCH.  The first chunk is the largest; when it falls
+    below WORK_FLOOR, or there is one chunk or one core, every chunk
+    runs on the calling thread.
     """
-    chunks = [slice(start, start + EVAL_BATCH) for start in range(0, n, EVAL_BATCH)]
-    workers = min(_usable_cores(), len(chunks))
-    if workers <= 1:
+    full = n - n % (cores * EVAL_BATCH)
+    tail = n - full
+    size = EVAL_BATCH
+    for parts in range(cores, 1, -1):
+        part = 16 * -(-tail // (16 * parts))
+        if part * width >= WORK_FLOOR and tail % part != 1:
+            size = part
+            break
+    starts = [*range(0, full, EVAL_BATCH), *range(full, n, size)]
+    chunks = [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
+    pooled = cores > 1 and len(chunks) > 1 and (chunks[0].stop - chunks[0].start) * width >= WORK_FLOOR
+    return chunks, pooled
+
+
+def _over_chunks(n, width, work) -> None:
+    """Call ``work(rows)`` on each chunk of ``range(n)`` that
+    ``_chunk_layout`` cuts for the usable cores and a forecaster of
+    per-window ``width`` (0 for one that does next to no work per window).
+
+    Pooled chunks run on a thread pool of one worker per usable core (at
+    most one per chunk); numpy releases the GIL in its GEMMs and ufuncs,
+    so the chunks run in parallel, and ``work`` must be safe to call
+    from several threads at once.  Each chunk runs in a copy of the
+    caller's context, so it sees the caller's autodiff modes and numpy
+    errstate (a context variable since numpy 2.0).  ``work`` should
+    write only its own rows, so nothing depends on the order the chunks
+    finish in.  No chunk is still running when this returns or raises;
+    when chunks fail, the first failing chunk's error is raised, as a
+    loop over the chunks in turn would.
+    """
+    cores = _usable_cores()
+    chunks, pooled = _chunk_layout(n, cores, width)
+    if not pooled:
         for rows in chunks:
             work(rows)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(cores, len(chunks))) as pool:
         done = [pool.submit(contextvars.copy_context().run, work, rows) for rows in chunks]
     for future in done:  # the pool has shut down: every chunk has finished
         future.result()
@@ -135,8 +184,10 @@ class WarmupLatents:
 
     ``len()`` counts the windows; ``latents[rows]`` (a slice or an index
     array) encodes only the windows it reads, with the model's
-    parameters at the time of the read, in chunks on the usable cores,
-    as one ``ad.checked_forward`` pass.
+    parameters at the time of the read, as one ``ad.checked_forward``
+    pass, in ``_over_chunks`` chunks laid out for the model's
+    ``hidden_width``: the C=16 picks of the paper shape stay one chunk,
+    and a desk-width model encodes on the calling thread.
     The windows are padded to a multiple of 16 by repeating them, so each
     row has the bits of one batch of all the sampled windows (see
     EVAL_BATCH).
@@ -157,7 +208,7 @@ class WarmupLatents:
             latents[chunk] = self.model.encode(self.dataset.batch(padded[chunk], history=1).x).z_latent.data
 
         def encode_all():
-            _over_chunks(padded.size, encode)
+            _over_chunks(padded.size, self.model.config.hidden_width, encode)
             return latents[: picks.size]
 
         return ad.checked_forward(encode_all)
@@ -177,23 +228,28 @@ def warmup_latents(model: FuzzformerModel, dataset: WindowedDataset, rng) -> War
     return WarmupLatents(model, dataset, origins)
 
 
-def score_split(dataset, split, history, forecast) -> MetricsReport:
+def score_split(dataset, split, history, forecast, *, width) -> MetricsReport:
     """RMSE (scaled units) of a forecaster over one split.
 
-    ``forecast(batch)`` gets EVAL_BATCH windows at a time, each batch
-    with ``history`` trailing main values, and returns (preds (B, H),
-    ok): a mask of the windows it forecast, or True for all of them.
+    ``forecast(batch)`` gets up to EVAL_BATCH windows at a time, each
+    batch with ``history`` trailing main values, and returns (preds (B,
+    H), ok): a mask of the windows it forecast, or True for all of them.
     Windows left out are counted, not scored; with none scored the
-    RMSEs are NaN.
+    RMSEs are NaN.  ``width`` is the forecaster's work per window, the
+    model's hidden width (0 for a row lookup); it sets the chunk layout.
 
-    The chunks run through ``_over_chunks``, on the usable cores at once,
-    so ``forecast`` must be safe to call from several threads at once;
-    it sees the caller's autodiff modes and numpy errstate, and when
-    chunks fail, the first failing chunk's error is raised.  Each chunk
-    writes only its own rows, so the report does not depend on the order
-    the chunks finish in.  EVAL_BATCH stays a multiple of 16, so each
-    window meets the same OpenBLAS GEMM row blocks as in one batch of the
-    whole split, and its forecast keeps that batch's bits.
+    The chunks run through ``_over_chunks``: at the paper shape
+    (D_h=128) a split's windows are shared out over the usable cores,
+    while narrow forecasters run on the calling thread, where threads
+    would only slow them down (``WORK_FLOOR``).  So ``forecast`` must be
+    safe to call from several threads at once; it sees the caller's
+    autodiff modes and numpy errstate, and when chunks fail, the first
+    failing chunk's error is raised.  Each chunk writes only its own
+    rows, so the report does not depend on the order the chunks finish
+    in.  Every chunk starts on a multiple of 16 windows and none is a
+    lone last window, so each window meets the same OpenBLAS GEMM row
+    blocks as in one batch of the whole split, and its forecast keeps
+    that batch's bits (see EVAL_BATCH).
     """
     origins = dataset.origins_for(split)
     preds = np.zeros((origins.size, dataset.horizon))
@@ -205,7 +261,7 @@ def score_split(dataset, split, history, forecast) -> MetricsReport:
         preds[rows], ok[rows] = forecast(batch)
         targets[rows] = batch.y_target
 
-    _over_chunks(origins.size, score)
+    _over_chunks(origins.size, width, score)
     preds, targets = preds[ok], targets[ok]
     with np.errstate(invalid="ignore"):  # no window scored: 0 / 0
         per_step = np.sqrt(np.sum((preds - targets) ** 2, axis=0) / preds.shape[0])
@@ -222,7 +278,7 @@ def evaluate_split(model: FuzzformerModel, dataset, split):
     """Aggregate-forecast RMSE (scaled units) over one split."""
     return score_split(
         dataset, split, model.config.history,
-        lambda batch: (model.predict(batch.x, batch.y_history), True),
+        lambda batch: (model.predict(batch.x, batch.y_history), True), width=model.config.hidden_width,
     )
 
 
@@ -320,7 +376,7 @@ def train_lstm_baseline(
         ("hidden", hidden, 1), ("layers", layers, 1), ("batch_size", batch_size, 1),
         ("epochs", epochs, 0), ("seed", seed, 0),
     ):
-        if value < least:
+        if as_int(name, value) < least:  # a bool or a float is a ConfigError too
             raise ConfigError(f"{name} must be >= {least}, got {value}")
     if not 0.0 < learning_rate < np.inf:
         raise ConfigError(f"learning_rate must be positive and finite, got {learning_rate}")
@@ -337,7 +393,7 @@ def train_lstm_baseline(
 
     fit(
         [t for _, t in model.named], loss_fn, train_origins, batch_size, epochs, learning_rate,
-        lambda: score_split(dataset, "valid", 1, lambda b: (model.predict(b.x), True)).rmse,
+        lambda: score_split(dataset, "valid", 1, lambda b: (model.predict(b.x), True), width=hidden).rmse,
         rng_shuffle, None, log or (lambda _line: None),
     )
     return model

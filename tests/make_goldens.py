@@ -9,10 +9,12 @@ holds, per config in ``CONFIGS`` (trained for 2 epochs):
   every file ``forecast_bundle`` writes for one window;
 * the test-split RMSE, as ``repr``;
 
-and, for the batched ARIMA(4,1,1) baseline on the 933 windows of the
-seed-42 synthetic series at lookback 60 and horizon 30, the sha256 of its
-forecasts and of its ``ok`` mask and the RMSE of the accepted forecasts,
-plus the ``training.numeric_environment`` record it was made under.
+for the LSTM baseline (``LSTM_BASELINE``, on criterion 9's data), the
+sha256 of its test-split forecasts and their RMSE; and, for the batched
+ARIMA(4,1,1) baseline on the 933 windows of the seed-42 synthetic series
+at lookback 60 and horizon 30, the sha256 of its forecasts and of its
+``ok`` mask and the RMSE of the accepted forecasts, plus the
+``training.numeric_environment`` record it was made under.
 
 Seeded bits depend on the BLAS thread count, so the record is always made
 in a child process with ``OPENBLAS_NUM_THREADS=1`` (``pinned_record``).
@@ -35,19 +37,26 @@ from pathlib import Path
 from fuzzformer import baselines
 from fuzzformer.config import RunConfig
 from fuzzformer.data import make_synthetic, prepare_dataset
-from fuzzformer.training import evaluate_split, forecast_bundle, numeric_environment, train
+from fuzzformer.training import evaluate_split, forecast_bundle, numeric_environment, train, train_lstm_baseline
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = Path(__file__).resolve().parent / "goldens.json"
 # criterion 9's shape (tests/test_acceptance.py::TestCriterion9Determinism),
-# and the same shape without differencing
+# the same shape without differencing, and with one rule
 CRITERION9 = dict(
     lookback=12, horizon=4, channels=3, lstm_layers=1, hidden_width=4,
     mha_layers=1, attention_heads=2, latent_width=2, rules=2, ar_order=2,
     integration_order=1, exog_order=1, dropout_rate=0.1, batch_size=16,
     epochs=2, seed=99,
 )
-CONFIGS = {"criterion9": CRITERION9, "criterion9_d0": {**CRITERION9, "integration_order": 0}}
+CONFIGS = {
+    "criterion9": CRITERION9,
+    "criterion9_d0": {**CRITERION9, "integration_order": 0},
+    "criterion9_c1": {**CRITERION9, "rules": 1},
+}
+# the paper's D_h, so that on two or more cores the validation pass that
+# picks the best epoch runs its 25 windows as 16 + 9 on two threads
+LSTM_BASELINE = dict(hidden=128, layers=1, epochs=2, batch_size=16, seed=99)
 
 
 def sha256(data) -> str:
@@ -73,6 +82,15 @@ def run_record(cfg: RunConfig, out: Path) -> dict:
     }
 
 
+def lstm_record() -> dict:
+    """The LSTM baseline's forecasts of criterion 9's test split."""
+    dataset = prepare_dataset(make_synthetic(n_points=400, seed=3), CRITERION9["lookback"], CRITERION9["horizon"])
+    model = train_lstm_baseline(dataset, **LSTM_BASELINE)
+    batch = dataset.batch(dataset.origins_for("test"), history=1)
+    preds = model.predict(batch.x)
+    return {"sha256": {"forecasts": sha256(preds.tobytes())}, "test_rmse": repr(baselines.rmse(preds, batch.y_target))}
+
+
 def arima_record() -> dict:
     """The batched ARIMA(4,1,1) baseline on the benchmark's 933 windows."""
     dataset = prepare_dataset(make_synthetic(n_points=1200, seed=42), lookback=60, horizon=30)
@@ -91,7 +109,7 @@ def record() -> dict:
     """The fingerprints of this process's code and environment."""
     with tempfile.TemporaryDirectory() as tmp:
         runs = {name: run_record(RunConfig(**fields), Path(tmp) / name) for name, fields in CONFIGS.items()}
-    return {"environment": numeric_environment(), "runs": runs, "arima": arima_record()}
+    return {"environment": numeric_environment(), "runs": runs, "lstm": lstm_record(), "arima": arima_record()}
 
 
 def pinned_record() -> dict:

@@ -72,9 +72,11 @@ ZERO_FIT = ArimaFit(ArimaOrder(1, 1, 1), np.zeros(1), np.zeros(1), 0.0)
         (ArimaOrder, (1.5, 1, 1), "ARIMA order must be integers, got (1.5, 1, 1)"),
         (ArimaOrder, ("2", 1, 1), "ARIMA order must be integers, got ('2', 1, 1)"),
         (ArimaOrder, (2, 1, 1.0), "ARIMA order must be integers, got (2, 1, 1.0)"),
+        (ArimaOrder, (True, 1, False), "ARIMA order must be integers, got (True, 1, False)"),
+        (ArimaOrder, (2, True, 1), "ARIMA order must be integers, got (2, True, 1)"),
         *[
             (call, (*args, horizon), f"{label} horizon must be an integer, got {horizon}")
-            for horizon in (5.0, 2.5)
+            for horizon in (5.0, 2.5, True)
             for call, args, label in (
                 (evaluate_arima_windows, (np.ones((2, 10)), ArimaOrder(1, 1, 1)), "ARIMA"),
                 (arima_forecast, (ZERO_FIT, np.arange(10.0)), "ARIMA"),
@@ -83,8 +85,8 @@ ZERO_FIT = ArimaFit(ArimaOrder(1, 1, 1), np.zeros(1), np.zeros(1), 0.0)
         ],
     ],
     ids=[
-        "p-float", "p-str", "q-float",
-        *[f"{name}-{h}" for h in (5.0, 2.5) for name in ("evaluate", "forecast", "persistence")],
+        "p-float", "p-str", "q-float", "p-q-bool", "d-bool",
+        *[f"{name}-{h}" for h in (5.0, 2.5, True) for name in ("evaluate", "forecast", "persistence")],
     ],
 )
 def test_malformed_arima_input_is_a_config_error(call, args, message):
@@ -486,6 +488,23 @@ class TestLstmBaseline:
         preds = model.predict(ds.batch(ds.origins_for("test"), history=1).x)
         assert preds.shape[1] == 10
         assert np.all(np.isfinite(preds))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("hidden", 2.5), ("hidden", True), ("layers", 1.0), ("batch_size", 16.0), ("epochs", 1.0),
+         ("epochs", False), ("seed", 0.5), ("seed", True)],
+    )
+    def test_non_integer_sizes_are_config_errors(self, name, value):
+        ds = prepare_dataset(make_synthetic(n_points=400, seed=3), lookback=12, horizon=4)
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{name} must be int, got {value!r}')}$"):
+            train_lstm_baseline(ds, **{"hidden": 4, "epochs": 1, **{name: value}})
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        ds = prepare_dataset(make_synthetic(n_points=400, seed=3), lookback=12, horizon=4)
+        sizes = dict(hidden=4, layers=1, epochs=1, batch_size=64, seed=3)
+        a = train_lstm_baseline(ds, **sizes)
+        b = train_lstm_baseline(ds, **{k: np.int64(v) for k, v in sizes.items()})
+        assert all(np.array_equal(ta.data, tb.data) for (_, ta), (_, tb) in zip(a.named, b.named))
 
     def test_empty_batch_forecasts_nothing(self):
         model = LstmBaseline(3, 4, 2, 5, 12, np.random.default_rng(0))

@@ -14,8 +14,10 @@ import pytest
 import make_goldens
 
 # the fields of the environment record that seeded bits depend on.  The
-# core counts are not among them: BLAS runs on one thread, and each
-# evaluation chunk writes only its own rows, whichever thread runs it.
+# core counts are not among them: BLAS runs on one thread, each evaluation
+# chunk writes only its own rows, whichever thread runs it, and every
+# chunk layout the core count picks starts its chunks on multiples of 16
+# windows, which keeps each window's bits.
 BIT_FIELDS = ("numpy", "blas_name", "blas_version", "blas_threads")
 
 
@@ -38,12 +40,14 @@ def mismatches(fresh, golden):
 
 def hashes(record):
     out = {f"runs.{name}.{file}": h for name, run in record["runs"].items() for file, h in run["sha256"].items()}
-    out.update({f"arima.{name}": h for name, h in record["arima"]["sha256"].items()})
+    for part in ("lstm", "arima"):
+        out.update({f"{part}.{name}": h for name, h in record[part]["sha256"].items()})
     return out
 
 
 def floats(record):
     out = {f"runs.{name}.test_rmse": run["test_rmse"] for name, run in record["runs"].items()}
+    out["lstm.test_rmse"] = record["lstm"]["test_rmse"]
     out["arima.rmse"] = record["arima"]["rmse"]
     return out
 

@@ -176,7 +176,7 @@ class TestTrain:
             )
 
         def valid_rmse(m):
-            return training.score_split(tiny_dataset, "valid", 1, lambda b: (m.predict(b.x), True)).rmse
+            return training.score_split(tiny_dataset, "valid", 1, lambda b: (m.predict(b.x), True), width=4).rmse
 
         # a j-epoch run keeps the best of epochs 0..j, so the first run
         # scoring the least is the run that ends on the best epoch of all
@@ -193,9 +193,9 @@ class TestTrain:
         scored, lines = [], []
         score_split = training.score_split
 
-        def counting(dataset, split, history, forecast):
+        def counting(dataset, split, history, forecast, *, width):
             scored.append(split)
-            return score_split(dataset, split, history, forecast)
+            return score_split(dataset, split, history, forecast, width=width)
 
         def log(*args, **kwargs):
             lines.append((args, kwargs, scored.count("valid")))
@@ -415,7 +415,18 @@ class TestRunConfigFromFile:
 
 
 def chunk_sizes(n):
+    """The EVAL_BATCH-window cut of ``range(n)``: ``_over_chunks``'s layout
+    for a model too narrow for threads, on any number of cores."""
     return [min(training.EVAL_BATCH, n - start) for start in range(0, n, training.EVAL_BATCH)]
+
+
+WIDE = 128  # the paper's D_h: a width whose 16-window parts meet WORK_FLOOR
+
+
+def layout(n, cores, width):
+    """(chunk sizes, pooled) of ``_over_chunks``'s layout."""
+    chunks, pooled = training._chunk_layout(n, cores, width)
+    return [rows.stop - rows.start for rows in chunks], pooled
 
 
 @pytest.fixture
@@ -430,6 +441,46 @@ def one_core(monkeypatch):
     """The chunk pool sees one usable core, so every chunk runs on the
     calling thread."""
     monkeypatch.setattr(training, "_usable_cores", lambda: 1)
+
+
+class TestChunkLayout:
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 31, 90, 96, 97, 192, 812])
+    def test_parts_cover_the_rows_in_order(self, n, cores):
+        for width in (0, 16, 32, WIDE):
+            chunks, pooled = training._chunk_layout(n, cores, width)
+            sizes = [rows.stop - rows.start for rows in chunks]
+            assert [rows.start for rows in chunks] == [sum(sizes[:i]) for i in range(len(sizes))]
+            assert sum(sizes) == n and all(0 < size <= training.EVAL_BATCH for size in sizes)
+            assert all(size % 16 == 0 for size in sizes[:-1])
+            meets = [size * width >= training.WORK_FLOOR for size in sizes]
+            assert pooled == (cores > 1 and len(sizes) > 1 and meets[0])
+            if not any(meets):
+                assert not pooled
+            if not pooled:  # then the layout is the EVAL_BATCH cut
+                assert sizes == chunk_sizes(n)
+            if sizes and sizes[-1] == 1:  # a lone last window only where the EVAL_BATCH cut has one
+                assert sizes == chunk_sizes(n)
+
+    @pytest.mark.parametrize(
+        "n, cores, sizes",
+        [
+            (90, 2, [48, 42]),
+            (31, 2, [16, 15]),
+            (812, 2, [96] * 8 + [32, 12]),
+            (90, 4, [32, 32, 26]),
+            (812, 4, [96] * 8 + [16, 16, 12]),
+            (17, 2, [17]),  # 16 + 1 would move the last window's bits
+            (16, 2, [16]),
+        ],
+    )
+    def test_paper_width_splits_the_last_round(self, n, cores, sizes):
+        assert layout(n, cores, WIDE) == (sizes, len(sizes) > 1)
+
+    @pytest.mark.parametrize("n", [31, 90, 97, 192, 812])
+    def test_desk_width_stays_on_the_calling_thread(self, n):
+        # 96 desk-width windows (D_h=16) are less work than WORK_FLOOR
+        assert layout(n, 2, 16) == (chunk_sizes(n), False)
 
 
 class TestWarmupLatents:
@@ -454,32 +505,31 @@ class TestWarmupLatents:
         every, latents = self._latents(dataset)
         np.testing.assert_array_equal(latents, every)
 
-    @pytest.mark.parametrize(
-        "cores, width", [("four_cores", 4), ("one_core", 4), ("four_cores", 128)],
-        ids=["pool", "one-core", "pool-width-128"],
-    )
-    def test_chunks_give_the_bits_of_one_batch(self, request, tiny_dataset, cores, width):
+    @pytest.mark.parametrize("width", [4, WIDE])
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_chunks_give_the_bits_of_one_batch(self, monkeypatch, tiny_dataset, cores, width):
         # at width 128 the GEMMs are large enough for BLAS to pick its
         # blocked kernels, where the chunk sizes could change the bits
-        request.getfixturevalue(cores)
+        monkeypatch.setattr(training, "_usable_cores", lambda: cores)
         model = FuzzformerModel(RunConfig(**{**TINY_TRAIN, "hidden_width": width}), np.random.default_rng(0))
         train_origins = tiny_dataset.origins_for("train")
         origins = np.sort(np.random.default_rng(1).choice(train_origins, size=256, replace=False))
         with ad.no_grad():
             one_batch = model.encode(tiny_dataset.batch(origins, history=1).x).z_latent.data
-        threads = []
+        calls = []
         encode = model.encode
 
         def spy(x, rng=None):
-            threads.append(threading.get_ident())
+            calls.append((threading.get_ident(), x.shape[0]))
             return encode(x, rng=rng)
 
         model.encode = spy
         latents = training.warmup_latents(model, tiny_dataset, np.random.default_rng(1))[:]
         np.testing.assert_array_equal(latents, one_batch)
-        assert len(threads) == len(chunk_sizes(256)) == 3
-        on_caller = {threading.get_ident() == ident for ident in threads}
-        assert on_caller == ({True} if cores == "one_core" else {False})
+        sizes, pooled = layout(256, cores, width)
+        assert sorted(n for _, n in calls) == sorted(sizes)
+        assert pooled == (cores > 1 and width == WIDE)
+        assert {ident == threading.get_ident() for ident, _ in calls} == {not pooled}
 
     @pytest.mark.parametrize("n_rows", [1, 4, 5, 16, 17])
     @pytest.mark.parametrize("width", [16, 128])
@@ -581,9 +631,8 @@ class TestScoreSplit:
             ok = batch.origins % 3 != 0
             return np.where(ok[:, None], batch.y_target + 0.5, np.nan), ok
 
-        report = training.score_split(tiny_dataset, "train", 1, forecast)
-        # chunks may run in any order, on any thread
-        assert sorted(sizes) == sorted(chunk_sizes(origins.size))
+        report = training.score_split(tiny_dataset, "train", 1, forecast, width=0)
+        assert sizes == chunk_sizes(origins.size)  # a row lookup runs on the calling thread, in turn
         skipped = int(np.sum(origins % 3 == 0))
         assert (report.n_samples, report.n_skipped) == (origins.size - skipped, skipped)
         assert report.rmse == pytest.approx(0.5)
@@ -594,16 +643,19 @@ class TestScoreSplit:
         assert origins.size > 2 * training.EVAL_BATCH
         cfg = RunConfig(**TINY_TRAIN)
         model = FuzzformerModel(cfg, np.random.default_rng(5))
-        threads = set()
+        threads, sizes = set(), []
 
         def forecast(batch):
             threads.add(threading.get_ident())
+            sizes.append(batch.origins.size)
             preds = model.predict(batch.x, batch.y_history)
             ok = batch.origins % 4 != 1
             return preds, ok
 
-        report = training.score_split(tiny_dataset, "train", cfg.history, forecast)
+        # a width that meets the floor, so the 16-aligned parts run on the pool
+        report = training.score_split(tiny_dataset, "train", cfg.history, forecast, width=WIDE)
         assert threading.get_ident() not in threads  # the chunks ran on the pool
+        assert sorted(sizes) == sorted(layout(origins.size, 4, WIDE)[0]) != chunk_sizes(origins.size)
         parts = []
         for start in range(0, origins.size, training.EVAL_BATCH):
             batch = tiny_dataset.batch(origins[start : start + training.EVAL_BATCH], history=cfg.history)
@@ -614,6 +666,45 @@ class TestScoreSplit:
         assert report.rmse == rmse(preds, targets)
         assert report.per_step_rmse.tobytes() == per_step.tobytes()
         assert (report.n_samples, report.n_skipped) == (preds.shape[0], origins.size - preds.shape[0])
+
+    @pytest.mark.parametrize("split", ["train", "valid", "test"])
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_wide_model_has_the_bits_of_one_batch(self, monkeypatch, tiny_dataset, cores, split):
+        monkeypatch.setattr(training, "_usable_cores", lambda: cores)
+        cfg = RunConfig(**{**TINY_TRAIN, "hidden_width": WIDE})
+        model = FuzzformerModel(cfg, np.random.default_rng(5))
+        origins = tiny_dataset.origins_for(split)
+        got = np.full((origins.size, cfg.horizon), np.nan)
+
+        def forecast(batch):
+            preds = model.predict(batch.x, batch.y_history)
+            got[np.searchsorted(origins, batch.origins)] = preds
+            return preds, True
+
+        report = training.score_split(tiny_dataset, split, cfg.history, forecast, width=WIDE)
+        batch = tiny_dataset.batch(origins, history=cfg.history)
+        preds = model.predict(batch.x, batch.y_history)
+        assert got.tobytes() == preds.tobytes()
+        per_step = np.sqrt(np.sum((preds - batch.y_target) ** 2, axis=0) / preds.shape[0])
+        assert report.rmse == rmse(preds, batch.y_target)
+        assert report.per_step_rmse.tobytes() == per_step.tobytes()
+        again = evaluate_split(model, tiny_dataset, split)
+        assert (again.rmse, again.per_step_rmse.tobytes()) == (report.rmse, report.per_step_rmse.tobytes())
+
+    def test_narrow_model_chunks_run_on_the_calling_thread(self, tiny_dataset, four_cores):
+        model = FuzzformerModel(RunConfig(**TINY_TRAIN), np.random.default_rng(5))
+        calls = []
+        predict = model.predict
+
+        def spy(x, y_history):
+            calls.append((threading.get_ident(), x.shape[0]))
+            return predict(x, y_history)
+
+        model.predict = spy
+        evaluate_split(model, tiny_dataset, "train")
+        sizes = chunk_sizes(tiny_dataset.origins_for("train").size)
+        assert len(sizes) >= 3
+        assert calls == [(threading.get_ident(), n) for n in sizes]
 
     def test_chunks_see_the_callers_modes(self, tiny_dataset, four_cores):
         seen = []
@@ -628,10 +719,10 @@ class TestScoreSplit:
             return batch.y_target, True
 
         with ad.no_grad(), np.errstate(over="ignore"):
-            training.score_split(tiny_dataset, "train", 1, forecast)
+            training.score_split(tiny_dataset, "train", 1, forecast, width=WIDE)
         with ad.no_finite_probes(), np.errstate(over="raise"):
-            training.score_split(tiny_dataset, "train", 1, forecast)
-        n = len(chunk_sizes(tiny_dataset.origins_for("train").size))
+            training.score_split(tiny_dataset, "train", 1, forecast, width=WIDE)
+        n = len(layout(tiny_dataset.origins_for("train").size, 4, WIDE)[0])
         assert threading.get_ident() not in {ident for ident, *_ in seen}
         assert sorted(tuple(modes) for _, *modes in seen) == sorted(
             [(False, True, "ignore")] * n + [(True, False, "raise")] * n
@@ -641,12 +732,13 @@ class TestScoreSplit:
     def test_first_failing_chunk_is_raised_after_every_chunk_finished(self, four_cores):
         dataset = prepare_dataset(make_synthetic(n_points=600, seed=3), lookback=12, horizon=4)
         origins = dataset.origins_for("train")
-        n = len(chunk_sizes(origins.size))
+        starts = np.cumsum([0, *layout(origins.size, 4, WIDE)[0]])
+        n = starts.size - 1
         assert n >= 5
         finished = []
 
         def forecast(batch):
-            chunk = int(np.searchsorted(origins, batch.origins[0])) // training.EVAL_BATCH
+            chunk = int(np.searchsorted(starts, np.searchsorted(origins, batch.origins[0])))
             if chunk == 1:
                 time.sleep(0.05)  # chunk 3 fails first
             if chunk in (1, 3):
@@ -657,7 +749,7 @@ class TestScoreSplit:
             return batch.y_target, True
 
         with pytest.raises(NonFiniteError, match="chunk 1"):
-            training.score_split(dataset, "train", 1, forecast)
+            training.score_split(dataset, "train", 1, forecast, width=WIDE)
         assert sorted(finished) == [c for c in range(n) if c not in (1, 3)]
 
     @pytest.mark.parametrize(
@@ -669,7 +761,7 @@ class TestScoreSplit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = training.score_split(
-                dataset, split, 1, lambda batch: (np.zeros_like(batch.y_target), False)
+                dataset, split, 1, lambda batch: (np.zeros_like(batch.y_target), False), width=0
             )
         assert np.isnan(report.rmse)
         assert report.per_step_rmse.shape == (4,) and np.all(np.isnan(report.per_step_rmse))
@@ -875,8 +967,8 @@ class TestForwardPassReplay:
         a NaN in an exogenous channel of train windows past the first
         chunk, whose NaN latents reach the ARIX check, which fires without
         probes, before any output; or for an unstable rule 1."""
-        def plant(kind):
-            model = FuzzformerModel(RunConfig(**TINY_TRAIN), np.random.default_rng(5))
+        def plant(kind, width=TINY_TRAIN["hidden_width"]):
+            model = FuzzformerModel(RunConfig(**{**TINY_TRAIN, "hidden_width": width}), np.random.default_rng(5))
             origin = tiny_dataset.origins_for("train")[training.EVAL_BATCH + 20]
             if kind == "unstable-rule":
                 model.arix_a.data[1, 0] = -1e150  # overflows within 3 steps
@@ -895,8 +987,9 @@ class TestForwardPassReplay:
 
     @pytest.mark.parametrize("kind", ["nan-window", "unstable-rule"])
     def test_evaluate_split_on_worker_threads(self, planted, kind, four_cores):
-        model, dataset, _origin, error = planted(kind)
-        assert len(chunk_sizes(dataset.origins_for("train").size)) >= 3
+        model, dataset, _origin, error = planted(kind, width=WIDE)
+        sizes, pooled = layout(dataset.origins_for("train").size, 4, WIDE)
+        assert pooled and len(sizes) >= 3
         assert raised(lambda: evaluate_split(model, dataset, "train")) == error
 
     @pytest.mark.parametrize("kind", ["nan-window", "unstable-rule"])
@@ -911,10 +1004,11 @@ class TestForwardPassReplay:
         assert list(tmp_path.iterdir()) == []  # nothing is written before the check
 
     def test_warmup_encode(self, planted, four_cores):
-        model, dataset, origin, error = planted("nan-window")
+        model, dataset, origin, error = planted("nan-window", width=WIDE)
         train = dataset.origins_for("train")
         latents = training.WarmupLatents(model, dataset, train[train <= origin + 4])
-        assert len(chunk_sizes(len(latents))) >= 2
+        sizes, pooled = layout(-(-len(latents) // 16) * 16, 4, WIDE)
+        assert pooled and len(sizes) >= 2
         assert raised(lambda: latents[:]) == error
 
     def test_lstm_baseline_predict(self, planted):
