@@ -142,18 +142,17 @@ def cmd_forecast(args) -> int:
 
 
 def _baseline_forecaster(args, dataset):
-    """(label, forecast, width) of the ``--method`` baseline, where
+    """(label, forecast) of the ``--method`` baseline, where
     ``forecast(batch)`` gives ``training.score_split`` the batch's
-    forecasts and a mask of the windows it forecast (only ARIMA leaves
-    windows out), and ``width`` is its per-window work for
-    ``score_split``'s chunk layout: 0 for the row lookups."""
+    forecasts and a mask of the windows it forecast; only ARIMA leaves
+    windows out."""
     horizon = dataset.horizon
     if args.method == "persistence":
         def forecast(batch):
             windows = dataset.window_main(batch.origins)
             return np.stack([bl.persistence_forecast(w, horizon) for w in windows]), True
 
-        return "", forecast, 0
+        return "", forecast
     if args.method == "arima":
         # one pass over every window, so the kernels get ARIMA_CHUNK-window
         # stacks; each row's forecast is the same in any stack
@@ -164,7 +163,7 @@ def _baseline_forecaster(args, dataset):
             rows = np.searchsorted(dataset.origins, batch.origins)  # origins ascend
             return preds[rows], ok[rows]
 
-        return f"p={args.p},d={args.d},q={args.q}", forecast, 0
+        return f"p={args.p},d={args.d},q={args.q}", forecast
     model = training.train_lstm_baseline(
         dataset,
         hidden=args.hidden,
@@ -175,17 +174,17 @@ def _baseline_forecaster(args, dataset):
         seed=args.seed,
         log=print if args.verbose else None,
     )
-    return f"hidden={args.hidden},layers={args.layers}", lambda b: (model.predict(b.x), True), args.hidden
+    return f"hidden={args.hidden},layers={args.layers}", lambda b: (model.predict(b.x), True)
 
 
 def cmd_baseline(args) -> int:
     dataset = dmod.WindowedDataset.load(args.dataset)
     setting = f"{dataset.lookback}/{dataset.horizon}"
-    label, forecast, width = _baseline_forecaster(args, dataset)
+    label, forecast = _baseline_forecaster(args, dataset)
     title = f"{args.method}({label})" if label else args.method
     rows = []
     for split in dmod.SPLIT_NAMES:
-        report = training.score_split(dataset, split, 1, forecast, width=width)
+        report = training.score_split(dataset, split, 1, forecast)
         skipped, total = report.n_skipped, report.n_samples + report.n_skipped
         if report.n_samples:
             rows.append(_result_row(args.method, label, setting, report))

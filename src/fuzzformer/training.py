@@ -12,12 +12,12 @@ cluster warm-up, dropout, shuffling; the baseline: init, shuffling), so
 identical seed/config/data reproduce identical checkpoints bit for bit.
 
 Evaluation and cluster warm-up windows are independent, so
-``score_split`` and the warm-up encode run their chunks through one
-helper, ``_over_chunks``, which spreads them over the usable cores when
-the model is wide enough for threads to pay (``WORK_FLOOR``) and keeps
-them on the calling thread otherwise; at one BLAS thread every window's
-forecast or latent has the same bits as in one batch of all the
-windows.  The warm-up samples up to WARMUP_WINDOWS train windows but
+``score_split`` and the warm-up encode run their chunks on the usable
+cores at once, through one helper, ``_over_chunks``, which cuts the
+windows left after whole rounds into one part per core only for models
+wide enough for that to pay (``WORK_FLOOR``); at one BLAS thread every
+window's forecast or latent has the same bits as in one batch of all
+the windows.  The warm-up samples up to WARMUP_WINDOWS train windows but
 encodes only the C that seed the rule centers (``WarmupLatents``).
 """
 
@@ -106,74 +106,69 @@ def numeric_environment() -> dict:
     }
 
 
-# the least work, in windows x the forecaster's per-window width (D_h for
-# the learned models), for which a chunk earns a worker thread of its own.
-# Each numpy call of a forward pass takes a few microseconds at D_h=16, and
-# handing the GIL between two threads around such calls costs more than
-# the threads overlap.  Two-core speedup over one thread, for a 90-window
-# split and the 812-window train split of the synthetic series (p=30,
-# C=16, look-back 60), on a two-core Xeon with one BLAS thread:
+# the least work, in windows x the model's hidden width D_h, for which the
+# windows left after a split's whole rounds (see _chunk_layout) are cut
+# into one part per core.  Each numpy call of a forward pass takes a few
+# microseconds at D_h=16, and handing the GIL between two threads around
+# such calls costs more than the threads overlap.  Two-core speedup over
+# one thread of a 90-window split cut into two parts, on the synthetic
+# series (p=30, C=16, look-back 60), on a two-core Xeon with one BLAS
+# thread:
 #   D_h   16    32    48    64    96   128
 #   90   0.87  0.98  1.01  1.32  1.28  1.33
-#   812  0.95  1.44  1.42  1.66  1.81  1.60
-# So a 96-window chunk at D_h=16 (1536) stays on the calling thread, and
-# 16 windows at D_h=128 (2048) get a worker.
+# So 48 windows at D_h=32 (1536) stay one chunk, and 16 windows at
+# D_h=128 (2048) get a part of their own.  Whole 96-window chunks stay on
+# the pool at every width: at the desk shape (D_h=16, C=4, p=4) the
+# 812-window train split took 111 ms in turn on the calling thread
+# against 99 ms on two threads (20 alternating pairs, 0 won by the
+# calling thread).
 WORK_FLOOR = 2048
 
 
 def _chunk_layout(n, cores, width):
-    """(chunks, pooled): the row slices ``_over_chunks`` cuts ``range(n)``
-    into for ``cores`` usable cores and a forecaster of per-window
-    ``width``, and whether they run on a pool.
+    """The row slices ``_over_chunks`` cuts ``range(n)`` into for
+    ``cores`` usable cores and a model of hidden width ``width``.
 
     Whole rounds of one EVAL_BATCH chunk per core come first.  The rows
-    left after them are cut into parts of 16 * ceil(rows / (16 * parts))
-    windows, with the most parts, up to one per core, whose size meets
-    WORK_FLOOR without leaving a lone last window (see EVAL_BATCH: that
-    window can take other bits); without such a cut they stay
-    EVAL_BATCH chunks.
-    Every chunk but the last is a multiple of 16 windows, and none holds
-    more than EVAL_BATCH.  The first chunk is the largest; when it falls
-    below WORK_FLOOR, or there is one chunk or one core, every chunk
-    runs on the calling thread.
+    left after them are cut into one part per core, of 16 * ceil(rows /
+    (16 * cores)) windows, when such a part meets WORK_FLOOR without
+    leaving a lone last window (see EVAL_BATCH: that window can take
+    other bits); otherwise they stay EVAL_BATCH chunks.  So width 0
+    gives the plain EVAL_BATCH cut.  Every chunk but the last is a
+    multiple of 16 windows, and none holds more than EVAL_BATCH.
     """
     full = n - n % (cores * EVAL_BATCH)
     tail = n - full
-    size = EVAL_BATCH
-    for parts in range(cores, 1, -1):
-        part = 16 * -(-tail // (16 * parts))
-        if part * width >= WORK_FLOOR and tail % part != 1:
-            size = part
-            break
-    starts = [*range(0, full, EVAL_BATCH), *range(full, n, size)]
-    chunks = [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
-    pooled = cores > 1 and len(chunks) > 1 and (chunks[0].stop - chunks[0].start) * width >= WORK_FLOOR
-    return chunks, pooled
+    part = 16 * -(-tail // (16 * cores))  # <= EVAL_BATCH, as tail < cores * EVAL_BATCH
+    cut = part * width >= WORK_FLOOR and tail % part != 1
+    starts = [*range(0, full, EVAL_BATCH), *range(full, n, part if cut else EVAL_BATCH)]
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
 
 
 def _over_chunks(n, width, work) -> None:
     """Call ``work(rows)`` on each chunk of ``range(n)`` that
-    ``_chunk_layout`` cuts for the usable cores and a forecaster of
-    per-window ``width`` (0 for one that does next to no work per window).
+    ``_chunk_layout`` cuts for the usable cores and a model of hidden
+    width ``width`` (0 for any other forecaster).
 
-    Pooled chunks run on a thread pool of one worker per usable core (at
-    most one per chunk); numpy releases the GIL in its GEMMs and ufuncs,
-    so the chunks run in parallel, and ``work`` must be safe to call
-    from several threads at once.  Each chunk runs in a copy of the
-    caller's context, so it sees the caller's autodiff modes and numpy
-    errstate (a context variable since numpy 2.0).  ``work`` should
+    More than one chunk runs on a thread pool of one worker per usable
+    core (at most one per chunk); numpy releases the GIL in its GEMMs
+    and ufuncs, so the chunks run in parallel, and ``work`` must be safe
+    to call from several threads at once.  Each chunk runs in a copy of
+    the caller's context, so it sees the caller's autodiff modes and
+    numpy errstate (a context variable since numpy 2.0).  ``work`` should
     write only its own rows, so nothing depends on the order the chunks
-    finish in.  No chunk is still running when this returns or raises;
-    when chunks fail, the first failing chunk's error is raised, as a
-    loop over the chunks in turn would.
+    finish in.  Every chunk finishes before this returns or raises; when
+    chunks fail, the first failing chunk's error is raised, as a loop
+    over the chunks in turn would.
     """
     cores = _usable_cores()
-    chunks, pooled = _chunk_layout(n, cores, width)
-    if not pooled:
+    chunks = _chunk_layout(n, cores, width)
+    workers = min(cores, len(chunks))
+    if workers <= 1:
         for rows in chunks:
             work(rows)
         return
-    with ThreadPoolExecutor(max_workers=min(cores, len(chunks))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         done = [pool.submit(contextvars.copy_context().run, work, rows) for rows in chunks]
     for future in done:  # the pool has shut down: every chunk has finished
         future.result()
@@ -184,10 +179,10 @@ class WarmupLatents:
 
     ``len()`` counts the windows; ``latents[rows]`` (a slice or an index
     array) encodes only the windows it reads, with the model's
-    parameters at the time of the read, as one ``ad.checked_forward``
-    pass, in ``_over_chunks`` chunks laid out for the model's
-    ``hidden_width``: the C=16 picks of the paper shape stay one chunk,
-    and a desk-width model encodes on the calling thread.
+    parameters at the time of the read, in chunks on the usable cores
+    laid out for the model's ``hidden_width`` (the C=16 picks of the
+    paper shape stay one chunk on the calling thread), as one
+    ``ad.checked_forward`` pass.
     The windows are padded to a multiple of 16 by repeating them, so each
     row has the bits of one batch of all the sampled windows (see
     EVAL_BATCH).
@@ -228,28 +223,29 @@ def warmup_latents(model: FuzzformerModel, dataset: WindowedDataset, rng) -> War
     return WarmupLatents(model, dataset, origins)
 
 
-def score_split(dataset, split, history, forecast, *, width) -> MetricsReport:
+def score_split(dataset, split, history, forecast, *, width=0) -> MetricsReport:
     """RMSE (scaled units) of a forecaster over one split.
 
     ``forecast(batch)`` gets up to EVAL_BATCH windows at a time, each
     batch with ``history`` trailing main values, and returns (preds (B,
     H), ok): a mask of the windows it forecast, or True for all of them.
     Windows left out are counted, not scored; with none scored the
-    RMSEs are NaN.  ``width`` is the forecaster's work per window, the
-    model's hidden width (0 for a row lookup); it sets the chunk layout.
+    RMSEs are NaN.
 
-    The chunks run through ``_over_chunks``: at the paper shape
-    (D_h=128) a split's windows are shared out over the usable cores,
-    while narrow forecasters run on the calling thread, where threads
-    would only slow them down (``WORK_FLOOR``).  So ``forecast`` must be
-    safe to call from several threads at once; it sees the caller's
-    autodiff modes and numpy errstate, and when chunks fail, the first
-    failing chunk's error is raised.  Each chunk writes only its own
-    rows, so the report does not depend on the order the chunks finish
-    in.  Every chunk starts on a multiple of 16 windows and none is a
-    lone last window, so each window meets the same OpenBLAS GEMM row
-    blocks as in one batch of the whole split, and its forecast keeps
-    that batch's bits (see EVAL_BATCH).
+    The chunks run through ``_over_chunks``, on the usable cores at once,
+    so ``forecast`` must be safe to call from several threads at once;
+    it sees the caller's autodiff modes and numpy errstate, and when
+    chunks fail, the first failing chunk's error is raised.  ``width``
+    is Fuzzformer's hidden width: at the paper's D_h=128 the windows
+    left after whole rounds of EVAL_BATCH chunks are cut into one part
+    per core (``WORK_FLOOR``).  The other forecasters keep the default
+    0, and with it whole EVAL_BATCH chunks: the floor was measured on
+    Fuzzformer only.  Each chunk writes only its own rows, so the report
+    does not depend on the order the chunks finish in.  Every chunk
+    starts on a multiple of 16 windows and the last round is never cut
+    so as to leave a lone last window, so each window meets the same
+    OpenBLAS GEMM row blocks as in one batch of the whole split, and its
+    forecast keeps that batch's bits (see EVAL_BATCH).
     """
     origins = dataset.origins_for(split)
     preds = np.zeros((origins.size, dataset.horizon))
@@ -393,7 +389,7 @@ def train_lstm_baseline(
 
     fit(
         [t for _, t in model.named], loss_fn, train_origins, batch_size, epochs, learning_rate,
-        lambda: score_split(dataset, "valid", 1, lambda b: (model.predict(b.x), True), width=hidden).rmse,
+        lambda: score_split(dataset, "valid", 1, lambda b: (model.predict(b.x), True)).rmse,
         rng_shuffle, None, log or (lambda _line: None),
     )
     return model

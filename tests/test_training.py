@@ -176,7 +176,7 @@ class TestTrain:
             )
 
         def valid_rmse(m):
-            return training.score_split(tiny_dataset, "valid", 1, lambda b: (m.predict(b.x), True), width=4).rmse
+            return training.score_split(tiny_dataset, "valid", 1, lambda b: (m.predict(b.x), True)).rmse
 
         # a j-epoch run keeps the best of epochs 0..j, so the first run
         # scoring the least is the run that ends on the best epoch of all
@@ -193,7 +193,7 @@ class TestTrain:
         scored, lines = [], []
         score_split = training.score_split
 
-        def counting(dataset, split, history, forecast, *, width):
+        def counting(dataset, split, history, forecast, *, width=0):
             scored.append(split)
             return score_split(dataset, split, history, forecast, width=width)
 
@@ -209,6 +209,23 @@ class TestTrain:
         ]
         for e, (args, _, _) in enumerate(lines, start=1):
             assert isinstance(args[0], str) and args[0].startswith(f"epoch {e}/{epochs} ")
+
+    @pytest.mark.parametrize(
+        "run, width", [(fuzzformer_run, TINY_TRAIN["hidden_width"]), (lstm_run, 0)], ids=["fuzzformer", "lstm"]
+    )
+    def test_validation_lays_out_chunks_by_the_models_width(self, run, width, tiny_dataset, tmp_path, monkeypatch):
+        # WORK_FLOOR was measured on Fuzzformer only, so the LSTM baseline
+        # keeps the default width 0: whole EVAL_BATCH chunks
+        widths = []
+        score_split = training.score_split
+
+        def spy(dataset, split, history, forecast, *, width=0):
+            widths.append(width)
+            return score_split(dataset, split, history, forecast, width=width)
+
+        monkeypatch.setattr(training, "score_split", spy)
+        run(tiny_dataset, tmp_path / "run", epochs=1)
+        assert widths == [width, width]
 
     def test_dataset_mismatch_rejected(self, tiny_dataset, tmp_path):
         cfg = RunConfig(**{**TINY_TRAIN, "channels": 2})
@@ -416,7 +433,7 @@ class TestRunConfigFromFile:
 
 def chunk_sizes(n):
     """The EVAL_BATCH-window cut of ``range(n)``: ``_over_chunks``'s layout
-    for a model too narrow for threads, on any number of cores."""
+    at width 0, on any number of cores."""
     return [min(training.EVAL_BATCH, n - start) for start in range(0, n, training.EVAL_BATCH)]
 
 
@@ -424,9 +441,8 @@ WIDE = 128  # the paper's D_h: a width whose 16-window parts meet WORK_FLOOR
 
 
 def layout(n, cores, width):
-    """(chunk sizes, pooled) of ``_over_chunks``'s layout."""
-    chunks, pooled = training._chunk_layout(n, cores, width)
-    return [rows.stop - rows.start for rows in chunks], pooled
+    """The chunk sizes of ``_over_chunks``'s layout."""
+    return [rows.stop - rows.start for rows in training._chunk_layout(n, cores, width)]
 
 
 @pytest.fixture
@@ -444,21 +460,20 @@ def one_core(monkeypatch):
 
 
 class TestChunkLayout:
-    @pytest.mark.parametrize("cores", [1, 2, 4])
-    @pytest.mark.parametrize("n", [0, 1, 15, 16, 31, 90, 96, 97, 192, 812])
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 31, 90, 96, 97, 192, 250, 350, 812])
     def test_parts_cover_the_rows_in_order(self, n, cores):
         for width in (0, 16, 32, WIDE):
-            chunks, pooled = training._chunk_layout(n, cores, width)
-            sizes = [rows.stop - rows.start for rows in chunks]
+            sizes = layout(n, cores, width)
+            chunks = training._chunk_layout(n, cores, width)
             assert [rows.start for rows in chunks] == [sum(sizes[:i]) for i in range(len(sizes))]
             assert sum(sizes) == n and all(0 < size <= training.EVAL_BATCH for size in sizes)
             assert all(size % 16 == 0 for size in sizes[:-1])
-            meets = [size * width >= training.WORK_FLOOR for size in sizes]
-            assert pooled == (cores > 1 and len(sizes) > 1 and meets[0])
-            if not any(meets):
-                assert not pooled
-            if not pooled:  # then the layout is the EVAL_BATCH cut
-                assert sizes == chunk_sizes(n)
+            assert len(sizes) <= cores * -(-n // (cores * training.EVAL_BATCH))  # at most one part per core a round
+            if sizes != chunk_sizes(n):  # whole rounds, then a last round cut into parts that meet the floor
+                full = n // (cores * training.EVAL_BATCH) * cores
+                assert sizes[:full] == [training.EVAL_BATCH] * full
+                assert sizes[-2] * width >= training.WORK_FLOOR
             if sizes and sizes[-1] == 1:  # a lone last window only where the EVAL_BATCH cut has one
                 assert sizes == chunk_sizes(n)
 
@@ -475,12 +490,20 @@ class TestChunkLayout:
         ],
     )
     def test_paper_width_splits_the_last_round(self, n, cores, sizes):
-        assert layout(n, cores, WIDE) == (sizes, len(sizes) > 1)
+        assert layout(n, cores, WIDE) == sizes
 
-    @pytest.mark.parametrize("n", [31, 90, 97, 192, 812])
-    def test_desk_width_stays_on_the_calling_thread(self, n):
-        # 96 desk-width windows (D_h=16) are less work than WORK_FLOOR
-        assert layout(n, 2, 16) == (chunk_sizes(n), False)
+    @pytest.mark.parametrize("width", [0, 16])
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [31, 90, 97, 192, 250, 350, 812])
+    def test_narrow_width_keeps_whole_eval_batch_chunks(self, n, cores, width):
+        # a desk-width (D_h=16) part of the last round is less work than
+        # WORK_FLOOR
+        assert layout(n, cores, width) == chunk_sizes(n)
+
+    def test_a_part_is_cut_where_windows_times_width_meet_the_floor(self):
+        assert training.WORK_FLOOR == 2048
+        assert layout(90, 2, 32) == [90]  # 48 x 32 = 1536
+        assert layout(97, 2, 32) == [64, 33]  # 64 x 32 = 2048
 
 
 class TestWarmupLatents:
@@ -526,10 +549,10 @@ class TestWarmupLatents:
         model.encode = spy
         latents = training.warmup_latents(model, tiny_dataset, np.random.default_rng(1))[:]
         np.testing.assert_array_equal(latents, one_batch)
-        sizes, pooled = layout(256, cores, width)
+        sizes = layout(256, cores, width)
         assert sorted(n for _, n in calls) == sorted(sizes)
-        assert pooled == (cores > 1 and width == WIDE)
-        assert {ident == threading.get_ident() for ident, _ in calls} == {not pooled}
+        assert sizes == {(2, WIDE): [96, 96, 32, 32], (4, WIDE): [64] * 4}.get((cores, width), chunk_sizes(256))
+        assert {ident == threading.get_ident() for ident, _ in calls} == {cores == 1}
 
     @pytest.mark.parametrize("n_rows", [1, 4, 5, 16, 17])
     @pytest.mark.parametrize("width", [16, 128])
@@ -631,8 +654,9 @@ class TestScoreSplit:
             ok = batch.origins % 3 != 0
             return np.where(ok[:, None], batch.y_target + 0.5, np.nan), ok
 
-        report = training.score_split(tiny_dataset, "train", 1, forecast, width=0)
-        assert sizes == chunk_sizes(origins.size)  # a row lookup runs on the calling thread, in turn
+        report = training.score_split(tiny_dataset, "train", 1, forecast)
+        # chunks may run in any order, on any thread
+        assert sorted(sizes) == sorted(chunk_sizes(origins.size))
         skipped = int(np.sum(origins % 3 == 0))
         assert (report.n_samples, report.n_skipped) == (origins.size - skipped, skipped)
         assert report.rmse == pytest.approx(0.5)
@@ -655,7 +679,7 @@ class TestScoreSplit:
         # a width that meets the floor, so the 16-aligned parts run on the pool
         report = training.score_split(tiny_dataset, "train", cfg.history, forecast, width=WIDE)
         assert threading.get_ident() not in threads  # the chunks ran on the pool
-        assert sorted(sizes) == sorted(layout(origins.size, 4, WIDE)[0]) != chunk_sizes(origins.size)
+        assert sorted(sizes) == sorted(layout(origins.size, 4, WIDE)) != chunk_sizes(origins.size)
         parts = []
         for start in range(0, origins.size, training.EVAL_BATCH):
             batch = tiny_dataset.batch(origins[start : start + training.EVAL_BATCH], history=cfg.history)
@@ -691,7 +715,10 @@ class TestScoreSplit:
         again = evaluate_split(model, tiny_dataset, split)
         assert (again.rmse, again.per_step_rmse.tobytes()) == (report.rmse, report.per_step_rmse.tobytes())
 
-    def test_narrow_model_chunks_run_on_the_calling_thread(self, tiny_dataset, four_cores):
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_narrow_model_keeps_whole_chunks(self, tiny_dataset, four_cores, split):
+        # whole EVAL_BATCH chunks on the pool; a split of one chunk runs
+        # on the calling thread
         model = FuzzformerModel(RunConfig(**TINY_TRAIN), np.random.default_rng(5))
         calls = []
         predict = model.predict
@@ -701,10 +728,11 @@ class TestScoreSplit:
             return predict(x, y_history)
 
         model.predict = spy
-        evaluate_split(model, tiny_dataset, "train")
-        sizes = chunk_sizes(tiny_dataset.origins_for("train").size)
-        assert len(sizes) >= 3
-        assert calls == [(threading.get_ident(), n) for n in sizes]
+        evaluate_split(model, tiny_dataset, split)
+        sizes = chunk_sizes(tiny_dataset.origins_for(split).size)
+        assert len(sizes) >= 3 if split == "train" else sizes == [tiny_dataset.origins_for(split).size]
+        assert sorted(n for _, n in calls) == sorted(sizes)
+        assert {ident == threading.get_ident() for ident, _ in calls} == {len(sizes) == 1}
 
     def test_chunks_see_the_callers_modes(self, tiny_dataset, four_cores):
         seen = []
@@ -719,10 +747,10 @@ class TestScoreSplit:
             return batch.y_target, True
 
         with ad.no_grad(), np.errstate(over="ignore"):
-            training.score_split(tiny_dataset, "train", 1, forecast, width=WIDE)
+            training.score_split(tiny_dataset, "train", 1, forecast)
         with ad.no_finite_probes(), np.errstate(over="raise"):
-            training.score_split(tiny_dataset, "train", 1, forecast, width=WIDE)
-        n = len(layout(tiny_dataset.origins_for("train").size, 4, WIDE)[0])
+            training.score_split(tiny_dataset, "train", 1, forecast)
+        n = len(chunk_sizes(tiny_dataset.origins_for("train").size))
         assert threading.get_ident() not in {ident for ident, *_ in seen}
         assert sorted(tuple(modes) for _, *modes in seen) == sorted(
             [(False, True, "ignore")] * n + [(True, False, "raise")] * n
@@ -732,13 +760,12 @@ class TestScoreSplit:
     def test_first_failing_chunk_is_raised_after_every_chunk_finished(self, four_cores):
         dataset = prepare_dataset(make_synthetic(n_points=600, seed=3), lookback=12, horizon=4)
         origins = dataset.origins_for("train")
-        starts = np.cumsum([0, *layout(origins.size, 4, WIDE)[0]])
-        n = starts.size - 1
+        n = len(chunk_sizes(origins.size))
         assert n >= 5
         finished = []
 
         def forecast(batch):
-            chunk = int(np.searchsorted(starts, np.searchsorted(origins, batch.origins[0])))
+            chunk = int(np.searchsorted(origins, batch.origins[0])) // training.EVAL_BATCH
             if chunk == 1:
                 time.sleep(0.05)  # chunk 3 fails first
             if chunk in (1, 3):
@@ -749,7 +776,7 @@ class TestScoreSplit:
             return batch.y_target, True
 
         with pytest.raises(NonFiniteError, match="chunk 1"):
-            training.score_split(dataset, "train", 1, forecast, width=WIDE)
+            training.score_split(dataset, "train", 1, forecast)
         assert sorted(finished) == [c for c in range(n) if c not in (1, 3)]
 
     @pytest.mark.parametrize(
@@ -761,7 +788,7 @@ class TestScoreSplit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = training.score_split(
-                dataset, split, 1, lambda batch: (np.zeros_like(batch.y_target), False), width=0
+                dataset, split, 1, lambda batch: (np.zeros_like(batch.y_target), False)
             )
         assert np.isnan(report.rmse)
         assert report.per_step_rmse.shape == (4,) and np.all(np.isnan(report.per_step_rmse))
@@ -967,8 +994,8 @@ class TestForwardPassReplay:
         a NaN in an exogenous channel of train windows past the first
         chunk, whose NaN latents reach the ARIX check, which fires without
         probes, before any output; or for an unstable rule 1."""
-        def plant(kind, width=TINY_TRAIN["hidden_width"]):
-            model = FuzzformerModel(RunConfig(**{**TINY_TRAIN, "hidden_width": width}), np.random.default_rng(5))
+        def plant(kind):
+            model = FuzzformerModel(RunConfig(**TINY_TRAIN), np.random.default_rng(5))
             origin = tiny_dataset.origins_for("train")[training.EVAL_BATCH + 20]
             if kind == "unstable-rule":
                 model.arix_a.data[1, 0] = -1e150  # overflows within 3 steps
@@ -987,9 +1014,8 @@ class TestForwardPassReplay:
 
     @pytest.mark.parametrize("kind", ["nan-window", "unstable-rule"])
     def test_evaluate_split_on_worker_threads(self, planted, kind, four_cores):
-        model, dataset, _origin, error = planted(kind, width=WIDE)
-        sizes, pooled = layout(dataset.origins_for("train").size, 4, WIDE)
-        assert pooled and len(sizes) >= 3
+        model, dataset, _origin, error = planted(kind)
+        assert len(chunk_sizes(dataset.origins_for("train").size)) >= 3
         assert raised(lambda: evaluate_split(model, dataset, "train")) == error
 
     @pytest.mark.parametrize("kind", ["nan-window", "unstable-rule"])
@@ -1004,11 +1030,10 @@ class TestForwardPassReplay:
         assert list(tmp_path.iterdir()) == []  # nothing is written before the check
 
     def test_warmup_encode(self, planted, four_cores):
-        model, dataset, origin, error = planted("nan-window", width=WIDE)
+        model, dataset, origin, error = planted("nan-window")
         train = dataset.origins_for("train")
         latents = training.WarmupLatents(model, dataset, train[train <= origin + 4])
-        sizes, pooled = layout(-(-len(latents) // 16) * 16, 4, WIDE)
-        assert pooled and len(sizes) >= 2
+        assert len(chunk_sizes(len(latents))) >= 2
         assert raised(lambda: latents[:]) == error
 
     def test_lstm_baseline_predict(self, planted):
