@@ -15,9 +15,9 @@ step's activations now go back to the allocator at once, importing this
 module raises glibc's mmap and trim thresholds (where ``mallopt``
 exists): with the defaults, glibc hands large freed blocks back to the
 OS and the next batch faults the same pages in again.  It also caps glibc
-at one malloc arena, so the threads that ``training._over_chunks`` runs
-evaluation and cluster warm-up chunks on share one heap rather than each
-growing an arena of its own.
+at one malloc arena, so the threads that ``training.score_split`` runs
+evaluation chunks on share one heap rather than each growing an arena of
+its own.
 
 The two modes, graph recording (``no_grad``) and the finite probes
 (``no_finite_probes``), are context variables, not module globals: a

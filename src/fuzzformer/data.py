@@ -18,8 +18,9 @@ cannot be read or parsed, and an output that cannot be written (an
 output directory that names a file, say), raise ``DataError``;
 ``RunConfig.from_file`` turns its own into ``ConfigError``.
 
-Channels are aligned onto the main series' calendar with forward fill,
-min-max scaled per channel on training-range rows only, and sliced into
+Channels are aligned onto the main series' calendar with forward fill
+(each day takes a channel's latest observation on or before it), min-max
+scaled per channel on training-range rows only, and sliced into
 (look-back, horizon) samples split 80/10/10 chronologically by window
 origin.  Samples whose target range would bleed into a later split's
 input region are embargoed (dropped), so no training target overlaps
@@ -231,9 +232,11 @@ def fetch_http(url, cache_dir, name=None, timeout=30.0) -> RawSeries:
 def align(series_list):
     """Stack channels onto the main (first) series' calendar.
 
-    Other channels are forward-filled onto that calendar; leading dates
-    where any channel has no value yet are dropped.  Returns
-    (matrix (T, D), calendar, names).
+    Each other channel's value on a calendar day is its latest
+    observation on or before that day, on the calendar or not (forward
+    fill); of two on one day, the later listed.  Leading dates where any
+    channel has no value yet are dropped.  Returns (matrix (T, D),
+    calendar, names).
     """
     if not series_list:
         raise DataError("align: need at least one series")
@@ -241,20 +244,13 @@ def align(series_list):
     calendar = list(main.dates)
     columns = [np.asarray(main.values, dtype=np.float64)]
     for series in series_list[1:]:
-        lookup = dict(zip(series.dates, series.values))
-        col = np.empty(len(calendar))
-        have = np.zeros(len(calendar), dtype=bool)
-        last = np.nan
-        filled = False
-        for i, day in enumerate(calendar):
-            if day in lookup:
-                last = lookup[day]
-                filled = True
-            col[i] = last
-            have[i] = filled
-        columns.append(col)
-        if not np.any(have):
+        days = np.asarray(series.dates, dtype=str)
+        order = np.argsort(days, kind="stable")
+        latest = np.searchsorted(days[order], np.asarray(calendar, dtype=str), side="right") - 1
+        if not np.any(latest >= 0):
             raise DataError(f"align: series {series.name!r} does not overlap the main calendar")
+        values = np.append(series.values[order], np.nan)  # index -1: no observation yet
+        columns.append(values[latest])
     matrix = np.stack(columns, axis=1)
     good = np.all(np.isfinite(matrix), axis=1)
     first_good = int(np.argmax(good)) if np.any(good) else len(calendar)
@@ -293,7 +289,8 @@ class MinMaxScaler:
     @classmethod
     def from_archive(cls, arrays, channels, path) -> "MinMaxScaler":
         """The scaler that ``archive_arrays`` stored for ``channels``
-        channels; a missing array, or one not of shape (channels,), raises
+        channels; a missing array, one not of shape (channels,), or a
+        channel whose max is not above its min by a finite amount, raises
         ``DataError``."""
         values = []
         for name in ("scaler.mins", "scaler.maxs"):
@@ -303,11 +300,19 @@ class MinMaxScaler:
                     f"{path}: array {name!r} has shape {value.shape}, expected ({channels},)"
                 )
             values.append(value)
-        return cls(*values)
+        mins, maxs = values
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = maxs - mins
+        bad = np.nonzero(~((0 < span) & (span < np.inf)))[0]  # NaN fails both
+        if bad.size:
+            raise DataError(f"{path}: scaler range of channel(s) {bad.tolist()} is not finite and positive")
+        return cls(mins, maxs)
 
 
 def fit_minmax(matrix, fit_rows: int) -> MinMaxScaler:
-    """Fit per-channel min/max on the first ``fit_rows`` rows only."""
+    """Fit per-channel min/max on the first ``fit_rows`` rows only; a
+    channel that is constant there, or whose max - min is not finite,
+    raises ``DataError``."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if fit_rows < 1 or fit_rows > matrix.shape[0]:
         raise DataError(f"scaler fit range {fit_rows} out of bounds for {matrix.shape[0]} rows")
@@ -317,6 +322,10 @@ def fit_minmax(matrix, fit_rows: int) -> MinMaxScaler:
     constant = np.nonzero(maxs <= mins)[0]
     if constant.size:
         raise DataError(f"constant channel(s) in scaler fit range: {constant.tolist()}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        unbounded = np.nonzero(~np.isfinite(maxs - mins))[0]
+    if unbounded.size:
+        raise DataError(f"channel(s) with a non-finite range in scaler fit range: {unbounded.tolist()}")
     return MinMaxScaler(mins, maxs)
 
 
@@ -394,6 +403,8 @@ class WindowedDataset:
         matrix = container.require(arrays, "matrix", path, "array")
         if matrix.ndim != 2:
             raise DataError(f"{path}: array 'matrix' must be 2-D, got shape {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise DataError(f"{path}: array 'matrix' holds non-finite values")
         rows, channels = matrix.shape
         sizes = {}
         for key in ("lookback", "horizon", "stride"):

@@ -22,8 +22,8 @@ from .exceptions import ShapeError
 from .kernels import lstm as lstm_kernels
 
 # windows per chunk of a forward-only encode, and the most per chunk of
-# training._over_chunks, and so per worker and per forecast or encode call.
-# Larger chunks hold more activations at once.  _over_chunks cuts smaller
+# training.score_split, and so per worker and per forecast or encode call.
+# Larger chunks hold more activations at once.  score_split cuts smaller
 # chunks only for a split's last round, and only for models wide enough to
 # gain from threads (training.WORK_FLOOR): small models are per-call bound,
 # and splitting a desk-shape (D_h=16) 90-window split into 64 + 26 cut its

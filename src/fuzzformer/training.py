@@ -11,20 +11,21 @@ flows from one seed through separate child generators (Fuzzformer: init,
 cluster warm-up, dropout, shuffling; the baseline: init, shuffling), so
 identical seed/config/data reproduce identical checkpoints bit for bit.
 
-Evaluation and cluster warm-up windows are independent, so
-``score_split`` and the warm-up encode run their chunks on the usable
-cores at once, through one helper, ``_over_chunks``, which cuts the
-windows left after whole rounds into one part per core only for models
-wide enough for that to pay (``WORK_FLOOR``); at one BLAS thread every
-window's forecast or latent has the same bits as in one batch of all
-the windows.  The warm-up samples up to WARMUP_WINDOWS train windows but
-encodes only the C that seed the rule centers (``WarmupLatents``).
+Evaluation windows are independent, so ``score_split``, the one
+function that builds a thread pool, runs a split's chunks on the usable
+cores at once.  It cuts the windows left after whole rounds into one
+part per core only for models wide enough for that to pay
+(``WORK_FLOOR``); at one BLAS thread every window's forecast has the
+same bits as in one batch of all the windows.  The warm-up samples up to
+WARMUP_WINDOWS train windows but encodes only the C that seed the rule
+centers (``WarmupLatents``), in one forward pass on the calling thread.
 """
 
 import contextvars
 import csv
 import itertools
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -126,7 +127,7 @@ WORK_FLOOR = 2048
 
 
 def _chunk_layout(n, cores, width):
-    """The row slices ``_over_chunks`` cuts ``range(n)`` into for
+    """The row slices ``score_split`` cuts ``range(n)`` into for
     ``cores`` usable cores and a model of hidden width ``width``.
 
     Whole rounds of one EVAL_BATCH chunk per core come first.  The rows
@@ -145,44 +146,14 @@ def _chunk_layout(n, cores, width):
     return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
 
 
-def _over_chunks(n, width, work) -> None:
-    """Call ``work(rows)`` on each chunk of ``range(n)`` that
-    ``_chunk_layout`` cuts for the usable cores and a model of hidden
-    width ``width`` (0 for any other forecaster).
-
-    More than one chunk runs on a thread pool of one worker per usable
-    core (at most one per chunk); numpy releases the GIL in its GEMMs
-    and ufuncs, so the chunks run in parallel, and ``work`` must be safe
-    to call from several threads at once.  Each chunk runs in a copy of
-    the caller's context, so it sees the caller's autodiff modes and
-    numpy errstate (a context variable since numpy 2.0).  ``work`` should
-    write only its own rows, so nothing depends on the order the chunks
-    finish in.  Every chunk finishes before this returns or raises; when
-    chunks fail, the first failing chunk's error is raised, as a loop
-    over the chunks in turn would.
-    """
-    cores = _usable_cores()
-    chunks = _chunk_layout(n, cores, width)
-    workers = min(cores, len(chunks))
-    if workers <= 1:
-        for rows in chunks:
-            work(rows)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        done = [pool.submit(contextvars.copy_context().run, work, rows) for rows in chunks]
-    for future in done:  # the pool has shut down: every chunk has finished
-        future.result()
-
-
 class WarmupLatents:
     """Read-only rows of the latents of sampled training windows.
 
     ``len()`` counts the windows; ``latents[rows]`` (a slice or an index
     array) encodes only the windows it reads, with the model's
-    parameters at the time of the read, in chunks on the usable cores
-    laid out for the model's ``hidden_width`` (the C=16 picks of the
-    paper shape stay one chunk on the calling thread), as one
-    ``ad.checked_forward`` pass.
+    parameters at the time of the read, in one ``model.encode`` call
+    inside ``ad.checked_forward`` on the calling thread (the encoder
+    takes more than EVAL_BATCH windows EVAL_BATCH at a time).
     The windows are padded to a multiple of 16 by repeating them, so each
     row has the bits of one batch of all the sampled windows (see
     EVAL_BATCH).
@@ -196,17 +167,8 @@ class WarmupLatents:
 
     def __getitem__(self, rows):
         picks = self.origins[rows]
-        padded = np.resize(picks, -(-picks.size // 16) * 16)
-        latents = np.empty((padded.size, self.model.config.latent_width))
-
-        def encode(chunk):
-            latents[chunk] = self.model.encode(self.dataset.batch(padded[chunk], history=1).x).z_latent.data
-
-        def encode_all():
-            _over_chunks(padded.size, self.model.config.hidden_width, encode)
-            return latents[: picks.size]
-
-        return ad.checked_forward(encode_all)
+        x = self.dataset.batch(np.resize(picks, -(-picks.size // 16) * 16), history=1).x
+        return ad.checked_forward(lambda: self.model.encode(x).z_latent.data[: picks.size])
 
 
 def warmup_latents(model: FuzzformerModel, dataset: WindowedDataset, rng) -> WarmupLatents:
@@ -232,14 +194,19 @@ def score_split(dataset, split, history, forecast, *, width=0) -> MetricsReport:
     Windows left out are counted, not scored; with none scored the
     RMSEs are NaN.
 
-    The chunks run through ``_over_chunks``, on the usable cores at once,
-    so ``forecast`` must be safe to call from several threads at once;
-    it sees the caller's autodiff modes and numpy errstate, and when
-    chunks fail, the first failing chunk's error is raised.  ``width``
-    is Fuzzformer's hidden width: at the paper's D_h=128 the windows
-    left after whole rounds of EVAL_BATCH chunks are cut into one part
-    per core (``WORK_FLOOR``).  The other forecasters keep the default
-    0, and with it whole EVAL_BATCH chunks: the floor was measured on
+    The chunks, cut by ``_chunk_layout``, run on a thread pool of one
+    worker per usable core (at most one per chunk) when there are two or
+    more; numpy releases the GIL in its GEMMs and ufuncs, so they run in
+    parallel, and ``forecast`` must be safe to call from several threads
+    at once.  Each chunk runs in a copy of the caller's context, so
+    ``forecast`` sees the caller's autodiff modes and numpy errstate (a
+    context variable since numpy 2.0).  Every chunk finishes before this
+    returns or raises; when chunks fail, the first failing chunk's error
+    is raised, as a loop over the chunks in turn would.  ``width`` is
+    Fuzzformer's hidden width: at the paper's D_h=128 the windows left
+    after whole rounds of EVAL_BATCH chunks are cut into one part per
+    core (``WORK_FLOOR``).  The other forecasters keep the default 0,
+    and with it whole EVAL_BATCH chunks: the floor was measured on
     Fuzzformer only.  Each chunk writes only its own rows, so the report
     does not depend on the order the chunks finish in.  Every chunk
     starts on a multiple of 16 windows and the last round is never cut
@@ -257,7 +224,17 @@ def score_split(dataset, split, history, forecast, *, width=0) -> MetricsReport:
         preds[rows], ok[rows] = forecast(batch)
         targets[rows] = batch.y_target
 
-    _over_chunks(origins.size, width, score)
+    cores = _usable_cores()
+    chunks = _chunk_layout(origins.size, cores, width)
+    workers = min(cores, len(chunks))
+    if workers <= 1:
+        for rows in chunks:
+            score(rows)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = [pool.submit(contextvars.copy_context().run, score, rows) for rows in chunks]
+        for future in done:  # the pool has shut down: every chunk has finished
+            future.result()
     preds, targets = preds[ok], targets[ok]
     with np.errstate(invalid="ignore"):  # no window scored: 0 / 0
         per_step = np.sqrt(np.sum((preds - targets) ** 2, axis=0) / preds.shape[0])
@@ -374,6 +351,8 @@ def train_lstm_baseline(
     ):
         if as_int(name, value) < least:  # a bool or a float is a ConfigError too
             raise ConfigError(f"{name} must be >= {least}, got {value}")
+    if isinstance(learning_rate, bool) or not isinstance(learning_rate, numbers.Real):  # as RunConfig
+        raise ConfigError(f"learning_rate must be float, got {learning_rate!r}")
     if not 0.0 < learning_rate < np.inf:
         raise ConfigError(f"learning_rate must be positive and finite, got {learning_rate}")
     train_origins = dataset.origins_for("train")

@@ -499,6 +499,20 @@ class TestLstmBaseline:
         with pytest.raises(ConfigError, match=f"^{re.escape(f'{name} must be int, got {value!r}')}$"):
             train_lstm_baseline(ds, **{"hidden": 4, "epochs": 1, **{name: value}})
 
+    @pytest.mark.parametrize("value", [True, "0.1", None])
+    def test_non_real_learning_rate_is_a_config_error(self, value):
+        ds = prepare_dataset(make_synthetic(n_points=400, seed=3), lookback=12, horizon=4)
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'learning_rate must be float, got {value!r}')}$"):
+            train_lstm_baseline(ds, hidden=4, epochs=1, learning_rate=value)
+
+    def test_int_and_numpy_learning_rates_are_accepted(self):
+        ds = prepare_dataset(make_synthetic(n_points=400, seed=3), lookback=12, horizon=4)
+        a = train_lstm_baseline(ds, hidden=4, epochs=1, learning_rate=0.5)
+        for rate in (np.float64(0.5), np.float32(0.5)):
+            b = train_lstm_baseline(ds, hidden=4, epochs=1, learning_rate=rate)
+            assert all(np.array_equal(ta.data, tb.data) for (_, ta), (_, tb) in zip(a.named, b.named))
+        train_lstm_baseline(ds, hidden=4, epochs=1, learning_rate=1)
+
     def test_numpy_integer_sizes_are_accepted(self):
         ds = prepare_dataset(make_synthetic(n_points=400, seed=3), lookback=12, horizon=4)
         sizes = dict(hidden=4, layers=1, epochs=1, batch_size=64, seed=3)

@@ -202,6 +202,10 @@ class TestCheckpoint:
                 lambda meta, arrays: arrays.update({"scaler.maxs": np.ones(3)}),
                 DataError, r"'scaler.maxs' has shape \(3,\), expected \(2,\)",
             ),
+            (
+                lambda meta, arrays: arrays.update({"scaler.mins": np.array([np.nan, 0.0])}),
+                DataError, r"scaler range of channel\(s\) \[0\] is not finite and positive",
+            ),
             (lambda meta, arrays: meta["config"].update(rules="2"), ConfigError, "rules must be int"),
             (lambda meta, arrays: meta.update(config=[2]), ConfigError, "JSON object"),
             (

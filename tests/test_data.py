@@ -270,6 +270,43 @@ class TestAlign:
         with pytest.raises(DataError):
             align([a, b])
 
+    def test_fill_takes_observations_off_the_main_calendar(self):
+        # another exchange's holidays: 01-02 is not a main-calendar day
+        a = series("a", [("2024-01-01", 1), ("2024-01-03", 2), ("2024-01-04", 3)])
+        b = series("b", [("2024-01-01", 10.0), ("2024-01-02", 20.0)])
+        matrix, calendar, _ = align([a, b])
+        assert calendar == ["2024-01-01", "2024-01-03", "2024-01-04"]
+        np.testing.assert_array_equal(matrix[:, 1], [10, 20, 20])
+
+    def test_channel_observed_only_before_the_calendar_fills_it(self):
+        a = series("a", [("2024-01-01", 1), ("2024-01-03", 2), ("2024-01-04", 3)])
+        b = series("b", [("2023-12-31", 5.0)])
+        matrix, calendar, _ = align([a, b])
+        assert len(calendar) == 3
+        np.testing.assert_array_equal(matrix[:, 1], [5, 5, 5])
+
+    def test_matches_a_per_day_reference(self):
+        # the channel's days are unsorted and may repeat; of two on one
+        # day, the later listed counts
+        rng = np.random.default_rng(0)
+        days = [f"2024-{1 + i // 28:02d}-{1 + i % 28:02d}" for i in range(60)]
+        for _ in range(50):
+            calendar = sorted(str(d) for d in rng.choice(days, size=20, replace=False))
+            other = series("b", [(str(d), v) for d, v in zip(rng.choice(days, size=15), rng.normal(size=15))])
+            expected = []
+            for day in calendar:
+                past = [(d, i) for i, d in enumerate(other.dates) if d <= day]
+                expected.append(other.values[max(past)[1]] if past else np.nan)
+            main = series("a", [(d, 1.0) for d in calendar])
+            if np.isnan(expected).all():
+                with pytest.raises(DataError, match="does not overlap"):
+                    align([main, other])
+                continue
+            first = int(np.argmax(~np.isnan(expected)))
+            matrix, aligned, _ = align([main, other])
+            assert aligned == calendar[first:]
+            np.testing.assert_array_equal(matrix[:, 1], expected[first:])
+
 
 class TestMinMax:
     def test_direct_formula(self):
@@ -292,6 +329,14 @@ class TestMinMax:
         m = np.ones((10, 2))
         m[:, 0] = np.arange(10)
         with pytest.raises(DataError, match="constant"):
+            fit_minmax(m, 10)
+
+    def test_non_finite_range_rejected(self):
+        # max - min overflows: scaling would divide by inf and write NaN
+        m = np.ones((10, 2))
+        m[:, 0] = np.arange(10)
+        m[2, 1], m[5, 1] = 1e308, -1e308
+        with np.errstate(all="raise"), pytest.raises(DataError, match=r"non-finite range .*\[1\]"):
             fit_minmax(m, 10)
 
     def test_fit_apply_combined(self):
@@ -436,6 +481,18 @@ class TestMakeWindows:
             (lambda meta, arrays: arrays.update(matrix=arrays["matrix"][:, 0]), "'matrix' must be 2-D"),
             (lambda meta, arrays: arrays.update({"scaler.mins": np.zeros(1)}), r"'scaler.mins' .*\(2,\)"),
             (lambda meta, arrays: arrays.update({"scaler.maxs": np.ones((2, 1))}), r"'scaler.maxs' .*\(2,\)"),
+            (
+                lambda meta, arrays: arrays.update({"scaler.maxs": np.array([np.inf, 1e9])}),
+                r"scaler range of channel\(s\) \[0\] is not finite",
+            ),
+            (
+                lambda meta, arrays: arrays["scaler.maxs"].__setitem__(1, arrays["scaler.mins"][1]),
+                r"scaler range of channel\(s\) \[1\] is not finite and positive",
+            ),
+            (
+                lambda meta, arrays: arrays["matrix"].__setitem__((5, 1), np.nan),
+                "'matrix' holds non-finite values",
+            ),
             (
                 lambda meta, arrays: meta.update(channel_names=["m"]),
                 "'channel_names' must be a list of 2 strings, got a list of 1",

@@ -31,9 +31,10 @@ with the standard library:
 * no module of src/fuzzformer/ has a ``global`` statement.  A mode kept
   in a module global leaks between threads (``training.score_split``
   forecasts on several), so modes are context variables instead;
-* one function of src/fuzzformer/, ``training._over_chunks``, builds a
-  ``ThreadPoolExecutor``.  So every parallel pass shares its chunking,
-  its copy of the caller's context and its error order;
+* one function of src/fuzzformer/, ``training.score_split``, builds a
+  ``ThreadPoolExecutor`` and calls ``copy_context``.  So every parallel
+  pass shares its chunking, its copy of the caller's context and its
+  error order;
 * one function of src/fuzzformer/, ``training.fit``, builds an ``Adam``
   and calls ``train_step``.  So both learned models train through one
   epoch loop, with one shuffle, one failure report and one best-epoch
@@ -358,7 +359,8 @@ def src_callers(callee):
 
 
 def test_one_function_builds_every_thread_pool():
-    assert src_callers("ThreadPoolExecutor") == [("training.py", "_over_chunks")]
+    for callee in ("ThreadPoolExecutor", "copy_context"):  # the context copy stays with the pool
+        assert src_callers(callee) == [("training.py", "score_split")], callee
 
 
 @pytest.mark.parametrize("callee", ["Adam", "train_step"])

@@ -432,7 +432,7 @@ class TestRunConfigFromFile:
 
 
 def chunk_sizes(n):
-    """The EVAL_BATCH-window cut of ``range(n)``: ``_over_chunks``'s layout
+    """The EVAL_BATCH-window cut of ``range(n)``: ``score_split``'s layout
     at width 0, on any number of cores."""
     return [min(training.EVAL_BATCH, n - start) for start in range(0, n, training.EVAL_BATCH)]
 
@@ -441,7 +441,7 @@ WIDE = 128  # the paper's D_h: a width whose 16-window parts meet WORK_FLOOR
 
 
 def layout(n, cores, width):
-    """The chunk sizes of ``_over_chunks``'s layout."""
+    """The chunk sizes of ``score_split``'s layout."""
     return [rows.stop - rows.start for rows in training._chunk_layout(n, cores, width)]
 
 
@@ -532,13 +532,13 @@ class TestWarmupLatents:
     @pytest.mark.parametrize("cores", [1, 2, 4])
     def test_chunks_give_the_bits_of_one_batch(self, monkeypatch, tiny_dataset, cores, width):
         # at width 128 the GEMMs are large enough for BLAS to pick its
-        # blocked kernels, where the chunk sizes could change the bits
+        # blocked kernels, where the encoder's EVAL_BATCH chunks could
+        # change the bits; a pass that records the graph is one batch
         monkeypatch.setattr(training, "_usable_cores", lambda: cores)
         model = FuzzformerModel(RunConfig(**{**TINY_TRAIN, "hidden_width": width}), np.random.default_rng(0))
         train_origins = tiny_dataset.origins_for("train")
         origins = np.sort(np.random.default_rng(1).choice(train_origins, size=256, replace=False))
-        with ad.no_grad():
-            one_batch = model.encode(tiny_dataset.batch(origins, history=1).x).z_latent.data
+        one_batch = model.encode(tiny_dataset.batch(origins, history=1).x).z_latent.data
         calls = []
         encode = model.encode
 
@@ -549,10 +549,27 @@ class TestWarmupLatents:
         model.encode = spy
         latents = training.warmup_latents(model, tiny_dataset, np.random.default_rng(1))[:]
         np.testing.assert_array_equal(latents, one_batch)
-        sizes = layout(256, cores, width)
-        assert sorted(n for _, n in calls) == sorted(sizes)
-        assert sizes == {(2, WIDE): [96, 96, 32, 32], (4, WIDE): [64] * 4}.get((cores, width), chunk_sizes(256))
-        assert {ident == threading.get_ident() for ident, _ in calls} == {cores == 1}
+        assert calls == [(threading.get_ident(), 256)]  # one call on the calling thread, whatever the cores
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    @pytest.mark.parametrize("rules", [32, 96])
+    def test_wide_picks_keep_the_bits_of_per_core_parts(self, monkeypatch, tiny_dataset, rules, cores):
+        # one encode of the picks gives the bits of the parts _chunk_layout
+        # cuts them into for an evaluation split (96 -> 48 + 48 on two cores)
+        monkeypatch.setattr(training, "_usable_cores", lambda: cores)
+        model = FuzzformerModel(RunConfig(**{**TINY_TRAIN, "hidden_width": WIDE}), np.random.default_rng(0))
+        latents = training.warmup_latents(model, tiny_dataset, np.random.default_rng(1))
+        rows = np.random.default_rng(rules).choice(len(latents), size=rules, replace=False)
+        picks = latents.origins[rows]
+        with ad.no_grad():
+            parts = [
+                model.encode(tiny_dataset.batch(picks[chunk], history=1).x).z_latent.data
+                for chunk in training._chunk_layout(rules, cores, WIDE)
+            ]
+        assert layout(rules, cores, WIDE) == {
+            (32, 2): [16, 16], (32, 4): [16, 16], (96, 2): [48, 48], (96, 4): [32, 32, 32]
+        }.get((rules, cores), [rules])
+        assert latents[rows].tobytes() == np.concatenate(parts).tobytes()
 
     @pytest.mark.parametrize("n_rows", [1, 4, 5, 16, 17])
     @pytest.mark.parametrize("width", [16, 128])
@@ -1029,7 +1046,7 @@ class TestForwardPassReplay:
         assert raised(bundle) == error
         assert list(tmp_path.iterdir()) == []  # nothing is written before the check
 
-    def test_warmup_encode(self, planted, four_cores):
+    def test_warmup_encode(self, planted):
         model, dataset, origin, error = planted("nan-window")
         train = dataset.origins_for("train")
         latents = training.WarmupLatents(model, dataset, train[train <= origin + 4])
