@@ -116,19 +116,17 @@ def cmd_evaluate(args) -> int:
     splits = list(dmod.SPLIT_NAMES) if args.split == "all" else [args.split]
     setting = f"{model.config.lookback}/{model.config.horizon}"
     label = f"p={model.config.ar_order}"
-    rows = []
+    reports = []
     for split in splits:
         report = training.evaluate_split(model, dataset, split)
         print(f"fuzzformer ({label}) {setting} {split}: rmse={report.rmse:.6f} "
               f"n={report.n_samples}")
-        if not report.n_samples:  # no windows, no RMSE to append (as in cmd_baseline)
-            continue
-        rows.append(_result_row("fuzzformer", label, setting, report))
-        if args.per_step:
+        reports.append(report)
+        if args.per_step and report.n_samples:  # no windows, no RMSE per step
             with dmod.open_output(args.per_step, "a", "per-step file") as fh:
                 for j, v in enumerate(report.per_step_rmse, start=1):
                     fh.write(f"{split},{j},{v:.6f}\n")
-    training.append_results(args.out, rows)
+    training.append_results(args.out, "fuzzformer", label, setting, reports)
     return EXIT_OK
 
 
@@ -144,24 +142,23 @@ def cmd_forecast(args) -> int:
 def _baseline_forecaster(args, dataset):
     """(label, forecast) of the ``--method`` baseline, where
     ``forecast(batch)`` gives ``training.score_split`` the batch's
-    forecasts and a mask of the windows it forecast; only ARIMA leaves
-    windows out."""
+    forecasts; only ARIMA leaves windows out, as NaN rows."""
     horizon = dataset.horizon
     if args.method == "persistence":
         def forecast(batch):
             windows = dataset.window_main(batch.origins)
-            return np.stack([bl.persistence_forecast(w, horizon) for w in windows]), True
+            return np.stack([bl.persistence_forecast(w, horizon) for w in windows])
 
         return "", forecast
     if args.method == "arima":
         # one pass over every window, so the kernels get ARIMA_CHUNK-window
-        # stacks; each row's forecast is the same in any stack
+        # stacks; each row's forecast is the same in any stack, and a
+        # rejected window's row is NaN, so score_split skips it
         order = bl.ArimaOrder(p=args.p, d=args.d, q=args.q)
-        preds, ok = bl.evaluate_arima_windows(dataset.window_main(dataset.origins), order, horizon)
+        preds = bl.evaluate_arima_windows(dataset.window_main(dataset.origins), order, horizon)[0]
 
         def forecast(batch):
-            rows = np.searchsorted(dataset.origins, batch.origins)  # origins ascend
-            return preds[rows], ok[rows]
+            return preds[np.searchsorted(dataset.origins, batch.origins)]  # origins ascend
 
         return f"p={args.p},d={args.d},q={args.q}", forecast
     model = training.train_lstm_baseline(
@@ -174,7 +171,7 @@ def _baseline_forecaster(args, dataset):
         seed=args.seed,
         log=print if args.verbose else None,
     )
-    return f"hidden={args.hidden},layers={args.layers}", lambda b: (model.predict(b.x), True)
+    return f"hidden={args.hidden},layers={args.layers}", lambda b: model.predict(b.x)
 
 
 def cmd_baseline(args) -> int:
@@ -182,28 +179,18 @@ def cmd_baseline(args) -> int:
     setting = f"{dataset.lookback}/{dataset.horizon}"
     label, forecast = _baseline_forecaster(args, dataset)
     title = f"{args.method}({label})" if label else args.method
-    rows = []
+    reports = []
     for split in dmod.SPLIT_NAMES:
         report = training.score_split(dataset, split, 1, forecast)
+        reports.append(report)
         skipped, total = report.n_skipped, report.n_samples + report.n_skipped
         if report.n_samples:
-            rows.append(_result_row(args.method, label, setting, report))
             note = f" (skipped {skipped}/{total} windows)" if args.method == "arima" else ""
             print(f"{title} {setting} {split}: rmse={report.rmse:.6f}{note}")
         elif skipped:
             print(f"{title} {setting} {split}: all {skipped} windows skipped")
-    training.append_results(args.out, rows)
+    training.append_results(args.out, args.method, label, setting, reports)
     return EXIT_OK
-
-
-def _result_row(method, config, setting, report):
-    return {
-        "method": method,
-        "config": config,
-        "setting": setting,
-        "split": report.split,
-        "rmse": f"{report.rmse:.6f}",
-    }
 
 
 def cmd_report(args) -> int:

@@ -12,10 +12,12 @@ other row as wide as the header.  Series and window files also need a
 header whose first cell is ``date``, at least one row, and finite numbers
 in the named columns; a results file needs a finite ``rmse`` and may hold
 no rows.  Config files are JSON text read through ``read_text``.  Text
-outputs are written through ``open_output`` (JSON ones through
-``write_json``) into directories made by ``output_dir``.  A file that
-cannot be read or parsed, and an output that cannot be written (an
-output directory that names a file, say), raise ``DataError``;
+outputs are written through ``open_output`` into directories made by
+``output_dir``; every CSV table (results, report, loss and validation
+logs) through one writer, ``write_rows``, which appends only under the
+table's own header; JSON through ``write_json``.  A file that cannot be
+read or parsed, and an output that cannot be written (an output
+directory that names a file, say), raise ``DataError``;
 ``RunConfig.from_file`` turns its own into ``ConfigError``.
 
 Channels are aligned onto the main series' calendar with forward fill
@@ -148,6 +150,26 @@ def read_table(path, columns, what):
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: bad CSV ({exc})") from None
     return header, rows, lines
+
+
+def write_rows(path, header, rows, what, mode="w") -> None:
+    """``rows`` written to ``path`` by ``csv.writer`` under the ``header``
+    row.  With mode "a" the rows are appended and the header is written
+    only into a missing or empty file; a file that ``read_table`` cannot
+    read, or whose header does not name ``header``'s columns in order
+    (stripped and without regard to case), raises ``DataError`` and is
+    left as it was."""
+    path = Path(path)
+    new = mode == "w" or not path.exists() or path.stat().st_size == 0
+    if not new:
+        cells = read_table(path, header, what)[0]
+        if [cell.strip().lower() for cell in cells] != [name.lower() for name in header]:
+            raise DataError(f"{path}:1: header {','.join(cells)!r} is not {','.join(header)!r}")
+    with open_output(path, mode, what) as fh:
+        writer = csv.writer(fh)
+        if new:
+            writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_columns(path, columns, what):

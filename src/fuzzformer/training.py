@@ -22,7 +22,6 @@ centers (``WarmupLatents``), in one forward pass on the calling thread.
 """
 
 import contextvars
-import csv
 import itertools
 import math
 import numbers
@@ -40,7 +39,9 @@ from .autodiff import Adam
 from .baselines import LstmBaseline, rmse
 from .checkpoint import save_checkpoint
 from .config import RunConfig
-from .data import SPLIT_NAMES, WindowedDataset, as_int, open_output, output_dir, read_table, write_json
+from .data import (
+    SPLIT_NAMES, WindowedDataset, as_int, open_output, output_dir, read_table, write_json, write_rows,
+)
 from .encoder import EVAL_BATCH
 from .exceptions import ConfigError, DataError
 from .fuzzy import bhattacharyya  # by this name, so a profiler can patch the bundle's call
@@ -189,10 +190,10 @@ def score_split(dataset, split, history, forecast, *, width=0) -> MetricsReport:
     """RMSE (scaled units) of a forecaster over one split.
 
     ``forecast(batch)`` gets up to EVAL_BATCH windows at a time, each
-    batch with ``history`` trailing main values, and returns (preds (B,
-    H), ok): a mask of the windows it forecast, or True for all of them.
-    Windows left out are counted, not scored; with none scored the
-    RMSEs are NaN.
+    batch with ``history`` trailing main values, and returns their
+    forecasts (B, H).  A window whose row is not all finite (ARIMA
+    leaves the windows it rejects as NaN rows) is counted as skipped,
+    not scored; with none scored the RMSEs are NaN.
 
     The chunks, cut by ``_chunk_layout``, run on a thread pool of one
     worker per usable core (at most one per chunk) when there are two or
@@ -217,11 +218,10 @@ def score_split(dataset, split, history, forecast, *, width=0) -> MetricsReport:
     origins = dataset.origins_for(split)
     preds = np.zeros((origins.size, dataset.horizon))
     targets = np.zeros_like(preds)
-    ok = np.zeros(origins.size, dtype=bool)
 
     def score(rows):
         batch = dataset.batch(origins[rows], history=history)
-        preds[rows], ok[rows] = forecast(batch)
+        preds[rows] = forecast(batch)
         targets[rows] = batch.y_target
 
     cores = _usable_cores()
@@ -235,6 +235,7 @@ def score_split(dataset, split, history, forecast, *, width=0) -> MetricsReport:
             done = [pool.submit(contextvars.copy_context().run, score, rows) for rows in chunks]
         for future in done:  # the pool has shut down: every chunk has finished
             future.result()
+    ok = np.isfinite(preds).all(axis=1)
     preds, targets = preds[ok], targets[ok]
     with np.errstate(invalid="ignore"):  # no window scored: 0 / 0
         per_step = np.sqrt(np.sum((preds - targets) ** 2, axis=0) / preds.shape[0])
@@ -251,7 +252,7 @@ def evaluate_split(model: FuzzformerModel, dataset, split):
     """Aggregate-forecast RMSE (scaled units) over one split."""
     return score_split(
         dataset, split, model.config.history,
-        lambda batch: (model.predict(batch.x, batch.y_history), True), width=model.config.hidden_width,
+        lambda batch: model.predict(batch.x, batch.y_history), width=model.config.hidden_width,
     )
 
 
@@ -314,16 +315,10 @@ def train(config: RunConfig, dataset: WindowedDataset, out_dir, log=print) -> Tr
         lambda: evaluate_split(model, dataset, "valid").rmse, rng_shuffle, rng_dropout, log,
     )
 
-    with open_output(out_dir / "losses.csv", "w", "loss log") as fh:
-        writer = csv.DictWriter(fh, fieldnames=LOSS_FIELDS, extrasaction="ignore")
-        writer.writeheader()
-        for rec in history:
-            writer.writerow({k: rec[k] for k in LOSS_FIELDS})
-    with open_output(out_dir / "history.csv", "w", "validation log") as fh:
-        writer = csv.DictWriter(fh, fieldnames=("epoch", "valid_rmse"))
-        writer.writeheader()
-        for rec in history:
-            writer.writerow({"epoch": rec["epoch"], "valid_rmse": rec["valid_rmse"]})
+    for name, columns, what in (
+        ("losses.csv", LOSS_FIELDS, "loss log"), ("history.csv", ("epoch", "valid_rmse"), "validation log"),
+    ):
+        write_rows(out_dir / name, columns, [[rec[k] for k in columns] for rec in history], what)
 
     ckpt_path = out_dir / "checkpoint.bin"
     save_checkpoint(ckpt_path, model, scaler=dataset.scaler, channel_names=dataset.channel_names)
@@ -368,7 +363,7 @@ def train_lstm_baseline(
 
     fit(
         [t for _, t in model.named], loss_fn, train_origins, batch_size, epochs, learning_rate,
-        lambda: score_split(dataset, "valid", 1, lambda b: (model.predict(b.x), True)).rmse,
+        lambda: score_split(dataset, "valid", 1, lambda b: model.predict(b.x)).rmse,
         rng_shuffle, None, log or (lambda _line: None),
     )
     return model
@@ -495,19 +490,13 @@ def forecast_bundle(model, scaler, channel_names, dates, matrix, out_dir, log=pr
 # results accumulation and the comparison report
 
 
-def append_results(path, rows) -> None:
-    """Append rows to a results CSV, writing the header when the file is
-    missing or empty; with no rows, write nothing."""
-    if not rows:
-        return
-    path = Path(path)
-    new = not path.exists() or path.stat().st_size == 0
-    with open_output(path, "a", "results file") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS)
-        if new:
-            writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in RESULT_FIELDS})
+def append_results(path, method, config, setting, reports) -> None:
+    """Append one results row (RESULT_FIELDS, ``rmse`` in ``.6f``) per
+    report that scored a window to a results CSV, through
+    ``data.write_rows``; with no such report, write nothing."""
+    rows = [[method, config, setting, r.split, f"{r.rmse:.6f}"] for r in reports if r.n_samples]
+    if rows:
+        write_rows(path, RESULT_FIELDS, rows, "results file", mode="a")
 
 
 def read_results(paths):
@@ -536,6 +525,7 @@ def build_report(rows):
     """Grid of methods x (setting, split) mirroring the comparison table.
 
     Returns (text, header list, table rows); absent cells show an em dash.
+    Each cell takes one row: a second row for a cell raises ``DataError``.
     """
     methods = []
     settings = []
@@ -546,7 +536,10 @@ def build_report(rows):
             methods.append(method)
         if row["setting"] not in settings:
             settings.append(row["setting"])
-        cells[(method, row["setting"], row["split"])] = row["rmse"]
+        key = (method, row["setting"], row["split"])
+        if key in cells:
+            raise DataError(f"two results rows for one cell: {method}, {row['setting']} {row['split']}")
+        cells[key] = row["rmse"]
     header = ["method"]
     for setting in settings:
         for split in SPLIT_NAMES:
@@ -572,8 +565,5 @@ def build_report(rows):
 
 def write_report(rows, out_path):
     text, header, table = build_report(rows)
-    with open_output(out_path, "w", "report") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(table)
+    write_rows(out_path, header, table, "report")
     return text

@@ -297,6 +297,19 @@ class TestEvaluateWindows:
             ok = assert_matches_oracle(windows, ArimaOrder(p, d, q), dataset.horizon)
             assert ok.mean() > 0.8
 
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_ok_marks_exactly_the_finite_rows(self, seed):
+        # training.score_split skips a window by its non-finite row, so the
+        # mask may not tell it anything the forecasts do not
+        dataset = prepare_dataset(make_synthetic(n_points=1200, seed=seed), lookback=60, horizon=30)
+        windows = dataset.window_main(dataset.origins)
+        ratios = []
+        for p, d, q in [(4, 1, 1), (2, 1, 2), (0, 1, 1), (9, 1, 9)]:
+            preds, ok = evaluate_arima_windows(windows, ArimaOrder(p, d, q), dataset.horizon)
+            assert np.array_equal(ok, np.isfinite(preds).all(axis=1))
+            ratios.append(ok.mean())
+        assert min(ratios) == 0 and max(ratios) == 1 and any(0 < r < 1 for r in ratios)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_row_is_bit_identical_alone_in_a_stack_and_across_chunks(self, data):

@@ -464,6 +464,37 @@ class TestEvaluateAndBaseline:
         assert not table.exists()
 
 
+    def test_two_rows_for_one_cell_are_data_error(self, tmp_path, capsys):
+        results, table = tmp_path / "r.csv", tmp_path / "t.csv"
+        results.write_text(
+            "method,config,setting,split,rmse\n"
+            "fuzzformer,p=4,60/30,test,0.0767\nfuzzformer,p=4,60/30,test,0.0604\n"
+        )
+        code = main(["report", str(results), "--out", str(table)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr() == (
+            "", "data error: two results rows for one cell: fuzzformer (p=4), 60/30 test\n"
+        )
+        assert not table.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["baseline", "--dataset", "{data}/dataset.bin", "--method", "persistence"],
+            ["evaluate", "--checkpoint", "{run}/checkpoint.bin", "--dataset", "{data}/dataset.bin"],
+        ],
+        ids=["baseline", "evaluate"],
+    )
+    def test_results_are_not_appended_to_another_table(self, workspace, tmp_path, capsys, command):
+        series = tmp_path / "series.csv"
+        series.write_bytes(b"date,value\n2020-01-01,1\n")
+        paths = {"run": workspace / "run", "data": workspace / "data"}
+        code = main([arg.format(**paths) for arg in command] + ["--out", str(series)])
+        assert code == EXIT_DATA
+        assert f"data error: {series}:1: header is missing columns" in capsys.readouterr().err
+        assert series.read_bytes() == b"date,value\n2020-01-01,1\n"
+
+
 class TestForecast:
     def test_bundle(self, workspace, tmp_path):
         window = tmp_path / "window.csv"

@@ -164,6 +164,48 @@ class TestReadColumns:
         np.testing.assert_array_equal(matrix, [[1.0, 2.0], [3.0, 4.0]])
 
 
+class TestWriteRows:
+    """Every CSV table is written by one writer, ``write_rows``."""
+
+    HEADER = ("method", "rmse")
+
+    def test_write_replaces_the_file(self, tmp_path):
+        path = write(tmp_path / "t.csv", "date,value\n")
+        dmod.write_rows(path, self.HEADER, [["a,b", 0.5], ["c", 1]], "table")
+        assert path.read_bytes() == b'method,rmse\r\n"a,b",0.5\r\nc,1\r\n'
+
+    @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.touch()], ids=["missing", "empty"])
+    def test_append_to_a_missing_or_empty_file_writes_the_header(self, tmp_path, make):
+        path = tmp_path / "t.csv"
+        make(path)
+        dmod.write_rows(path, self.HEADER, [["a", 1]], "table", mode="a")
+        dmod.write_rows(path, self.HEADER, [["b", 2]], "table", mode="a")
+        assert path.read_bytes() == b"method,rmse\r\na,1\r\nb,2\r\n"
+
+    def test_append_matches_the_header_as_read_table_does(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbf Method ,RMSE\nx,0\n")
+        dmod.write_rows(path, self.HEADER, [["a", 1]], "table", mode="a")
+        assert path.read_bytes() == b"\xef\xbb\xbf Method ,RMSE\nx,0\na,1\r\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("date,value\n2020-01-01,1\n", "header is missing columns ['method', 'rmse']"),
+            ("rmse,method\nx,0\n", "header 'rmse,method' is not 'method,rmse'"),
+            ("method,rmse,note\nx,0,y\n", "header 'method,rmse,note' is not 'method,rmse'"),
+            ("\n", "header is missing columns ['method', 'rmse']"),
+            ('method,rmse\n"x,0\n', "bad row of 1 fields, header has 2"),
+        ],
+        ids=["series-file", "other-order", "other-column", "no-header", "open-quote"],
+    )
+    def test_append_to_another_table_raises_and_leaves_it(self, tmp_path, text, message):
+        path = write(tmp_path / "t.csv", text)
+        with pytest.raises(DataError, match=re.escape(f"{path}:") + ".*" + re.escape(message)):
+            dmod.write_rows(path, self.HEADER, [["a", 1]], "table", mode="a")
+        assert path.read_text(encoding="utf-8") == text
+
+
 class Response(io.BytesIO):
     """What ``urllib.request.urlopen`` returns, as far as ``fetch_http`` reads it."""
 

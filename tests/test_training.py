@@ -176,7 +176,7 @@ class TestTrain:
             )
 
         def valid_rmse(m):
-            return training.score_split(tiny_dataset, "valid", 1, lambda b: (m.predict(b.x), True)).rmse
+            return training.score_split(tiny_dataset, "valid", 1, lambda b: m.predict(b.x)).rmse
 
         # a j-epoch run keeps the best of epochs 0..j, so the first run
         # scoring the least is the run that ends on the best epoch of all
@@ -669,12 +669,28 @@ class TestScoreSplit:
         def forecast(batch):
             sizes.append(batch.origins.size)
             ok = batch.origins % 3 != 0
-            return np.where(ok[:, None], batch.y_target + 0.5, np.nan), ok
+            return np.where(ok[:, None], batch.y_target + 0.5, np.nan)
 
         report = training.score_split(tiny_dataset, "train", 1, forecast)
         # chunks may run in any order, on any thread
         assert sorted(sizes) == sorted(chunk_sizes(origins.size))
         skipped = int(np.sum(origins % 3 == 0))
+        assert (report.n_samples, report.n_skipped) == (origins.size - skipped, skipped)
+        assert report.rmse == pytest.approx(0.5)
+        np.testing.assert_allclose(report.per_step_rmse, 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_a_row_with_one_non_finite_value_is_counted_not_scored(self, tiny_dataset, bad):
+        origins = tiny_dataset.origins_for("train")
+
+        def forecast(batch):
+            preds = batch.y_target + 0.5
+            preds[batch.origins % 5 == 0, -1] = bad  # the last step of every fifth window
+            return preds
+
+        report = training.score_split(tiny_dataset, "train", 1, forecast)
+        skipped = int(np.sum(origins % 5 == 0))
+        assert 0 < skipped < origins.size
         assert (report.n_samples, report.n_skipped) == (origins.size - skipped, skipped)
         assert report.rmse == pytest.approx(0.5)
         np.testing.assert_allclose(report.per_step_rmse, 0.5)
@@ -690,8 +706,7 @@ class TestScoreSplit:
             threads.add(threading.get_ident())
             sizes.append(batch.origins.size)
             preds = model.predict(batch.x, batch.y_history)
-            ok = batch.origins % 4 != 1
-            return preds, ok
+            return np.where((batch.origins % 4 != 1)[:, None], preds, np.nan)
 
         # a width that meets the floor, so the 16-aligned parts run on the pool
         report = training.score_split(tiny_dataset, "train", cfg.history, forecast, width=WIDE)
@@ -720,7 +735,7 @@ class TestScoreSplit:
         def forecast(batch):
             preds = model.predict(batch.x, batch.y_history)
             got[np.searchsorted(origins, batch.origins)] = preds
-            return preds, True
+            return preds
 
         report = training.score_split(tiny_dataset, split, cfg.history, forecast, width=WIDE)
         batch = tiny_dataset.batch(origins, history=cfg.history)
@@ -761,7 +776,7 @@ class TestScoreSplit:
             except NonFiniteError:
                 probes = True
             seen.append((threading.get_ident(), ad.grad_enabled(), probes, np.geterr()["over"]))
-            return batch.y_target, True
+            return batch.y_target
 
         with ad.no_grad(), np.errstate(over="ignore"):
             training.score_split(tiny_dataset, "train", 1, forecast)
@@ -790,7 +805,7 @@ class TestScoreSplit:
             if chunk == n - 1:
                 time.sleep(0.2)
             finished.append(chunk)
-            return batch.y_target, True
+            return batch.y_target
 
         with pytest.raises(NonFiniteError, match="chunk 1"):
             training.score_split(dataset, "train", 1, forecast)
@@ -804,9 +819,7 @@ class TestScoreSplit:
         dataset = request.getfixturevalue(data)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = training.score_split(
-                dataset, split, 1, lambda batch: (np.zeros_like(batch.y_target), False)
-            )
+            report = training.score_split(dataset, split, 1, lambda batch: np.full_like(batch.y_target, np.nan))
         assert np.isnan(report.rmse)
         assert report.per_step_rmse.shape == (4,) and np.all(np.isnan(report.per_step_rmse))
         assert (report.n_samples, report.n_skipped) == (0, dataset.origins_for(split).size)
@@ -1059,6 +1072,11 @@ class TestForwardPassReplay:
         assert raised(lambda: model.predict(dataset.batch([origin - 1, origin], history=1).x)) == error
 
 
+def scored(split, value, n=3):
+    """A report of ``n`` windows scored on ``split`` at RMSE ``value``."""
+    return training.MetricsReport(split, value, np.full(4, value), n, 0)
+
+
 class TestReport:
     def test_single_method_single_setting(self):
         rows = [
@@ -1088,6 +1106,18 @@ class TestReport:
         text, _, table = build_report(rows)
         assert "—" in text
         assert table[0][2] == "—"
+
+    def test_two_rows_for_one_cell_raise(self):
+        rows = [
+            {"method": "fuzzformer", "config": "p=4", "setting": "60/30", "split": "test", "rmse": value}
+            for value in (0.0767, 0.0604)
+        ]
+        message = "two results rows for one cell: fuzzformer (p=4), 60/30 test"
+        with pytest.raises(DataError, match=re.escape(message)):
+            build_report(rows)
+        for key, other in (("split", "valid"), ("config", "p=2"), ("setting", "150/30"), ("method", "lstm")):
+            _, _, table = build_report([rows[0], {**rows[1], key: other}])  # another cell
+            assert sum(line.count("0.0604") for line in table) == 1
 
     def test_bad_split_label_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -1137,16 +1167,26 @@ class TestReport:
     def test_append_to_an_empty_file_writes_the_header(self, tmp_path):
         path = tmp_path / "r.csv"
         path.touch()
-        row = {"method": "a", "config": "", "setting": "60/30", "split": "test", "rmse": "0.4"}
-        training.append_results(path, [row])
-        assert read_results([path]) == [{**row, "rmse": 0.4}]
+        training.append_results(path, "a", "", "60/30", [scored("test", 0.4)])
+        assert read_results([path]) == [
+            {"method": "a", "config": "", "setting": "60/30", "split": "test", "rmse": 0.4}
+        ]
+
+    def test_one_row_per_report_that_scored(self, tmp_path):
+        path = tmp_path / "r.csv"
+        empty = training.MetricsReport("valid", math.nan, np.full(4, math.nan), 0, 0)
+        training.append_results(path, "arima", "p=2,d=1,q=1", "12/4", [empty])
+        assert not path.exists()  # no rows write no file
+        reports = [scored("train", 0.1234567), empty, scored("test", 2.0)]
+        training.append_results(path, "arima", "p=2,d=1,q=1", "12/4", reports)
+        assert path.read_bytes() == (
+            b"method,config,setting,split,rmse\r\n"
+            b'arima,"p=2,d=1,q=1",12/4,train,0.123457\r\narima,"p=2,d=1,q=1",12/4,test,2.000000\r\n'
+        )
 
     def test_write_and_read_round_trip(self, tmp_path):
-        rows = [
-            {"method": "a", "config": "p=2", "setting": "60/30", "split": "test", "rmse": "0.4"}
-        ]
-        training.append_results(tmp_path / "r.csv", rows)
-        training.append_results(tmp_path / "r.csv", rows)
+        training.append_results(tmp_path / "r.csv", "a", "p=2", "60/30", [scored("valid", 0.4)])
+        training.append_results(tmp_path / "r.csv", "a", "p=2", "60/30", [scored("test", 0.4)])
         back = read_results([tmp_path / "r.csv"])
         assert len(back) == 2
         text = write_report(back, tmp_path / "table.csv")
