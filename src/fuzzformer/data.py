@@ -12,13 +12,12 @@ other row as wide as the header.  Series and window files also need a
 header whose first cell is ``date``, at least one row, and finite numbers
 in the named columns; a results file needs a finite ``rmse`` and may hold
 no rows.  Config files are JSON text read through ``read_text``.  Text
-outputs are written through ``open_output`` into directories made by
-``output_dir``; every CSV table (results, report, loss and validation
-logs) through one writer, ``write_rows``, which appends only under the
-table's own header; JSON through ``write_json``.  A file that cannot be
-read or parsed, and an output that cannot be written (an output
-directory that names a file, say), raise ``DataError``;
-``RunConfig.from_file`` turns its own into ``ConfigError``.
+outputs are written through ``open_output`` (every CSV table through one
+writer, ``write_rows``; JSON through ``write_json``) into directories
+made by ``output_dir``.  A file that cannot be read or parsed, and an
+output that cannot be written (an output directory that names a file,
+say), raise ``DataError``; ``RunConfig.from_file`` turns its own into
+``ConfigError``.
 
 Channels are aligned onto the main series' calendar with forward fill
 (each day takes a channel's latest observation on or before it), min-max

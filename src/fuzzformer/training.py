@@ -235,8 +235,8 @@ def score_split(dataset, split, history, forecast, *, width=0) -> MetricsReport:
             done = [pool.submit(contextvars.copy_context().run, score, rows) for rows in chunks]
         for future in done:  # the pool has shut down: every chunk has finished
             future.result()
-    ok = np.isfinite(preds).all(axis=1)
-    preds, targets = preds[ok], targets[ok]
+    scored = np.isfinite(preds).all(axis=1)
+    preds, targets = preds[scored], targets[scored]
     with np.errstate(invalid="ignore"):  # no window scored: 0 / 0
         per_step = np.sqrt(np.sum((preds - targets) ** 2, axis=0) / preds.shape[0])
     return MetricsReport(
