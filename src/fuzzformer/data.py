@@ -5,7 +5,9 @@ Series files (``date,value``, ISO-8601 calendar days), forecast window
 files (``date,<channel>,...``) and results files
 (``method,config,setting,split,rmse``) share one CSV reader,
 ``read_table``, and one dialect: UTF-8, a leading byte-order mark
-dropped; Python's ``csv`` defaults, so cells may be quoted (RFC 4180);
+dropped; Python's ``csv`` defaults in strict mode, so cells may be quoted
+(RFC 4180), but a quote left open at the end of the file, or text after a
+closing quote, is an error;
 named columns in any order, matched after stripping and without regard to
 case, each named once; other columns ignored; blank rows skipped; every
 other row as wide as the header.  Series and window files also need a
@@ -120,10 +122,12 @@ def read_table(path, columns, what):
     """The header's cells, the texts of ``columns`` in each row (in that
     order) and the line of each row, of a CSV file in the module's
     dialect.  Errors are ``DataError``s naming ``path:line``, the
-    physical line where a row ends (a quoted cell may span several);
-    ``what`` names a missing file."""
+    physical line where a row ends (a quoted cell may span several); a
+    file that ends inside a quoted cell (cut off mid-write, say) and text
+    after a closing quote (``"q"z``) are errors, not rows.  ``what``
+    names a missing file."""
     path = Path(path)
-    reader = csv.reader(io.StringIO(read_text(path, what)))
+    reader = csv.reader(io.StringIO(read_text(path, what)), strict=True)
     rows, lines = [], []
     try:
         header = next(reader, [])
@@ -153,11 +157,12 @@ def read_table(path, columns, what):
 
 def write_rows(path, header, rows, what, mode="w") -> None:
     """``rows`` written to ``path`` by ``csv.writer`` under the ``header``
-    row.  With mode "a" the rows are appended and the header is written
-    only into a missing or empty file; a file that ``read_table`` cannot
-    read, or whose header does not name ``header``'s columns in order
-    (stripped and without regard to case), raises ``DataError`` and is
-    left as it was."""
+    row.  With mode "a" the rows are appended, after a line break when
+    the file's last line has none, and the header is written only into a
+    missing or empty file; a file that ``read_table`` cannot read, or
+    whose header does not name ``header``'s columns in order (stripped
+    and without regard to case), raises ``DataError`` and is left as it
+    was."""
     path = Path(path)
     new = mode == "w" or not path.exists() or path.stat().st_size == 0
     if not new:
@@ -168,6 +173,8 @@ def write_rows(path, header, rows, what, mode="w") -> None:
         writer = csv.writer(fh)
         if new:
             writer.writerow(header)
+        elif not path.read_bytes().endswith((b"\n", b"\r")):
+            fh.write(writer.dialect.lineterminator)
         writer.writerows(rows)
 
 

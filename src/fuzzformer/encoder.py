@@ -21,27 +21,67 @@ from .attention import MultiHeadAttention
 from .exceptions import ShapeError
 from .kernels import lstm as lstm_kernels
 
-# windows per chunk of a forward-only encode, and the most per chunk of
-# training.score_split, and so per worker and per forecast or encode call.
-# Larger chunks hold more activations at once.  score_split cuts smaller
-# chunks only for a split's last round, and only for models wide enough to
-# gain from threads (training.WORK_FLOOR): small models are per-call bound,
-# and splitting a desk-shape (D_h=16) 90-window split into 64 + 26 cut its
-# throughput by a third, while at D_h=128 48 + 42 ran 1.3x as fast on two
-# cores.  Keep it, and the smaller chunks, a multiple of 16.
-# OpenBLAS's double GEMM takes rows in blocks of 16 and the rows left over
-# in smaller blocks, and a row in a block of 1 or 2 can get other last bits
-# than in a larger one (at the paper shape, warm-up chunks of 2, 5 or 102
-# windows changed the latents of 156, 31 and 2 of 256 windows; every
-# multiple of 4 tried left all equal).  With chunks a multiple of 16, each
-# window falls in the same kind of block as in one batch of all the
-# windows, so chunked forecasts and latents keep one batch's bits.  The
-# exception is a last chunk of one window: at the paper shape, 96 + r
-# windows keep one batch's bits for every r from 2 to 40, but at r = 1 the
-# last window's latent moves in its last bit (a 17-window batch cut 16 + 1
-# moves the last forecast by 2e-16), so training._chunk_layout cuts off no
-# lone last window of its own.
-EVAL_BATCH = 96
+# the most windows per chunk of a forward-only encode and of
+# training.score_split, and so per worker and per forecast or encode
+# call, and the most windows x the model's hidden width D_h per chunk
+# (chunk_windows reads both).  A chunk holds its windows' activations at
+# once, and past a few dozen windows a larger chunk is no faster per
+# window, only larger.  Milliseconds per window of forecasting 192 windows
+# in chunks of B, in turn on one thread / on two threads at once, and the
+# tracemalloc peak of one chunk's forward in MiB, at the paper shape
+# (C=16, p=30, look-back 60) but for D_h, two-core Xeon, one BLAS thread,
+# input projections of at least kernels.lstm.BLOCK_ROWS = 768 rows:
+#   D_h       ms per window, B = 16 ... 96               MiB, B = 16 ... 96
+#          16        32        48        64        96     16   32   48   64   96
+#    16  0.34/0.42 0.29/0.33 0.28/0.28 0.26/0.25 0.27/0.22  0.8  1.7  2.5  3.3  4.9
+#    32  0.47/0.66 0.43/0.42 0.40/0.36 0.53/0.33 0.41/0.26  1.3  2.4  3.5  4.7  7.0
+#    48  0.61/0.71 0.54/0.54 0.57/0.47 0.55/0.43 0.59/0.35  1.9  3.1  4.6  6.1  9.1
+#    64  0.77/0.77 0.76/0.54 0.72/0.47 0.74/0.57 0.78/0.45  2.6  4.1  5.6  7.5 11.2
+#    96  1.23/1.03 1.17/0.88 1.09/0.76 1.18/0.78 1.14/0.71  3.8  6.0  7.7 10.3 15.5
+#   128  2.07/1.36 1.79/1.15 1.64/0.97 1.66/1.26 1.77/1.19  5.1  8.0  9.9 13.2 19.7
+# (192 windows in chunks of 64 are three chunks for two threads, so its
+# two-thread times lag.)  Up to D_h=64 two threads still gain from 96
+# windows over 48 (0.22 against 0.28 ms at D_h=16: per-call overhead and
+# the GIL weigh most there), and 96 windows hold at most 11 MiB, so a
+# chunk keeps CHUNK_WINDOWS windows.  From about D_h=96 on, a chunk of
+# CHUNK_WORK / D_h windows (64 at D_h=96, 48 at the paper's D_h=128) is as
+# fast as 96 and holds a half to two thirds of its memory.  score_split
+# cuts smaller chunks only for a split's last round, and only for models
+# wide enough to gain from threads (training.WORK_FLOOR).
+#
+# Chunk sizes are multiples of 16.  OpenBLAS's double GEMM takes rows in
+# blocks of 16 and the rows left over in smaller blocks, and a row in a
+# block of 1 or 2 can get other last bits than in a larger one (at the
+# paper shape, warm-up chunks of 2, 5 or 102 windows changed the latents
+# of 156, 31 and 2 of 256 windows; every multiple of 4 tried left all
+# equal).  With chunks a multiple of 16, each window falls in the same
+# kind of block as in one batch of all the windows, so chunked forecasts
+# and latents keep one batch's bits.  The exception is a last chunk of
+# one window, which numpy runs as a matrix-vector product: at the paper
+# shape, 96 + r windows keep one batch's bits for every r from 2 to 40,
+# but at r = 1 the last window's latent moves in its last bit (a
+# 17-window batch cut 16 + 1 moves the last forecast by 2e-16), so
+# chunk_slices gives a lone last window to the chunk before it.
+CHUNK_WINDOWS = 96
+CHUNK_WORK = 6144
+
+
+def chunk_windows(width):
+    """The most windows per forward-only chunk of a model of hidden width
+    ``width``: CHUNK_WINDOWS, or fewer where windows x width would pass
+    CHUNK_WORK, a multiple of 16 and at least 16.  Width 0 (a forecaster
+    with no such width) gets CHUNK_WINDOWS."""
+    return max(16, min(CHUNK_WINDOWS, CHUNK_WORK // max(width, 1)) // 16 * 16)
+
+
+def chunk_slices(starts, n):
+    """The row slices of ``range(n)`` that begin at ``starts`` (ascending,
+    the first 0), except that a last chunk of one window joins the chunk
+    before it (see CHUNK_WINDOWS: alone, it can take other bits)."""
+    starts = list(starts)
+    if len(starts) > 1 and starts[-1] == n - 1:
+        del starts[-1]
+    return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n])]
 
 
 def lstm_scan(x, wx, wh, b):
@@ -128,7 +168,7 @@ class Encoder:
     warm-up, the forecast bundle) holds only what its outputs need: the
     LSTM layers keep no gradient caches, the attention maps are kept
     only when the caller asks for them, and a batch of more than
-    EVAL_BATCH windows is encoded one chunk at a time.
+    ``chunk_windows(D_h)`` windows is encoded one chunk at a time.
     """
 
     def __init__(self, config, params):
@@ -152,10 +192,10 @@ class Encoder:
         ``attention_maps`` asks for them, and is empty otherwise.
 
         A pass that records no graph and draws no dropout encodes more
-        than EVAL_BATCH windows EVAL_BATCH at a time, so it holds one
-        chunk's activations at once, however many windows it is given,
-        and each window gets the bits ``training.score_split``'s chunks
-        give it.
+        than ``chunk_windows(D_h)`` windows that many at a time
+        (``chunk_slices``), so it holds one chunk's activations at once,
+        however many windows it is given, and each window gets the bits
+        ``training.score_split``'s chunks give it.
         """
         cfg = self.config
         x = ad.astensor(x)
@@ -163,24 +203,28 @@ class Encoder:
             raise ShapeError(
                 f"encoder: expected (B, N, {cfg.channels}) input, got {x.data.shape}"
             )
-        n = x.data.shape[0]
-        if n > EVAL_BATCH and rng is None and not ad.grad_enabled():
-            parts = [
-                self(x.data[start : start + EVAL_BATCH], attention_maps=attention_maps)
-                for start in range(0, n, EVAL_BATCH)
-            ]
-            return EncoderOutput(
-                z_latent=_rows(p.z_latent for p in parts),
-                u_latent=_rows(p.u_latent for p in parts),
-                attention_weights=[
-                    [_rows(head) for head in zip(*layer)]
-                    for layer in zip(*(p.attention_weights for p in parts))
-                ],
-            )
+        n, size = x.data.shape[0], chunk_windows(cfg.hidden_width)
+        if n <= size or rng is not None or ad.grad_enabled():
+            return self._encode(x, rng, attention_maps)
+        parts = [
+            self._encode(ad.Tensor(x.data[rows]), None, attention_maps)
+            for rows in chunk_slices(range(0, n, size), n)
+        ]
+        return EncoderOutput(
+            z_latent=_rows(p.z_latent for p in parts),
+            u_latent=_rows(p.u_latent for p in parts),
+            attention_weights=[
+                [_rows(head) for head in zip(*layer)]
+                for layer in zip(*(p.attention_weights for p in parts))
+            ],
+        )
+
+    def _encode(self, x, rng, attention_maps):
+        """One pass of the whole network over every window of ``x``."""
         h = x
         for layer in self.lstm_layers:
             h = layer(h)
-            h = ad.dropout(h, cfg.dropout_rate, rng)
+            h = ad.dropout(h, self.config.dropout_rate, rng)
         all_weights = []
         for mha in self.mha_layers:
             m, weights = mha(h, maps=attention_maps)

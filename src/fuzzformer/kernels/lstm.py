@@ -79,7 +79,7 @@ import itertools
 
 import numpy as np
 
-BLOCK_ROWS = 1024  # least rows per input-projection GEMM, where the window has them
+BLOCK_ROWS = 768  # least rows per input-projection GEMM, where the window has them
 
 
 def block_steps(B):
@@ -88,8 +88,10 @@ def block_steps(B):
     A multiple of 16, so a block's rows keep OpenBLAS's 16-row blocks
     aligned, and at least BLOCK_ROWS rows: each GEMM packs all of ``wx``,
     and at B=1 four 16-row GEMMs instead of one made a paper-shape
-    forecast about 3% slower.  From B=64 on it is 16 steps; an empty
-    batch gets B=1's blocks.
+    forecast about 3% slower.  From B=48 on it is 16 steps, so a
+    forward-only 48-window paper-shape chunk (``encoder.chunk_windows``)
+    projects into a 3.1 MiB block buffer, not the 6.3 MiB of 32 steps
+    that 1024 rows gave it; an empty batch gets B=1's blocks.
     """
     return 16 * -(-BLOCK_ROWS // (16 * max(B, 1)))
 

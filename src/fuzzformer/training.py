@@ -42,7 +42,7 @@ from .config import RunConfig
 from .data import (
     SPLIT_NAMES, WindowedDataset, as_int, open_output, output_dir, read_table, write_json, write_rows,
 )
-from .encoder import EVAL_BATCH
+from .encoder import chunk_slices, chunk_windows
 from .exceptions import ConfigError, DataError
 from .fuzzy import bhattacharyya  # by this name, so a profiler can patch the bundle's call
 from .losses import composite_loss, mse_loss
@@ -119,8 +119,8 @@ def numeric_environment() -> dict:
 #   D_h   16    32    48    64    96   128
 #   90   0.87  0.98  1.01  1.32  1.28  1.33
 # So 48 windows at D_h=32 (1536) stay one chunk, and 16 windows at
-# D_h=128 (2048) get a part of their own.  Whole 96-window chunks stay on
-# the pool at every width: at the desk shape (D_h=16, C=4, p=4) the
+# D_h=128 (2048) get a part of their own.  Whole chunks stay on the pool
+# at every width: at the desk shape (D_h=16, C=4, p=4) the
 # 812-window train split took 111 ms in turn on the calling thread
 # against 99 ms on two threads (20 alternating pairs, 0 won by the
 # calling thread).
@@ -131,20 +131,20 @@ def _chunk_layout(n, cores, width):
     """The row slices ``score_split`` cuts ``range(n)`` into for
     ``cores`` usable cores and a model of hidden width ``width``.
 
-    Whole rounds of one EVAL_BATCH chunk per core come first.  The rows
-    left after them are cut into one part per core, of 16 * ceil(rows /
-    (16 * cores)) windows, when such a part meets WORK_FLOOR without
-    leaving a lone last window (see EVAL_BATCH: that window can take
-    other bits); otherwise they stay EVAL_BATCH chunks.  So width 0
-    gives the plain EVAL_BATCH cut.  Every chunk but the last is a
-    multiple of 16 windows, and none holds more than EVAL_BATCH.
+    Whole rounds of one ``chunk_windows(width)`` chunk per core come
+    first.  The rows left after them are cut into one part per core, of
+    16 * ceil(rows / (16 * cores)) windows, when such a part meets
+    WORK_FLOOR; otherwise they stay ``chunk_windows(width)`` chunks.  A
+    lone last window joins the chunk before it (``chunk_slices``: alone,
+    it can take other bits).  So every chunk starts on a multiple of 16
+    windows, and none holds more than ``chunk_windows(width)`` windows
+    but a last chunk that took a lone window.
     """
-    full = n - n % (cores * EVAL_BATCH)
-    tail = n - full
-    part = 16 * -(-tail // (16 * cores))  # <= EVAL_BATCH, as tail < cores * EVAL_BATCH
-    cut = part * width >= WORK_FLOOR and tail % part != 1
-    starts = [*range(0, full, EVAL_BATCH), *range(full, n, part if cut else EVAL_BATCH)]
-    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
+    size = chunk_windows(width)
+    full = n - n % (cores * size)
+    part = 16 * -(-(n - full) // (16 * cores))  # <= size, as n - full < cores * size
+    step = part if part * width >= WORK_FLOOR else size
+    return chunk_slices([*range(0, full, size), *range(full, n, step)], n)
 
 
 class WarmupLatents:
@@ -154,10 +154,10 @@ class WarmupLatents:
     array) encodes only the windows it reads, with the model's
     parameters at the time of the read, in one ``model.encode`` call
     inside ``ad.checked_forward`` on the calling thread (the encoder
-    takes more than EVAL_BATCH windows EVAL_BATCH at a time).
-    The windows are padded to a multiple of 16 by repeating them, so each
-    row has the bits of one batch of all the sampled windows (see
-    EVAL_BATCH).
+    takes more than ``encoder.chunk_windows(D_h)`` windows that many at a
+    time).  The windows are padded to a multiple of 16 by repeating them,
+    so each row has the bits of one batch of all the sampled windows (see
+    ``encoder.CHUNK_WINDOWS``).
     """
 
     def __init__(self, model: FuzzformerModel, dataset: WindowedDataset, origins):
@@ -189,7 +189,7 @@ def warmup_latents(model: FuzzformerModel, dataset: WindowedDataset, rng) -> War
 def score_split(dataset, split, history, forecast, *, width=0) -> MetricsReport:
     """RMSE (scaled units) of a forecaster over one split.
 
-    ``forecast(batch)`` gets up to EVAL_BATCH windows at a time, each
+    ``forecast(batch)`` gets a chunk of windows at a time, each
     batch with ``history`` trailing main values, and returns their
     forecasts (B, H).  A window whose row is not all finite (ARIMA
     leaves the windows it rejects as NaN rows) is counted as skipped,
@@ -204,16 +204,18 @@ def score_split(dataset, split, history, forecast, *, width=0) -> MetricsReport:
     context variable since numpy 2.0).  Every chunk finishes before this
     returns or raises; when chunks fail, the first failing chunk's error
     is raised, as a loop over the chunks in turn would.  ``width`` is
-    Fuzzformer's hidden width: at the paper's D_h=128 the windows left
-    after whole rounds of EVAL_BATCH chunks are cut into one part per
-    core (``WORK_FLOOR``).  The other forecasters keep the default 0,
-    and with it whole EVAL_BATCH chunks: the floor was measured on
-    Fuzzformer only.  Each chunk writes only its own rows, so the report
-    does not depend on the order the chunks finish in.  Every chunk
-    starts on a multiple of 16 windows and the last round is never cut
-    so as to leave a lone last window, so each window meets the same
-    OpenBLAS GEMM row blocks as in one batch of the whole split, and its
-    forecast keeps that batch's bits (see EVAL_BATCH).
+    Fuzzformer's hidden width, which sizes its chunks as it sizes the
+    encoder's (``encoder.chunk_windows``: 48 windows at the paper's
+    D_h=128, 96 at D_h=64 and below); at D_h=128 the windows left after
+    whole rounds are cut into one part per core (``WORK_FLOOR``).  The
+    other forecasters keep the default 0, and with it whole 96-window
+    chunks: the floor was measured on Fuzzformer only.  Each chunk
+    writes only its own rows, so the report does not depend on the
+    order the chunks finish in.  Every chunk starts on a multiple of 16
+    windows and no chunk is a lone last window, so each window meets the
+    same OpenBLAS GEMM row blocks as in one batch of the whole split,
+    and its forecast keeps that batch's bits (see
+    ``encoder.CHUNK_WINDOWS``).
     """
     origins = dataset.origins_for(split)
     preds = np.zeros((origins.size, dataset.horizon))

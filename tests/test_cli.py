@@ -448,7 +448,7 @@ class TestEvaluateAndBaseline:
         "row, message",
         [
             ("x,,1/1,test", ":2: bad row of 4 fields, header has 5"),
-            ('x,"a,b', ":2: bad row of 2 fields, header has 5"),
+            ('x,"a,b', ":2: bad CSV (unexpected end of data)"),
             ("x,,1/1,test,abc", ":2: rmse 'abc' is not a number"),
             ("x,,1/1,test,nan", ":2: non-finite rmse nan"),
             ("x,,1/1,nope,0.5", ":2: unknown split label 'nope'"),

@@ -26,6 +26,7 @@ from fuzzformer.data import (
     read_columns,
 )
 from fuzzformer.exceptions import ConfigError, DataError, FetchError
+from fuzzformer.training import RESULT_FIELDS, read_results
 
 
 def write(path, text):
@@ -164,6 +165,28 @@ class TestReadColumns:
         np.testing.assert_array_equal(matrix, [[1.0, 2.0], [3.0, 4.0]])
 
 
+class TestReadTable:
+    """A quote is closed before the end of its cell and of the file."""
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ('method,config,setting,split,rmse\nx,,1/1,test,"0.5\n', 2, "unexpected end of data"),
+            ('method,config,setting,split,rmse\nx,,1/1,"q"z,0.5\n', 2, "',' expected after '\"'"),
+        ],
+        ids=["cut-off-in-a-quoted-cell", "text-after-a-closing-quote"],
+    )
+    def test_broken_quotes_raise_naming_the_line(self, tmp_path, text, line, message):
+        path = write(tmp_path / "r.csv", text)
+        with pytest.raises(DataError, match=re.escape(f"{path}:{line}: bad CSV ({message})")):
+            read_results([path])
+
+    def test_a_closed_multi_line_quoted_cell_reads(self, tmp_path):
+        path = write(tmp_path / "r.csv", 'method,config,setting,split,rmse\n"a\nb",,1/1,test,"0.5"\nc,,1/1,valid,1\n')
+        header, rows, lines = dmod.read_table(path, ["method", "rmse"], "table")
+        assert header == list(RESULT_FIELDS) and rows == [["a\nb", "0.5"], ["c", "1"]] and lines == [3, 4]
+
+
 class TestWriteRows:
     """Every CSV table is written by one writer, ``write_rows``."""
 
@@ -188,6 +211,16 @@ class TestWriteRows:
         dmod.write_rows(path, self.HEADER, [["a", 1]], "table", mode="a")
         assert path.read_bytes() == b"\xef\xbb\xbf Method ,RMSE\nx,0\na,1\r\n"
 
+    @pytest.mark.parametrize("end", ["", "\n", "\r\n"], ids=["no-line-break", "lf", "crlf"])
+    def test_append_starts_on_a_line_of_its_own(self, tmp_path, end):
+        path = write(tmp_path / "r.csv", "method,config,setting,split,rmse\nx,,1/1,test,0.5" + end)
+        dmod.write_rows(path, RESULT_FIELDS, [["y", "", "1/1", "valid", "0.25"]], "results file", mode="a")
+        assert [(row["method"], row["split"], row["rmse"]) for row in read_results([path])] == [
+            ("x", "test", 0.5), ("y", "valid", 0.25)
+        ]
+        last = "method,config,setting,split,rmse\nx,,1/1,test,0.5" + (end or "\r\n")
+        assert path.read_bytes() == (last + "y,,1/1,valid,0.25\r\n").encode()
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -195,7 +228,7 @@ class TestWriteRows:
             ("rmse,method\nx,0\n", "header 'rmse,method' is not 'method,rmse'"),
             ("method,rmse,note\nx,0,y\n", "header 'method,rmse,note' is not 'method,rmse'"),
             ("\n", "header is missing columns ['method', 'rmse']"),
-            ('method,rmse\n"x,0\n', "bad row of 1 fields, header has 2"),
+            ('method,rmse\n"x,0\n', "bad CSV (unexpected end of data)"),
         ],
         ids=["series-file", "other-order", "other-column", "no-header", "open-quote"],
     )

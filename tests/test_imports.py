@@ -45,6 +45,11 @@ with the standard library:
   LSTM kernels ``lstm_forward`` and ``lstm_backward`` (the latter from
   its ``vjp``).  So one place decides, from the autodiff mode, whether a
   forward pass keeps the gate and cell caches.
+* one function of src/fuzzformer/, ``encoder.chunk_windows``, reads (or
+  imports) the chunk constants ``CHUNK_WINDOWS`` and ``CHUNK_WORK``, and
+  only ``Encoder.__call__`` and ``training._chunk_layout`` call it.  So a
+  forward-only encode and ``training.score_split`` cut the same chunks
+  for a model of one width.
 * one function of src/fuzzformer/, ``training.forecast_bundle``, calls the
   grid writer ``_write_grid``, and it opens no file and builds no
   ``csv.writer`` of its own.  So every bundle table, and every table
@@ -335,17 +340,15 @@ def test_checker_flags_global_statements():
     assert global_statements(source) == [(3, ["MODE"]), (9, ["X", "Y"])]
 
 
-def callers(source: str, callee: str):
-    """(line, enclosing function or None) of each call of ``callee`` in a
-    module, by name or attribute.  A nested function is named by its
-    dotted path from the outermost one (``outer.inner``)."""
+def enclosing(source: str, match):
+    """(line, enclosing function or None) of each node of a module that
+    ``match`` accepts.  A nested function is named by its dotted path from
+    the outermost one (``outer.inner``)."""
     found = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and callee in (
-                getattr(child.func, "id", None), getattr(child.func, "attr", None)
-            ):
+            if match(child):
                 found.append((child.lineno, function))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name if function is None else f"{function}.{child.name}")
@@ -356,12 +359,31 @@ def callers(source: str, callee: str):
     return found
 
 
-def src_callers(callee):
-    """(module, function) of each call of ``callee`` in src/fuzzformer/."""
+def callers(source: str, callee: str):
+    """(line, enclosing function or None) of each call of ``callee`` in a
+    module, by name or attribute."""
+    return enclosing(source, lambda node: isinstance(node, ast.Call) and callee in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    ))
+
+
+def readers(source: str, name: str):
+    """(line, enclosing function or None) of each read of ``name`` in a
+    module, by name or attribute, and of each import of it."""
+    return enclosing(source, lambda node: (
+        isinstance(node, ast.alias) and node.name == name
+        or isinstance(getattr(node, "ctx", None), ast.Load)
+        and name in (getattr(node, "id", None), getattr(node, "attr", None))
+    ))
+
+
+def src_callers(callee, find=callers):
+    """(module, function) of each call of ``callee`` in src/fuzzformer/
+    (of each read, with ``find=readers``)."""
     return [
         (path.relative_to(SRC).as_posix(), function)
         for path in sorted(SRC.rglob("*.py"))
-        for _, function in callers(path.read_text(encoding="utf-8"), callee)
+        for _, function in find(path.read_text(encoding="utf-8"), callee)
     ]
 
 
@@ -382,6 +404,24 @@ def test_one_module_decides_when_probes_are_off():
 @pytest.mark.parametrize("callee,function", [("lstm_forward", "lstm_scan"), ("lstm_backward", "lstm_scan.vjp")])
 def test_one_function_decides_the_lstm_caches(callee, function):
     assert src_callers(callee) == [("encoder.py", function)]
+
+
+@pytest.mark.parametrize("constant", ["CHUNK_WINDOWS", "CHUNK_WORK"])
+def test_one_function_sizes_every_forward_only_chunk(constant):
+    assert src_callers(constant, find=readers) == [("encoder.py", "chunk_windows")]
+    assert src_callers("chunk_windows") == [("encoder.py", "__call__"), ("training.py", "_chunk_layout")]
+
+
+def test_checker_finds_reads():
+    source = (
+        "from fuzzformer.encoder import CHUNK_WORK as W\nimport fuzzformer.encoder as enc\n"
+        "CHUNK_WORK = 6144\n"
+        "def size(width):\n    return enc.CHUNK_WORK // width\n"
+        "class A:\n    def f(self):\n        def g():\n            return CHUNK_WORK\n        return g\n"
+        "def h(CHUNK_WORK=1):\n    enc.CHUNK_WORK = 'CHUNK_WORK'\n"
+    )
+    # a store, a parameter and a string are not reads
+    assert readers(source, "CHUNK_WORK") == [(1, None), (5, "size"), (9, "f.g")]
 
 
 def test_the_bundle_writes_every_table_as_a_grid():

@@ -55,18 +55,23 @@ class TestLstmKernels:
             assert np.array_equal(before, after)
 
     def test_empty_batch_gets_the_single_window_blocks(self):
-        assert lk.block_steps(0) == lk.block_steps(1) == 1024
+        assert lk.block_steps(0) == lk.block_steps(1) == 768
         x, wx, wh, b = _lstm_inputs(np.random.default_rng(0), N=6, B=0)
         h, gates, c_all = lk.lstm_forward(x, wx, wh, b)
         assert h.shape == c_all.shape == (6, 0, 5) and gates.shape == (6, 4, 0, 5)
         assert lk.lstm_forward(x, wx, wh, b, cache=False)[0].shape == (6, 0, 5)
 
+    @pytest.mark.parametrize("B, steps", [(1, 768), (7, 112), (31, 32), (44, 32), (47, 32), (48, 16), (96, 16)])
+    def test_blocks_hold_at_least_block_rows_in_16_step_multiples(self, B, steps):
+        # a 48-window evaluation chunk at D_h=128 projects 16 steps at a time
+        assert lk.block_steps(B) == steps
+
     @pytest.mark.parametrize("d_h", [16, 128])
     @pytest.mark.parametrize("d_in", [3, 16, 128])
-    @pytest.mark.parametrize("B", [1, 7, 31, 44, 64, 96, 256])
+    @pytest.mark.parametrize("B", [1, 7, 31, 44, 48, 64, 96, 256])
     def test_cache_free_forward_has_the_caching_bits(self, B, d_in, d_h):
         # N=60 (the paper's look-back): one block up to B=7, two at B=31
-        # and 44, three full blocks and a short one from B=64 on
+        # and 44, three full blocks and a short one from B=48 on
         rng = np.random.default_rng(B * 1000 + d_in * 10 + d_h)
         x, wx, wh, b = _lstm_inputs(rng, N=60, B=B, d_in=d_in, d_h=d_h)
         h, gates, c_all = lk.lstm_forward(x, wx, wh, b, cache=True)

@@ -265,18 +265,35 @@ def traced_peak(fn):
 
 class TestInferenceMemory:
     def test_no_grad_forward_holds_less_than_one_gate_cache(self):
-        # the paper shape (D_h=128, N=60) on one 96-window evaluation chunk;
-        # a forward that allocated the LSTM gate cache would hold at least
-        # that much (the parent's peak was 53 MB, the cache alone is 23.6 MB)
+        # the paper shape (D_h=128, N=60) on one evaluation chunk; a forward
+        # that allocated the LSTM gate cache would hold at least that much
+        # (at 96 windows the parent's peak was 53 MB, the cache alone 23.6 MB)
         cfg = RunConfig()
         model = FuzzformerModel(cfg, np.random.default_rng(0))
         rng = np.random.default_rng(1)
-        x = rng.uniform(size=(training.EVAL_BATCH, cfg.lookback, cfg.channels))
-        y_history = rng.uniform(size=(training.EVAL_BATCH, cfg.history))
+        size = encoder.chunk_windows(cfg.hidden_width)
+        x = rng.uniform(size=(size, cfg.lookback, cfg.channels))
+        y_history = rng.uniform(size=(size, cfg.history))
         gate_cache = x.shape[0] * cfg.lookback * 4 * cfg.hidden_width * 8
         with ad.no_grad():
             peak = traced_peak(lambda: model.evaluation_forward(x, y_history))
         assert peak < gate_cache
+
+    def test_a_paper_width_chunk_holds_about_half_of_96_windows(self, monkeypatch):
+        # 48 windows at D_h=128, projected 16 steps at a time, peaked at
+        # 9.9 MiB against 19.7 MiB for a 96-window chunk
+        cfg = RunConfig()
+        model = FuzzformerModel(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.uniform(size=(96, cfg.lookback, cfg.channels))
+        y_history = rng.uniform(size=(96, cfg.history))
+        size = encoder.chunk_windows(cfg.hidden_width)
+        assert size == 48
+        with ad.no_grad():
+            chunk = traced_peak(lambda: model.evaluation_forward(x[:size], y_history[:size]))
+            monkeypatch.setattr(encoder, "chunk_windows", lambda _width: 96)
+            whole = traced_peak(lambda: model.evaluation_forward(x, y_history))
+        assert chunk <= 0.55 * whole
 
     def test_forward_only_paths_keep_no_attention_maps(self):
         model = tiny_model(seed=3, channels=3)
@@ -304,23 +321,27 @@ class TestInferenceMemory:
     def test_a_large_no_grad_forward_holds_one_chunk(self):
         # the paper shape: two chunks in turn hold what one chunk holds, not
         # twice that (a 256-window forward peaked at 52.6 MiB in one batch
-        # and at 19.8 MiB in chunks)
+        # and at 19.8 MiB in 96-window chunks)
         cfg = RunConfig()
         model = FuzzformerModel(cfg, np.random.default_rng(0))
         rng = np.random.default_rng(1)
-        x = rng.uniform(size=(2 * training.EVAL_BATCH, cfg.lookback, cfg.channels))
+        size = encoder.chunk_windows(cfg.hidden_width)
+        x = rng.uniform(size=(2 * size, cfg.lookback, cfg.channels))
         y_history = rng.uniform(size=(x.shape[0], cfg.history))
-        chunk = slice(0, training.EVAL_BATCH)
         with ad.no_grad():
-            one = traced_peak(lambda: model.evaluation_forward(x[chunk], y_history[chunk]))
+            one = traced_peak(lambda: model.evaluation_forward(x[:size], y_history[:size]))
             two = traced_peak(lambda: model.evaluation_forward(x, y_history))
         assert two < 1.25 * one
 
-    @pytest.mark.parametrize("extra", [2, 16, 37])
-    def test_chunked_forward_keeps_one_batchs_bits(self, monkeypatch, extra):
-        cfg = RunConfig(**{**TINY, "mha_layers": 2})
+    @pytest.mark.parametrize("extra", [1, 2, 16, 37])
+    @pytest.mark.parametrize("width", [16, 32, 64, 128])
+    def test_chunked_forward_keeps_one_batchs_bits(self, monkeypatch, width, extra):
+        # 2 x 48 + 1 windows at D_h=128 is a batch of 1 mod 48, whose lone
+        # last window joins the chunk before it
+        cfg = RunConfig(**{**TINY, "hidden_width": width, "mha_layers": 2})
         model = FuzzformerModel(cfg, np.random.default_rng(4))
-        batch = tiny_batch(cfg, np.random.default_rng(5), batch=2 * encoder.EVAL_BATCH + extra)
+        size = encoder.chunk_windows(width)
+        batch = tiny_batch(cfg, np.random.default_rng(5), batch=2 * size + extra)
         calls = encode_calls(monkeypatch)
 
         def outputs():
@@ -331,9 +352,10 @@ class TestInferenceMemory:
                     ev.encoder_output.z_latent.data, ev.encoder_output.u_latent.data, *maps]
 
         chunked = outputs()
-        assert calls == [batch.x.shape[0], encoder.EVAL_BATCH, encoder.EVAL_BATCH, extra]
-        monkeypatch.setattr(encoder, "EVAL_BATCH", batch.x.shape[0])
+        assert calls == ([size, size + 1] if extra == 1 else [size, size, extra])
+        monkeypatch.setattr(encoder, "chunk_windows", lambda _width: batch.x.shape[0])
         whole = outputs()
+        assert calls[-1] == batch.x.shape[0]
         assert len(chunked) == 5 + cfg.mha_layers * cfg.attention_heads
         for got, want in zip(chunked, whole):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -341,7 +363,8 @@ class TestInferenceMemory:
     def test_a_recorded_or_dropout_forward_is_not_chunked(self, monkeypatch):
         cfg = RunConfig(**{**TINY, "dropout_rate": 0.5})
         model = FuzzformerModel(cfg, np.random.default_rng(6))
-        x = np.random.default_rng(7).uniform(size=(encoder.EVAL_BATCH + 1, cfg.lookback, cfg.channels))
+        n = encoder.chunk_windows(cfg.hidden_width) + 2  # two chunks, were it cut
+        x = np.random.default_rng(7).uniform(size=(n, cfg.lookback, cfg.channels))
         calls = encode_calls(monkeypatch)
         model.encode(x)  # records a graph
         with ad.no_grad():
@@ -350,13 +373,14 @@ class TestInferenceMemory:
 
 
 def encode_calls(monkeypatch):
-    """Batch sizes of every Encoder call from now on, chunk calls included."""
+    """Batch sizes of every pass of the encoder's network from now on,
+    one per chunk of a chunked call."""
     calls = []
-    body = encoder.Encoder.__call__
+    body = encoder.Encoder._encode
 
-    def counting(self, x, **kwargs):
-        calls.append(ad.astensor(x).data.shape[0])
-        return body(self, x, **kwargs)
+    def counting(self, x, *args):
+        calls.append(x.data.shape[0])
+        return body(self, x, *args)
 
-    monkeypatch.setattr(encoder.Encoder, "__call__", counting)
+    monkeypatch.setattr(encoder.Encoder, "_encode", counting)
     return calls

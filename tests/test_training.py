@@ -26,7 +26,7 @@ from fuzzformer.data import fit_minmax, make_synthetic, prepare_dataset, read_co
 from fuzzformer.exceptions import ConfigError, DataError, NonFiniteError, NumericError
 from fuzzformer.losses import composite_loss
 from fuzzformer.model import FuzzformerModel
-from fuzzformer import training
+from fuzzformer import encoder, training
 from fuzzformer.training import (
     build_report,
     evaluate_split,
@@ -60,6 +60,14 @@ TINY_TRAIN = dict(
 @pytest.fixture(scope="module")
 def tiny_dataset():
     return prepare_dataset(make_synthetic(n_points=400, seed=3), lookback=12, horizon=4)
+
+
+@pytest.fixture(scope="module")
+def dataset_145():
+    """A dataset whose train split holds 145 windows, 1 mod 48 and 49 mod 96."""
+    ds = prepare_dataset(make_synthetic(n_points=214, seed=3), lookback=12, horizon=4)
+    assert ds.origins_for("train").size == 145
+    return ds
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +223,7 @@ class TestTrain:
     )
     def test_validation_lays_out_chunks_by_the_models_width(self, run, width, tiny_dataset, tmp_path, monkeypatch):
         # WORK_FLOOR was measured on Fuzzformer only, so the LSTM baseline
-        # keeps the default width 0: whole EVAL_BATCH chunks
+        # keeps the default width 0: whole 96-window chunks
         widths = []
         score_split = training.score_split
 
@@ -431,10 +439,15 @@ class TestRunConfigFromFile:
         cfg.validate()  # a config it gives is a valid one
 
 
-def chunk_sizes(n):
-    """The EVAL_BATCH-window cut of ``range(n)``: ``score_split``'s layout
-    at width 0, on any number of cores."""
-    return [min(training.EVAL_BATCH, n - start) for start in range(0, n, training.EVAL_BATCH)]
+def chunk_sizes(n, width=0):
+    """The plain cut of ``range(n)`` into ``chunk_windows(width)``-window
+    chunks, a lone last window joined to the chunk before it:
+    ``score_split``'s layout at width 0, on any number of cores."""
+    size = encoder.chunk_windows(width)
+    sizes = [min(size, n - start) for start in range(0, n, size)]
+    if len(sizes) > 1 and sizes[-1] == 1:
+        sizes[-2:] = [size + 1]
+    return sizes
 
 
 WIDE = 128  # the paper's D_h: a width whose 16-window parts meet WORK_FLOOR
@@ -460,33 +473,45 @@ def one_core(monkeypatch):
 
 
 class TestChunkLayout:
+    @pytest.mark.parametrize(
+        "width, size", [(0, 96), (16, 96), (32, 96), (64, 96), (96, 64), (100, 48), (128, 48), (256, 16), (10**6, 16)]
+    )
+    def test_chunk_windows_caps_windows_times_width(self, width, size):
+        assert encoder.chunk_windows(width) == size
+
     @pytest.mark.parametrize("cores", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [0, 1, 15, 16, 31, 90, 96, 97, 192, 250, 350, 812])
+    @pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 17, 31, 49, 90, 96, 97, 145, 192, 193, 250, 350, 812])
     def test_parts_cover_the_rows_in_order(self, n, cores):
-        for width in (0, 16, 32, WIDE):
+        for width in (0, 16, 32, 64, WIDE):
+            size = encoder.chunk_windows(width)
             sizes = layout(n, cores, width)
             chunks = training._chunk_layout(n, cores, width)
             assert [rows.start for rows in chunks] == [sum(sizes[:i]) for i in range(len(sizes))]
-            assert sum(sizes) == n and all(0 < size <= training.EVAL_BATCH for size in sizes)
-            assert all(size % 16 == 0 for size in sizes[:-1])
-            assert len(sizes) <= cores * -(-n // (cores * training.EVAL_BATCH))  # at most one part per core a round
-            if sizes != chunk_sizes(n):  # whole rounds, then a last round cut into parts that meet the floor
-                full = n // (cores * training.EVAL_BATCH) * cores
-                assert sizes[:full] == [training.EVAL_BATCH] * full
+            assert sum(sizes) == n and all(c % 16 == 0 for c in sizes[:-1])
+            # the last chunk may hold one window more: a lone last window
+            assert all(0 < c <= size for c in sizes[:-1]) and all(0 < c <= size + 1 for c in sizes[-1:])
+            assert len(sizes) <= cores * -(-n // (cores * size))  # at most one part per core a round
+            assert sizes[-1:] != [1] or n == 1  # no lone last window
+            if sizes != chunk_sizes(n, width):  # whole rounds, then a last round cut into parts that meet the floor
+                full = n // (cores * size) * cores
+                assert sizes[:full] == [size] * full
                 assert sizes[-2] * width >= training.WORK_FLOOR
-            if sizes and sizes[-1] == 1:  # a lone last window only where the EVAL_BATCH cut has one
-                assert sizes == chunk_sizes(n)
 
     @pytest.mark.parametrize(
         "n, cores, sizes",
         [
             (90, 2, [48, 42]),
             (31, 2, [16, 15]),
-            (812, 2, [96] * 8 + [32, 12]),
+            (812, 2, [48] * 16 + [32, 12]),
             (90, 4, [32, 32, 26]),
-            (812, 4, [96] * 8 + [16, 16, 12]),
+            (812, 4, [48] * 16 + [16, 16, 12]),
             (17, 2, [17]),  # 16 + 1 would move the last window's bits
             (16, 2, [16]),
+            (49, 1, [49]),  # 1 mod 48: the lone last window joins the chunk before it
+            (97, 1, [48, 49]),
+            (97, 2, [48, 49]),
+            (145, 2, [48, 48, 32, 17]),
+            (65, 4, [32, 33]),
         ],
     )
     def test_paper_width_splits_the_last_round(self, n, cores, sizes):
@@ -494,11 +519,12 @@ class TestChunkLayout:
 
     @pytest.mark.parametrize("width", [0, 16])
     @pytest.mark.parametrize("cores", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [31, 90, 97, 192, 250, 350, 812])
-    def test_narrow_width_keeps_whole_eval_batch_chunks(self, n, cores, width):
+    @pytest.mark.parametrize("n", [31, 90, 97, 192, 193, 250, 350, 812])
+    def test_narrow_width_keeps_whole_96_window_chunks(self, n, cores, width):
         # a desk-width (D_h=16) part of the last round is less work than
         # WORK_FLOOR
-        assert layout(n, cores, width) == chunk_sizes(n)
+        assert layout(n, cores, width) == chunk_sizes(n) == chunk_sizes(n, width)
+        assert max(chunk_sizes(n)) in (96, 97) or n < 96
 
     def test_a_part_is_cut_where_windows_times_width_meet_the_floor(self):
         assert training.WORK_FLOOR == 2048
@@ -532,7 +558,7 @@ class TestWarmupLatents:
     @pytest.mark.parametrize("cores", [1, 2, 4])
     def test_chunks_give_the_bits_of_one_batch(self, monkeypatch, tiny_dataset, cores, width):
         # at width 128 the GEMMs are large enough for BLAS to pick its
-        # blocked kernels, where the encoder's EVAL_BATCH chunks could
+        # blocked kernels, where the encoder's chunks could
         # change the bits; a pass that records the graph is one batch
         monkeypatch.setattr(training, "_usable_cores", lambda: cores)
         model = FuzzformerModel(RunConfig(**{**TINY_TRAIN, "hidden_width": width}), np.random.default_rng(0))
@@ -555,7 +581,7 @@ class TestWarmupLatents:
     @pytest.mark.parametrize("rules", [32, 96])
     def test_wide_picks_keep_the_bits_of_per_core_parts(self, monkeypatch, tiny_dataset, rules, cores):
         # one encode of the picks gives the bits of the parts _chunk_layout
-        # cuts them into for an evaluation split (96 -> 48 + 48 on two cores)
+        # cuts them into for an evaluation split (96 -> 48 + 48)
         monkeypatch.setattr(training, "_usable_cores", lambda: cores)
         model = FuzzformerModel(RunConfig(**{**TINY_TRAIN, "hidden_width": WIDE}), np.random.default_rng(0))
         latents = training.warmup_latents(model, tiny_dataset, np.random.default_rng(1))
@@ -567,7 +593,7 @@ class TestWarmupLatents:
                 for chunk in training._chunk_layout(rules, cores, WIDE)
             ]
         assert layout(rules, cores, WIDE) == {
-            (32, 2): [16, 16], (32, 4): [16, 16], (96, 2): [48, 48], (96, 4): [32, 32, 32]
+            (32, 2): [16, 16], (32, 4): [16, 16], (96, 1): [48, 48], (96, 2): [48, 48], (96, 4): [32, 32, 32]
         }.get((rules, cores), [rules])
         assert latents[rows].tobytes() == np.concatenate(parts).tobytes()
 
@@ -663,7 +689,7 @@ class TestEvaluate:
 class TestScoreSplit:
     def test_skipped_windows_are_counted_not_scored(self, tiny_dataset):
         origins = tiny_dataset.origins_for("train")
-        assert origins.size > training.EVAL_BATCH
+        assert origins.size > encoder.chunk_windows(0)
         sizes = []
 
         def forecast(batch):
@@ -697,8 +723,9 @@ class TestScoreSplit:
 
     def test_pooled_report_equals_a_chunk_by_chunk_reference(self, tiny_dataset, four_cores):
         origins = tiny_dataset.origins_for("train")
-        assert origins.size > 2 * training.EVAL_BATCH
         cfg = RunConfig(**TINY_TRAIN)
+        size = encoder.chunk_windows(cfg.hidden_width)
+        assert origins.size > 2 * size
         model = FuzzformerModel(cfg, np.random.default_rng(5))
         threads, sizes = set(), []
 
@@ -713,8 +740,8 @@ class TestScoreSplit:
         assert threading.get_ident() not in threads  # the chunks ran on the pool
         assert sorted(sizes) == sorted(layout(origins.size, 4, WIDE)) != chunk_sizes(origins.size)
         parts = []
-        for start in range(0, origins.size, training.EVAL_BATCH):
-            batch = tiny_dataset.batch(origins[start : start + training.EVAL_BATCH], history=cfg.history)
+        for start in range(0, origins.size, size):
+            batch = tiny_dataset.batch(origins[start : start + size], history=cfg.history)
             keep = batch.origins % 4 != 1
             parts.append((model.predict(batch.x, batch.y_history)[keep], batch.y_target[keep]))
         preds, targets = (np.concatenate(p) for p in zip(*parts))
@@ -723,13 +750,20 @@ class TestScoreSplit:
         assert report.per_step_rmse.tobytes() == per_step.tobytes()
         assert (report.n_samples, report.n_skipped) == (preds.shape[0], origins.size - preds.shape[0])
 
-    @pytest.mark.parametrize("split", ["train", "valid", "test"])
+    @pytest.mark.parametrize(
+        "data, split",
+        [("tiny_dataset", "train"), ("tiny_dataset", "valid"), ("tiny_dataset", "test"), ("dataset_145", "train")],
+    )
     @pytest.mark.parametrize("cores", [1, 2, 4])
-    def test_wide_model_has_the_bits_of_one_batch(self, monkeypatch, tiny_dataset, cores, split):
+    @pytest.mark.parametrize("width", [16, 32, 64, WIDE])
+    def test_forecasts_have_the_bits_of_one_batch(self, request, monkeypatch, width, cores, data, split):
+        # 145 = 3 x 48 + 1 windows: at D_h=128 the lone last window joins
+        # the chunk before it, on the pool and in the encoder
+        dataset = request.getfixturevalue(data)
         monkeypatch.setattr(training, "_usable_cores", lambda: cores)
-        cfg = RunConfig(**{**TINY_TRAIN, "hidden_width": WIDE})
+        cfg = RunConfig(**{**TINY_TRAIN, "hidden_width": width})
         model = FuzzformerModel(cfg, np.random.default_rng(5))
-        origins = tiny_dataset.origins_for(split)
+        origins = dataset.origins_for(split)
         got = np.full((origins.size, cfg.horizon), np.nan)
 
         def forecast(batch):
@@ -737,19 +771,20 @@ class TestScoreSplit:
             got[np.searchsorted(origins, batch.origins)] = preds
             return preds
 
-        report = training.score_split(tiny_dataset, split, cfg.history, forecast, width=WIDE)
-        batch = tiny_dataset.batch(origins, history=cfg.history)
+        report = training.score_split(dataset, split, cfg.history, forecast, width=width)
+        again = evaluate_split(model, dataset, split)
+        assert (again.rmse, again.per_step_rmse.tobytes()) == (report.rmse, report.per_step_rmse.tobytes())
+        batch = dataset.batch(origins, history=cfg.history)
+        monkeypatch.setattr(encoder, "chunk_windows", lambda _width: origins.size)  # one encoder pass
         preds = model.predict(batch.x, batch.y_history)
         assert got.tobytes() == preds.tobytes()
         per_step = np.sqrt(np.sum((preds - batch.y_target) ** 2, axis=0) / preds.shape[0])
         assert report.rmse == rmse(preds, batch.y_target)
         assert report.per_step_rmse.tobytes() == per_step.tobytes()
-        again = evaluate_split(model, tiny_dataset, split)
-        assert (again.rmse, again.per_step_rmse.tobytes()) == (report.rmse, report.per_step_rmse.tobytes())
 
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_narrow_model_keeps_whole_chunks(self, tiny_dataset, four_cores, split):
-        # whole EVAL_BATCH chunks on the pool; a split of one chunk runs
+        # whole 96-window chunks on the pool; a split of one chunk runs
         # on the calling thread
         model = FuzzformerModel(RunConfig(**TINY_TRAIN), np.random.default_rng(5))
         calls = []
@@ -797,7 +832,7 @@ class TestScoreSplit:
         finished = []
 
         def forecast(batch):
-            chunk = int(np.searchsorted(origins, batch.origins[0])) // training.EVAL_BATCH
+            chunk = int(np.searchsorted(origins, batch.origins[0])) // encoder.chunk_windows(0)
             if chunk == 1:
                 time.sleep(0.05)  # chunk 3 fails first
             if chunk in (1, 3):
@@ -1026,7 +1061,7 @@ class TestForwardPassReplay:
         probes, before any output; or for an unstable rule 1."""
         def plant(kind):
             model = FuzzformerModel(RunConfig(**TINY_TRAIN), np.random.default_rng(5))
-            origin = tiny_dataset.origins_for("train")[training.EVAL_BATCH + 20]
+            origin = tiny_dataset.origins_for("train")[encoder.chunk_windows(TINY_TRAIN["hidden_width"]) + 20]
             if kind == "unstable-rule":
                 model.arix_a.data[1, 0] = -1e150  # overflows within 3 steps
                 return model, tiny_dataset, origin, UNSTABLE_RULE
