@@ -364,32 +364,23 @@ def stack(tensors, axis=0):
     return _node("stack", data, tensors, vjp)
 
 
-def _restore_reduced(g, shape, axis, keepdims):
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    if not keepdims:
+def _restore_reduced(g, shape, axis):
+    if axis is not None:
         axes = axis if isinstance(axis, tuple) else (axis,)
-        axes = tuple(a % len(shape) for a in axes)
-        for a in sorted(axes):
-            g = np.expand_dims(g, a)
+        g = np.expand_dims(g, tuple(a % len(shape) for a in axes))
     return np.broadcast_to(g, shape)
 
 
-def tsum(a, axis=None, keepdims=False):
+def tsum(a, axis=None):
     a = astensor(a)
-    return _node(
-        "sum", np.sum(a.data, axis=axis, keepdims=keepdims), (a,),
-        lambda g: (_restore_reduced(g, a.data.shape, axis, keepdims),),
-    )
+    return _node("sum", np.sum(a.data, axis=axis), (a,), lambda g: (_restore_reduced(g, a.data.shape, axis),))
 
 
-def tmean(a, axis=None, keepdims=False):
+def tmean(a, axis=None):
     a = astensor(a)
-    data = np.mean(a.data, axis=axis, keepdims=keepdims)
+    data = np.mean(a.data, axis=axis)
     count = a.data.size / max(np.size(data), 1)  # entries averaged into each output
-    return _node(
-        "mean", data, (a,), lambda g: (_restore_reduced(g, a.data.shape, axis, keepdims) / count,)
-    )
+    return _node("mean", data, (a,), lambda g: (_restore_reduced(g, a.data.shape, axis) / count,))
 
 
 def exp(a):

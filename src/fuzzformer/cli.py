@@ -63,11 +63,9 @@ def cmd_fetch(args) -> int:
     series = dmod.fetch_http(args.url, args.cache_dir, name=args.name)
     out = Path(args.out)
     dmod.output_dir(out.parent, "output directory")
-    with dmod.open_output(out, "w", "series file") as fh:
-        fh.write("date,value\n")
-        for day, value in zip(series.dates, series.values):
-            # the shortest text that reads back as the same float64
-            fh.write(f"{day},{np.format_float_positional(value, trim='-')}\n")
+    # each value as the shortest text that reads back as the same float64
+    rows = [[day, np.format_float_positional(v, trim="-")] for day, v in zip(series.dates, series.values)]
+    dmod.write_rows(out, ("date", "value"), rows, "series file")
     print(f"fetched {len(series)} observations of {series.name!r} -> {out}")
     return EXIT_OK
 
@@ -122,10 +120,12 @@ def cmd_evaluate(args) -> int:
         print(f"fuzzformer ({label}) {setting} {split}: rmse={report.rmse:.6f} "
               f"n={report.n_samples}")
         reports.append(report)
-        if args.per_step and report.n_samples:  # no windows, no RMSE per step
-            with dmod.open_output(args.per_step, "a", "per-step file") as fh:
-                for j, v in enumerate(report.per_step_rmse, start=1):
-                    fh.write(f"{split},{j},{v:.6f}\n")
+    # no windows, no RMSE per step; no rows, no file
+    steps = [
+        [r.split, j, f"{v:.6f}"] for r in reports if r.n_samples for j, v in enumerate(r.per_step_rmse, start=1)
+    ]
+    if args.per_step and steps:
+        dmod.write_rows(args.per_step, ("split", "step", "rmse"), steps, "per-step file", mode="a")
     training.append_results(args.out, "fuzzformer", label, setting, reports)
     return EXIT_OK
 

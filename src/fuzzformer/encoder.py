@@ -45,9 +45,9 @@ from .kernels import lstm as lstm_kernels
 # the GIL weigh most there), and 96 windows hold at most 11 MiB, so a
 # chunk keeps CHUNK_WINDOWS windows.  From about D_h=96 on, a chunk of
 # CHUNK_WORK / D_h windows (64 at D_h=96, 48 at the paper's D_h=128) is as
-# fast as 96 and holds a half to two thirds of its memory.  score_split
+# fast as 96 and holds a half to two thirds of its memory.  chunk_layout
 # cuts smaller chunks only for a split's last round, and only for models
-# wide enough to gain from threads (training.WORK_FLOOR).
+# wide enough to gain from threads (WORK_FLOOR).
 #
 # Chunk sizes are multiples of 16.  OpenBLAS's double GEMM takes rows in
 # blocks of 16 and the rows left over in smaller blocks, and a row in a
@@ -61,9 +61,27 @@ from .kernels import lstm as lstm_kernels
 # shape, 96 + r windows keep one batch's bits for every r from 2 to 40,
 # but at r = 1 the last window's latent moves in its last bit (a
 # 17-window batch cut 16 + 1 moves the last forecast by 2e-16), so
-# chunk_slices gives a lone last window to the chunk before it.
+# chunk_layout gives a lone last window to the chunk before it.
 CHUNK_WINDOWS = 96
 CHUNK_WORK = 6144
+
+# the least work, in windows x the model's hidden width D_h, for which the
+# windows left after a split's whole rounds (see chunk_layout) are cut
+# into one part per core.  Each numpy call of a forward pass takes a few
+# microseconds at D_h=16, and handing the GIL between two threads around
+# such calls costs more than the threads overlap.  Two-core speedup over
+# one thread of a 90-window split cut into two parts, on the synthetic
+# series (p=30, C=16, look-back 60), on a two-core Xeon with one BLAS
+# thread:
+#   D_h   16    32    48    64    96   128
+#   90   0.87  0.98  1.01  1.32  1.28  1.33
+# So 48 windows at D_h=32 (1536) stay one chunk, and 16 windows at
+# D_h=128 (2048) get a part of their own.  Whole chunks stay on the pool
+# at every width: at the desk shape (D_h=16, C=4, p=4) the
+# 812-window train split took 111 ms in turn on the calling thread
+# against 99 ms on two threads (20 alternating pairs, 0 won by the
+# calling thread).
+WORK_FLOOR = 2048
 
 
 def chunk_windows(width):
@@ -74,11 +92,25 @@ def chunk_windows(width):
     return max(16, min(CHUNK_WINDOWS, CHUNK_WORK // max(width, 1)) // 16 * 16)
 
 
-def chunk_slices(starts, n):
-    """The row slices of ``range(n)`` that begin at ``starts`` (ascending,
-    the first 0), except that a last chunk of one window joins the chunk
-    before it (see CHUNK_WINDOWS: alone, it can take other bits)."""
-    starts = list(starts)
+def chunk_layout(n, cores, width):
+    """The row slices a forward-only pass cuts ``range(n)`` into for
+    ``cores`` usable cores and a model of hidden width ``width``.
+
+    Whole rounds of one ``chunk_windows(width)`` chunk per core come
+    first.  The rows left after them are cut into one part per core, of
+    16 * ceil(rows / (16 * cores)) windows, when such a part meets
+    WORK_FLOOR; otherwise they stay ``chunk_windows(width)`` chunks.  A
+    lone last window joins the chunk before it (alone, it can take other
+    bits).  So every chunk starts on a multiple of 16 windows, and none
+    holds more than ``chunk_windows(width)`` windows but a last chunk
+    that took a lone window.  With one core this is the plain cut into
+    ``chunk_windows(width)``-window chunks.
+    """
+    size = chunk_windows(width)
+    full = n - n % (cores * size)
+    part = 16 * -(-(n - full) // (16 * cores))  # <= size, as n - full < cores * size
+    step = part if part * width >= WORK_FLOOR else size
+    starts = [*range(0, full, size), *range(full, n, step)]
     if len(starts) > 1 and starts[-1] == n - 1:
         del starts[-1]
     return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n])]
@@ -191,11 +223,11 @@ class Encoder:
         ``attention_weights`` holds every head's (B, N, N) map only when
         ``attention_maps`` asks for them, and is empty otherwise.
 
-        A pass that records no graph and draws no dropout encodes more
-        than ``chunk_windows(D_h)`` windows that many at a time
-        (``chunk_slices``), so it holds one chunk's activations at once,
-        however many windows it is given, and each window gets the bits
-        ``training.score_split``'s chunks give it.
+        A pass that records no graph and draws no dropout encodes its
+        windows in the chunks of ``chunk_layout(B, 1, D_h)``, so it holds
+        one chunk's activations at once, however many windows it is given,
+        and each window gets the bits ``training.score_split``'s chunks
+        give it.
         """
         cfg = self.config
         x = ad.astensor(x)
@@ -203,13 +235,14 @@ class Encoder:
             raise ShapeError(
                 f"encoder: expected (B, N, {cfg.channels}) input, got {x.data.shape}"
             )
-        n, size = x.data.shape[0], chunk_windows(cfg.hidden_width)
-        if n <= size or rng is not None or ad.grad_enabled():
+        # a recorded or dropout pass is one batch; tested first, as every
+        # training step takes it and a layout costs more than the test
+        if rng is not None or ad.grad_enabled():
             return self._encode(x, rng, attention_maps)
-        parts = [
-            self._encode(ad.Tensor(x.data[rows]), None, attention_maps)
-            for rows in chunk_slices(range(0, n, size), n)
-        ]
+        chunks = chunk_layout(len(x.data), 1, cfg.hidden_width)
+        if len(chunks) < 2:
+            return self._encode(x, None, attention_maps)
+        parts = [self._encode(ad.Tensor(x.data[rows]), None, attention_maps) for rows in chunks]
         return EncoderOutput(
             z_latent=_rows(p.z_latent for p in parts),
             u_latent=_rows(p.u_latent for p in parts),

@@ -13,10 +13,9 @@ identical seed/config/data reproduce identical checkpoints bit for bit.
 
 Evaluation windows are independent, so ``score_split``, the one
 function that builds a thread pool, runs a split's chunks on the usable
-cores at once.  It cuts the windows left after whole rounds into one
-part per core only for models wide enough for that to pay
-(``WORK_FLOOR``); at one BLAS thread every window's forecast has the
-same bits as in one batch of all the windows.  The warm-up samples up to
+cores at once, in the layout ``encoder.chunk_layout`` cuts for the cores
+and the model's width; at one BLAS thread every window's forecast has
+the same bits as in one batch of all the windows.  The warm-up samples up to
 WARMUP_WINDOWS train windows but encodes only the C that seed the rule
 centers (``WarmupLatents``), in one forward pass on the calling thread.
 """
@@ -42,7 +41,7 @@ from .config import RunConfig
 from .data import (
     SPLIT_NAMES, WindowedDataset, as_int, open_output, output_dir, read_table, write_json, write_rows,
 )
-from .encoder import chunk_slices, chunk_windows
+from .encoder import chunk_layout
 from .exceptions import ConfigError, DataError
 from .fuzzy import bhattacharyya  # by this name, so a profiler can patch the bundle's call
 from .losses import composite_loss, mse_loss
@@ -108,45 +107,6 @@ def numeric_environment() -> dict:
     }
 
 
-# the least work, in windows x the model's hidden width D_h, for which the
-# windows left after a split's whole rounds (see _chunk_layout) are cut
-# into one part per core.  Each numpy call of a forward pass takes a few
-# microseconds at D_h=16, and handing the GIL between two threads around
-# such calls costs more than the threads overlap.  Two-core speedup over
-# one thread of a 90-window split cut into two parts, on the synthetic
-# series (p=30, C=16, look-back 60), on a two-core Xeon with one BLAS
-# thread:
-#   D_h   16    32    48    64    96   128
-#   90   0.87  0.98  1.01  1.32  1.28  1.33
-# So 48 windows at D_h=32 (1536) stay one chunk, and 16 windows at
-# D_h=128 (2048) get a part of their own.  Whole chunks stay on the pool
-# at every width: at the desk shape (D_h=16, C=4, p=4) the
-# 812-window train split took 111 ms in turn on the calling thread
-# against 99 ms on two threads (20 alternating pairs, 0 won by the
-# calling thread).
-WORK_FLOOR = 2048
-
-
-def _chunk_layout(n, cores, width):
-    """The row slices ``score_split`` cuts ``range(n)`` into for
-    ``cores`` usable cores and a model of hidden width ``width``.
-
-    Whole rounds of one ``chunk_windows(width)`` chunk per core come
-    first.  The rows left after them are cut into one part per core, of
-    16 * ceil(rows / (16 * cores)) windows, when such a part meets
-    WORK_FLOOR; otherwise they stay ``chunk_windows(width)`` chunks.  A
-    lone last window joins the chunk before it (``chunk_slices``: alone,
-    it can take other bits).  So every chunk starts on a multiple of 16
-    windows, and none holds more than ``chunk_windows(width)`` windows
-    but a last chunk that took a lone window.
-    """
-    size = chunk_windows(width)
-    full = n - n % (cores * size)
-    part = 16 * -(-(n - full) // (16 * cores))  # <= size, as n - full < cores * size
-    step = part if part * width >= WORK_FLOOR else size
-    return chunk_slices([*range(0, full, size), *range(full, n, step)], n)
-
-
 class WarmupLatents:
     """Read-only rows of the latents of sampled training windows.
 
@@ -154,8 +114,7 @@ class WarmupLatents:
     array) encodes only the windows it reads, with the model's
     parameters at the time of the read, in one ``model.encode`` call
     inside ``ad.checked_forward`` on the calling thread (the encoder
-    takes more than ``encoder.chunk_windows(D_h)`` windows that many at a
-    time).  The windows are padded to a multiple of 16 by repeating them,
+    cuts them into ``encoder.chunk_layout``'s chunks).  The windows are padded to a multiple of 16 by repeating them,
     so each row has the bits of one batch of all the sampled windows (see
     ``encoder.CHUNK_WINDOWS``).
     """
@@ -195,27 +154,22 @@ def score_split(dataset, split, history, forecast, *, width=0) -> MetricsReport:
     leaves the windows it rejects as NaN rows) is counted as skipped,
     not scored; with none scored the RMSEs are NaN.
 
-    The chunks, cut by ``_chunk_layout``, run on a thread pool of one
-    worker per usable core (at most one per chunk) when there are two or
-    more; numpy releases the GIL in its GEMMs and ufuncs, so they run in
-    parallel, and ``forecast`` must be safe to call from several threads
-    at once.  Each chunk runs in a copy of the caller's context, so
-    ``forecast`` sees the caller's autodiff modes and numpy errstate (a
-    context variable since numpy 2.0).  Every chunk finishes before this
-    returns or raises; when chunks fail, the first failing chunk's error
-    is raised, as a loop over the chunks in turn would.  ``width`` is
-    Fuzzformer's hidden width, which sizes its chunks as it sizes the
-    encoder's (``encoder.chunk_windows``: 48 windows at the paper's
-    D_h=128, 96 at D_h=64 and below); at D_h=128 the windows left after
-    whole rounds are cut into one part per core (``WORK_FLOOR``).  The
-    other forecasters keep the default 0, and with it whole 96-window
-    chunks: the floor was measured on Fuzzformer only.  Each chunk
-    writes only its own rows, so the report does not depend on the
-    order the chunks finish in.  Every chunk starts on a multiple of 16
-    windows and no chunk is a lone last window, so each window meets the
-    same OpenBLAS GEMM row blocks as in one batch of the whole split,
-    and its forecast keeps that batch's bits (see
-    ``encoder.CHUNK_WINDOWS``).
+    The chunks run on a thread pool of one worker per usable core (at
+    most one per chunk) when there are two or more; numpy releases the
+    GIL in its GEMMs and ufuncs, so they run in parallel, and
+    ``forecast`` must be safe to call from several threads at once.
+    Each chunk runs in a copy of the caller's context, so ``forecast``
+    sees the caller's autodiff modes and numpy errstate (a context
+    variable since numpy 2.0).  Every chunk finishes before this returns
+    or raises; when chunks fail, the first failing chunk's error is
+    raised, as a loop over the chunks in turn would.  Each chunk writes
+    only its own rows, so the report does not depend on the order the
+    chunks finish in.  ``encoder.chunk_layout`` cuts the chunks for the
+    usable cores and ``width``, Fuzzformer's hidden width, as it cuts the
+    encoder's, so each window's forecast keeps the bits of one batch of
+    the whole split.  The other forecasters keep the default 0, and with
+    it whole 96-window chunks: ``encoder.WORK_FLOOR`` was measured on
+    Fuzzformer only.
     """
     origins = dataset.origins_for(split)
     preds = np.zeros((origins.size, dataset.horizon))
@@ -227,7 +181,7 @@ def score_split(dataset, split, history, forecast, *, width=0) -> MetricsReport:
         targets[rows] = batch.y_target
 
     cores = _usable_cores()
-    chunks = _chunk_layout(origins.size, cores, width)
+    chunks = chunk_layout(origins.size, cores, width)
     workers = min(cores, len(chunks))
     if workers <= 1:
         for rows in chunks:

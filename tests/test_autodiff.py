@@ -629,9 +629,9 @@ def _axis(draw, ndim):
 def _reduce_case(op):
     def case(draw, rng):
         shape = _shape(draw)
-        axis, keepdims = _axis(draw, len(shape)), draw(st.booleans())
+        axis = _axis(draw, len(shape))
         ops, params = _operands(draw, rng, [shape])
-        return (lambda: op(ops[0], axis=axis, keepdims=keepdims)), ops, params
+        return (lambda: op(ops[0], axis=axis)), ops, params
 
     return case
 

@@ -247,7 +247,7 @@ class TestEvaluateAndBaseline:
         out, per_step = tmp_path / "results.csv", tmp_path / "per_step.csv"
         head = b"method,config,setting,split,rmse\r\nseed,,12/4,train,1.000000\r\n"
         out.write_bytes(head)
-        per_step_head = b"seed,1,1.000000\n"
+        per_step_head = b"split,step,rmse\r\nseed,1,1.000000"  # no final line break
         per_step.write_bytes(per_step_head)
         capsys.readouterr()
         code = main([
@@ -260,7 +260,23 @@ class TestEvaluateAndBaseline:
         )
         assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines)
         assert out.read_bytes() == head + "".join(f"{row}\r\n" for row in rows).encode()
-        assert per_step.read_bytes() == per_step_head + "".join(f"{s}\n" for s in steps).encode()
+        assert per_step.read_bytes() == per_step_head + "".join(f"\r\n{s}" for s in steps).encode() + b"\r\n"
+
+    @pytest.mark.parametrize(
+        "text", [b"seed,1,1.000000", b"seed,1,1.000000\n", b"date,value\r\n2020-01-01,1\r\n"],
+        ids=["headerless-no-line-break", "headerless", "series"],
+    )
+    def test_per_step_file_without_its_header_is_refused_and_kept(self, workspace, tmp_path, capsys, text):
+        per_step = tmp_path / "per_step.csv"
+        per_step.write_bytes(text)
+        code = main([
+            "evaluate", "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+            "--dataset", str(workspace / "data" / "dataset.bin"), "--split", "test",
+            "--out", str(tmp_path / "results.csv"), "--per-step", str(per_step),
+        ])
+        assert code == EXIT_DATA
+        assert str(per_step) in capsys.readouterr().err
+        assert per_step.read_bytes() == text
 
     def test_empty_split_leaves_no_row_for_any_method(self, workspace, tmp_path, capsys):
         # at stride 50 no window origin falls in the valid range
@@ -278,7 +294,7 @@ class TestEvaluateAndBaseline:
         ])
         assert code == EXIT_OK
         assert "valid: rmse=nan n=0" in capsys.readouterr().out
-        assert [line.split(",")[0] for line in open(per_step)] == ["train"] * 4 + ["test"] * 4
+        assert [line.split(",")[0] for line in open(per_step)] == ["split"] + ["train"] * 4 + ["test"] * 4
         # a split with no windows gives no rows, and no rows write no file
         valid_only = tmp_path / "valid.csv"
         code = main([

@@ -45,11 +45,18 @@ with the standard library:
   LSTM kernels ``lstm_forward`` and ``lstm_backward`` (the latter from
   its ``vjp``).  So one place decides, from the autodiff mode, whether a
   forward pass keeps the gate and cell caches.
-* one function of src/fuzzformer/, ``encoder.chunk_windows``, reads (or
-  imports) the chunk constants ``CHUNK_WINDOWS`` and ``CHUNK_WORK``, and
-  only ``Encoder.__call__`` and ``training._chunk_layout`` call it.  So a
-  forward-only encode and ``training.score_split`` cut the same chunks
-  for a model of one width.
+* one function of src/fuzzformer/, ``encoder.chunk_layout``, lays out
+  every forward-only chunk: only it calls ``chunk_windows``, and only
+  ``Encoder.__call__`` and ``training.score_split`` call it.  The chunk
+  constants ``CHUNK_WINDOWS`` and ``CHUNK_WORK`` are read (or imported)
+  only by ``encoder.chunk_windows``, and ``WORK_FLOOR`` only by
+  ``encoder.chunk_layout``.  So a forward-only encode and
+  ``training.score_split`` cut the same chunks for a model of one width.
+* no module of src/fuzzformer/ calls ``open_output`` but from
+  ``data.write_json``, ``data.write_rows``, ``svgplot.line_plot``,
+  ``svgplot.scatter_plot`` and ``training._write_grid``.  So the command
+  line writes every CSV table through ``data.write_rows``, with its
+  header check and its line breaks.
 * one function of src/fuzzformer/, ``training.forecast_bundle``, calls the
   grid writer ``_write_grid``, and it opens no file and builds no
   ``csv.writer`` of its own.  So every bundle table, and every table
@@ -406,10 +413,22 @@ def test_one_function_decides_the_lstm_caches(callee, function):
     assert src_callers(callee) == [("encoder.py", function)]
 
 
-@pytest.mark.parametrize("constant", ["CHUNK_WINDOWS", "CHUNK_WORK"])
+@pytest.mark.parametrize("constant", ["CHUNK_WINDOWS", "CHUNK_WORK", "WORK_FLOOR"])
 def test_one_function_sizes_every_forward_only_chunk(constant):
-    assert src_callers(constant, find=readers) == [("encoder.py", "chunk_windows")]
-    assert src_callers("chunk_windows") == [("encoder.py", "__call__"), ("training.py", "_chunk_layout")]
+    reader = "chunk_layout" if constant == "WORK_FLOOR" else "chunk_windows"
+    assert src_callers(constant, find=readers) == [("encoder.py", reader)]
+    assert src_callers("chunk_windows") == [("encoder.py", "chunk_layout")]
+
+
+def test_one_function_lays_out_every_forward_only_chunk():
+    assert src_callers("chunk_layout") == [("encoder.py", "__call__"), ("training.py", "score_split")]
+
+
+def test_only_the_table_and_plot_writers_open_output_files():
+    assert src_callers("open_output") == [
+        ("data.py", "write_json"), ("data.py", "write_rows"), ("svgplot.py", "line_plot"),
+        ("svgplot.py", "scatter_plot"), ("training.py", "_write_grid"),
+    ]
 
 
 def test_checker_finds_reads():

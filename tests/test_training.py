@@ -222,7 +222,7 @@ class TestTrain:
         "run, width", [(fuzzformer_run, TINY_TRAIN["hidden_width"]), (lstm_run, 0)], ids=["fuzzformer", "lstm"]
     )
     def test_validation_lays_out_chunks_by_the_models_width(self, run, width, tiny_dataset, tmp_path, monkeypatch):
-        # WORK_FLOOR was measured on Fuzzformer only, so the LSTM baseline
+        # encoder.WORK_FLOOR was measured on Fuzzformer only, so the LSTM baseline
         # keeps the default width 0: whole 96-window chunks
         widths = []
         score_split = training.score_split
@@ -455,7 +455,7 @@ WIDE = 128  # the paper's D_h: a width whose 16-window parts meet WORK_FLOOR
 
 def layout(n, cores, width):
     """The chunk sizes of ``score_split``'s layout."""
-    return [rows.stop - rows.start for rows in training._chunk_layout(n, cores, width)]
+    return [rows.stop - rows.start for rows in encoder.chunk_layout(n, cores, width)]
 
 
 @pytest.fixture
@@ -479,13 +479,20 @@ class TestChunkLayout:
     def test_chunk_windows_caps_windows_times_width(self, width, size):
         assert encoder.chunk_windows(width) == size
 
+    @pytest.mark.parametrize("width", [0, 16, 32, 48, 64, 96, 128, 4096])
+    def test_one_core_is_the_plain_cut(self, width):
+        # so Encoder.__call__, which encodes one chunk at a time, lays out
+        # its batches as score_split does a split on one core
+        for n in range(1000):
+            assert layout(n, 1, width) == chunk_sizes(n, width), n
+
     @pytest.mark.parametrize("cores", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 17, 31, 49, 90, 96, 97, 145, 192, 193, 250, 350, 812])
     def test_parts_cover_the_rows_in_order(self, n, cores):
         for width in (0, 16, 32, 64, WIDE):
             size = encoder.chunk_windows(width)
             sizes = layout(n, cores, width)
-            chunks = training._chunk_layout(n, cores, width)
+            chunks = encoder.chunk_layout(n, cores, width)
             assert [rows.start for rows in chunks] == [sum(sizes[:i]) for i in range(len(sizes))]
             assert sum(sizes) == n and all(c % 16 == 0 for c in sizes[:-1])
             # the last chunk may hold one window more: a lone last window
@@ -495,7 +502,7 @@ class TestChunkLayout:
             if sizes != chunk_sizes(n, width):  # whole rounds, then a last round cut into parts that meet the floor
                 full = n // (cores * size) * cores
                 assert sizes[:full] == [size] * full
-                assert sizes[-2] * width >= training.WORK_FLOOR
+                assert sizes[-2] * width >= encoder.WORK_FLOOR
 
     @pytest.mark.parametrize(
         "n, cores, sizes",
@@ -527,7 +534,7 @@ class TestChunkLayout:
         assert max(chunk_sizes(n)) in (96, 97) or n < 96
 
     def test_a_part_is_cut_where_windows_times_width_meet_the_floor(self):
-        assert training.WORK_FLOOR == 2048
+        assert encoder.WORK_FLOOR == 2048
         assert layout(90, 2, 32) == [90]  # 48 x 32 = 1536
         assert layout(97, 2, 32) == [64, 33]  # 64 x 32 = 2048
 
@@ -580,7 +587,7 @@ class TestWarmupLatents:
     @pytest.mark.parametrize("cores", [1, 2, 4])
     @pytest.mark.parametrize("rules", [32, 96])
     def test_wide_picks_keep_the_bits_of_per_core_parts(self, monkeypatch, tiny_dataset, rules, cores):
-        # one encode of the picks gives the bits of the parts _chunk_layout
+        # one encode of the picks gives the bits of the parts chunk_layout
         # cuts them into for an evaluation split (96 -> 48 + 48)
         monkeypatch.setattr(training, "_usable_cores", lambda: cores)
         model = FuzzformerModel(RunConfig(**{**TINY_TRAIN, "hidden_width": WIDE}), np.random.default_rng(0))
@@ -590,7 +597,7 @@ class TestWarmupLatents:
         with ad.no_grad():
             parts = [
                 model.encode(tiny_dataset.batch(picks[chunk], history=1).x).z_latent.data
-                for chunk in training._chunk_layout(rules, cores, WIDE)
+                for chunk in encoder.chunk_layout(rules, cores, WIDE)
             ]
         assert layout(rules, cores, WIDE) == {
             (32, 2): [16, 16], (32, 4): [16, 16], (96, 1): [48, 48], (96, 2): [48, 48], (96, 4): [32, 32, 32]
